@@ -6,7 +6,7 @@ Subcommands:
 * ``grover``       spectral-mapping route for the Grover walk
 * ``unitarity``    per-arc unitarity condition vs. actual matrix unitarity
 * ``zeta-ihara``   classical determinant identity at sample points
-* ``zeta-weighted``complex-weighted identity (and its transposed variant)
+* ``zeta-weighted``complex-weighted identity (B_w^T and W^T form)
 * ``zeta-quat``    quaternionic identity through the complexification map
 * ``selftest``     bundled golden suite plus seeded random route agreement
 

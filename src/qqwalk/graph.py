@@ -73,14 +73,14 @@ class Graph:
             seen.add(key)
         self.n = n
         self.edges = list(edges)
+        ends = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
+        self.origin = ends.ravel()
+        self.terminal = ends[:, ::-1].ravel()
         self.arcs: list[Arc] = []
         for r, (u, v) in enumerate(self.edges):
             self.arcs.append(Arc(u, v, 2 * r))
             self.arcs.append(Arc(v, u, 2 * r + 1))
-        self._degrees = [0] * n
-        for u, v in self.edges:
-            self._degrees[u] += 1
-            self._degrees[v] += 1
+        self._degrees = np.bincount(self.origin, minlength=n)
         if not self._connected():
             raise GraphFormatError("graph is not connected")
 
@@ -123,7 +123,7 @@ class Graph:
     def degree(self, u: int) -> int:
         if not (0 <= u < self.n):
             raise ValueError(f"vertex {u} out of range [0, {self.n})")
-        return self._degrees[u]
+        return int(self._degrees[u])
 
     def inverse_arc(self, arc: Arc) -> Arc:
         return self.arcs[arc.index ^ 1]
@@ -132,20 +132,15 @@ class Graph:
 
     def adjacency_matrix(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
-        for u, v in self.edges:
-            a[u, v] = 1.0
-            a[v, u] = 1.0
+        a[self.origin, self.terminal] = 1.0
         return a
 
     def degree_matrix(self) -> np.ndarray:
-        return np.diag([float(d) for d in self._degrees])
+        return np.diag(self._degrees.astype(float))
 
     def transition_matrix(self) -> np.ndarray:
         """Row-stochastic matrix with 1/d_u on each arc (u, v)."""
-        t = self.adjacency_matrix()
-        for u in range(self.n):
-            t[u, :] /= self._degrees[u]
-        return t
+        return self.adjacency_matrix() / self._degrees[:, None]
 
 
 def parse_graph(text: str) -> Graph:

@@ -85,7 +85,7 @@ def determinant(m: np.ndarray) -> complex:
     return complex(np.linalg.det(m))
 
 
-def pair_conjugates(values: np.ndarray, atol: float = 1e-6) -> np.ndarray:
+def pair_conjugates(values: np.ndarray) -> np.ndarray:
     """Enforce exact conjugate pairing on an even-sized spectrum.
 
     Spectra of complexified quaternionic matrices come in conjugate pairs up
@@ -117,6 +117,19 @@ def pair_conjugates(values: np.ndarray, atol: float = 1e-6) -> np.ndarray:
     return np.sort_complex(out)
 
 
+def _matching(a: np.ndarray,
+              b: np.ndarray) -> tuple[float, tuple[complex, complex] | None]:
+    """Minimal-cost perfect matching of two equal-size multisets: the largest
+    matched distance and the pair attaining it (None when both are empty)."""
+    if a.size == 0:
+        return 0.0, None
+    cost = np.abs(a[:, None] - b[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    i = int(np.argmax(cost[rows, cols]))
+    worst = (complex(a[rows[i]]), complex(b[cols[i]]))
+    return float(cost[rows[i], cols[i]]), worst
+
+
 def multiset_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Max pair distance of a minimal-cost perfect matching of two multisets.
 
@@ -126,11 +139,7 @@ def multiset_distance(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=complex).ravel()
     if a.size != b.size:
         return float("inf")
-    if a.size == 0:
-        return 0.0
-    cost = np.abs(a[:, None] - b[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
+    return _matching(a, b)[0]
 
 
 def multisets_match(a: np.ndarray, b: np.ndarray, tol: float = 1e-7) -> bool:

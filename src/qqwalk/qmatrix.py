@@ -22,10 +22,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .linalg import EigenResult, eigenvalues, pair_conjugates
-from .quaternion import Quaternion, canonical_class_rep
+from .quaternion import Quaternion
 
 __all__ = [
     "QuatMatrix",
+    "class_reps",
     "psi_homomorphism_check",
     "right_eigenvalues",
     "right_spectrum_class_reps",
@@ -72,8 +73,6 @@ class QuatMatrix:
     def from_complex(cls, m: np.ndarray) -> "QuatMatrix":
         m = np.asarray(m, dtype=complex)
         return cls(m, np.zeros_like(m))
-
-    from_real = from_complex
 
     # -- shape and entry access ---------------------------------------
 
@@ -199,19 +198,51 @@ def right_spectrum_class_reps(m: QuatMatrix, tol: float = 1e-7) -> list[tuple[co
 
     Each complexified eigenvalue lambda contributes the class of
     x0 + |Im|*i; conjugate eigenvalues collapse to the same representative.
-    Returns (representative, multiplicity) pairs sorted by (re, im).
+    Returns (representative, multiplicity) pairs as dedupe_class_reps does.
     """
-    vals = right_eigenvalues(m).eigenvalues
-    reps = [canonical_class_rep(Quaternion(v.real, v.imag)) for v in vals]
-    return dedupe_class_reps(reps, tol)
+    return class_reps(right_eigenvalues(m).eigenvalues, tol)
+
+
+def class_reps(values: np.ndarray, tol: float = 1e-7) -> list[tuple[complex, int]]:
+    """Grouped class representatives re + |im|*i of complex eigenvalues."""
+    values = np.asarray(values, dtype=complex)
+    return dedupe_class_reps(values.real + 1j * np.abs(values.imag), tol)
 
 
 def dedupe_class_reps(reps: Sequence[complex], tol: float = 1e-7) -> list[tuple[complex, int]]:
-    """Cluster class representatives within tol, keeping multiplicities."""
-    clusters: list[list[complex]] = []
-    for r in sorted(reps, key=lambda z: (z.real, z.imag)):
-        if clusters and abs(r - clusters[-1][-1]) <= tol:
-            clusters[-1].append(r)
-        else:
-            clusters.append([r])
-    return [(sum(c) / len(c), len(c)) for c in clusters]
+    """Single-linkage clusters of the values at distance tol, with sizes.
+
+    Two values share a cluster when a chain of values joins them with every
+    step at most tol, so clusters are pairwise farther apart than tol.
+    Returns (mean, size) pairs sorted by (re, im) of the mean.
+    """
+    z = np.sort_complex(np.asarray(reps, dtype=complex).ravel())
+    count = z.size
+    # Only values within tol in real part can be linked: z[i] with z[i + step]
+    # for i + step < reach[i].
+    reach = np.searchsorted(z.real, z.real + tol, side="right")
+    a, b = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    for step in range(1, int((reach - np.arange(count)).max(initial=1))):
+        i = np.nonzero((np.arange(step, count) < reach[:-step])
+                       & (np.abs(z[step:] - z[:-step]) <= tol))[0]
+        a.append(i)
+        b.append(i + step)
+    a, b = np.concatenate(a), np.concatenate(b)
+    # Connected components: each label falls to the least index of its own
+    # component (min over links, then pointer jumping).
+    label = np.arange(count)
+    while True:
+        new = label.copy()
+        low = np.minimum(label[a], label[b])
+        np.minimum.at(new, a, low)
+        np.minimum.at(new, b, low)
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    _, member, sizes = np.unique(label, return_inverse=True, return_counts=True)
+    means = np.zeros(sizes.size, dtype=complex)
+    np.add.at(means, member, z)
+    means /= sizes
+    order = np.lexsort((means.imag, means.real))
+    return [(complex(means[g]), int(sizes[g])) for g in order]

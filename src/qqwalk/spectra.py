@@ -26,14 +26,14 @@ import numpy as np
 from .graph import Graph
 from .linalg import (
     NotSimultaneouslyTriangularizableError,
+    _matching,
     eigenvalues,
-    multiset_distance,
     pair_conjugates,
     simultaneous_triangularize,
 )
-from .qmatrix import dedupe_class_reps
+from .qmatrix import class_reps, dedupe_class_reps
 from .quaternion import Quaternion, canonical_class_rep
-from .walks import CoinMap, build_U, build_W_Dw, grover_matrix, quat_cond_check
+from .walks import CoinMap, build_U, build_W_Dw
 
 __all__ = [
     "ComparisonRecord",
@@ -101,11 +101,6 @@ class SpectrumReport:
         return d
 
 
-def _class_reps_of(values: np.ndarray, tol: float = 1e-7) -> list[tuple[complex, int]]:
-    reps = [canonical_class_rep(Quaternion(v.real, v.imag)) for v in values]
-    return dedupe_class_reps(reps, tol)
-
-
 def compare_spectra(a: SpectrumReport | np.ndarray,
                     b: SpectrumReport | np.ndarray,
                     tol: float = 1e-7) -> ComparisonRecord:
@@ -118,17 +113,10 @@ def compare_spectra(a: SpectrumReport | np.ndarray,
             against=against, max_dist=float("inf"), verdict=False,
             cardinality_match=False,
             note=f"cardinality mismatch: {va.size} vs {vb.size}")
-    dist = multiset_distance(va, vb)
-    worst = None
-    if va.size and dist > 0.0:
-        # Recover the worst matched pair for diagnostics.
-        from scipy.optimize import linear_sum_assignment
-        cost = np.abs(va[:, None] - vb[None, :])
-        rows, cols = linear_sum_assignment(cost)
-        i = int(np.argmax(cost[rows, cols]))
-        worst = (complex(va[rows[i]]), complex(vb[cols[i]]))
+    dist, worst = _matching(va, vb)
     return ComparisonRecord(against=against, max_dist=dist,
-                            verdict=dist <= tol, worst_pair=worst)
+                            verdict=dist <= tol,
+                            worst_pair=worst if dist > 0.0 else None)
 
 
 # -- routes -----------------------------------------------------------
@@ -138,7 +126,7 @@ def spectrum_direct(graph: Graph, coin: CoinMap) -> SpectrumReport:
     u = build_U(graph, coin)
     vals = pair_conjugates(eigenvalues(u.psi()).eigenvalues)
     return SpectrumReport(method="direct", psi_spectrum=vals,
-                          class_reps=_class_reps_of(vals))
+                          class_reps=class_reps(vals))
 
 
 def _quadratic_roots(mu: complex, xi: complex) -> tuple[complex, complex]:
@@ -176,7 +164,7 @@ def _finish_quadratic_route(graph: Graph, method: str,
         lam = _trim_tree_values(lam)
     vals = pair_conjugates(np.sort_complex(np.array(lam, dtype=complex)))
     report = SpectrumReport(method=method, psi_spectrum=vals,
-                            class_reps=_class_reps_of(vals))
+                            class_reps=class_reps(vals))
     direct = spectrum_direct(graph, coin)
     report.cross_check = compare_spectra(report, direct, tol=cross_tol)
     return report
@@ -232,11 +220,12 @@ def spectrum_grover(graph: Graph, cross_tol: float = 1e-7,
                     modulus_tol: float = 1e-8) -> SpectrumReport:
     """Spectral-mapping route for the Grover walk.
 
-    Produces the 2m eigenvalues of the (real) Grover matrix itself; the
-    complexified spectrum is that multiset together with its conjugate.
-    For trees the mapping overcounts at lambda_T = +-1; the excess
-    {1, -1} is trimmed only after the direct eigensolve confirms it, and
-    the comparison is recorded on the report (no silent collapse).
+    Each eigenvalue lambda_T of the simple random walk matrix T maps to
+    lambda_T +- i*sqrt(1 - lambda_T^2); with their conjugates these are the
+    quadratic-formula values of the Grover coin, finished like the other
+    formula routes.  For trees the mapping overcounts at lambda_T = +-1; the
+    excess is trimmed only when the direct eigensolve confirms it, and the
+    comparison is recorded on the report (no silent collapse).
     """
     # T = D^-1 A is similar to the symmetric D^-1/2 A D^-1/2: real spectrum.
     d_half = np.diag([1.0 / np.sqrt(graph.degree(u)) for u in range(graph.n)])
@@ -249,46 +238,12 @@ def spectrum_grover(graph: Graph, cross_tol: float = 1e-7,
                 f"random-walk eigenvalue {lt} outside [-1, 1]")
         lt = min(1.0, max(-1.0, float(lt)))
         root = np.sqrt(1.0 - lt * lt)
-        lam.append(complex(lt, root))
-        lam.append(complex(lt, -root))
-    excess = graph.m - graph.n
-    note = None
-    direct_vals = pair_conjugates(
-        eigenvalues(grover_matrix(graph).psi()).eigenvalues)
-    if excess >= 0:
-        lam.extend([1.0 + 0.0j] * excess)
-        lam.extend([-1.0 + 0.0j] * excess)
-    else:
-        # Tree: 2n mapped values but only 2m = 2n - 2 walk eigenvalues.
-        trimmed = list(lam)
-        for target in (1.0, -1.0):
-            best = None
-            best_dist = TREE_TRIM_TOL
-            for idx, v in enumerate(trimmed):
-                dist = abs(v - target)
-                if dist <= best_dist:
-                    best, best_dist = idx, dist
-            if best is None:
-                raise SpectrumConsistencyError(
-                    f"tree-case trim: no mapped eigenvalue near {target}")
-            trimmed.pop(best)
-        note = ("tree case: mapping yields 2n values for 2m walk "
-                "eigenvalues; trimmed excess {1, -1} and cross-checked "
-                "against the direct eigensolve")
-        lam = trimmed
-    walk_vals = np.sort_complex(np.array(lam, dtype=complex))
-    vals = pair_conjugates(np.concatenate([walk_vals, np.conj(walk_vals)]))
-    report = SpectrumReport(method="grover", psi_spectrum=vals,
-                            class_reps=_class_reps_of(vals))
-    report.cross_check = compare_spectra(
-        report, SpectrumReport("direct", direct_vals,
-                               _class_reps_of(direct_vals)),
-        tol=cross_tol)
-    if note:
-        report.cross_check.note = note
+        lam.extend([complex(lt, root), complex(lt, -root)] * 2)
+    report = _finish_quadratic_route(graph, "grover", lam, cross_tol,
+                                     CoinMap.grover(graph))
+    if graph.is_tree:
+        report.cross_check.note = (
+            "tree case: mapping yields 2n values for 2m walk "
+            "eigenvalues; trimmed excess {1, -1} and cross-checked "
+            "against the direct eigensolve")
     return report
-
-
-# Aliases matching the report method labels.
-spectrum_theorem8 = spectrum_theorem_general
-spectrum_theorem10 = spectrum_alpha_coin

@@ -6,6 +6,10 @@ backtracking pair, q(e) - 1 on it), the Grover specialization q(e) =
 B_w, K, L, W and D_w, and the two structural checks: the per-arc unitarity
 condition and the vertex-independent column-sum condition whose common
 value alpha characterizes the Grover-like regime.
+
+Every matrix is built by fancy indexing from the arc arrays of the graph
+(``origin``, ``terminal``, and the inverse ``idx ^ 1``) and the symplectic
+arrays ``s``, ``p`` of the coin, following U = B_w^T - J0 = K L^T - J0.
 """
 
 from __future__ import annotations
@@ -47,7 +51,8 @@ class CoinMap:
 
     Also serves as the general weight map for the zeta-function matrices;
     the walk coin is the special case where the weights feed the transition
-    matrix U.
+    matrix U.  The complex arrays ``s`` and ``p`` hold the symplectic parts,
+    q(e) = s[e] + j*p[e], which the matrix builders index.
     """
 
     def __init__(self, graph: Graph, values: list[Quaternion]):
@@ -56,6 +61,8 @@ class CoinMap:
                 f"expected {graph.num_arcs} arc values, got {len(values)}")
         self.graph = graph
         self.values = list(values)
+        self.s = np.array([q.simplex for q in self.values], dtype=complex)
+        self.p = np.array([q.perplex for q in self.values], dtype=complex)
 
     @classmethod
     def from_arc_values(cls, graph: Graph,
@@ -90,7 +97,7 @@ class CoinMap:
         return self.values[arc_index]
 
     def is_complex_valued(self, atol: float = 1e-12) -> bool:
-        return all(q.is_complex(atol) for q in self.values)
+        return bool(np.all(_within(0.0, self.p, atol)))
 
 
 WeightMap = CoinMap
@@ -138,27 +145,61 @@ def parse_coin_file(text: str, graph: Graph) -> CoinMap:
     return CoinMap.from_arc_values(graph, per)
 
 
+# -- arc core ---------------------------------------------------------
+
+def _place(shape: tuple[int, int], rows, cols, s, p=0.0) -> QuatMatrix:
+    """Quaternionic matrix with s + j*p at (rows, cols) and zeros elsewhere."""
+    parts = np.zeros((2, *shape), dtype=complex)
+    parts[0][rows, cols] = s
+    parts[1][rows, cols] = p
+    return QuatMatrix(*parts)
+
+
+def _follows(graph: Graph) -> np.ndarray:
+    """Boolean arc-by-arc pattern [t(e) = o(f)] of B."""
+    return graph.terminal[:, None] == graph.origin[None, :]
+
+
+def _j0(graph: Graph) -> QuatMatrix:
+    """The arc-inversion permutation matrix: 1 at (e, e ^ 1)."""
+    arcs = np.arange(graph.num_arcs)
+    return _place((graph.num_arcs,) * 2, arcs, arcs ^ 1, 1.0)
+
+
+def _edge_parts(graph: Graph, weights: CoinMap) -> tuple[np.ndarray, np.ndarray]:
+    """Symplectic parts of B_w: w(f) at (e, f) when t(e) = o(f)."""
+    follows = _follows(graph)
+    return np.where(follows, weights.s, 0), np.where(follows, weights.p, 0)
+
+
+def _out_sums(graph: Graph, coin: CoinMap) -> np.ndarray:
+    """Symplectic parts (s, p) of the per-vertex sums of the coin over the
+    outgoing arcs, added in arc order."""
+    sums = np.zeros((2, graph.n), dtype=complex)
+    np.add.at(sums[0], graph.origin, coin.s)
+    np.add.at(sums[1], graph.origin, coin.p)
+    return sums
+
+
+def _within(s: np.ndarray, p: np.ndarray, tol: float) -> np.ndarray:
+    """Elementwise: all four quaternion coordinates of s + j*p are within
+    tol of zero."""
+    s, p = np.asarray(s), np.asarray(p)
+    return ((np.abs(s.real) <= tol) & (np.abs(s.imag) <= tol)
+            & (np.abs(p.real) <= tol) & (np.abs(p.imag) <= tol))
+
+
 # -- transition matrices ----------------------------------------------
 
 def build_U(graph: Graph, coin: CoinMap) -> QuatMatrix:
     """The 2m x 2m quaternionic transition matrix.
 
     U_{ef} = q(e) when t(f) = o(e) and f != e^-1, q(e) - 1 on the
-    backtracking pair f = e^-1, and 0 otherwise.
+    backtracking pair f = e^-1, and 0 otherwise; that is U = B_w^T - J0
+    with the coin as the weights.
     """
-    rows = []
-    for e in graph.arcs:
-        q = coin[e.index]
-        row = [Quaternion.ZERO] * graph.num_arcs
-        for f in graph.arcs:
-            if f.terminal != e.origin:
-                continue
-            if f.index == e.inverse_index:
-                row[f.index] = q - Quaternion.ONE
-            else:
-                row[f.index] = q
-        rows.append(row)
-    return QuatMatrix.from_entries(rows)
+    s, p = _edge_parts(graph, coin)
+    return QuatMatrix(s.T - _j0(graph).s, p.T)
 
 
 def grover_matrix(graph: Graph) -> QuatMatrix:
@@ -173,69 +214,46 @@ def unitarity_condition(graph: Graph, coin: CoinMap,
     Per arc: q0^2 + q1^2 + q2^2 + q3^2 - 2*q0/d_{o(e)} = 0, and the coin is
     constant across arcs sharing an origin.
     """
-    for e in graph.arcs:
-        q = coin[e.index]
-        residual = q.norm_sq() - 2.0 * q.x0 / graph.degree(e.origin)
-        if abs(residual) > tol:
-            return False
-    first_at: dict[int, Quaternion] = {}
-    for e in graph.arcs:
-        q = coin[e.index]
-        prev = first_at.setdefault(e.origin, q)
-        if not q.isclose(prev, atol=tol):
-            return False
-    return True
+    s, p = coin.s, coin.p
+    degree = np.bincount(graph.origin, minlength=graph.n)[graph.origin]
+    residual = (s.real * s.real + s.imag * s.imag + p.real * p.real
+                + p.imag * p.imag - 2.0 * s.real / degree)
+    if np.any(np.abs(residual) > tol):
+        return False
+    # The first arc leaving each vertex; on a connected graph every vertex
+    # is an origin, so the unique origins are 0..n-1 in order.
+    _, first = np.unique(graph.origin, return_index=True)
+    lead = first[graph.origin]
+    return bool(np.all(_within(s - s[lead], p - p[lead], tol)))
 
 
 # -- zeta-function matrices -------------------------------------------
 
 def build_B_and_J0(graph: Graph) -> tuple[QuatMatrix, QuatMatrix]:
     """B_{ef} = [t(e) = o(f)] and the arc-inversion permutation J0."""
-    k = graph.num_arcs
-    bs = np.zeros((k, k), dtype=complex)
-    js = np.zeros((k, k), dtype=complex)
-    for e in graph.arcs:
-        for f in graph.arcs:
-            if e.terminal == f.origin:
-                bs[e.index, f.index] = 1.0
-        js[e.index, e.inverse_index] = 1.0
-    return QuatMatrix.from_complex(bs), QuatMatrix.from_complex(js)
+    return QuatMatrix.from_complex(_follows(graph)), _j0(graph)
 
 
 def build_Bw(graph: Graph, weights: WeightMap) -> QuatMatrix:
     """(B_w)_{ef} = w(f) when t(e) = o(f); reduces to B at w == 1."""
-    rows = []
-    for e in graph.arcs:
-        row = [weights[f.index] if e.terminal == f.origin else Quaternion.ZERO
-               for f in graph.arcs]
-        rows.append(row)
-    return QuatMatrix.from_entries(rows)
+    return QuatMatrix(*_edge_parts(graph, weights))
 
 
 def build_K_L(graph: Graph, weights: WeightMap) -> tuple[QuatMatrix, QuatMatrix]:
     """The 2m x n factor matrices with K_{ev} = w(e)[o(e) = v] and
     L_{ev} = [t(e) = v], satisfying B_w^T = K L^T and W^T = L^T K."""
-    k_rows = []
-    l_rows = []
-    for e in graph.arcs:
-        k_rows.append([weights[e.index] if e.origin == v else Quaternion.ZERO
-                       for v in range(graph.n)])
-        l_rows.append([Quaternion.ONE if e.terminal == v else Quaternion.ZERO
-                       for v in range(graph.n)])
-    return QuatMatrix.from_entries(k_rows), QuatMatrix.from_entries(l_rows)
+    shape = (graph.num_arcs, graph.n)
+    arcs = np.arange(graph.num_arcs)
+    return (_place(shape, arcs, graph.origin, weights.s, weights.p),
+            _place(shape, arcs, graph.terminal, 1.0))
 
 
 def build_W_Dw(graph: Graph, weights: WeightMap) -> tuple[QuatMatrix, QuatMatrix]:
     """The n x n weighted matrix W (w(e) on each arc (u, v)) and the diagonal
     matrix D_w of outgoing-weight sums."""
-    w_rows = [[Quaternion.ZERO] * graph.n for _ in range(graph.n)]
-    diag = [Quaternion.ZERO] * graph.n
-    for e in graph.arcs:
-        w_rows[e.origin][e.terminal] = weights[e.index]
-        diag[e.origin] = diag[e.origin] + weights[e.index]
-    d_rows = [[diag[u] if u == v else Quaternion.ZERO for v in range(graph.n)]
-              for u in range(graph.n)]
-    return QuatMatrix.from_entries(w_rows), QuatMatrix.from_entries(d_rows)
+    w = _place((graph.n, graph.n), graph.origin, graph.terminal,
+               weights.s, weights.p)
+    return w, QuatMatrix(*map(np.diag, _out_sums(graph, weights)))
 
 
 def quat_cond_check(graph: Graph, coin: CoinMap,
@@ -244,14 +262,7 @@ def quat_cond_check(graph: Graph, coin: CoinMap,
 
     Returns (True, alpha) with the common sum when it is, else (False, None).
     """
-    sums = []
-    for u in range(graph.n):
-        total = Quaternion.ZERO
-        for e in graph.arcs:
-            if e.origin == u:
-                total = total + coin[e.index]
-        sums.append(total)
-    alpha = sums[0]
-    if all(s.isclose(alpha, atol=tol) for s in sums):
-        return True, alpha
+    s, p = _out_sums(graph, coin)
+    if np.all(_within(s - s[0], p - p[0], tol)):
+        return True, Quaternion.from_complex_pair(complex(s[0]), complex(p[0]))
     return False, None

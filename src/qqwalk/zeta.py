@@ -2,19 +2,23 @@
 
 Three layers of identity are covered, each compared at complex sample
 points rather than symbolically (sampling at more points than the
-polynomial degree is a complete check up to conditioning):
+polynomial degree is a complete check up to conditioning).  All three are
+one comparison,
 
-* the classical two determinant expressions, an arc-level 2m x 2m
-  determinant versus the vertex-level Bass-type expression
-  (1 - t^2)^(r-1) * det(I - t*A + t^2*(D - I)) with r the Betti number;
-* the complex-weighted version with B_w, W and D_w in place of B, A and D
-  and exponent m - n, together with its transposed variant;
-* the quaternionic generalization through the complexification map:
-  det(I_{4m} - t*psi(B_w^T - J0)) =
-  (1 - t^2)^(2m-2n) * det(I_{2n} - t*psi(W^T) + t^2*(psi(D_w) - I_{2n})),
-  including the resolvent-style intermediate identity
-  psi(L^T) (I + t*psi(J0))^-1 psi(K) =
-  (psi(W^T) - t*psi(D_w)) / (1 - t^2).
+    det(I - t*X) = (1 - t^2)^e * det(I - t*Y + t^2*(D - I)),
+
+with an arc-side matrix X, a vertex-side matrix Y and a diagonal D:
+
+* classical: X = B - J0, Y = A, D the degree matrix, e = m - n (the
+  Bass form (1 - t^2)^(r-1) with r the Betti number);
+* complex-weighted: X = B_w^T - J0, Y = W^T, D = D_w, e = m - n;
+* quaternionic, through the complexification map: X = psi(B_w^T - J0),
+  Y = psi(W^T), D = psi(D_w), e = 2m - 2n, together with the resolvent-style
+  intermediate identity
+  psi(L^T) (I + t*psi(J0))^-1 psi(K) = (psi(W^T) - t*psi(D_w)) / (1 - t^2).
+
+Samples with |1 - t^2| < POLE_GUARD sit on the (1 - t^2) poles and are
+skipped by every identity.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ import numpy as np
 
 from .graph import Graph
 from .linalg import determinant
-from .qmatrix import QuatMatrix
 from .walks import WeightMap, build_B_and_J0, build_Bw, build_K_L, build_W_Dw
 
 __all__ = [
@@ -77,17 +80,8 @@ class IdentityReport:
 
 
 def _rel_err(lhs: complex, rhs: complex) -> float:
-    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
-
-
-def _report(pairs: list[tuple[complex, complex, complex]],
-            tol: float, skipped: list[complex]) -> IdentityReport:
-    samples = [SamplePoint(t, lhs, rhs, _rel_err(lhs, rhs))
-               for t, lhs, rhs in sorted(pairs, key=lambda p: (p[0].real,
-                                                               p[0].imag))]
-    max_err = max((s.rel_err for s in samples), default=0.0)
-    return IdentityReport(samples=samples, max_rel_err=max_err,
-                          verdict=max_err <= tol, skipped=skipped)
+    scale = max(abs(lhs), abs(rhs))
+    return abs(lhs - rhs) / scale if scale else 0.0
 
 
 def default_samples(count: int = 8, seed: int = 0,
@@ -101,41 +95,69 @@ def default_samples(count: int = 8, seed: int = 0,
             for r, a in zip(radii, angles)]
 
 
+# -- the comparison core ---------------------------------------------
+
+def _arc_side(x: np.ndarray, t: complex) -> complex:
+    return determinant(np.eye(x.shape[0]) - t * x)
+
+
+def _vertex_side(y: np.ndarray, d: np.ndarray, exponent: int,
+                 t: complex) -> complex:
+    eye = np.eye(y.shape[0])
+    return complex((1.0 - t * t) ** exponent) * determinant(
+        eye - t * y + t * t * (d - eye))
+
+
+def _compare(x: np.ndarray, y: np.ndarray, d: np.ndarray, exponent: int,
+             t_samples: list[complex], tol: float,
+             check=None) -> IdentityReport:
+    """Compare det(I - t*X) with (1 - t^2)^e * det(I - t*Y + t^2*(D - I))
+    at every sample off the poles; check(t), when given, runs first at each
+    compared sample."""
+    pairs = []
+    skipped = []
+    for t in t_samples:
+        if abs(1.0 - t * t) < POLE_GUARD:
+            skipped.append(t)
+            continue
+        if check is not None:
+            check(t)
+        pairs.append((t, _arc_side(x, t), _vertex_side(y, d, exponent, t)))
+    samples = [SamplePoint(t, lhs, rhs, _rel_err(lhs, rhs))
+               for t, lhs, rhs in sorted(pairs, key=lambda p: (p[0].real,
+                                                               p[0].imag))]
+    max_err = max((s.rel_err for s in samples), default=0.0)
+    return IdentityReport(samples=samples, max_rel_err=max_err,
+                          verdict=max_err <= tol, skipped=skipped)
+
+
 # -- classical (unweighted) identity ----------------------------------
+
+def _ihara_arc_matrix(graph: Graph) -> np.ndarray:
+    b, j0 = build_B_and_J0(graph)
+    return b.s - j0.s
+
 
 def ihara_hashimoto(graph: Graph, t: complex) -> complex:
     """det(I_{2m} - t*(B - J0)) at the sample point t."""
-    b, j0 = build_B_and_J0(graph)
-    edge = b.s - j0.s
-    k = graph.num_arcs
-    return determinant(np.eye(k) - t * edge)
+    return _arc_side(_ihara_arc_matrix(graph), t)
 
 
 def ihara_bass(graph: Graph, t: complex) -> complex:
     """(1 - t^2)^(r-1) * det(I_n - t*A + t^2*(D - I_n))."""
-    r = graph.betti_number
-    one_minus = 1.0 - t * t
-    if r == 0 and abs(one_minus) < POLE_GUARD:
+    if graph.is_tree and abs(1.0 - t * t) < POLE_GUARD:
         raise ZeroDivisionError(
             f"pole at t = {t}: tree case has exponent -1 in (1 - t^2)")
-    a = graph.adjacency_matrix()
-    d = graph.degree_matrix()
-    n = graph.n
-    det = determinant(np.eye(n) - t * a + t * t * (d - np.eye(n)))
-    return complex(one_minus ** (r - 1)) * det
+    return _vertex_side(graph.adjacency_matrix(), graph.degree_matrix(),
+                        graph.betti_number - 1, t)
 
 
 def ihara_identity(graph: Graph, t_samples: list[complex],
                    tol: float = 1e-8) -> IdentityReport:
     """Compare the arc-level and Bass-type expressions at each sample."""
-    pairs = []
-    skipped = []
-    for t in t_samples:
-        if graph.is_tree and abs(1.0 - t * t) < POLE_GUARD:
-            skipped.append(t)
-            continue
-        pairs.append((t, ihara_hashimoto(graph, t), ihara_bass(graph, t)))
-    return _report(pairs, tol, skipped)
+    return _compare(_ihara_arc_matrix(graph), graph.adjacency_matrix(),
+                    graph.degree_matrix(), graph.betti_number - 1,
+                    t_samples, tol)
 
 
 # -- complex-weighted identity ----------------------------------------
@@ -145,40 +167,18 @@ def weighted_zeta_identity(graph: Graph, weights: WeightMap,
                            tol: float = 1e-8) -> IdentityReport:
     """Weighted determinant identity for complex-valued weights.
 
-    Checks det(I - t*(B_w - J0)) against
-    (1 - t^2)^(m-n) * det(I - t*W + t^2*(D_w - I)) and the transposed
-    variant (B_w^T with W^T) at each sample; the reported error is the
-    worse of the two.
+    Checks det(I - t*(B_w^T - J0)) against
+    (1 - t^2)^(m-n) * det(I - t*W^T + t^2*(D_w - I)) at each sample.  The
+    untransposed form (B_w with W) has the same two sides exactly, since
+    det(X^T) = det(X) and J0 is symmetric.
     """
     if not weights.is_complex_valued():
         raise ValueError(
             "weights have nonzero j/k parts; use quaternionic_identity")
-    bw = build_Bw(graph, weights).s
-    _, j0q = build_B_and_J0(graph)
-    j0 = j0q.s
-    w, dw = (m.s for m in build_W_Dw(graph, weights))
-    k = graph.num_arcs
-    n = graph.n
-    exponent = graph.m - graph.n
-    pairs = []
-    skipped = []
-    for t in t_samples:
-        one_minus = 1.0 - t * t
-        if abs(one_minus) < POLE_GUARD:
-            skipped.append(t)
-            continue
-        scale = complex(one_minus ** exponent)
-        lhs = determinant(np.eye(k) - t * (bw - j0))
-        rhs = scale * determinant(np.eye(n) - t * w + t * t * (dw - np.eye(n)))
-        lhs_t = determinant(np.eye(k) - t * (bw.T - j0))
-        rhs_t = scale * determinant(
-            np.eye(n) - t * w.T + t * t * (dw - np.eye(n)))
-        # Fold both variants into one sample: report the worse pair.
-        if _rel_err(lhs_t, rhs_t) > _rel_err(lhs, rhs):
-            pairs.append((t, lhs_t, rhs_t))
-        else:
-            pairs.append((t, lhs, rhs))
-    return _report(pairs, tol, skipped)
+    _, j0 = build_B_and_J0(graph)
+    w, dw = build_W_Dw(graph, weights)
+    return _compare(build_Bw(graph, weights).s.T - j0.s, w.s.T, dw.s,
+                    graph.m - graph.n, t_samples, tol)
 
 
 # -- quaternionic identity --------------------------------------------
@@ -191,37 +191,27 @@ def quaternionic_identity(graph: Graph, weights: WeightMap,
 
     At each admissible sample compares the 4m x 4m and 2n x 2n sides and
     additionally verifies the proof-level resolvent identity entrywise
-    within intermediate_tol.
+    within intermediate_tol.  Since J0^2 = I, (I + t*J0)^-1 is
+    (I - t*J0) / (1 - t^2), and psi(J0) = blockdiag(J0, J0) acts as the
+    row permutation idx ^ 1 on the 4m complexified arcs.
     """
-    bw = build_Bw(graph, weights)
-    _, j0q = build_B_and_J0(graph)
-    psi_u_like = bw.transpose().psi() - j0q.psi()
+    _, j0 = build_B_and_J0(graph)
+    x = build_Bw(graph, weights).transpose().psi() - j0.psi()
     wq, dwq = build_W_Dw(graph, weights)
-    psi_wt = wq.transpose().psi()
-    psi_dw = dwq.psi()
+    psi_wt, psi_dw = wq.transpose().psi(), dwq.psi()
     kq, lq = build_K_L(graph, weights)
-    psi_k = kq.psi()
-    psi_lt = lq.transpose().psi()
-    psi_j0 = j0q.psi()
-    four_m = 2 * graph.num_arcs
-    two_n = 2 * graph.n
-    exponent = 2 * graph.m - 2 * graph.n
-    pairs = []
-    skipped = []
-    for t in t_samples:
+    psi_k, psi_lt = kq.psi(), lq.transpose().psi()
+    flipped_k = psi_k[np.arange(psi_k.shape[0]) ^ 1]  # psi(J0) @ psi(K)
+
+    def check(t: complex) -> None:
         one_minus = 1.0 - t * t
-        if abs(one_minus) < POLE_GUARD:
-            skipped.append(t)
-            continue
-        lhs = determinant(np.eye(four_m) - t * psi_u_like)
-        rhs = complex(one_minus ** exponent) * determinant(
-            np.eye(two_n) - t * psi_wt + t * t * (psi_dw - np.eye(two_n)))
-        resolvent = psi_lt @ np.linalg.inv(np.eye(four_m) + t * psi_j0) @ psi_k
+        resolvent = psi_lt @ (psi_k - t * flipped_k) / one_minus
         expected = (psi_wt - t * psi_dw) / one_minus
         residual = float(np.abs(resolvent - expected).max(initial=0.0))
         if residual > intermediate_tol:
             raise ArithmeticError(
                 f"intermediate resolvent identity failed at t = {t}: "
                 f"entrywise residual {residual:.3e}")
-        pairs.append((t, lhs, rhs))
-    return _report(pairs, tol, skipped)
+
+    return _compare(x, psi_wt, psi_dw, 2 * graph.m - 2 * graph.n,
+                    t_samples, tol, check)

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qqwalk.qmatrix import (
     QuatMatrix,
+    dedupe_class_reps,
     psi_homomorphism_check,
     right_eigenvalues,
     right_spectrum_class_reps,
@@ -217,3 +220,39 @@ class TestRightEigenvalues:
         assert values[0] == pytest.approx(0 + 1j)
         assert values[1] == pytest.approx(1 + 0j)
         assert [mult for _, mult in reps] == [2, 2]
+
+
+class TestDedupe:
+    def test_equal_values_split_by_sort_order_join(self):
+        # Sorted by (re, im), 1 + 1e-12 falls between the two values near
+        # 1 + 0.5i; they still form one group.
+        groups = dedupe_class_reps([1 + 0.5j, 1 + 1e-12, 1 + 2e-12 + 0.5j])
+        assert [size for _, size in groups] == [1, 2]
+        assert groups[1][0] == pytest.approx(1 + 0.5j)
+
+    def test_single_linkage_chains(self):
+        groups = dedupe_class_reps([0.0, 0.6e-7, 1.2e-7, 5.0], tol=1e-7)
+        assert [size for _, size in groups] == [3, 1]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5),
+                              st.integers(1, 4)), max_size=12),
+           st.integers(0, 2**32 - 1))
+    def test_groups_are_the_separated_clusters(self, centers, seed):
+        # Clusters of jittered copies around grid points 1e-3 apart: the
+        # groups are the grid points with their total counts, pairwise
+        # farther apart than tol.
+        tol = 1e-7
+        rng = np.random.default_rng(seed)
+        counts = {}
+        for x, y, size in centers:
+            counts[(x, y)] = counts.get((x, y), 0) + size
+        values = [complex(x, y) * 1e-3 + complex(*rng.uniform(-1, 1, 2)) * 1e-9
+                  for (x, y), size in counts.items() for _ in range(size)]
+        groups = dedupe_class_reps(rng.permutation(np.array(values, complex)),
+                                   tol=tol)
+        assert sorted(size for _, size in groups) == sorted(counts.values())
+        means = np.array([mean for mean, _ in groups])
+        gaps = np.abs(means[:, None] - means[None, :])
+        np.fill_diagonal(gaps, np.inf)
+        assert gaps.size == 0 or gaps.min() > tol

@@ -152,6 +152,18 @@ class TestGroverRoute:
             assert "tree" in report.cross_check.note
             assert report.psi_spectrum.size == 2 * g.num_arcs
 
+    def test_grouped_spectrum_has_one_group_per_eigenvalue(self):
+        # Petersen: 1, -1, 1/3 +- i*sqrt(8)/3, -2/3 +- i*sqrt(5)/3.
+        # C8: 1, -1, +-i, e^{+-i*pi/4}, e^{+-3i*pi/4}.
+        for g, count in ((petersen_graph(), 6), (cycle_graph(8), 8)):
+            groups = spectrum_grover(g).grouped_spectrum(tol=1e-7)
+            assert len(groups) == count
+            assert sum(mult for _, mult in groups) == 4 * g.m
+            means = np.array([v for v, _ in groups])
+            gaps = np.abs(means[:, None] - means[None, :])
+            np.fill_diagonal(gaps, np.inf)
+            assert gaps.min() > 1e-7
+
     def test_star_values(self):
         report = spectrum_grover(star_graph(3))
         base = np.array([1, -1, 1j, 1j, -1j, -1j])

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qqwalk.graph import complete_graph, parse_graph, path_graph, star_graph, random_connected_graph
 from qqwalk.qmatrix import QuatMatrix
@@ -21,6 +23,38 @@ from qqwalk.walks import (
 )
 
 ZERO, ONE = Quaternion.ZERO, Quaternion.ONE
+
+
+def reference_U(graph, coin):
+    """U from its definition, one Quaternion entry at a time: q(e) where
+    t(f) = o(e), less 1 on the backtracking pair f = e^-1."""
+    rows = []
+    for e in graph.arcs:
+        row = [ZERO] * graph.num_arcs
+        for f in graph.arcs:
+            if f.terminal == e.origin:
+                q = coin[e.index]
+                row[f.index] = q - ONE if f.index == e.inverse_index else q
+        rows.append(row)
+    return QuatMatrix.from_entries(rows)
+
+
+@st.composite
+def graphs_with_coins(draw):
+    """A random connected graph on 2..7 vertices and a random quaternion
+    on every arc."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = random_connected_graph(rng, draw(st.integers(2, 7)),
+                               draw(st.floats(0.0, 1.0)))
+    coord = st.floats(-2.0, 2.0, allow_nan=False)
+    values = draw(st.lists(st.builds(Quaternion, coord, coord, coord, coord),
+                           min_size=g.num_arcs, max_size=g.num_arcs))
+    return g, CoinMap(g, values)
+
+
+def assert_identical(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a.s, b.s) and np.array_equal(a.p, b.p)
 
 
 def example_star_weights(g):
@@ -309,3 +343,34 @@ class TestCoinFiles:
         coin = CoinMap.from_alpha(g, alpha)
         assert coin.values[0].isclose(alpha)  # leaf degree 1
         assert coin.values[1].isclose(alpha / 3)  # center degree 3
+
+
+class TestArcCoreProperties:
+    """The array-built matrices equal their definitions entry for entry."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs_with_coins())
+    def test_walk_matrix_has_one_construction(self, graph_and_coin):
+        g, coin = graph_and_coin
+        _, j0 = build_B_and_J0(g)
+        k, l = build_K_L(g, coin)
+        u = build_U(g, coin)
+        assert_identical(u, reference_U(g, coin))
+        assert_identical(u, build_Bw(g, coin).transpose() - j0)
+        assert_identical(u, k @ l.transpose() - j0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs_with_coins())
+    def test_vertex_matrices_and_J0(self, graph_and_coin):
+        g, coin = graph_and_coin
+        _, j0 = build_B_and_J0(g)
+        k, l = build_K_L(g, coin)
+        w, dw = build_W_Dw(g, coin)
+        assert_identical(w, (l.transpose() @ k).transpose())
+        sums = [ZERO] * g.n
+        for e in g.arcs:
+            sums[e.origin] = sums[e.origin] + coin[e.index]
+        assert_identical(dw, QuatMatrix.from_entries(
+            [[sums[u] if u == v else ZERO for v in range(g.n)]
+             for u in range(g.n)]))
+        assert_identical(j0 @ j0, QuatMatrix.identity(g.num_arcs))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qqwalk import zeta
 from qqwalk.graph import (
     complete_graph,
     cycle_graph,
@@ -13,7 +14,7 @@ from qqwalk.graph import (
 )
 from qqwalk.linalg import determinant
 from qqwalk.quaternion import Quaternion
-from qqwalk.walks import CoinMap, build_B_and_J0
+from qqwalk.walks import CoinMap, build_B_and_J0, build_K_L, build_W_Dw
 from qqwalk.zeta import (
     default_samples,
     ihara_bass,
@@ -64,6 +65,14 @@ class TestClassicalIdentity:
         assert len(report.samples) == 1
         assert sorted(report.skipped, key=lambda z: z.real) == [-1.0, 1.0]
 
+    def test_pole_skipped_on_non_trees_too(self):
+        # Both sides vanish at t = +-1 when m > n; the sample is skipped
+        # rather than compared.
+        report = ihara_identity(complete_graph(4), [1.0, 0.4, -1.0],
+                                tol=1e-10)
+        assert report.verdict and len(report.samples) == 1
+        assert sorted(report.skipped, key=lambda z: z.real) == [-1.0, 1.0]
+
     def test_tree_pole_raises_in_bass_form(self):
         with pytest.raises(ZeroDivisionError):
             ihara_bass(path_graph(3), 1.0)
@@ -104,6 +113,24 @@ class TestWeightedIdentity:
             w = complex_weights(rng, g)
             report = weighted_zeta_identity(g, w, SAMPLES, tol=1e-8)
             assert report.verdict, report.max_rel_err
+
+    def test_tiny_determinants_are_compared_relatively(self, monkeypatch):
+        # Near the pole both sides carry (1 - t^2)^(m - n) and are tiny; an
+        # error measured against a floor of 1 would pass any two of them.
+        g = complete_graph(5)
+        grover = CoinMap.grover(g)
+        honest = weighted_zeta_identity(g, grover, [0.999], tol=1e-8)
+        assert honest.verdict and abs(honest.samples[0].lhs) < 1e-15
+
+        def skewed_W_Dw(graph, weights):
+            w, dw = build_W_Dw(graph, weights)
+            return w, dw.scale(1.5)
+
+        monkeypatch.setattr(zeta, "build_W_Dw", skewed_W_Dw)
+        skewed = weighted_zeta_identity(g, grover, [0.999], tol=1e-8)
+        sample = skewed.samples[0]
+        assert max(abs(sample.lhs), abs(sample.rhs)) < 1e-10
+        assert sample.rel_err > 0.5 and not skewed.verdict
 
     def test_rejects_quaternionic_weights(self):
         g = complete_graph(3)
@@ -166,6 +193,20 @@ class TestQuaternionicIdentity:
         w = CoinMap.grover(g)
         report = quaternionic_identity(g, w, [-1.0, 0.2])
         assert report.skipped == [-1.0]
+
+    def test_corrupted_factorization_fails_the_resolvent_check(
+            self, monkeypatch):
+        g = complete_graph(3)
+        w = CoinMap.grover(g)
+
+        def corrupted_K_L(graph, weights):
+            values = list(weights.values)
+            values[0] = values[0] + Quaternion(0.0, 0.0, 0.5)
+            return build_K_L(graph, CoinMap(graph, values))
+
+        monkeypatch.setattr(zeta, "build_K_L", corrupted_K_L)
+        with pytest.raises(ArithmeticError, match="resolvent"):
+            quaternionic_identity(g, w, [0.3])
 
     def test_report_serializes(self):
         g = complete_graph(3)
