@@ -1,12 +1,20 @@
 """Dense complex linear algebra: eigensolves, determinants, and
-simultaneous triangularization of commuting matrices.
+simultaneous triangularization of matrix pairs.
 
 Matrices are plain complex numpy arrays.  The eigensolver and Schur
 decomposition are delegated to LAPACK (via numpy/scipy); this module adds
 the contracts the rest of the package relies on: conjugate-pair cleanup
 for spectra of complexified quaternionic matrices, minimal-cost multiset
-comparison of eigenvalue lists, and the commuting-case simultaneous
-triangularization used by the spectral formulas.
+comparison of eigenvalue lists, single-linkage clustering of eigenvalues,
+and the simultaneous triangularization used by the spectral formulas.
+
+Simultaneous triangularization takes the Schur basis of a + theta*b for a
+commuting pair.  A non-commuting pair is first tested for a nilpotent
+commutator C = ab - ba (tr(C^2) = 0), which every jointly triangular pair
+has, and is then deflated one common eigenvector at a time.  A deflation
+step at size s costs two eigendecompositions, one SVD per cluster of
+repeated eigenvalues and O(s^3) scoring, so a pair of size n costs O(n^4)
+when the clusters are few.
 """
 
 from __future__ import annotations
@@ -43,7 +51,8 @@ class NonConvergenceError(RuntimeError):
 
 
 class NotSimultaneouslyTriangularizableError(RuntimeError):
-    """Inputs do not commute, or the Schur basis failed to triangularize both."""
+    """The commutator of the inputs is not nilpotent, or the computed basis
+    failed to triangularize both."""
 
     def __init__(self, message: str, residual: float | None = None):
         super().__init__(message)
@@ -150,38 +159,91 @@ def _strict_lower_max(m: np.ndarray) -> float:
     return float(np.abs(np.tril(m, -1)).max()) if m.shape[0] > 1 else 0.0
 
 
+def _cluster_labels(values: np.ndarray, tol: float) -> np.ndarray:
+    """Single-linkage cluster labels of complex values at distance tol.
+
+    Two values share a cluster when a chain of values joins them with every
+    step at most tol.  Returns labels 0..k-1 in input order.
+    """
+    z = np.asarray(values, dtype=complex).ravel()
+    order = np.lexsort((z.imag, z.real))
+    z = z[order]
+    count = z.size
+    # Only values within tol in real part can be linked: z[i] with z[i + step]
+    # for i + step < reach[i].
+    reach = np.searchsorted(z.real, z.real + tol, side="right")
+    a, b = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    for step in range(1, int((reach - np.arange(count)).max(initial=1))):
+        i = np.nonzero((np.arange(step, count) < reach[:-step])
+                       & (np.abs(z[step:] - z[:-step]) <= tol))[0]
+        a.append(i)
+        b.append(i + step)
+    a, b = np.concatenate(a), np.concatenate(b)
+    # Connected components: each label falls to the least index of its own
+    # component (min over links, then pointer jumping).
+    label = np.arange(count)
+    while True:
+        new = label.copy()
+        low = np.minimum(label[a], label[b])
+        np.minimum.at(new, a, low)
+        np.minimum.at(new, b, low)
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    out = np.empty(count, dtype=np.intp)
+    out[order] = np.unique(label, return_inverse=True)[1]
+    return out
+
+
+def _eigen_candidates(x: np.ndarray, y: np.ndarray, tol: float) -> np.ndarray:
+    """Unit columns that may be joint eigenvectors of x and y, from one
+    eigendecomposition of x.
+
+    The eigenvalues of x are clustered by single linkage at tol.  A single
+    eigenvalue offers its eigenvector.  A cluster of several takes the
+    near-nullspace of x - mean*I (singular values <= tol, at least the
+    smallest) from one SVD and offers the eigenvectors of the compression
+    of y onto it.
+    """
+    vals, vecs = np.linalg.eig(x)
+    labels = _cluster_labels(vals, tol)
+    sizes = np.bincount(labels)
+    cands = [vecs[:, sizes[labels] == 1]]
+    for c in np.nonzero(sizes > 1)[0]:
+        lam = vals[labels == c].mean()
+        _, sing, vh = np.linalg.svd(x - lam * np.eye(x.shape[0]))
+        null_dim = max(int(np.sum(sing <= tol)), 1)
+        basis = vh[-null_dim:, :].conj().T
+        _, wvecs = np.linalg.eig(basis.conj().T @ y @ basis)
+        cands.append(basis @ wvecs)
+    v = np.hstack(cands)
+    return v / np.linalg.norm(v, axis=0)
+
+
 def _common_eigenvector(a: np.ndarray, b: np.ndarray,
                         null_tol: float) -> tuple[np.ndarray, float]:
     """Best candidate for a joint eigenvector of a and b.
 
-    For each (clustered) eigenvalue of a, the near-nullspace of a - lam*I
-    is extracted by SVD and the compression of b onto it is eigensolved;
-    every resulting vector is scored by its worst eigen-residual for the
-    two matrices.  Returns (vector, residual).
+    A joint eigenvector is an eigenvector of each matrix, so both supply
+    candidates (_eigen_candidates of (a, b) and of (b, a), clustering at
+    null_tol * scale * s): the well-separated eigenvalues of one matrix
+    give accurate vectors where the other's are defective and split by
+    rounding.  Every candidate is scored by its worst eigen-residual
+    ||M v - (v^H M v) v|| for the two matrices.  Returns (vector, residual).
     """
     n = a.shape[0]
     scale = max(float(np.abs(a).max(initial=0.0)),
                 float(np.abs(b).max(initial=0.0)), 1.0)
-    best_vec = None
-    best_res = np.inf
-    for lam in np.linalg.eigvals(a):
-        _, sing, vh = np.linalg.svd(a - lam * np.eye(n))
-        null_dim = int(np.sum(sing <= null_tol * scale * n))
-        if null_dim == 0:
-            null_dim = 1  # smallest singular direction as fallback
-        basis = vh[-null_dim:, :].conj().T
-        compressed = basis.conj().T @ b @ basis
-        _, wvecs = np.linalg.eig(compressed)
-        for col in wvecs.T:
-            v = basis @ col
-            v = v / np.linalg.norm(v)
-            res = 0.0
-            for mat in (a, b):
-                ray = np.vdot(v, mat @ v)
-                res = max(res, float(np.linalg.norm(mat @ v - ray * v)))
-            if res < best_res:
-                best_res, best_vec = res, v
-    return best_vec, best_res
+    tol = null_tol * scale * n
+    v = np.hstack([_eigen_candidates(a, b, tol), _eigen_candidates(b, a, tol)])
+    res = np.zeros(v.shape[1])
+    for mat in (a, b):
+        mv = mat @ v
+        ray = np.sum(v.conj() * mv, axis=0)
+        res = np.maximum(res, np.linalg.norm(mv - v * ray, axis=0))
+    best = int(np.argmin(res))
+    return v[:, best], float(res[best])
 
 
 def _deflation_triangularize(a: np.ndarray, b: np.ndarray,
@@ -190,7 +252,12 @@ def _deflation_triangularize(a: np.ndarray, b: np.ndarray,
 
     Works whenever the pair admits a joint triangularization reachable by
     repeatedly splitting off a common eigenvector; triangularity is
-    verified by the caller.
+    verified by the caller.  A step at size s takes one eigendecomposition
+    of each matrix, one SVD per cluster of its eigenvalues that are joined
+    by single linkage at null_tol * scale * s (scale the larger max-abs
+    entry, at least 1), and O(s^3) vectorized scoring; the unitary factor
+    is updated in its trailing s columns only.  With few clusters the
+    whole deflation is O(n^4).
     """
     n = a.shape[0]
     p_total = np.eye(n, dtype=complex)
@@ -203,13 +270,9 @@ def _deflation_triangularize(a: np.ndarray, b: np.ndarray,
             np.column_stack([v, np.eye(size, dtype=complex)[:, :size - 1]]))
         phase = np.vdot(q[:, 0], v)
         q[:, 0] *= phase / abs(phase)
-        a_cur = q.conj().T @ a_cur @ q
-        b_cur = q.conj().T @ b_cur @ q
-        embed = np.eye(n, dtype=complex)
-        embed[k:, k:] = q
-        p_total = p_total @ embed
-        a_cur = a_cur[1:, 1:]
-        b_cur = b_cur[1:, 1:]
+        a_cur = (q.conj().T @ a_cur @ q)[1:, 1:]
+        b_cur = (q.conj().T @ b_cur @ q)[1:, 1:]
+        p_total[:, k:] = p_total[:, k:] @ q
     return p_total
 
 
@@ -223,9 +286,13 @@ def simultaneous_triangularize(
 
     Commuting inputs use the unitary Schur basis P of a + theta*b for a
     generic real theta (retrying a second theta on failure).  Inputs that
-    do not commute but still admit a joint triangular form are handled by
-    common-eigenvector deflation.  Returns (P, diag_a, diag_b) with
-    aligned diagonals; raises when the final triangularity check fails.
+    do not commute must have a nilpotent commutator C = ab - ba: they are
+    rejected before any deflation when |tr(C^2)| exceeds
+    residual_tol * ||C||_F^2 plus the rounding bound of forming C.  The
+    rest are handled by common-eigenvector deflation
+    (_deflation_triangularize).  Returns (P, diag_a, diag_b) with aligned
+    diagonals; raises NotSimultaneouslyTriangularizableError when the
+    commutator test or the final triangularity check fails.
     """
     a = _require_square(a)
     b = _require_square(b)
@@ -239,6 +306,17 @@ def simultaneous_triangularize(
             _, p = scipy.linalg.schur(a + theta * b, output="complex")
             candidates.append(p)
     else:
+        # A jointly triangular pair has a strictly triangular, so nilpotent,
+        # commutator: tr(C^2) = 0 up to residual_tol * ||C||_F^2 and the
+        # rounding of forming C, at most 4*n*eps*||a||_F*||b||_F*||C||_F.
+        comm_fro = float(np.linalg.norm(comm))
+        rounding = (4 * a.shape[0] * np.finfo(float).eps
+                    * float(np.linalg.norm(a)) * float(np.linalg.norm(b)))
+        ratio = abs(complex(np.sum(comm * comm.T))) / comm_fro ** 2
+        if ratio > residual_tol + rounding / comm_fro:
+            raise NotSimultaneouslyTriangularizableError(
+                "not simultaneously triangularizable: the commutator C is "
+                f"not nilpotent, |tr(C^2)|/||C||_F^2 = {ratio:.3e}")
         candidates.append(_deflation_triangularize(a, b))
     last_residual = np.inf
     for p in candidates:

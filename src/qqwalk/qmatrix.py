@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .linalg import EigenResult, eigenvalues, pair_conjugates
+from .linalg import EigenResult, _cluster_labels, eigenvalues, pair_conjugates
 from .quaternion import Quaternion
 
 __all__ = [
@@ -217,32 +217,10 @@ def dedupe_class_reps(reps: Sequence[complex], tol: float = 1e-7) -> list[tuple[
     Returns (mean, size) pairs sorted by (re, im) of the mean.
     """
     z = np.sort_complex(np.asarray(reps, dtype=complex).ravel())
-    count = z.size
-    # Only values within tol in real part can be linked: z[i] with z[i + step]
-    # for i + step < reach[i].
-    reach = np.searchsorted(z.real, z.real + tol, side="right")
-    a, b = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
-    for step in range(1, int((reach - np.arange(count)).max(initial=1))):
-        i = np.nonzero((np.arange(step, count) < reach[:-step])
-                       & (np.abs(z[step:] - z[:-step]) <= tol))[0]
-        a.append(i)
-        b.append(i + step)
-    a, b = np.concatenate(a), np.concatenate(b)
-    # Connected components: each label falls to the least index of its own
-    # component (min over links, then pointer jumping).
-    label = np.arange(count)
-    while True:
-        new = label.copy()
-        low = np.minimum(label[a], label[b])
-        np.minimum.at(new, a, low)
-        np.minimum.at(new, b, low)
-        new = new[new]
-        if np.array_equal(new, label):
-            break
-        label = new
-    _, member, sizes = np.unique(label, return_inverse=True, return_counts=True)
+    label = _cluster_labels(z, tol)
+    sizes = np.bincount(label)
     means = np.zeros(sizes.size, dtype=complex)
-    np.add.at(means, member, z)
+    np.add.at(means, label, z)
     means /= sizes
     order = np.lexsort((means.imag, means.real))
     return [(complex(means[g]), int(sizes[g])) for g in order]

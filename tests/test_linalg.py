@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qqwalk import linalg
 from qqwalk.linalg import (
     NotSimultaneouslyTriangularizableError,
+    _cluster_labels,
     determinant,
     eigenvalues,
     multiset_distance,
@@ -127,6 +131,37 @@ class TestMultisetComparison:
         assert multiset_distance(np.array([1.0]), np.array([1.0, 2.0])) == np.inf
 
 
+class TestClusterLabels:
+    def test_labels_follow_input_order(self):
+        labels = _cluster_labels(
+            np.array([1 + 0.5j, 5.0, 1 + 1e-12, 1 + 2e-12 + 0.5j]), 1e-7)
+        assert labels[0] == labels[3]
+        assert len({labels[0], labels[1], labels[2]}) == 3
+        assert sorted(set(labels)) == [0, 1, 2]
+
+
+def _noncommuting_triangular_pair(n, seed, t1_kind):
+    """a = P T1 P^H, b = P T2 P^H with P unitary and T1, T2 upper triangular.
+
+    T1 is nilpotent of index 2 (Jordan blocks of size at most 2, like the
+    star's psi(W^T)) or has a diagonal drawn from {0, 1} (repeated
+    eigenvalues in Jordan blocks); T2 has a random, so distinct, diagonal.
+    """
+    rng = np.random.default_rng(seed)
+
+    def gauss(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    p, _ = np.linalg.qr(gauss(n, n))
+    if t1_kind == "nilpotent":
+        t1 = np.zeros((n, n), dtype=complex)
+        t1[:n // 2, n // 2:] = gauss(n // 2, n - n // 2)
+    else:
+        t1 = np.triu(gauss(n, n), 1) + np.diag(rng.choice([0.0, 1.0], n))
+    t2 = np.triu(gauss(n, n))
+    return p @ t1 @ p.conj().T, p @ t2 @ p.conj().T, t1, t2
+
+
 class TestSimultaneousTriangularization:
     def test_identity_pair(self):
         p, da, db = simultaneous_triangularize(np.eye(3), np.eye(3))
@@ -178,3 +213,39 @@ class TestSimultaneousTriangularization:
         b = rng.uniform(-1, 1, (4, 4))
         with pytest.raises(NotSimultaneouslyTriangularizableError):
             simultaneous_triangularize(a, b)
+
+    def test_generic_pair_rejected_before_deflation(self, monkeypatch):
+        def entered(*args, **kwargs):
+            raise AssertionError("deflation entered on a generic pair")
+
+        monkeypatch.setattr(linalg, "_deflation_triangularize", entered)
+        rng = np.random.default_rng(71)
+        for n in (2, 4, 9, 30):
+            a = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
+            b = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
+            with pytest.raises(NotSimultaneouslyTriangularizableError,
+                               match=r"\|tr\(C\^2\)\|/\|\|C\|\|_F\^2 = "):
+                simultaneous_triangularize(a, b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 12), st.integers(0, 2**32 - 1),
+           st.sampled_from(["nilpotent", "repeated"]))
+    def test_noncommuting_pairs_with_repeated_eigenvalues(self, n, seed,
+                                                          t1_kind):
+        # Sizes stop at 12: the eigenvectors of random Gaussian triangular
+        # matrices grow exponentially ill-conditioned with n (condition
+        # about 2e2 at n = 12, 4e7 at n = 24), beyond what a 1e-8
+        # triangularity check can resolve.
+        a, b, t1, t2 = _noncommuting_triangular_pair(n, seed, t1_kind)
+        assert np.abs(a @ b - b @ a).max() > 1e-9
+        p, da, db = simultaneous_triangularize(a, b)
+        ta = p.conj().T @ a @ p
+        tb = p.conj().T @ b @ p
+        assert np.abs(np.tril(ta, -1)).max() <= 1e-8
+        assert np.abs(np.tril(tb, -1)).max() <= 1e-8
+        # The aligned diagonal pairs are those of (T1, T2) as a multiset:
+        # T2's diagonal is distinct, so match on it and compare T1's.
+        order = np.argmin(np.abs(db[:, None] - np.diag(t2)[None, :]), axis=1)
+        assert sorted(order) == list(range(n))
+        assert np.abs(db - np.diag(t2)[order]).max() <= 1e-6
+        assert np.abs(da - np.diag(t1)[order]).max() <= 1e-6

@@ -11,7 +11,12 @@ from qqwalk.graph import (
     random_connected_graph,
     star_graph,
 )
-from qqwalk.linalg import multiset_distance, multisets_match
+from qqwalk import linalg
+from qqwalk.linalg import (
+    NotSimultaneouslyTriangularizableError,
+    multiset_distance,
+    multisets_match,
+)
 from qqwalk.quaternion import Quaternion
 from qqwalk.spectra import (
     compare_spectra,
@@ -88,6 +93,33 @@ class TestQuadraticRoute:
         assert report.method == "theorem8"
         assert report.cross_check.verdict
         assert report.cross_check.max_dist <= 1e-7
+        base = np.array([(1 + 1j) / S2, (-1 + 1j) / S2, 1j,
+                         (1 - 1j) / S2, (-1 - 1j) / S2, -1j])
+        assert multisets_match(report.psi_spectrum,
+                               np.concatenate([base, base]), tol=1e-7)
+
+    def test_large_weighted_star_matches_direct(self):
+        # K_{1,32}: random quaternions on the leaf -> center arcs, zero on
+        # the center -> leaf arcs, so psi(W^T) and psi(D_w) do not commute.
+        rng = np.random.default_rng(32)
+        g = star_graph(32)
+        w = CoinMap.from_arc_values(
+            g, {2 * i: Quaternion(*rng.uniform(-1, 1, 4)) for i in range(32)})
+        report = spectrum_theorem_general(g, w)
+        assert report.cross_check.verdict, report.cross_check.max_dist
+
+    def test_generic_coin_rejected_without_deflation(self, monkeypatch):
+        def entered(*args, **kwargs):
+            raise AssertionError("deflation entered on a generic pair")
+
+        monkeypatch.setattr(linalg, "_deflation_triangularize", entered)
+        g = random_connected_graph(np.random.default_rng(1), 30, 0.15)
+        rng = np.random.default_rng(2)
+        coin = CoinMap(g, [Quaternion(*rng.uniform(-1, 1, 4))
+                           for _ in range(g.num_arcs)])
+        with pytest.raises(NotSimultaneouslyTriangularizableError,
+                           match="not nilpotent"):
+            spectrum_theorem_general(g, coin)
 
     def test_grover_coins(self):
         for g in (complete_graph(3), cycle_graph(4), petersen_graph()):
