@@ -17,7 +17,7 @@ from .spectra import (
     spectrum_grover,
     spectrum_theorem_general,
 )
-from .walks import CoinMap, WeightMap, build_U, grover_matrix, unitarity_condition
+from .walks import CoinMap, build_U, grover_matrix, unitarity_condition
 from .zeta import ihara_bass, ihara_hashimoto, quaternionic_identity, weighted_zeta_identity
 
 __version__ = "0.1.0"
@@ -28,7 +28,6 @@ __all__ = [
     "QuatMatrix",
     "Quaternion",
     "SpectrumReport",
-    "WeightMap",
     "build_U",
     "canonical_class_rep",
     "compare_spectra",

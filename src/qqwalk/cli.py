@@ -3,7 +3,7 @@
 Subcommands:
 
 * ``spectrum``     full complexified walk spectrum (direct or a formula route)
-* ``grover``       spectral-mapping route for the Grover walk
+* ``grover``       formula route for the Grover walk (the alpha = 2 case)
 * ``unitarity``    per-arc unitarity condition vs. actual matrix unitarity
 * ``zeta-ihara``   classical determinant identity at sample points
 * ``zeta-weighted``complex-weighted identity (B_w^T and W^T form)
@@ -12,7 +12,7 @@ Subcommands:
 
 Exit codes: 0 success / verdict true, 1 verdict false or numerical failure,
 2 input error.  The environment variable QQWALK_TOL overrides the default
-tolerance.
+tolerance of the subcommands that take ``--tol``.
 """
 
 from __future__ import annotations
@@ -281,7 +281,8 @@ def _cmd_selftest(args) -> int:
 
 # -- argument parsing -------------------------------------------------
 
-def _add_common(parser: argparse.ArgumentParser, coin: bool = True) -> None:
+def _add_common(parser: argparse.ArgumentParser, coin: bool = True,
+                tol: bool = True, samples: bool = False) -> None:
     parser.add_argument("--graph", required=True, help="edge-list graph file")
     if coin:
         parser.add_argument("--coin", help="coin/weight file")
@@ -289,12 +290,14 @@ def _add_common(parser: argparse.ArgumentParser, coin: bool = True) -> None:
                             help="quaternion literal for q(e) = alpha/d")
         parser.add_argument("--grover", action="store_true",
                             help="use the Grover coin 2/d")
-    parser.add_argument("--tol", type=float, default=None,
-                        help="tolerance (default 1e-9; env QQWALK_TOL)")
-    parser.add_argument("--samples", type=int, default=8,
-                        help="number of sample points for identities")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for sample points / random suites")
+    if tol:
+        parser.add_argument("--tol", type=float, default=None,
+                            help="tolerance (default 1e-9; env QQWALK_TOL)")
+    if samples:
+        parser.add_argument("--samples", type=int, default=8,
+                            help="number of sample points for identities")
+        parser.add_argument("--seed", type=int, default=0,
+                            help="seed for the sample points")
     parser.add_argument("--output", choices=("json", "csv"), default="json")
 
 
@@ -311,8 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default="direct")
     p.set_defaults(handler=_cmd_spectrum)
 
-    p = sub.add_parser("grover", help="spectral-mapping route (Grover walk)")
-    _add_common(p, coin=False)
+    p = sub.add_parser("grover", help="alpha = 2 formula route (Grover walk)")
+    _add_common(p, coin=False, tol=False)
     p.set_defaults(handler=_cmd_grover)
 
     p = sub.add_parser("unitarity", help="unitarity condition check")
@@ -320,21 +323,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_unitarity)
 
     p = sub.add_parser("zeta-ihara", help="classical determinant identity")
-    _add_common(p, coin=False)
+    _add_common(p, coin=False, samples=True)
     p.set_defaults(handler=_cmd_zeta_ihara)
 
     p = sub.add_parser("zeta-weighted", help="complex-weighted identity")
-    _add_common(p)
+    _add_common(p, samples=True)
     p.set_defaults(handler=_cmd_zeta_weighted)
 
     p = sub.add_parser("zeta-quat", help="quaternionic identity")
-    _add_common(p)
+    _add_common(p, samples=True)
     p.set_defaults(handler=_cmd_zeta_quat)
 
     p = sub.add_parser("selftest", help="golden + randomized suite")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", choices=("json", "csv"), default="json")
-    p.add_argument("--tol", type=float, default=None)
     p.set_defaults(handler=_cmd_selftest)
 
     return parser
@@ -344,7 +345,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.tol is None:
+        if "tol" in vars(args) and args.tol is None:
             args.tol = _default_tol()
         return args.handler(args)
     except InputError as exc:

@@ -147,6 +147,7 @@ def parse_graph(text: str) -> Graph:
     """Parse the edge-list format into a Graph."""
     header: tuple[int, int] | None = None
     edges: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
     n_expected = m_expected = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -170,8 +171,10 @@ def parse_graph(text: str) -> Graph:
         if not (0 <= a < n_expected and 0 <= b < n_expected):
             raise GraphFormatError(
                 f"vertex index out of range in edge ({a}, {b})", line=lineno)
-        if (min(a, b), max(a, b)) in {(min(u, v), max(u, v)) for u, v in edges}:
+        key = (min(a, b), max(a, b))
+        if key in seen:
             raise GraphFormatError(f"duplicate edge ({a}, {b})", line=lineno)
+        seen.add(key)
         edges.append((a, b))
     if header is None:
         raise GraphFormatError("empty graph file")

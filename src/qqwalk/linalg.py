@@ -43,11 +43,7 @@ _THETA_CANDIDATES = (0.6180339887, 0.3141592653589793)
 
 
 class NonConvergenceError(RuntimeError):
-    """Eigensolver failed to converge; carries any partial result."""
-
-    def __init__(self, message: str, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """Eigensolver failed to converge."""
 
 
 class NotSimultaneouslyTriangularizableError(RuntimeError):
@@ -65,8 +61,6 @@ class EigenResult:
 
     eigenvalues: np.ndarray
     converged: bool = True
-    # LAPACK does not expose its sweep count; kept for the result contract.
-    iterations: int = 0
 
 
 def _require_square(m: np.ndarray) -> np.ndarray:

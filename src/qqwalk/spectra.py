@@ -1,24 +1,24 @@
 """Spectrum of the quaternionic walk by four routes, with cross-validation.
 
 * direct: eigensolve of the complexified 4m x 4m transition matrix;
-* quadratic-formula route: when psi(W^T) and psi(D_w) commute they are
-  jointly triangularized and each aligned diagonal pair (mu, xi) yields
-  the two roots of lambda^2 - mu*lambda + xi - 1, padded with +-1 for
-  non-trees and trimmed by {1, 1, -1, -1} for trees;
-* alpha-coin route: for coins q(e) = alpha/d the two complex numbers
-  similar to alpha give a conjugate pair of ordinary complex walks whose
-  spectra feed the same quadratic formula;
-* Grover route: the spectral mapping lambda = lambda_T +- i*sqrt(1 -
-  lambda_T^2) from the simple random walk matrix T, padded with +-1.
+* formula routes: each is a source of aligned pairs (mu, xi), and one
+  finisher takes the two roots of lambda^2 - mu*lambda + xi - 1 per pair,
+  pads with +-1 for non-trees and trims {1, 1, -1, -1} for trees:
+  - theorem8: the diagonals of psi(W^T) and psi(D_w), jointly
+    triangularized;
+  - theorem10, coins q(e) = alpha/d: the complex pair alpha_+- similar to
+    alpha gives walks W_+- = alpha_+- * T with T = D^-1 A, so the pairs are
+    (alpha_+- * lambda_T, alpha_+-) over the real spectrum lambda_T of T,
+    taken from one symmetric eigensolve;
+  - grover: the theorem10 pairs at alpha = 2.
 
-Every non-direct route report carries a comparison against the direct
+Every formula route report carries a comparison against the direct
 route.  Similarity-class representatives of the right spectrum are the
 upper-half-plane members of the computed eigenvalues.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +46,10 @@ __all__ = [
 ]
 
 TREE_TRIM_TOL = 1e-6
+# Largest distance at which a formula route agrees with the direct route.
+CROSS_TOL = 1e-7
+# How far outside [-1, 1] a computed eigenvalue of T may fall before clipping.
+MODULUS_TOL = 1e-8
 
 
 class SpectrumConsistencyError(RuntimeError):
@@ -129,55 +133,50 @@ def spectrum_direct(graph: Graph, coin: CoinMap) -> SpectrumReport:
                           class_reps=class_reps(vals))
 
 
-def _quadratic_roots(mu: complex, xi: complex) -> tuple[complex, complex]:
-    disc = cmath.sqrt(mu * mu - 4.0 * (xi - 1.0))
-    return (mu + disc) / 2.0, (mu - disc) / 2.0
+def _trim_tree_values(values: np.ndarray) -> np.ndarray:
+    """Remove {1, 1, -1, -1} from the computed multiset (tree case).
 
-
-def _trim_tree_values(values: list[complex]) -> list[complex]:
-    """Remove {1, 1, -1, -1} from the computed multiset (tree case)."""
-    out = list(values)
+    Each target removes the last of its nearest values, in input order.
+    """
+    keep = np.ones(values.size, dtype=bool)
     for target in (1.0, 1.0, -1.0, -1.0):
-        best = None
-        best_dist = TREE_TRIM_TOL
-        for idx, v in enumerate(out):
-            d = abs(v - target)
-            if d <= best_dist:
-                best, best_dist = idx, d
-        if best is None:
+        dist = np.where(keep, np.abs(values - target), np.inf)
+        idx = values.size - 1 - int(np.argmin(dist[::-1]))
+        if not dist[idx] <= TREE_TRIM_TOL:
             raise SpectrumConsistencyError(
                 f"tree-case trim: no eigenvalue within {TREE_TRIM_TOL} "
                 f"of {target}")
-        out.pop(best)
-    return out
+        keep[idx] = False
+    return values[keep]
 
 
-def _finish_quadratic_route(graph: Graph, method: str,
-                            lam: list[complex],
-                            cross_tol: float,
-                            coin: CoinMap) -> SpectrumReport:
+def _finish_quadratic_route(graph: Graph, method: str, mu: np.ndarray,
+                            xi: np.ndarray, coin: CoinMap) -> SpectrumReport:
+    """Report of the roots of lambda^2 - mu*lambda + xi - 1 over aligned
+    (mu, xi) pairs, padded or trimmed to 4m values and cross-checked
+    against the direct route."""
+    disc = np.sqrt(mu * mu - 4.0 * (xi - 1.0))
+    lam = np.column_stack(((mu + disc) / 2.0, (mu - disc) / 2.0)).ravel()
     excess = graph.m - graph.n
     if excess >= 0:
-        lam.extend([1.0 + 0.0j] * (2 * excess))
-        lam.extend([-1.0 + 0.0j] * (2 * excess))
+        lam = np.concatenate((lam, np.ones(2 * excess), -np.ones(2 * excess)))
     else:
         lam = _trim_tree_values(lam)
-    vals = pair_conjugates(np.sort_complex(np.array(lam, dtype=complex)))
+    vals = pair_conjugates(np.sort_complex(lam))
     report = SpectrumReport(method=method, psi_spectrum=vals,
                             class_reps=class_reps(vals))
     direct = spectrum_direct(graph, coin)
-    report.cross_check = compare_spectra(report, direct, tol=cross_tol)
+    report.cross_check = compare_spectra(report, direct, tol=CROSS_TOL)
     return report
 
 
 def spectrum_theorem_general(graph: Graph, coin: CoinMap,
-                             commute_tol: float = 1e-9,
-                             cross_tol: float = 1e-7) -> SpectrumReport:
+                             commute_tol: float = 1e-9) -> SpectrumReport:
     """Quadratic-formula route via joint triangularization.
 
-    Requires psi(W^T) and psi(D_w) to commute (the implemented sufficient
-    condition for joint triangularization); otherwise raises and the caller
-    should fall back to the direct route.
+    The aligned diagonals of the jointly triangularized psi(W^T) and
+    psi(D_w) are the (mu, xi) pairs.  Raises when the pair cannot be
+    triangularized together; the caller should then use the direct route.
     """
     w, dw = build_W_Dw(graph, coin)
     try:
@@ -187,60 +186,52 @@ def spectrum_theorem_general(graph: Graph, coin: CoinMap,
         raise NotSimultaneouslyTriangularizableError(
             f"{exc}; use the direct route for this coin",
             residual=exc.residual) from exc
-    lam: list[complex] = []
-    for mu, xi in zip(mus, xis):
-        lam.extend(_quadratic_roots(complex(mu), complex(xi)))
-    return _finish_quadratic_route(graph, "theorem8", lam, cross_tol, coin)
+    return _finish_quadratic_route(graph, "theorem8", mus, xis, coin)
 
 
-def spectrum_alpha_coin(graph: Graph, alpha: Quaternion,
-                        cross_tol: float = 1e-7) -> SpectrumReport:
+def _alpha_route(graph: Graph, alpha_plus: complex, method: str,
+                 coin: CoinMap) -> SpectrumReport:
+    """Formula route with (mu, xi) = (alpha_+- * lambda_T, alpha_+-).
+
+    T = D^-1 A is similar to the symmetric D^-1/2 A D^-1/2, so one eigvalsh
+    gives its real spectrum lambda_T; W_+- = alpha_+- * T then have the
+    spectra alpha_+- * lambda_T.
+    """
+    d_half = 1.0 / np.sqrt(graph.degree_matrix().diagonal())
+    t_vals = np.linalg.eigvalsh(
+        d_half[:, None] * graph.adjacency_matrix() * d_half[None, :])
+    if np.abs(t_vals).max() > 1.0 + MODULUS_TOL:
+        raise SpectrumConsistencyError(
+            f"random-walk eigenvalue {t_vals[np.abs(t_vals).argmax()]} "
+            "outside [-1, 1]")
+    t_vals = np.clip(t_vals, -1.0, 1.0)
+    alphas = np.array([alpha_plus, np.conj(alpha_plus)])
+    mu = (alphas[:, None] * t_vals[None, :]).ravel()
+    xi = np.repeat(alphas, t_vals.size)
+    return _finish_quadratic_route(graph, method, mu, xi, coin)
+
+
+def spectrum_alpha_coin(graph: Graph, alpha: Quaternion) -> SpectrumReport:
     """Quadratic-formula route for coins q(e) = alpha/d_{o(e)}.
 
     alpha is conjugated into the complex pair alpha_+ = a0 + |Im|*i and
-    alpha_- = conj(alpha_+); the two ordinary complex walks they induce
-    have weighted matrices W_+- with entries alpha_+-/d_u, and each
-    eigenvalue mu of W_+-^T contributes the roots of
-    lambda^2 - mu*lambda + alpha_+- - 1.
+    alpha_- = conj(alpha_+); the two ordinary complex walks they induce are
+    W_+- = alpha_+- * T with T = D^-1 A, so each eigenvalue lambda_T of T
+    gives the pairs (mu, xi) = (alpha_+- * lambda_T, alpha_+-).
     """
-    alpha_plus = canonical_class_rep(alpha)
-    alpha_minus = alpha_plus.conjugate()
-    t = graph.transition_matrix()
-    lam: list[complex] = []
-    for a in (alpha_plus, alpha_minus):
-        w_signed = a * t.astype(complex)  # (W_+-)_{uv} = alpha_+-/d_u on arcs
-        mus = eigenvalues(w_signed.T).eigenvalues
-        for mu in mus:
-            lam.extend(_quadratic_roots(complex(mu), a))
-    coin = CoinMap.from_alpha(graph, alpha)
-    return _finish_quadratic_route(graph, "theorem10", lam, cross_tol, coin)
+    return _alpha_route(graph, canonical_class_rep(alpha), "theorem10",
+                        CoinMap.from_alpha(graph, alpha))
 
 
-def spectrum_grover(graph: Graph, cross_tol: float = 1e-7,
-                    modulus_tol: float = 1e-8) -> SpectrumReport:
-    """Spectral-mapping route for the Grover walk.
+def spectrum_grover(graph: Graph) -> SpectrumReport:
+    """Formula route for the Grover walk: the alpha-coin route at alpha = 2.
 
-    Each eigenvalue lambda_T of the simple random walk matrix T maps to
-    lambda_T +- i*sqrt(1 - lambda_T^2); with their conjugates these are the
-    quadratic-formula values of the Grover coin, finished like the other
-    formula routes.  For trees the mapping overcounts at lambda_T = +-1; the
-    excess is trimmed only when the direct eigensolve confirms it, and the
-    comparison is recorded on the report (no silent collapse).
+    Each eigenvalue lambda_T of T yields lambda_T +- i*sqrt(1 - lambda_T^2),
+    twice.  For trees this overcounts at lambda_T = +-1; the excess is
+    trimmed, and the comparison with the direct eigensolve is recorded on
+    the report with a note (no silent collapse).
     """
-    # T = D^-1 A is similar to the symmetric D^-1/2 A D^-1/2: real spectrum.
-    d_half = np.diag([1.0 / np.sqrt(graph.degree(u)) for u in range(graph.n)])
-    sym = d_half @ graph.adjacency_matrix() @ d_half
-    t_vals = np.linalg.eigvalsh(sym)
-    lam: list[complex] = []
-    for lt in t_vals:
-        if abs(lt) > 1.0 + modulus_tol:
-            raise SpectrumConsistencyError(
-                f"random-walk eigenvalue {lt} outside [-1, 1]")
-        lt = min(1.0, max(-1.0, float(lt)))
-        root = np.sqrt(1.0 - lt * lt)
-        lam.extend([complex(lt, root), complex(lt, -root)] * 2)
-    report = _finish_quadratic_route(graph, "grover", lam, cross_tol,
-                                     CoinMap.grover(graph))
+    report = _alpha_route(graph, 2.0 + 0.0j, "grover", CoinMap.grover(graph))
     if graph.is_tree:
         report.cross_check.note = (
             "tree case: mapping yields 2n values for 2m walk "

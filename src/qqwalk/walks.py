@@ -23,7 +23,6 @@ from .quaternion import Quaternion, QuaternionFormatError, parse_quaternion
 __all__ = [
     "CoinMap",
     "CoinFormatError",
-    "WeightMap",
     "build_B_and_J0",
     "build_Bw",
     "build_K_L",
@@ -98,9 +97,6 @@ class CoinMap:
 
     def is_complex_valued(self, atol: float = 1e-12) -> bool:
         return bool(np.all(_within(0.0, self.p, atol)))
-
-
-WeightMap = CoinMap
 
 
 def parse_coin_file(text: str, graph: Graph) -> CoinMap:
@@ -234,12 +230,12 @@ def build_B_and_J0(graph: Graph) -> tuple[QuatMatrix, QuatMatrix]:
     return QuatMatrix.from_complex(_follows(graph)), _j0(graph)
 
 
-def build_Bw(graph: Graph, weights: WeightMap) -> QuatMatrix:
+def build_Bw(graph: Graph, weights: CoinMap) -> QuatMatrix:
     """(B_w)_{ef} = w(f) when t(e) = o(f); reduces to B at w == 1."""
     return QuatMatrix(*_edge_parts(graph, weights))
 
 
-def build_K_L(graph: Graph, weights: WeightMap) -> tuple[QuatMatrix, QuatMatrix]:
+def build_K_L(graph: Graph, weights: CoinMap) -> tuple[QuatMatrix, QuatMatrix]:
     """The 2m x n factor matrices with K_{ev} = w(e)[o(e) = v] and
     L_{ev} = [t(e) = v], satisfying B_w^T = K L^T and W^T = L^T K."""
     shape = (graph.num_arcs, graph.n)
@@ -248,7 +244,7 @@ def build_K_L(graph: Graph, weights: WeightMap) -> tuple[QuatMatrix, QuatMatrix]
             _place(shape, arcs, graph.terminal, 1.0))
 
 
-def build_W_Dw(graph: Graph, weights: WeightMap) -> tuple[QuatMatrix, QuatMatrix]:
+def build_W_Dw(graph: Graph, weights: CoinMap) -> tuple[QuatMatrix, QuatMatrix]:
     """The n x n weighted matrix W (w(e) on each arc (u, v)) and the diagonal
     matrix D_w of outgoing-weight sums."""
     w = _place((graph.n, graph.n), graph.origin, graph.terminal,

@@ -29,7 +29,7 @@ import numpy as np
 
 from .graph import Graph
 from .linalg import determinant
-from .walks import WeightMap, build_B_and_J0, build_Bw, build_K_L, build_W_Dw
+from .walks import CoinMap, build_B_and_J0, build_Bw, build_K_L, build_W_Dw
 
 __all__ = [
     "IdentityReport",
@@ -162,7 +162,7 @@ def ihara_identity(graph: Graph, t_samples: list[complex],
 
 # -- complex-weighted identity ----------------------------------------
 
-def weighted_zeta_identity(graph: Graph, weights: WeightMap,
+def weighted_zeta_identity(graph: Graph, weights: CoinMap,
                            t_samples: list[complex],
                            tol: float = 1e-8) -> IdentityReport:
     """Weighted determinant identity for complex-valued weights.
@@ -183,7 +183,7 @@ def weighted_zeta_identity(graph: Graph, weights: WeightMap,
 
 # -- quaternionic identity --------------------------------------------
 
-def quaternionic_identity(graph: Graph, weights: WeightMap,
+def quaternionic_identity(graph: Graph, weights: CoinMap,
                           t_samples: list[complex],
                           tol: float = 1e-8,
                           intermediate_tol: float = 1e-10) -> IdentityReport:

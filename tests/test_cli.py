@@ -187,6 +187,29 @@ class TestErrorsAndEnvironment:
         code, _, _ = run(capsys, "unitarity", "--graph", k3_path, "--grover")
         assert code == 0
 
+    def test_tol_env_ignored_without_tol_option(self, capsys, k3_path,
+                                                monkeypatch):
+        monkeypatch.setenv("QQWALK_TOL", "junk")
+        assert run(capsys, "grover", "--graph", k3_path)[0] == 0
+        assert run(capsys, "selftest")[0] == 0
+
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--grover", "--seed", "1"),
+        ("spectrum", "--grover", "--samples", "3"),
+        ("unitarity", "--grover", "--seed", "1"),
+        ("unitarity", "--grover", "--samples", "3"),
+        ("grover", "--seed", "1"),
+        ("grover", "--samples", "3"),
+        ("grover", "--tol", "1e-9"),
+        ("selftest", "--tol", "1e-9"),
+        ("selftest", "--output", "csv"),
+    ])
+    def test_unread_options_rejected(self, capsys, k3_path, argv):
+        graph = () if argv[0] == "selftest" else ("--graph", k3_path)
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], *graph, *argv[1:]])
+        assert exc.value.code == 2
+
     def test_explicit_tol_beats_env(self, capsys, k3_path, monkeypatch):
         monkeypatch.setenv("QQWALK_TOL", "garbage")
         code, _, _ = run(capsys, "unitarity", "--graph", k3_path, "--grover",

@@ -36,7 +36,7 @@ class TestParsing:
             parse_graph("2 1\n0 0")
 
     def test_duplicate_edge_rejected(self):
-        with pytest.raises(GraphFormatError, match="duplicate"):
+        with pytest.raises(GraphFormatError, match="line 3.*duplicate"):
             parse_graph("3 3\n0 1\n1 0\n1 2")
 
     def test_disconnected_rejected(self):

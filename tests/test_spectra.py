@@ -196,6 +196,25 @@ class TestGroverRoute:
             np.fill_diagonal(gaps, np.inf)
             assert gaps.min() > 1e-7
 
+    def test_is_the_alpha_route_at_two(self):
+        for g in (complete_graph(3), cycle_graph(4), petersen_graph(),
+                  star_graph(3), path_graph(5),
+                  random_connected_graph(np.random.default_rng(5), 12)):
+            assert np.array_equal(
+                spectrum_grover(g).psi_spectrum,
+                spectrum_alpha_coin(g, Quaternion(2)).psi_spectrum)
+
+    def test_unit_modulus_on_non_trees(self):
+        rng = np.random.default_rng(89)
+        graphs = [complete_graph(3), cycle_graph(8), petersen_graph()]
+        graphs += [random_connected_graph(rng, int(rng.integers(4, 12)))
+                   for _ in range(10)]
+        for g in graphs:
+            if g.is_tree:
+                continue
+            vals = spectrum_grover(g).psi_spectrum
+            assert np.abs(np.abs(vals) - 1.0).max() <= 1e-12
+
     def test_star_values(self):
         report = spectrum_grover(star_graph(3))
         base = np.array([1, -1, 1j, 1j, -1j, -1j])
