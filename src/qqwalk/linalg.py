@@ -1,5 +1,6 @@
-"""Dense complex linear algebra: eigensolves, determinants, and
-simultaneous triangularization of matrix pairs.
+"""Complex linear algebra: eigensolves, determinants (dense, and the
+log-determinant of a sparse matrix), and simultaneous triangularization of
+matrix pairs.
 
 Matrices are plain complex numpy arrays.  The eigensolver and Schur
 decomposition are delegated to LAPACK (via numpy/scipy); this module adds
@@ -35,6 +36,7 @@ __all__ = [
     "multisets_match",
     "pair_conjugates",
     "simultaneous_triangularize",
+    "sparse_logdet",
 ]
 
 # Generic mixing constants for A + theta*B in simultaneous triangularization;
@@ -86,6 +88,38 @@ def determinant(m: np.ndarray) -> complex:
     if m.shape[0] == 0:
         return 1.0 + 0.0j
     return complex(np.linalg.det(m))
+
+
+def _parity(perm: np.ndarray) -> int:
+    """0 for an even permutation of 0..n-1, 1 for an odd one."""
+    perm = perm.tolist()
+    seen = [False] * len(perm)
+    cycles = 0
+    for start in range(len(perm)):
+        if not seen[start]:
+            cycles += 1
+            j = start
+            while not seen[j]:
+                seen[j] = True
+                j = perm[j]
+    return (len(perm) - cycles) % 2
+
+
+def sparse_logdet(m) -> complex:
+    """log det of a square scipy.sparse matrix from one sparse LU.
+
+    SuperLU factors Pr @ M @ Pc = L @ U with a unit-diagonal L, so the log
+    is the sum of the logs of U's diagonal plus i*pi for each odd
+    permutation among Pr and Pc.  The imaginary part is a phase, not
+    reduced mod 2*pi.  A singular M raises RuntimeError.
+    """
+    from scipy.sparse.linalg import splu
+
+    if m.shape[0] == 0:
+        return 0.0 + 0.0j
+    lu = splu(m.tocsc())
+    odd = _parity(lu.perm_r) + _parity(lu.perm_c)
+    return complex(np.log(lu.U.diagonal()).sum() + 1j * np.pi * odd)
 
 
 def pair_conjugates(values: np.ndarray) -> np.ndarray:

@@ -12,9 +12,13 @@
     taken from one symmetric eigensolve;
   - grover: the theorem10 pairs at alpha = 2.
 
-Every formula route report carries a comparison against the direct
-route.  Similarity-class representatives of the right spectrum are the
-upper-half-plane members of the computed eigenvalues.
+Every formula route report carries a characteristic-polynomial certificate
+of its 4m values against psi(U): at eight sample points t on two rings,
+sum(log(1 - t*lambda)) over the values is compared with log det(I - t*psi(U))
+from one sparse LU each, so no route eigensolves psi(U).  The direct route and
+compare_spectra remain the reference.  Similarity-class representatives of
+the right spectrum are the upper-half-plane members of the computed
+eigenvalues.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from .linalg import (
     eigenvalues,
     pair_conjugates,
     simultaneous_triangularize,
+    sparse_logdet,
 )
 from .qmatrix import class_reps, dedupe_class_reps
 from .quaternion import Quaternion, canonical_class_rep
@@ -46,8 +51,13 @@ __all__ = [
 ]
 
 TREE_TRIM_TOL = 1e-6
-# Largest distance at which a formula route agrees with the direct route.
+# Largest certificate residual, in eigenvalue units, of a formula route.
 CROSS_TOL = 1e-7
+# The certificate's sample points t = rho*e^(i*theta) / max(||psi(U)||_inf, 1)
+# lie on two rings rho in CERT_RADII; the spectra are closed under
+# conjugation, so angles in (0, pi) carry all the information.
+CERT_ANGLES = (0.3, 1.1, 1.9, 2.7)
+CERT_RADII = (0.5, 0.9)
 # How far outside [-1, 1] a computed eigenvalue of T may fall before clipping.
 MODULUS_TOL = 1e-8
 
@@ -133,28 +143,100 @@ def spectrum_direct(graph: Graph, coin: CoinMap) -> SpectrumReport:
                           class_reps=class_reps(vals))
 
 
-def _trim_tree_values(values: np.ndarray) -> np.ndarray:
-    """Remove {1, 1, -1, -1} from the computed multiset (tree case).
+def _last_argmin(dist: np.ndarray) -> int:
+    return dist.size - 1 - int(np.argmin(dist[::-1]))
 
-    Each target removes the last of its nearest values, in input order.
+
+def _trim_tree_values(values: np.ndarray) -> np.ndarray:
+    """Remove {1, 1, -1, -1} from the roots, given as (r+, r-) per pair
+    (tree case).
+
+    A target t in {1, -1} first removes a whole pair with both roots within
+    TREE_TRIM_TOL of t, and sets both roots of every other such pair to
+    their midpoint mu/2.  A double root splits by about sqrt(eps) into two
+    values symmetric about it: dropping one of each of two such pairs would
+    keep a one-sided, first-order error in the characteristic polynomial,
+    and the midpoint shows the double root that stays as one value at a
+    second-order cost.  Without such a pair, each of the two copies of t
+    removes the last of its nearest values, in input order.
     """
+    values = values.copy()
     keep = np.ones(values.size, dtype=bool)
-    for target in (1.0, 1.0, -1.0, -1.0):
-        dist = np.where(keep, np.abs(values - target), np.inf)
-        idx = values.size - 1 - int(np.argmin(dist[::-1]))
-        if not dist[idx] <= TREE_TRIM_TOL:
-            raise SpectrumConsistencyError(
-                f"tree-case trim: no eigenvalue within {TREE_TRIM_TOL} "
-                f"of {target}")
-        keep[idx] = False
+    pairs = values.reshape(-1, 2)
+    for target in (1.0, -1.0):
+        span = np.where(keep.reshape(-1, 2).all(axis=1),
+                        np.abs(pairs - target).max(axis=1), np.inf)
+        pair = _last_argmin(span)
+        if span[pair] <= TREE_TRIM_TOL:
+            keep[2 * pair:2 * pair + 2] = False
+            span[pair] = np.inf
+            near = span <= TREE_TRIM_TOL
+            pairs[near] = pairs[near].mean(axis=1, keepdims=True)
+            continue
+        for _ in range(2):
+            dist = np.where(keep, np.abs(values - target), np.inf)
+            idx = _last_argmin(dist)
+            if not dist[idx] <= TREE_TRIM_TOL:
+                raise SpectrumConsistencyError(
+                    f"tree-case trim: no eigenvalue within {TREE_TRIM_TOL} "
+                    f"of {target}")
+            keep[idx] = False
     return values[keep]
+
+
+def _certificate(graph: Graph, coin: CoinMap,
+                 values: np.ndarray) -> ComparisonRecord:
+    """Characteristic-polynomial certificate of values against psi(U).
+
+    The eigenvalues of psi(U), with multiplicity, are the multiset whose
+    sum of log(1 - t*lambda) equals log det(I - t*psi(U)) at every t.  With
+    s = max(||psi(U)||_inf, 1), the sample points are t = rho*e^(i*theta)/s
+    for rho in CERT_RADII and theta in CERT_ANGLES.  As |t*lambda| <= rho,
+    I - t*psi(U) is nonsingular and well conditioned, and each factor
+    1 - t*lambda has modulus between 1 - rho and 1 + rho, so one value
+    moved by delta moves the sum by between |t|*delta/(1 + rho) and
+    |t|*delta/(1 - rho): in eigenvalue units, 2/3 to 2 times delta on the
+    inner ring and 1/1.9 to 10 times delta on the outer one.
+
+    Both sides are -sum_k t^k * p_k / k with p_k the k-th power sum of the
+    eigenvalues, so the check sees low-order moments best: an error that
+    first enters p_k, as when all values move together, is damped by about
+    rho^(k-1): 2^-(k-1) on the inner ring, 0.9^(k-1) on the outer one.  Grover on C_60, whose 240 values are 60th roots of unity,
+    with every value scaled by 1 + 1e-6 reads 5e-7 on the outer ring, while
+    on the inner one the exact difference, about 1e-22, is below rounding.
+
+    The residual is the largest difference over the sample points, phase
+    taken mod 2*pi, divided by |t|: it is in eigenvalue units and the
+    verdict compares it with CROSS_TOL.  A non-finite residual fails.
+    """
+    import scipy.sparse
+
+    psi_u = build_U(graph, coin).psi()
+    dim = psi_u.shape[0]
+    if values.size != dim:
+        return ComparisonRecord(
+            against="certificate", max_dist=float("inf"), verdict=False,
+            cardinality_match=False,
+            note=f"cardinality mismatch: {values.size} vs {dim}")
+    scale = max(np.abs(psi_u).sum(axis=1).max(initial=0.0), 1.0)
+    ts = np.multiply.outer(np.array(CERT_RADII) / scale,
+                           np.exp(1j * np.array(CERT_ANGLES))).ravel()
+    sparse_u = scipy.sparse.csc_matrix(psi_u)
+    eye = scipy.sparse.identity(dim, dtype=complex, format="csc")
+    diffs = np.array([
+        np.log(1.0 - t * values).sum() - sparse_logdet(eye - t * sparse_u)
+        for t in ts])
+    phase = (diffs.imag + np.pi) % (2.0 * np.pi) - np.pi
+    residual = float(np.max(np.hypot(diffs.real, phase) / np.abs(ts)))
+    return ComparisonRecord(against="certificate", max_dist=residual,
+                            verdict=residual <= CROSS_TOL)
 
 
 def _finish_quadratic_route(graph: Graph, method: str, mu: np.ndarray,
                             xi: np.ndarray, coin: CoinMap) -> SpectrumReport:
     """Report of the roots of lambda^2 - mu*lambda + xi - 1 over aligned
-    (mu, xi) pairs, padded or trimmed to 4m values and cross-checked
-    against the direct route."""
+    (mu, xi) pairs, padded or trimmed to 4m values and certified against
+    psi(U) (see _certificate)."""
     disc = np.sqrt(mu * mu - 4.0 * (xi - 1.0))
     lam = np.column_stack(((mu + disc) / 2.0, (mu - disc) / 2.0)).ravel()
     excess = graph.m - graph.n
@@ -165,8 +247,7 @@ def _finish_quadratic_route(graph: Graph, method: str, mu: np.ndarray,
     vals = pair_conjugates(np.sort_complex(lam))
     report = SpectrumReport(method=method, psi_spectrum=vals,
                             class_reps=class_reps(vals))
-    direct = spectrum_direct(graph, coin)
-    report.cross_check = compare_spectra(report, direct, tol=CROSS_TOL)
+    report.cross_check = _certificate(graph, coin, vals)
     return report
 
 
@@ -195,8 +276,12 @@ def _alpha_route(graph: Graph, alpha_plus: complex, method: str,
 
     T = D^-1 A is similar to the symmetric D^-1/2 A D^-1/2, so one eigvalsh
     gives its real spectrum lambda_T; W_+- = alpha_+- * T then have the
-    spectra alpha_+- * lambda_T.
+    spectra alpha_+- * lambda_T.  Without arcs, W = D_w = 0 and each of
+    the 2n pairs is (0, 0).
     """
+    if graph.m == 0:
+        zeros = np.zeros(2 * graph.n, dtype=complex)
+        return _finish_quadratic_route(graph, method, zeros, zeros, coin)
     d_half = 1.0 / np.sqrt(graph.degree_matrix().diagonal())
     t_vals = np.linalg.eigvalsh(
         d_half[:, None] * graph.adjacency_matrix() * d_half[None, :])
@@ -228,13 +313,13 @@ def spectrum_grover(graph: Graph) -> SpectrumReport:
 
     Each eigenvalue lambda_T of T yields lambda_T +- i*sqrt(1 - lambda_T^2),
     twice.  For trees this overcounts at lambda_T = +-1; the excess is
-    trimmed, and the comparison with the direct eigensolve is recorded on
-    the report with a note (no silent collapse).
+    trimmed, and the report's certificate carries a note saying so (no
+    silent collapse).
     """
     report = _alpha_route(graph, 2.0 + 0.0j, "grover", CoinMap.grover(graph))
     if graph.is_tree:
         report.cross_check.note = (
             "tree case: mapping yields 2n values for 2m walk "
             "eigenvalues; trimmed excess {1, -1} and cross-checked "
-            "against the direct eigensolve")
+            "against the log-det certificate of psi(U)")
     return report

@@ -23,6 +23,7 @@ skipped by every identity.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,6 +81,10 @@ class IdentityReport:
 
 
 def _rel_err(lhs: complex, rhs: complex) -> float:
+    """|lhs - rhs| / max(|lhs|, |rhs|), 0 when both are 0, NaN when either
+    is not finite."""
+    if not (cmath.isfinite(lhs) and cmath.isfinite(rhs)):
+        return float("nan")
     scale = max(abs(lhs), abs(rhs))
     return abs(lhs - rhs) / scale if scale else 0.0
 
@@ -126,7 +131,9 @@ def _compare(x: np.ndarray, y: np.ndarray, d: np.ndarray, exponent: int,
     samples = [SamplePoint(t, lhs, rhs, _rel_err(lhs, rhs))
                for t, lhs, rhs in sorted(pairs, key=lambda p: (p[0].real,
                                                                p[0].imag))]
-    max_err = max((s.rel_err for s in samples), default=0.0)
+    # np.max propagates NaN, so a non-finite sample fails the verdict
+    # wherever it falls among the samples.
+    max_err = float(np.max([s.rel_err for s in samples], initial=0.0))
     return IdentityReport(samples=samples, max_rel_err=max_err,
                           verdict=max_err <= tol, skipped=skipped)
 
@@ -191,9 +198,10 @@ def quaternionic_identity(graph: Graph, weights: CoinMap,
 
     At each admissible sample compares the 4m x 4m and 2n x 2n sides and
     additionally verifies the proof-level resolvent identity entrywise
-    within intermediate_tol.  Since J0^2 = I, (I + t*J0)^-1 is
-    (I - t*J0) / (1 - t^2), and psi(J0) = blockdiag(J0, J0) acts as the
-    row permutation idx ^ 1 on the 4m complexified arcs.
+    within intermediate_tol times the largest expected entry (at least 1).
+    Since J0^2 = I, (I + t*J0)^-1 is (I - t*J0) / (1 - t^2), and
+    psi(J0) = blockdiag(J0, J0) acts as the row permutation idx ^ 1 on the
+    4m complexified arcs.
     """
     _, j0 = build_B_and_J0(graph)
     x = build_Bw(graph, weights).transpose().psi() - j0.psi()
@@ -208,10 +216,12 @@ def quaternionic_identity(graph: Graph, weights: CoinMap,
         resolvent = psi_lt @ (psi_k - t * flipped_k) / one_minus
         expected = (psi_wt - t * psi_dw) / one_minus
         residual = float(np.abs(resolvent - expected).max(initial=0.0))
-        if residual > intermediate_tol:
+        scale = max(1.0, float(np.abs(expected).max(initial=0.0)))
+        if not residual <= intermediate_tol * scale:
             raise ArithmeticError(
                 f"intermediate resolvent identity failed at t = {t}: "
-                f"entrywise residual {residual:.3e}")
+                f"entrywise residual {residual:.3e} at entry scale "
+                f"{scale:.3e}")
 
     return _compare(x, psi_wt, psi_dw, 2 * graph.m - 2 * graph.n,
                     t_samples, tol, check)

@@ -20,6 +20,7 @@ from qqwalk.linalg import multiset_distance
 from qqwalk.qmatrix import QuatMatrix, psi_homomorphism_check, right_eigenvalues
 from qqwalk.quaternion import Quaternion
 from qqwalk.spectra import (
+    compare_spectra,
     spectrum_alpha_coin,
     spectrum_direct,
     spectrum_grover,
@@ -105,6 +106,7 @@ class TestAcceptance:
         ok = ok and multiset_distance(formula.psi_spectrum, expected) <= 1e-7
         ok = ok and formula.cross_check.verdict
         ok = ok and formula.cross_check.max_dist <= 1e-7
+        ok = ok and compare_spectra(formula, direct, tol=1e-7).verdict
         report(4, ok)
 
     def test_criterion_5_determinant_identity_random(self):
@@ -190,6 +192,9 @@ class TestAcceptance:
             ok = ok and rep.cross_check is not None
             ok = ok and rep.cross_check.verdict
             ok = ok and "tree" in (rep.cross_check.note or "")
+            ok = ok and compare_spectra(
+                rep, spectrum_direct(tree, CoinMap.grover(tree)),
+                tol=1e-7).verdict
         report(8, ok)
 
     def test_criterion_9_alpha_route_grid(self):
@@ -203,6 +208,9 @@ class TestAcceptance:
                 rep = spectrum_alpha_coin(g, alpha)
                 ok = ok and rep.cross_check.verdict
                 ok = ok and rep.cross_check.max_dist <= 1e-7
+                ok = ok and compare_spectra(
+                    rep, spectrum_direct(g, CoinMap.from_alpha(g, alpha)),
+                    tol=1e-7).verdict
         report(9, ok)
 
     def test_criterion_10_property_suites(self):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from qqwalk import cli
 from qqwalk.cli import main
 
 K3 = "3 3\n0 1\n1 2\n2 0\n"
@@ -101,6 +102,18 @@ class TestGroverSubcommand:
         code, out, _ = run(capsys, "grover", "--graph", star_path)
         assert code == 0
         assert "tree" in json.loads(out)["cross_check"]["note"]
+
+
+    def test_edgeless_graph(self, capsys, tmp_path):
+        one = tmp_path / "one.g"
+        one.write_text("1 0\n")
+        for argv in (["grover"],
+                     ["spectrum", "--grover", "--method", "theorem10"]):
+            code, out, err = run(capsys, *argv, "--graph", str(one))
+            assert code == 0, err
+            payload = json.loads(out)
+            assert payload["psi_spectrum"] == []
+            assert payload["cross_check"]["verdict"] is True
 
 
 class TestUnitarity:
@@ -225,6 +238,22 @@ class TestSelftest:
         assert lines[-1] == "all checks passed"
         assert all(line.startswith("PASS") for line in lines[:-1])
         assert len(lines) == 7
+
+    def test_formula_agreement_compares_with_direct(self, capsys,
+                                                    monkeypatch):
+        # A theorem8 report whose certificate passes but whose values are
+        # off must still fail the agreement check.
+        honest = cli.spectrum_theorem_general
+
+        def shifted(graph, coin):
+            report = honest(graph, coin)
+            report.psi_spectrum = report.psi_spectrum + 1e-3
+            return report
+
+        monkeypatch.setattr(cli, "spectrum_theorem_general", shifted)
+        code, out, _ = run(capsys, "selftest")
+        assert code == 1
+        assert "FAIL  star-weighted-formula-agreement" in out.splitlines()
 
     def test_seed_option(self, capsys):
         code, out, _ = run(capsys, "selftest", "--seed", "12345")

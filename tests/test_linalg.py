@@ -15,6 +15,7 @@ from qqwalk.linalg import (
     multisets_match,
     pair_conjugates,
     simultaneous_triangularize,
+    sparse_logdet,
 )
 
 
@@ -60,6 +61,38 @@ class TestEigenvalues:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             eigenvalues(np.zeros((2, 3)))
+
+
+class TestSparseLogdet:
+    def test_parity(self):
+        assert linalg._parity(np.array([0, 1, 2])) == 0
+        assert linalg._parity(np.array([1, 0, 2])) == 1
+        assert linalg._parity(np.array([1, 2, 0])) == 0
+        assert linalg._parity(np.array([3, 2, 1, 0])) == 0
+        assert linalg._parity(np.array([1, 2, 3, 0])) == 1
+
+    def test_matches_slogdet_when_pivoting_permutes_rows(self):
+        from scipy.sparse import csc_matrix
+        from scipy.sparse.linalg import splu
+
+        rng = np.random.default_rng(1)
+        m = rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30))
+        np.fill_diagonal(m, 0.0)
+        lu = splu(csc_matrix(m))
+        # An odd row permutation: without its sign the phase is off by pi.
+        assert linalg._parity(lu.perm_r) + linalg._parity(lu.perm_c) == 1
+        sign, logabs = np.linalg.slogdet(m)
+        got = sparse_logdet(csc_matrix(m))
+        assert got.real == pytest.approx(logabs, abs=1e-10)
+        dphase = (got.imag - np.angle(sign) + np.pi) % (2 * np.pi) - np.pi
+        assert abs(dphase) <= 1e-10
+
+    def test_empty_and_singular(self):
+        from scipy.sparse import csc_matrix
+
+        assert sparse_logdet(csc_matrix((0, 0), dtype=complex)) == 0.0
+        with pytest.raises(RuntimeError):
+            sparse_logdet(csc_matrix(np.zeros((3, 3), dtype=complex)))
 
 
 class TestDeterminant:

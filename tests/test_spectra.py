@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qqwalk.graph import (
+    Graph,
     complete_graph,
     cycle_graph,
     path_graph,
@@ -19,6 +22,9 @@ from qqwalk.linalg import (
 )
 from qqwalk.quaternion import Quaternion
 from qqwalk.spectra import (
+    CROSS_TOL,
+    _certificate,
+    _trim_tree_values,
     compare_spectra,
     spectrum_alpha_coin,
     spectrum_direct,
@@ -28,6 +34,13 @@ from qqwalk.spectra import (
 from qqwalk.walks import CoinMap
 
 S2 = np.sqrt(2.0)
+
+
+def matches_direct(report, graph, coin):
+    """The report agrees with the direct eigensolve within CROSS_TOL: the
+    comparison the formula routes once made themselves."""
+    return compare_spectra(report, spectrum_direct(graph, coin),
+                           tol=CROSS_TOL).verdict
 
 
 def weighted_star():
@@ -93,6 +106,7 @@ class TestQuadraticRoute:
         assert report.method == "theorem8"
         assert report.cross_check.verdict
         assert report.cross_check.max_dist <= 1e-7
+        assert matches_direct(report, g, w)
         base = np.array([(1 + 1j) / S2, (-1 + 1j) / S2, 1j,
                          (1 - 1j) / S2, (-1 - 1j) / S2, -1j])
         assert multisets_match(report.psi_spectrum,
@@ -107,6 +121,7 @@ class TestQuadraticRoute:
             g, {2 * i: Quaternion(*rng.uniform(-1, 1, 4)) for i in range(32)})
         report = spectrum_theorem_general(g, w)
         assert report.cross_check.verdict, report.cross_check.max_dist
+        assert matches_direct(report, g, w)
 
     def test_generic_coin_rejected_without_deflation(self, monkeypatch):
         def entered(*args, **kwargs):
@@ -125,6 +140,7 @@ class TestQuadraticRoute:
         for g in (complete_graph(3), cycle_graph(4), petersen_graph()):
             report = spectrum_theorem_general(g, CoinMap.grover(g))
             assert report.cross_check.verdict, report.cross_check.max_dist
+            assert matches_direct(report, g, CoinMap.grover(g))
 
     def test_alpha_coins_random_graphs(self):
         rng = np.random.default_rng(101)
@@ -134,12 +150,43 @@ class TestQuadraticRoute:
             coin = CoinMap.from_alpha(g, alpha)
             report = spectrum_theorem_general(g, coin)
             assert report.cross_check.verdict, report.cross_check.max_dist
+            assert matches_direct(report, g, coin)
 
     def test_tree_trim(self):
         g = path_graph(4)
         report = spectrum_theorem_general(g, CoinMap.grover(g))
         assert report.psi_spectrum.size == 4 * g.num_arcs // 2
         assert report.cross_check.verdict
+        assert matches_direct(report, g, CoinMap.grover(g))
+
+    def test_tree_trim_removes_split_double_roots_whole(self):
+        # The Grover coin gives double roots at +-1, which the triangularized
+        # diagonals split by about sqrt(eps) into (r+, r-) = (t + e, t - e).
+        # Dropping one root of each of two such pairs can leave t + e twice,
+        # which moves the characteristic polynomial at first order: this
+        # tree's certificate read 1.0e-7 that way.
+        g = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (0, 6)])
+        report = spectrum_theorem_general(g, CoinMap.grover(g))
+        assert report.cross_check.verdict
+        assert report.cross_check.max_dist <= 1e-12
+        # The pair that stays is set to its midpoint.
+        e = 3e-8
+        roots = np.array([1 + e, 1 - e, 1 + e, 1 - e, -1 + e, -1 - e,
+                          -1 + e, -1 - e, 0.5, 0.25], dtype=complex)
+        kept = _trim_tree_values(roots)
+        assert np.array_equal(kept, [1, 1, -1, -1, 0.5, 0.25])
+        assert roots[0] == 1 + e
+
+    def test_tree_trim_keeps_a_double_root_as_one_group(self):
+        # On this spider the double eigenvalue 1 split into two groups
+        # 1.03e-7 apart; direct shows one group of 2.
+        g = Graph(6, [(0, 1), (1, 2), (1, 3), (1, 4), (1, 5)])
+        coin = CoinMap.grover(g)
+        report = spectrum_theorem_general(g, coin)
+        assert matches_direct(report, g, coin)
+        groups = [(v, mult) for v, mult in report.class_reps
+                  if abs(v - 1.0) <= 1e-6]
+        assert len(groups) == 1 and groups[0][1] == 2
 
 
 class TestAlphaCoinRoute:
@@ -148,6 +195,7 @@ class TestAlphaCoinRoute:
         report = spectrum_alpha_coin(g, Quaternion(2))
         assert report.method == "theorem10"
         assert report.cross_check.verdict
+        assert matches_direct(report, g, CoinMap.grover(g))
 
     def test_quaternionic_alpha(self):
         rng = np.random.default_rng(103)
@@ -160,6 +208,9 @@ class TestAlphaCoinRoute:
                 report = spectrum_alpha_coin(g, alpha)
                 assert report.cross_check.verdict, (
                     g.n, str(alpha), report.cross_check.max_dist)
+                assert matches_direct(report, g,
+                                      CoinMap.from_alpha(g, alpha)), (
+                    g.n, str(alpha))
 
     def test_conjugate_walks_mirror_each_other(self):
         # The two complex walks induced by alpha have conjugate spectra, so
@@ -176,12 +227,14 @@ class TestGroverRoute:
             report = spectrum_grover(g)
             assert report.cross_check.verdict, report.cross_check.max_dist
             assert report.cross_check.note is None
+            assert matches_direct(report, g, CoinMap.grover(g))
 
     def test_tree_records_note(self):
         for g in (star_graph(3), path_graph(2), path_graph(5)):
             report = spectrum_grover(g)
             assert report.cross_check.verdict
             assert "tree" in report.cross_check.note
+            assert matches_direct(report, g, CoinMap.grover(g))
             assert report.psi_spectrum.size == 2 * g.num_arcs
 
     def test_grouped_spectrum_has_one_group_per_eigenvalue(self):
@@ -214,6 +267,15 @@ class TestGroverRoute:
                 continue
             vals = spectrum_grover(g).psi_spectrum
             assert np.abs(np.abs(vals) - 1.0).max() <= 1e-12
+
+    def test_edgeless_graph_gives_the_empty_spectrum(self):
+        g = Graph(1, [])
+        for report in (spectrum_grover(g),
+                       spectrum_alpha_coin(g, Quaternion(1, 2, 3, 4))):
+            assert report.psi_spectrum.size == 0
+            assert report.class_reps == []
+            assert report.cross_check.verdict
+            assert report.cross_check.max_dist == 0.0
 
     def test_star_values(self):
         report = spectrum_grover(star_graph(3))
@@ -248,3 +310,80 @@ class TestCompareSpectra:
         assert d["method"] == "grover"
         assert sum(e["mult"] for e in d["psi_spectrum"]) == 4 * g.m
         assert d["cross_check"]["verdict"] is True
+
+
+class TestCertificate:
+    @staticmethod
+    def petersen_alpha():
+        g = petersen_graph()
+        alpha = Quaternion(0.3, -0.4, 0.5, 0.2)
+        vals = spectrum_alpha_coin(g, alpha).psi_spectrum.copy()
+        return g, CoinMap.from_alpha(g, alpha), vals
+
+    def test_honest_spectrum_passes(self):
+        g, coin, vals = self.petersen_alpha()
+        rec = _certificate(g, coin, vals)
+        assert rec.verdict and rec.against == "certificate"
+        assert rec.max_dist <= 1e-12 and rec.worst_pair is None
+
+    def test_rejects_one_moved_eigenvalue(self):
+        g, coin, vals = self.petersen_alpha()
+        vals[7] += 10 * CROSS_TOL
+        rec = _certificate(g, coin, vals)
+        assert not rec.verdict and rec.cardinality_match
+        # One value moved by delta reads between 2/3*delta and 2*delta on
+        # the inner ring and between delta/1.9 and 10*delta on the outer one.
+        assert 6 * CROSS_TOL <= rec.max_dist <= 101 * CROSS_TOL
+
+    def test_rejects_a_replaced_plus_minus_one_pair(self):
+        g, coin, vals = self.petersen_alpha()
+        plus = np.argmin(np.abs(vals - 1.0))
+        minus = np.argmin(np.abs(vals + 1.0))
+        vals[plus], vals[minus] = 0.5, -0.5
+        rec = _certificate(g, coin, vals)
+        assert not rec.verdict and rec.cardinality_match
+
+    def test_short_spectrum_is_a_cardinality_mismatch(self):
+        g, coin, vals = self.petersen_alpha()
+        rec = _certificate(g, coin, vals[:-2])
+        assert not rec.verdict and not rec.cardinality_match
+        assert rec.max_dist == np.inf
+        assert rec.to_dict()["cardinality_match"] is False
+
+    @pytest.mark.parametrize("factor", [1.3, 1 + 1e-6])
+    def test_rejects_a_scaled_spectrum(self, factor):
+        # Every value scaled together changes only the 60th and higher
+        # power sums of C_60's spectrum, which the inner ring damps by
+        # 2^-59; the outer ring sees them.
+        g = cycle_graph(60)
+        coin = CoinMap.grover(g)
+        vals = spectrum_grover(g).psi_spectrum
+        assert _certificate(g, coin, vals).verdict
+        rec = _certificate(g, coin, factor * vals)
+        assert not rec.verdict and rec.cardinality_match
+
+    def test_non_finite_value_fails(self):
+        g, coin, vals = self.petersen_alpha()
+        vals[0] = np.nan
+        assert not _certificate(g, coin, vals).verdict
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 7), st.floats(0.0, 0.6), st.integers(0, 2**32 - 1),
+           st.booleans())
+    def test_formula_routes_certify_and_match_direct(self, n, extra, seed,
+                                                     grover):
+        rng = np.random.default_rng(seed)
+        g = random_connected_graph(rng, n, extra)
+        alpha = Quaternion(2.0) if grover else Quaternion(
+            *rng.uniform(-1, 1, 4))
+        coin = CoinMap.from_alpha(g, alpha)
+        direct = spectrum_direct(g, coin)
+        reports = [spectrum_alpha_coin(g, alpha),
+                   spectrum_theorem_general(g, coin)]
+        if grover:
+            reports.append(spectrum_grover(g))
+        for report in reports:
+            assert report.cross_check.verdict, (
+                report.method, report.cross_check)
+            assert compare_spectra(report, direct, tol=CROSS_TOL).verdict, (
+                report.method)

@@ -114,6 +114,30 @@ class TestWeightedIdentity:
             report = weighted_zeta_identity(g, w, SAMPLES, tol=1e-8)
             assert report.verdict, report.max_rel_err
 
+    @pytest.mark.parametrize("bad", [0, 2])
+    def test_non_finite_sample_fails_wherever_it_falls(self, monkeypatch,
+                                                       bad):
+        # Both sides of one sample overflow.  Its rel_err is NaN, which a
+        # plain max over the samples kept only when it came first.
+        calls = []
+
+        def overflowing(m):
+            # Each sample computes the arc side, then the vertex side, in
+            # input order.
+            calls.append(m)
+            if (len(calls) - 1) // 2 == bad:
+                return complex(np.inf, 0.0)
+            return determinant(m)
+
+        monkeypatch.setattr(zeta, "determinant", overflowing)
+        g = complete_graph(4)
+        report = weighted_zeta_identity(g, CoinMap.grover(g),
+                                        [0.1, 0.2, 0.3], tol=1e-8)
+        sample = report.samples[bad]
+        assert not np.isfinite(sample.lhs) and not np.isfinite(sample.rhs)
+        assert not report.verdict
+        assert not np.isfinite(report.max_rel_err)
+
     def test_tiny_determinants_are_compared_relatively(self, monkeypatch):
         # Near the pole both sides carry (1 - t^2)^(m - n) and are tiny; an
         # error measured against a floor of 1 would pass any two of them.
@@ -207,6 +231,14 @@ class TestQuaternionicIdentity:
         monkeypatch.setattr(zeta, "build_K_L", corrupted_K_L)
         with pytest.raises(ArithmeticError, match="resolvent"):
             quaternionic_identity(g, w, [0.3])
+
+    def test_resolvent_check_scales_with_the_entries(self):
+        # Entries near 1e6: a residual of 1.2e-10 is about 1e-16 of them,
+        # which an absolute 1e-10 called a failure.
+        g = petersen_graph()
+        w = CoinMap.from_alpha(g, Quaternion(1e6, 1e6, 1e6, 1e6))
+        report = quaternionic_identity(g, w, SAMPLES)
+        assert report.verdict, report.max_rel_err
 
     def test_report_serializes(self):
         g = complete_graph(3)
