@@ -1,13 +1,16 @@
-"""Complex linear algebra: eigensolves, determinants (dense, and the
-log-determinant of a sparse matrix), and simultaneous triangularization of
-matrix pairs.
+"""Complex linear algebra: eigensolves, determinants and simultaneous
+triangularization of matrix pairs.
 
 Matrices are plain complex numpy arrays.  The eigensolver and Schur
-decomposition are delegated to LAPACK (via numpy/scipy); this module adds
-the contracts the rest of the package relies on: conjugate-pair cleanup
-for spectra of complexified quaternionic matrices, minimal-cost multiset
-comparison of eigenvalue lists, single-linkage clustering of eigenvalues,
-and the simultaneous triangularization used by the spectral formulas.
+decomposition are delegated to LAPACK (through numpy, and scipy's schur on
+the commuting triangularization path); this module adds the contracts the
+rest of the package relies on: conjugate-pair cleanup for spectra of
+complexified quaternionic matrices, minimal-cost multiset comparison of
+eigenvalue lists, single-linkage clustering of eigenvalues, and the
+simultaneous triangularization used by the spectral formulas.  scipy is
+imported only where it is called: schur on the commuting path and
+linear_sum_assignment for multiset matching and the ambiguous clusters of
+conjugate pairing, so importing the package loads numpy alone.
 
 Simultaneous triangularization takes the Schur basis of a + theta*b for a
 commuting pair.  A non-commuting pair is first tested for a nilpotent
@@ -23,8 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.optimize import linear_sum_assignment
 
 __all__ = [
     "EigenResult",
@@ -36,12 +37,13 @@ __all__ = [
     "multisets_match",
     "pair_conjugates",
     "simultaneous_triangularize",
-    "sparse_logdet",
 ]
 
 # Generic mixing constants for A + theta*B in simultaneous triangularization;
 # chosen irrational-looking to avoid accidental eigenvalue collisions.
 _THETA_CANDIDATES = (0.6180339887, 0.3141592653589793)
+# Clustering distance of pair_conjugates, relative to max(1, max|value|).
+PAIR_TOL = 1e-9
 
 
 class NonConvergenceError(RuntimeError):
@@ -90,67 +92,65 @@ def determinant(m: np.ndarray) -> complex:
     return complex(np.linalg.det(m))
 
 
-def _parity(perm: np.ndarray) -> int:
-    """0 for an even permutation of 0..n-1, 1 for an odd one."""
-    perm = perm.tolist()
-    seen = [False] * len(perm)
-    cycles = 0
-    for start in range(len(perm)):
-        if not seen[start]:
-            cycles += 1
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-    return (len(perm) - cycles) % 2
-
-
-def sparse_logdet(m) -> complex:
-    """log det of a square scipy.sparse matrix from one sparse LU.
-
-    SuperLU factors Pr @ M @ Pc = L @ U with a unit-diagonal L, so the log
-    is the sum of the logs of U's diagonal plus i*pi for each odd
-    permutation among Pr and Pc.  The imaginary part is a phase, not
-    reduced mod 2*pi.  A singular M raises RuntimeError.
-    """
-    from scipy.sparse.linalg import splu
-
-    if m.shape[0] == 0:
-        return 0.0 + 0.0j
-    lu = splu(m.tocsc())
-    odd = _parity(lu.perm_r) + _parity(lu.perm_c)
-    return complex(np.log(lu.U.diagonal()).sum() + 1j * np.pi * odd)
-
-
 def pair_conjugates(values: np.ndarray) -> np.ndarray:
     """Enforce exact conjugate pairing on an even-sized spectrum.
 
     Spectra of complexified quaternionic matrices come in conjugate pairs up
-    to rounding.  Values are matched against the conjugate multiset at
-    minimal cost and each matched pair (a, b) is replaced by the averaged
-    pair (c, conj(c)) with c = (a + conj(b)) / 2.  A value matched with
-    itself is forced real.
+    to rounding.  Each value a gets a partner b near conj(a), and each pair
+    (a, b) is replaced by the averaged pair (c, conj(c)) with
+    c = (a + conj(b)) / 2.  A value paired with itself is forced real.
+
+    Partners come from sorting: the values are folded to re + |im|*i and
+    clustered by single linkage at PAIR_TOL * max(1, max|value|).  A real
+    value pairs with itself.  The other members of a cluster are ordered by
+    im descending, ties by re ascending above the real axis and descending
+    below it (so an exactly paired cluster is its own mirror image), and the
+    k-th of s pairs with the (s - 1 - k)-th; the middle one of an odd count
+    pairs with itself.  A cluster whose pairs leave a defect |a - conj(b)|
+    above that tolerance is ambiguous, as when a defective eigenvalue is
+    split by about eps^(1/k) around lambda and independently around
+    conj(lambda): the union of the ambiguous clusters is matched against
+    its conjugates at minimal cost instead.
     """
-    vals = np.asarray(values, dtype=complex)
+    vals = np.asarray(values, dtype=complex).ravel()
     if vals.size % 2 != 0:
         raise ValueError("conjugate pairing needs an even number of values")
     if vals.size == 0:
         return vals.copy()
-    cost = np.abs(vals[:, None] - np.conj(vals)[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    out = vals.copy()
-    done = np.zeros(vals.size, dtype=bool)
-    for a, b in zip(rows, cols):
-        if done[a]:
-            continue
-        if a == b:
-            out[a] = out[a].real
-            done[a] = True
-            continue
-        avg = (vals[a] + np.conj(vals[b])) / 2.0
-        out[a] = avg
-        out[b] = np.conj(avg)
-        done[a] = done[b] = True
+    tol = PAIR_TOL * max(1.0, float(np.abs(vals).max()))
+    labels = _cluster_labels(vals.real + 1j * np.abs(vals.imag), tol)
+    partner = np.arange(vals.size)
+    nonreal = np.nonzero(vals.imag != 0)[0]
+    if nonreal.size:
+        sub = vals[nonreal]
+        group = np.unique(labels[nonreal], return_inverse=True)[1]
+        sizes = np.bincount(group)
+        first = np.cumsum(sizes) - sizes
+        order = np.lexsort((np.where(sub.imag > 0, sub.real, -sub.real),
+                            -sub.imag, group))
+        g = group[order]
+        mirrored = order[2 * first[g] + sizes[g] - 1 - np.arange(order.size)]
+        partner[nonreal[order]] = nonreal[mirrored]
+    mirror = np.conj(vals[partner])
+    out = (vals + mirror) / 2.0
+    ambiguous = np.isin(labels, labels[~(np.abs(vals - mirror) <= tol)])
+    if ambiguous.any():
+        from scipy.optimize import linear_sum_assignment
+
+        idx = np.nonzero(ambiguous)[0]
+        sub = vals[idx]
+        rows, cols = linear_sum_assignment(
+            np.abs(sub[:, None] - np.conj(sub)[None, :]))
+        done = np.zeros(vals.size, dtype=bool)
+        for a, b in zip(idx[rows], idx[cols]):
+            if done[a]:
+                continue
+            if a == b:
+                out[a] = vals[a].real
+            else:
+                out[a] = (vals[a] + np.conj(vals[b])) / 2.0
+                out[b] = np.conj(out[a])
+            done[a] = done[b] = True
     return np.sort_complex(out)
 
 
@@ -158,6 +158,8 @@ def _matching(a: np.ndarray,
               b: np.ndarray) -> tuple[float, tuple[complex, complex] | None]:
     """Minimal-cost perfect matching of two equal-size multisets: the largest
     matched distance and the pair attaining it (None when both are empty)."""
+    from scipy.optimize import linear_sum_assignment
+
     if a.size == 0:
         return 0.0, None
     cost = np.abs(a[:, None] - b[None, :])
@@ -191,14 +193,16 @@ def _cluster_labels(values: np.ndarray, tol: float) -> np.ndarray:
     """Single-linkage cluster labels of complex values at distance tol.
 
     Two values share a cluster when a chain of values joins them with every
-    step at most tol.  Returns labels 0..k-1 in input order.
+    step at most tol.  Returns one label per input value; labels run 0..k-1
+    in the (re, im) order of each cluster's least member.  Exact duplicates
+    are collapsed before linking, so a value repeated many times costs no
+    more than one copy.
     """
-    z = np.asarray(values, dtype=complex).ravel()
-    order = np.lexsort((z.imag, z.real))
-    z = z[order]
+    z, inverse = np.unique(np.asarray(values, dtype=complex).ravel(),
+                           return_inverse=True, equal_nan=False)
     count = z.size
-    # Only values within tol in real part can be linked: z[i] with z[i + step]
-    # for i + step < reach[i].
+    # z is sorted by (re, im), so only values within tol in real part can be
+    # linked: z[i] with z[i + step] for i + step < reach[i].
     reach = np.searchsorted(z.real, z.real + tol, side="right")
     a, b = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
     for step in range(1, int((reach - np.arange(count)).max(initial=1))):
@@ -219,9 +223,7 @@ def _cluster_labels(values: np.ndarray, tol: float) -> np.ndarray:
         if np.array_equal(new, label):
             break
         label = new
-    out = np.empty(count, dtype=np.intp)
-    out[order] = np.unique(label, return_inverse=True)[1]
-    return out
+    return np.unique(label, return_inverse=True)[1][inverse.ravel()]
 
 
 def _eigen_candidates(x: np.ndarray, y: np.ndarray, tol: float) -> np.ndarray:
@@ -330,6 +332,8 @@ def simultaneous_triangularize(
     comm_norm = float(np.abs(comm).max()) if comm.size else 0.0
     candidates = []
     if comm_norm <= commute_tol:
+        import scipy.linalg
+
         for theta in _THETA_CANDIDATES:
             _, p = scipy.linalg.schur(a + theta * b, output="complex")
             candidates.append(p)

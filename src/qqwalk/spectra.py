@@ -13,10 +13,12 @@
   - grover: the theorem10 pairs at alpha = 2.
 
 Every formula route report carries a characteristic-polynomial certificate
-of its 4m values against psi(U): at eight sample points t on two rings,
-sum(log(1 - t*lambda)) over the values is compared with log det(I - t*psi(U))
-from one sparse LU each, so no route eigensolves psi(U).  The direct route and
-compare_spectra remain the reference.  Similarity-class representatives of
+of its 4m values against the walk: at eight sample points t on two rings,
+sum(log(1 - t*lambda)) over the values is compared with the paper's vertex
+side (2m - 2n)*log(1 - t^2) + log det(I - t*psi(W^T) + t^2*(psi(D_w) - I)),
+which equals log det(I - t*psi(U)) but is a 2n x 2n determinant, so no route
+builds or eigensolves psi(U) and the check costs O(n^3).  The direct route
+and compare_spectra remain the reference.  Similarity-class representatives of
 the right spectrum are the upper-half-plane members of the computed
 eigenvalues.
 """
@@ -34,7 +36,6 @@ from .linalg import (
     eigenvalues,
     pair_conjugates,
     simultaneous_triangularize,
-    sparse_logdet,
 )
 from .qmatrix import class_reps, dedupe_class_reps
 from .quaternion import Quaternion, canonical_class_rep
@@ -184,48 +185,77 @@ def _trim_tree_values(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
+def _sample_points(graph: Graph, coin: CoinMap) -> np.ndarray:
+    """The certificate's points t = rho*e^(i*theta) / max(||psi(U)||_inf, 1).
+
+    Row e of psi(U) holds the two symplectic parts of q(e) on the
+    d(o(e)) - 1 non-backtracking arcs into o(e) and of q(e) - 1 on the
+    backtracking one, so its absolute sum is
+    (d - 1)*(|s| + |p|) + |s - 1| + |p|, read off the arc arrays in O(m).
+    """
+    s, p = np.abs(coin.s), np.abs(coin.p)
+    degree = np.bincount(graph.origin, minlength=graph.n)[graph.origin]
+    rows = (degree - 1) * (s + p) + np.abs(coin.s - 1.0) + p
+    scale = max(float(rows.max(initial=0.0)), 1.0)
+    return np.multiply.outer(np.array(CERT_RADII) / scale,
+                             np.exp(1j * np.array(CERT_ANGLES))).ravel()
+
+
+def _vertex_logdet(graph: Graph, coin: CoinMap, ts: np.ndarray) -> np.ndarray:
+    """log det(I - t*psi(U)) at each t from the vertex side of the paper's
+    determinant expression, (2m - 2n)*log(1 - t^2)
+    + log det(I_2n - t*psi(W^T) + t^2*(psi(D_w) - I_2n)), one slogdet each.
+    The imaginary part is a phase, not reduced mod 2*pi."""
+    w, dw = build_W_Dw(graph, coin)
+    y, d = w.transpose().psi(), dw.psi()
+    eye = np.eye(y.shape[0])
+    t = ts[:, None, None]
+    sign, logabs = np.linalg.slogdet(eye - t * y + t * t * (d - eye))
+    return ((2 * graph.m - 2 * graph.n) * np.log(1.0 - ts * ts) + logabs
+            + 1j * np.angle(sign))
+
+
 def _certificate(graph: Graph, coin: CoinMap,
                  values: np.ndarray) -> ComparisonRecord:
     """Characteristic-polynomial certificate of values against psi(U).
 
     The eigenvalues of psi(U), with multiplicity, are the multiset whose
-    sum of log(1 - t*lambda) equals log det(I - t*psi(U)) at every t.  With
-    s = max(||psi(U)||_inf, 1), the sample points are t = rho*e^(i*theta)/s
-    for rho in CERT_RADII and theta in CERT_ANGLES.  As |t*lambda| <= rho,
-    I - t*psi(U) is nonsingular and well conditioned, and each factor
-    1 - t*lambda has modulus between 1 - rho and 1 + rho, so one value
-    moved by delta moves the sum by between |t|*delta/(1 + rho) and
-    |t|*delta/(1 - rho): in eigenvalue units, 2/3 to 2 times delta on the
-    inner ring and 1/1.9 to 10 times delta on the outer one.
+    sum of log(1 - t*lambda) equals log det(I - t*psi(U)) at every t; that
+    log-determinant is taken from the 2n-sized vertex side
+    (_vertex_logdet), so psi(U) is never built and the check is O(n^3).
+    With s = max(||psi(U)||_inf, 1), the sample points are
+    t = rho*e^(i*theta)/s for rho in CERT_RADII and theta in CERT_ANGLES.
+    As |t*lambda| <= rho, I - t*psi(U) is nonsingular and well conditioned,
+    and each factor 1 - t*lambda has modulus between 1 - rho and 1 + rho,
+    so one value moved by delta moves the sum by between |t|*delta/(1 + rho)
+    and |t|*delta/(1 - rho): in eigenvalue units, 2/3 to 2 times delta on
+    the inner ring and 1/1.9 to 10 times delta on the outer one.
 
     Both sides are -sum_k t^k * p_k / k with p_k the k-th power sum of the
     eigenvalues, so the check sees low-order moments best: an error that
     first enters p_k, as when all values move together, is damped by about
-    rho^(k-1): 2^-(k-1) on the inner ring, 0.9^(k-1) on the outer one.  Grover on C_60, whose 240 values are 60th roots of unity,
-    with every value scaled by 1 + 1e-6 reads 5e-7 on the outer ring, while
-    on the inner one the exact difference, about 1e-22, is below rounding.
+    rho^(k-1): 2^-(k-1) on the inner ring, 0.9^(k-1) on the outer one.
+    Grover on C_60, whose 240 values are 60th roots of unity, with every
+    value scaled by 1 + 1e-6 reads 5e-7 on the outer ring, while on the
+    inner one the exact difference, about 1e-22, is below rounding.
 
     The residual is the largest difference over the sample points, phase
     taken mod 2*pi, divided by |t|: it is in eigenvalue units and the
-    verdict compares it with CROSS_TOL.  A non-finite residual fails.
+    verdict compares it with CROSS_TOL.  A non-finite residual fails, and
+    an empty spectrum (no arcs) has residual 0.
     """
-    import scipy.sparse
-
-    psi_u = build_U(graph, coin).psi()
-    dim = psi_u.shape[0]
+    dim = 2 * graph.num_arcs
     if values.size != dim:
         return ComparisonRecord(
             against="certificate", max_dist=float("inf"), verdict=False,
             cardinality_match=False,
             note=f"cardinality mismatch: {values.size} vs {dim}")
-    scale = max(np.abs(psi_u).sum(axis=1).max(initial=0.0), 1.0)
-    ts = np.multiply.outer(np.array(CERT_RADII) / scale,
-                           np.exp(1j * np.array(CERT_ANGLES))).ravel()
-    sparse_u = scipy.sparse.csc_matrix(psi_u)
-    eye = scipy.sparse.identity(dim, dtype=complex, format="csc")
-    diffs = np.array([
-        np.log(1.0 - t * values).sum() - sparse_logdet(eye - t * sparse_u)
-        for t in ts])
+    if dim == 0:
+        return ComparisonRecord(against="certificate", max_dist=0.0,
+                                verdict=True)
+    ts = _sample_points(graph, coin)
+    diffs = (np.log(1.0 - np.multiply.outer(ts, values)).sum(axis=1)
+             - _vertex_logdet(graph, coin, ts))
     phase = (diffs.imag + np.pi) % (2.0 * np.pi) - np.pi
     residual = float(np.max(np.hypot(diffs.real, phase) / np.abs(ts)))
     return ComparisonRecord(against="certificate", max_dist=residual,

@@ -1,6 +1,10 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -259,3 +263,42 @@ class TestSelftest:
         code, out, _ = run(capsys, "selftest", "--seed", "12345")
         assert code == 0
         assert out.strip().endswith("all checks passed")
+
+
+class TestImportCost:
+    # Every command below runs on numpy alone: scipy is imported only by
+    # multiset matching (selftest, compare_spectra), ambiguous conjugate
+    # pairs and the commuting Schur path, and importing it costs more than
+    # all the rest of a short CLI process.
+    SCRIPT = """
+import json
+import sys
+from qqwalk.cli import main
+for arg in sys.argv[1:]:
+    code = main(json.loads(arg))
+    loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')
+    if code != 0 or loaded:
+        print(f'{arg}: exit {code}, scipy modules {loaded[:3]}')
+        sys.exit(1)
+"""
+
+    def test_common_commands_do_not_import_scipy(self, tmp_path):
+        fixtures = Path(cli.__file__).parent / "fixtures"
+        k3, k13 = str(fixtures / "k3.g"), str(fixtures / "k13.g")
+        grover_w, ex5 = str(fixtures / "k3_grover.w"), str(fixtures / "ex5.w")
+        commands = [
+            ["spectrum", "--graph", k3, "--grover"],
+            ["spectrum", "--graph", k13, "--coin", ex5, "--method", "theorem8"],
+            ["grover", "--graph", k13],
+            ["unitarity", "--graph", k3, "--alpha=2"],
+            ["zeta-ihara", "--graph", k3],
+            ["zeta-weighted", "--graph", k3, "--coin", grover_w],
+            ["zeta-quat", "--graph", k13, "--coin", ex5],
+        ]
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, *map(json.dumps, commands)],
+            capture_output=True, text=True, env=env, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stdout + proc.stderr[-2000:]

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from qqwalk import linalg
 from qqwalk.linalg import (
@@ -15,7 +17,6 @@ from qqwalk.linalg import (
     multisets_match,
     pair_conjugates,
     simultaneous_triangularize,
-    sparse_logdet,
 )
 
 
@@ -61,38 +62,6 @@ class TestEigenvalues:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             eigenvalues(np.zeros((2, 3)))
-
-
-class TestSparseLogdet:
-    def test_parity(self):
-        assert linalg._parity(np.array([0, 1, 2])) == 0
-        assert linalg._parity(np.array([1, 0, 2])) == 1
-        assert linalg._parity(np.array([1, 2, 0])) == 0
-        assert linalg._parity(np.array([3, 2, 1, 0])) == 0
-        assert linalg._parity(np.array([1, 2, 3, 0])) == 1
-
-    def test_matches_slogdet_when_pivoting_permutes_rows(self):
-        from scipy.sparse import csc_matrix
-        from scipy.sparse.linalg import splu
-
-        rng = np.random.default_rng(1)
-        m = rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30))
-        np.fill_diagonal(m, 0.0)
-        lu = splu(csc_matrix(m))
-        # An odd row permutation: without its sign the phase is off by pi.
-        assert linalg._parity(lu.perm_r) + linalg._parity(lu.perm_c) == 1
-        sign, logabs = np.linalg.slogdet(m)
-        got = sparse_logdet(csc_matrix(m))
-        assert got.real == pytest.approx(logabs, abs=1e-10)
-        dphase = (got.imag - np.angle(sign) + np.pi) % (2 * np.pi) - np.pi
-        assert abs(dphase) <= 1e-10
-
-    def test_empty_and_singular(self):
-        from scipy.sparse import csc_matrix
-
-        assert sparse_logdet(csc_matrix((0, 0), dtype=complex)) == 0.0
-        with pytest.raises(RuntimeError):
-            sparse_logdet(csc_matrix(np.zeros((3, 3), dtype=complex)))
 
 
 class TestDeterminant:
@@ -145,6 +114,88 @@ class TestConjugatePairing:
             pair_conjugates(np.array([1j, 2j, 3j]))
 
 
+def _assignment_pairing(values):
+    """Reference pairing: one minimal-cost assignment of all the values to
+    their conjugates, each matched pair (a, b) averaged to (c, conj(c))."""
+    vals = np.asarray(values, dtype=complex)
+    rows, cols = linear_sum_assignment(
+        np.abs(vals[:, None] - np.conj(vals)[None, :]))
+    out = vals.copy()
+    done = np.zeros(vals.size, dtype=bool)
+    for a, b in zip(rows, cols):
+        if done[a]:
+            continue
+        if a == b:
+            out[a] = vals[a].real
+        else:
+            out[a] = (vals[a] + np.conj(vals[b])) / 2.0
+            out[b] = np.conj(out[a])
+        done[a] = done[b] = True
+    return np.sort_complex(out)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("linear_sum_assignment called")
+
+
+def _conjugate_closed(rng):
+    """A shuffled conjugate-closed multiset: complex pairs with planted
+    exact duplicates, near-real pairs (|im| <= 1e-14), real values of odd
+    multiplicity, +-1 padding, and rounding noise on half of the values."""
+    upper = rng.uniform(-2, 2, 6) + 1j * rng.uniform(0.05, 2, 6)
+    upper = np.concatenate([upper, np.repeat(upper[:2], rng.integers(1, 4, 2))])
+    near_real = rng.uniform(-2, 2, 3) + 1j * rng.uniform(-1e-14, 1e-14, 3)
+    half = np.concatenate([upper, near_real])
+    real = np.repeat(rng.uniform(-2, 2, 2), [3, 1])
+    pad = np.repeat([1.0, -1.0], 2 * int(rng.integers(1, 6)))
+    vals = np.concatenate([half, np.conj(half), real, pad]).astype(complex)
+    noisy = rng.random(vals.size) < 0.5
+    vals[noisy] *= 1 + 1e-15 * (rng.standard_normal(noisy.sum())
+                                + 1j * rng.standard_normal(noisy.sum()))
+    return rng.permutation(vals)
+
+
+class TestSortBasedPairing:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_matches_the_assignment_without_running_it(self, seed):
+        vals = _conjugate_closed(np.random.default_rng(seed))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scipy.optimize, "linear_sum_assignment", _refuse)
+            got = pair_conjugates(vals)
+            again = pair_conjugates(got)
+        assert np.array_equal(again, got)
+        assert multiset_distance(got, np.conj(got)) == 0.0
+        assert multiset_distance(got, _assignment_pairing(vals)) <= 1e-12
+
+    def test_defective_split_falls_back_to_the_assignment(self):
+        # A triple eigenvalue split by 1e-6 around lambda and, rotated,
+        # around conj(lambda): no sorted neighbour is within the pairing
+        # tolerance, so only those six values are matched by assignment.
+        lam = 0.3 + 0.7j
+        roots = np.exp(2j * np.pi * np.arange(3) / 3)
+        split = np.concatenate([lam + 1e-6 * roots,
+                                np.conj(lam) + 1e-6 * roots * np.exp(0.4j)])
+        vals = np.concatenate([split, [2 + 1j, 2 - 1j, 0.5, 0.5, 1, 1]])
+        sizes = []
+
+        def counting(cost):
+            sizes.append(cost.shape)
+            return linear_sum_assignment(cost)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scipy.optimize, "linear_sum_assignment", counting)
+            got = pair_conjugates(vals)
+        assert sizes == [(6, 6)]
+        assert multiset_distance(got, np.conj(got)) == 0.0
+        assert multiset_distance(got, _assignment_pairing(vals)) <= 1e-12
+        assert np.array_equal(pair_conjugates(got), got)
+
+    def test_non_finite_values_reach_the_assignment(self):
+        with pytest.raises(ValueError):
+            pair_conjugates(np.array([np.nan, 1.0, 1j, -1j]))
+
+
 class TestMultisetComparison:
     def test_identical(self):
         a = np.array([1, 2, 3 + 1j])
@@ -171,6 +222,44 @@ class TestClusterLabels:
         assert labels[0] == labels[3]
         assert len({labels[0], labels[1], labels[2]}) == 3
         assert sorted(set(labels)) == [0, 1, 2]
+
+
+def _single_linkage_reference(z, tol):
+    """Components of the graph linking every pair within tol, by search."""
+    near = np.abs(z[:, None] - z[None, :]) <= tol
+    label = np.full(z.size, -1)
+    for start in range(z.size):
+        if label[start] < 0:
+            label[start] = start
+            stack = [start]
+            while stack:
+                i = stack.pop()
+                for j in np.nonzero(near[i] & (label < 0))[0]:
+                    label[j] = start
+                    stack.append(j)
+    return label
+
+
+class TestClusterLabelsAgainstReference:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_exact_duplicates_and_near_values(self, seed):
+        rng = np.random.default_rng(seed)
+        tol = 1e-8
+        base = (rng.uniform(0, 20 * tol, 10)
+                + 1j * rng.choice([0.0, 1.0], 10) * rng.uniform(0, 4 * tol, 10))
+        z = rng.permutation(np.repeat(base, rng.integers(1, 5, 10)))
+        got = _cluster_labels(z, tol)
+        ref = _single_linkage_reference(z, tol)
+        assert np.array_equal(got[:, None] == got[None, :],
+                              ref[:, None] == ref[None, :])
+        # Labels count up in the (re, im) order of each cluster's least
+        # member.
+        firsts = []
+        for i in np.lexsort((z.imag, z.real)):
+            if got[i] not in firsts:
+                firsts.append(got[i])
+        assert firsts == list(range(len(firsts)))
 
 
 def _noncommuting_triangular_pair(n, seed, t1_kind):

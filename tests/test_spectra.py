@@ -22,16 +22,19 @@ from qqwalk.linalg import (
 )
 from qqwalk.quaternion import Quaternion
 from qqwalk.spectra import (
+    CERT_RADII,
     CROSS_TOL,
     _certificate,
+    _sample_points,
     _trim_tree_values,
+    _vertex_logdet,
     compare_spectra,
     spectrum_alpha_coin,
     spectrum_direct,
     spectrum_grover,
     spectrum_theorem_general,
 )
-from qqwalk.walks import CoinMap
+from qqwalk.walks import CoinMap, build_U
 
 S2 = np.sqrt(2.0)
 
@@ -361,6 +364,34 @@ class TestCertificate:
         assert _certificate(g, coin, vals).verdict
         rec = _certificate(g, coin, factor * vals)
         assert not rec.verdict and rec.cardinality_match
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 7), st.floats(0.0, 0.6), st.integers(0, 2**32 - 1))
+    def test_vertex_side_is_the_arc_side_log_det(self, n, extra, seed):
+        # The 4m anchor: at every sample point the 2n-sized vertex side
+        # equals log det(I - t*psi(U)) of the walk matrix itself, for random
+        # per-arc quaternion coins, trees included.
+        rng = np.random.default_rng(seed)
+        g = random_connected_graph(rng, n, extra)
+        coin = CoinMap.from_arc_values(g, {
+            e: Quaternion(*rng.uniform(-1, 1, 4)) for e in range(g.num_arcs)})
+        psi_u = build_U(g, coin).psi()
+        ts = _sample_points(g, coin)
+        # The O(m) scale is ||psi(U)||_inf (at least 1).
+        norm = max(np.abs(psi_u).sum(axis=1).max(initial=0.0), 1.0)
+        assert np.abs(ts).max() * norm == pytest.approx(max(CERT_RADII),
+                                                        rel=1e-12)
+        got = _vertex_logdet(g, coin, ts)
+        for t, value in zip(ts, got):
+            sign, logabs = np.linalg.slogdet(np.eye(psi_u.shape[0]) - t * psi_u)
+            assert value.real == pytest.approx(logabs, abs=1e-10)
+            dphase = (value.imag - np.angle(sign) + np.pi) % (2 * np.pi) - np.pi
+            assert abs(dphase) <= 1e-10
+
+    def test_empty_spectrum_reads_exactly_zero(self):
+        g = Graph(1, [])
+        rec = _certificate(g, CoinMap.grover(g), np.zeros(0, dtype=complex))
+        assert rec.verdict and rec.max_dist == 0.0
 
     def test_non_finite_value_fails(self):
         g, coin, vals = self.petersen_alpha()
