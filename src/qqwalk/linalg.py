@@ -5,12 +5,14 @@ Matrices are plain complex numpy arrays.  The eigensolver and Schur
 decomposition are delegated to LAPACK (through numpy, and scipy's schur on
 the commuting triangularization path); this module adds the contracts the
 rest of the package relies on: conjugate-pair cleanup for spectra of
-complexified quaternionic matrices, minimal-cost multiset comparison of
-eigenvalue lists, single-linkage clustering of eigenvalues, and the
-simultaneous triangularization used by the spectral formulas.  scipy is
-imported only where it is called: schur on the commuting path and
-linear_sum_assignment for multiset matching and the ambiguous clusters of
-conjugate pairing, so importing the package loads numpy alone.
+complexified quaternionic matrices, multiset comparison of eigenvalue
+lists, single-linkage clustering of eigenvalues, and the simultaneous
+triangularization used by the spectral formulas.  Pairing and comparison
+pair values by sorting within clusters and fall back to a minimal-cost
+assignment only for the clusters sorting cannot pair.  scipy is imported
+only where it is called: schur on the commuting path and
+linear_sum_assignment for those clusters, so importing the package loads
+numpy alone.
 
 Simultaneous triangularization takes the Schur basis of a + theta*b for a
 commuting pair.  A non-commuting pair is first tested for a nilpotent
@@ -67,16 +69,21 @@ class EigenResult:
     converged: bool = True
 
 
-def _require_square(m: np.ndarray) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
+def _require_square(m: np.ndarray, dtype=complex) -> np.ndarray:
+    m = np.asarray(m, dtype=dtype)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m
 
 
 def eigenvalues(m: np.ndarray) -> EigenResult:
-    """All eigenvalues of a square complex matrix, counted with multiplicity."""
-    m = _require_square(m)
+    """All eigenvalues of a square matrix, counted with multiplicity.
+
+    A real matrix stays real and goes to LAPACK's real solver, about three
+    times cheaper than the complex one; its non-real eigenvalues come in
+    exact conjugate pairs.
+    """
+    m = _require_square(m, dtype=None)
     try:
         vals = np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:
@@ -154,23 +161,49 @@ def pair_conjugates(values: np.ndarray) -> np.ndarray:
     return np.sort_complex(out)
 
 
-def _matching(a: np.ndarray,
-              b: np.ndarray) -> tuple[float, tuple[complex, complex] | None]:
-    """Minimal-cost perfect matching of two equal-size multisets: the largest
-    matched distance and the pair attaining it (None when both are empty)."""
-    from scipy.optimize import linear_sum_assignment
+def _matching(a: np.ndarray, b: np.ndarray, tol: float = 0.0
+              ) -> tuple[float, tuple[complex, complex] | None]:
+    """Perfect matching of two equal-size multisets: the largest matched
+    distance and the pair attaining it (None when both are empty).
 
+    Pairs come from sorting, as in pair_conjugates: the union of a and b is
+    clustered by single linkage at tol, and inside a cluster holding as many
+    members of a as of b they pair in (re, im) order.  Clusters whose
+    counts differ, or whose pairs end up farther apart than tol, are
+    matched together at minimal cost (linear_sum_assignment).  So the
+    distance is at most tol when the sorted pairs are, and above tol it is
+    that of the minimal-cost matching of the clusters that need one; at
+    tol = 0 only exactly equal values pair by sorting.
+    """
     if a.size == 0:
         return 0.0, None
-    cost = np.abs(a[:, None] - b[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    i = int(np.argmax(cost[rows, cols]))
-    worst = (complex(a[rows[i]]), complex(b[cols[i]]))
-    return float(cost[rows[i], cols[i]]), worst
+    labels = _cluster_labels(np.concatenate((a, b)), tol)
+    la, lb = labels[:a.size], labels[a.size:]
+    count = labels.max() + 1
+    even = np.bincount(la, minlength=count) == np.bincount(lb, minlength=count)
+    rows = np.nonzero(even[la])[0]
+    cols = np.nonzero(even[lb])[0]
+    rows = rows[np.lexsort((a[rows].imag, a[rows].real, la[rows]))]
+    cols = cols[np.lexsort((b[cols].imag, b[cols].real, lb[cols]))]
+    bad = ~even
+    bad[la[rows[np.abs(a[rows] - b[cols]) > tol]]] = True
+    if bad.any():
+        from scipy.optimize import linear_sum_assignment
+
+        sub_a, sub_b = np.nonzero(bad[la])[0], np.nonzero(bad[lb])[0]
+        r, c = linear_sum_assignment(
+            np.abs(a[sub_a][:, None] - b[sub_b][None, :]))
+        keep = ~bad[la[rows]]
+        rows = np.concatenate((rows[keep], sub_a[r]))
+        cols = np.concatenate((cols[keep], sub_b[c]))
+    dist = np.abs(a[rows] - b[cols])
+    i = int(np.argmax(dist))
+    return float(dist[i]), (complex(a[rows[i]]), complex(b[cols[i]]))
 
 
 def multiset_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Max pair distance of a minimal-cost perfect matching of two multisets.
+    """Max pair distance of a minimal-cost perfect matching of two multisets,
+    after exactly equal values are paired (see _matching at tol = 0).
 
     Returns inf when the cardinalities differ.
     """
@@ -182,7 +215,11 @@ def multiset_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def multisets_match(a: np.ndarray, b: np.ndarray, tol: float = 1e-7) -> bool:
-    return multiset_distance(a, b) <= tol
+    """Whether a perfect matching of a and b pairs every value within tol
+    (see _matching)."""
+    a = np.asarray(a, dtype=complex).ravel()
+    b = np.asarray(b, dtype=complex).ravel()
+    return a.size == b.size and _matching(a, b, tol)[0] <= tol
 
 
 def _strict_lower_max(m: np.ndarray) -> float:
@@ -330,13 +367,13 @@ def simultaneous_triangularize(
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     comm = a @ b - b @ a
     comm_norm = float(np.abs(comm).max()) if comm.size else 0.0
-    candidates = []
     if comm_norm <= commute_tol:
         import scipy.linalg
 
-        for theta in _THETA_CANDIDATES:
-            _, p = scipy.linalg.schur(a + theta * b, output="complex")
-            candidates.append(p)
+        # A generator: the second Schur basis is computed only when the
+        # first fails the triangularity check.
+        candidates = (scipy.linalg.schur(a + theta * b, output="complex")[1]
+                      for theta in _THETA_CANDIDATES)
     else:
         # A jointly triangular pair has a strictly triangular, so nilpotent,
         # commutator: tr(C^2) = 0 up to residual_tol * ||C||_F^2 and the
@@ -349,7 +386,7 @@ def simultaneous_triangularize(
             raise NotSimultaneouslyTriangularizableError(
                 "not simultaneously triangularizable: the commutator C is "
                 f"not nilpotent, |tr(C^2)|/||C||_F^2 = {ratio:.3e}")
-        candidates.append(_deflation_triangularize(a, b))
+        candidates = [_deflation_triangularize(a, b)]
     last_residual = np.inf
     for p in candidates:
         ta = p.conj().T @ a @ p

@@ -13,6 +13,14 @@ which is an injective real-algebra homomorphism on square matrices.  Right
 eigenvalues of M are read off the ordinary spectrum of psi(M); they come in
 conjugate pairs and the upper-half-plane members label the similarity
 classes of the right spectrum.
+
+When every entry of M lies in one copy R + R*u of C (u a unit pure
+quaternion), conjugating each entry by a unit h with h^-1*u*h = i turns M
+into a complex matrix S' = Re S + i*(v . u), v the imaginary parts, and
+psi(M) is unitarily similar to diag(S', conj(S')).  psi_block returns that
+half-sized S' (or S itself, as a real array, for a real M) and psi(M) for
+every other M; psi_spectrum closes a block's eigenvalues under conjugation
+into the spectrum of psi(M).
 """
 
 from __future__ import annotations
@@ -24,10 +32,17 @@ import numpy as np
 from .linalg import EigenResult, _cluster_labels, eigenvalues, pair_conjugates
 from .quaternion import Quaternion
 
+# psi_block drops the parts of the entries off the shared axis when none is
+# above AXIS_TOL * eps * max|entry|: below the eigensolver's own backward
+# error, which is a small multiple of eps * ||psi(M)||.
+AXIS_TOL = 16.0
+
 __all__ = [
     "QuatMatrix",
     "class_reps",
+    "psi_block",
     "psi_homomorphism_check",
+    "psi_spectrum",
     "right_eigenvalues",
     "right_spectrum_class_reps",
 ]
@@ -181,15 +196,51 @@ def psi_homomorphism_check(m: QuatMatrix, n: QuatMatrix,
     return float(np.abs(lhs - rhs).max(initial=0.0)) <= tol
 
 
+def psi_block(m: QuatMatrix) -> np.ndarray:
+    """A complex matrix whose spectrum, closed under conjugation, is the
+    spectrum of psi(M).
+
+    With v = (Im S, Re P, -Im P) the imaginary parts of the entries and u
+    the axis of the entry with the largest |v|: a real M gives S as a real
+    array; an M whose every entry has a part off u of at most
+    AXIS_TOL * eps * max|entry| gives S' = Re S + i*(v . u); any other M
+    gives psi(M).  The first two are n x n, psi(M) is 2n x 2n.
+    """
+    v = np.stack((m.s.imag, m.p.real, -m.p.imag))
+    size = np.sqrt(np.sum(v * v, axis=0))
+    if not size.any():
+        return m.s.real
+    u = v.reshape(3, -1)[:, np.argmax(size)]
+    u = u / np.linalg.norm(u)
+    along = np.tensordot(u, v, axes=1)
+    off = np.sqrt(np.sum((v - u[:, None, None] * along) ** 2, axis=0))
+    entry = np.sqrt(m.s.real ** 2 + size ** 2)
+    if off.max() > AXIS_TOL * np.finfo(float).eps * entry.max():
+        return m.psi()
+    return m.s.real + 1j * along
+
+
+def psi_spectrum(values: np.ndarray, rows: int) -> np.ndarray:
+    """The spectrum of psi(M), for M with the given number of rows, from
+    the eigenvalues of psi_block(M): n values are joined by their
+    conjugates, 2n values are already that spectrum."""
+    values = np.asarray(values)
+    if values.size == 2 * rows:
+        return values
+    return np.concatenate((values, np.conj(values)))
+
+
 def right_eigenvalues(m: QuatMatrix) -> EigenResult:
     """The 2n complex right eigenvalues of a square quaternionic matrix.
 
-    Obtained as the spectrum of psi(M), with conjugate pairing enforced.
+    Obtained as the spectrum of psi(M), from the eigenvalues of
+    psi_block(M), with conjugate pairing enforced.
     """
     if m.rows != m.cols:
         raise ValueError("right eigenvalues are defined for square matrices")
-    result = eigenvalues(m.psi())
-    result.eigenvalues = pair_conjugates(result.eigenvalues)
+    result = eigenvalues(psi_block(m))
+    result.eigenvalues = pair_conjugates(
+        psi_spectrum(result.eigenvalues, m.rows))
     return result
 
 

@@ -1,6 +1,10 @@
 """Spectrum of the quaternionic walk by four routes, with cross-validation.
 
-* direct: eigensolve of the complexified 4m x 4m transition matrix;
+* direct: eigensolve of qmatrix.psi_block(U): the complexified 4m x 4m
+  transition matrix psi(U), or its 2m x 2m block S' when every entry of U
+  lies in one copy R + R*u of C (the Grover coin, every alpha/d coin,
+  every complex coin), whose eigenvalues and their conjugates are those
+  of psi(U);
 * formula routes: each is a source of aligned pairs (mu, xi), and one
   finisher takes the two roots of lambda^2 - mu*lambda + xi - 1 per pair,
   pads with +-1 for non-trees and trims {1, 1, -1, -1} for trees:
@@ -37,7 +41,7 @@ from .linalg import (
     pair_conjugates,
     simultaneous_triangularize,
 )
-from .qmatrix import class_reps, dedupe_class_reps
+from .qmatrix import class_reps, dedupe_class_reps, psi_block, psi_spectrum
 from .quaternion import Quaternion, canonical_class_rep
 from .walks import CoinMap, build_U, build_W_Dw
 
@@ -119,7 +123,9 @@ class SpectrumReport:
 def compare_spectra(a: SpectrumReport | np.ndarray,
                     b: SpectrumReport | np.ndarray,
                     tol: float = 1e-7) -> ComparisonRecord:
-    """Minimal-cost multiset comparison of two spectra."""
+    """Multiset comparison of two spectra by a perfect matching: pairs by
+    sorting within clusters at tol, minimal-cost assignment only where
+    those fail (linalg._matching)."""
     va = a.psi_spectrum if isinstance(a, SpectrumReport) else np.asarray(a)
     vb = b.psi_spectrum if isinstance(b, SpectrumReport) else np.asarray(b)
     against = b.method if isinstance(b, SpectrumReport) else "other"
@@ -128,7 +134,7 @@ def compare_spectra(a: SpectrumReport | np.ndarray,
             against=against, max_dist=float("inf"), verdict=False,
             cardinality_match=False,
             note=f"cardinality mismatch: {va.size} vs {vb.size}")
-    dist, worst = _matching(va, vb)
+    dist, worst = _matching(va, vb, tol)
     return ComparisonRecord(against=against, max_dist=dist,
                             verdict=dist <= tol,
                             worst_pair=worst if dist > 0.0 else None)
@@ -137,9 +143,11 @@ def compare_spectra(a: SpectrumReport | np.ndarray,
 # -- routes -----------------------------------------------------------
 
 def spectrum_direct(graph: Graph, coin: CoinMap) -> SpectrumReport:
-    """Eigensolve of the complexified transition matrix."""
+    """Eigensolve of psi(U), or of its 2m x 2m block when U's entries
+    share one imaginary axis (qmatrix.psi_block)."""
     u = build_U(graph, coin)
-    vals = pair_conjugates(eigenvalues(u.psi()).eigenvalues)
+    vals = eigenvalues(psi_block(u)).eigenvalues
+    vals = pair_conjugates(psi_spectrum(vals, u.rows))
     return SpectrumReport(method="direct", psi_spectrum=vals,
                           class_reps=class_reps(vals))
 

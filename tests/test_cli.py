@@ -266,10 +266,10 @@ class TestSelftest:
 
 
 class TestImportCost:
-    # Every command below runs on numpy alone: scipy is imported only by
-    # multiset matching (selftest, compare_spectra), ambiguous conjugate
-    # pairs and the commuting Schur path, and importing it costs more than
-    # all the rest of a short CLI process.
+    # Every command below runs on numpy alone: scipy is imported only for
+    # the clusters that multiset matching and conjugate pairing cannot pair
+    # by sorting and for the commuting Schur path, and importing it costs
+    # more than all the rest of a short CLI process.
     SCRIPT = """
 import json
 import sys
@@ -294,6 +294,7 @@ for arg in sys.argv[1:]:
             ["zeta-ihara", "--graph", k3],
             ["zeta-weighted", "--graph", k3, "--coin", grover_w],
             ["zeta-quat", "--graph", k13, "--coin", ex5],
+            ["selftest"],
         ]
         src = str(Path(cli.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(

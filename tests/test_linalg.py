@@ -11,6 +11,7 @@ from qqwalk import linalg
 from qqwalk.linalg import (
     NotSimultaneouslyTriangularizableError,
     _cluster_labels,
+    _matching,
     determinant,
     eigenvalues,
     multiset_distance,
@@ -62,6 +63,21 @@ class TestEigenvalues:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             eigenvalues(np.zeros((2, 3)))
+
+    def test_real_input_takes_the_real_solver(self, monkeypatch):
+        dtypes = []
+        eigvals = np.linalg.eigvals
+
+        def recording(m):
+            dtypes.append(m.dtype)
+            return eigvals(m)
+        monkeypatch.setattr(np.linalg, "eigvals", recording)
+        m = np.random.default_rng(44).uniform(-1, 1, (6, 6))
+        vals = eigenvalues(m).eigenvalues
+        eigenvalues(m.astype(complex))
+        assert dtypes == [np.dtype(float), np.dtype(complex)]
+        assert vals.dtype == complex
+        assert multiset_distance(vals, np.conj(vals)) == 0.0
 
 
 class TestDeterminant:
@@ -213,6 +229,78 @@ class TestMultisetComparison:
 
     def test_cardinality_mismatch(self):
         assert multiset_distance(np.array([1.0]), np.array([1.0, 2.0])) == np.inf
+        assert not multisets_match(np.array([1.0]), np.array([1.0, 2.0]))
+
+
+def _full_matching(a, b):
+    """Reference: minimal-cost assignment over all values, its largest
+    distance and the pair attaining it."""
+    cost = np.abs(a[:, None] - b[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    i = int(np.argmax(cost[rows, cols]))
+    return float(cost[rows[i], cols[i]]), (complex(a[rows[i]]),
+                                           complex(b[cols[i]]))
+
+
+def _spectrum_pair(rng, moved):
+    """A spectrum-like multiset (repeats, conjugate pairs, +-1 padding) and
+    a shuffled copy with rounding noise and `moved` values moved by 1e-4
+    to 1e-1."""
+    half = rng.uniform(-2, 2, 8) + 1j * rng.uniform(0, 2, 8)
+    a = np.concatenate([half, np.conj(half), np.repeat(half[:2], 2),
+                        np.repeat([1.0, -1.0], 3)])
+    b = a * (1 + 1e-13 * rng.standard_normal(a.size))
+    idx = rng.choice(a.size, moved, replace=False)
+    b[idx] += 10.0 ** rng.uniform(-4, -1, moved) * np.exp(
+        2j * np.pi * rng.random(moved))
+    return a, rng.permutation(b)
+
+
+class TestSortBasedMatching:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_near_equal_multisets_match_without_the_assignment(self, seed):
+        a, b = _spectrum_pair(np.random.default_rng(seed), 0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scipy.optimize, "linear_sum_assignment", _refuse)
+            dist, _ = _matching(a, b, 1e-9)
+            assert multiset_distance(a, a[::-1]) == 0.0
+        assert dist <= 1e-9
+        assert dist == pytest.approx(_full_matching(a, b)[0], abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3))
+    def test_a_failed_match_keeps_the_assignment_worst_pair(self, seed,
+                                                            moved):
+        a, b = _spectrum_pair(np.random.default_rng(seed), moved)
+        assert _matching(a, b, 1e-9) == _full_matching(a, b)
+        assert not multisets_match(a, b, tol=1e-9)
+
+    def test_assignment_sees_only_the_clusters_that_need_it(self):
+        # 3 in a against 3 + 1e-3 in b: two singleton clusters, counts
+        # uneven, matched by one 1 x 1 assignment; the rest pair by sorting.
+        a = np.array([1.0, 2.0, 2.0, 3.0, 1j, -1j])
+        b = np.array([-1j, 2.0, 1j, 3.001, 1.0, 2.0 + 1e-12])
+        sizes = []
+
+        def counting(cost):
+            sizes.append(cost.shape)
+            return linear_sum_assignment(cost)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scipy.optimize, "linear_sum_assignment", counting)
+            dist, worst = _matching(a, b, 1e-9)
+        assert sizes == [(1, 1)]
+        assert dist == pytest.approx(1e-3) and worst == (3.0, 3.001)
+
+    def test_a_cluster_that_sorting_pairs_badly_goes_to_the_assignment(self):
+        # One cluster at tol = 0.2 (0 - 0.12 - 0.1+0.15i - 0.1+0.3i chain),
+        # three of a and three of b; (re, im) order pairs 0 with 0.05+0.3i,
+        # 0.30 apart, while the assignment pairs every value within 0.12.
+        a = np.array([0.0, 0.1 + 0.3j, 0.1 + 0.15j])
+        b = np.array([0.05 + 0.3j, 0.12, 0.1 + 0.15j])
+        dist, _ = _matching(a, b, 0.2)
+        assert dist == pytest.approx(0.12)
+        assert multisets_match(a, b, tol=0.2)
 
 
 class TestClusterLabels:
@@ -328,6 +416,19 @@ class TestSimultaneousTriangularization:
         expected_xis = np.array([1 + 1j, 1 + 1j, 1 - 1j, 1 - 1j,
                                  2, 2, 0, 0])
         assert multisets_match(xis, expected_xis, tol=1e-8)
+
+    def test_commuting_pair_takes_one_schur(self, monkeypatch):
+        import scipy.linalg
+        calls = []
+        schur = scipy.linalg.schur
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return schur(*args, **kwargs)
+        monkeypatch.setattr(scipy.linalg, "schur", counting)
+        m = np.random.default_rng(62).uniform(-1, 1, (6, 6))
+        simultaneous_triangularize(m @ m, 2 * m - np.eye(6))
+        assert calls == [(6, 6)]
 
     def test_generic_noncommuting_rejected(self):
         rng = np.random.default_rng(67)

@@ -5,10 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qqwalk.linalg import multiset_distance
 from qqwalk.qmatrix import (
+    AXIS_TOL,
     QuatMatrix,
     dedupe_class_reps,
+    psi_block,
     psi_homomorphism_check,
+    psi_spectrum,
     right_eigenvalues,
     right_spectrum_class_reps,
 )
@@ -22,6 +26,13 @@ def random_qmatrix(rng, rows, cols=None):
     s = rng.uniform(-1, 1, (rows, cols)) + 1j * rng.uniform(-1, 1, (rows, cols))
     p = rng.uniform(-1, 1, (rows, cols)) + 1j * rng.uniform(-1, 1, (rows, cols))
     return QuatMatrix(s, p)
+
+
+def axis_qmatrix(rng, n, axis, scale=1.0):
+    """Entries a + b*u with u = axis/|axis|, a and b of either sign."""
+    u = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+    a, b = scale * rng.uniform(-1, 1, (2, n, n))
+    return QuatMatrix(a + 1j * b * u[0], b * (u[1] - 1j * u[2]))
 
 
 class TestSymplecticParts:
@@ -196,7 +207,6 @@ class TestRightEigenvalues:
                                      [Quaternion.ZERO, I]])
         vals = right_eigenvalues(m).eigenvalues
         expected = np.array([1, 1, 1j, -1j])
-        from qqwalk.linalg import multiset_distance
         assert multiset_distance(vals, expected) <= 1e-9
 
     def test_mixed_basis_matrix(self):
@@ -209,7 +219,6 @@ class TestRightEigenvalues:
             (1 - s3) / 2 + (1 + s3) / 2 * 1j,
             (1 - s3) / 2 - (1 + s3) / 2 * 1j,
         ])
-        from qqwalk.linalg import multiset_distance
         assert multiset_distance(vals, expected) <= 1e-9
 
     def test_class_reps(self):
@@ -220,6 +229,82 @@ class TestRightEigenvalues:
         assert values[0] == pytest.approx(0 + 1j)
         assert values[1] == pytest.approx(1 + 0j)
         assert [mult for _, mult in reps] == [2, 2]
+
+    @pytest.mark.parametrize("kind", ["axis", "real", "complex", "generic"])
+    def test_against_psi_spectrum(self, kind):
+        rng = np.random.default_rng(8)
+        for _ in range(5):
+            if kind == "axis":
+                m = axis_qmatrix(rng, 6, rng.normal(size=3))
+            elif kind == "real":
+                m = QuatMatrix.from_complex(rng.uniform(-1, 1, (6, 6)))
+            elif kind == "complex":
+                m = QuatMatrix.from_complex(random_qmatrix(rng, 6).s)
+            else:
+                m = random_qmatrix(rng, 6)
+            vals = right_eigenvalues(m).eigenvalues
+            assert vals.size == 12
+            assert multiset_distance(vals, np.conj(vals)) == 0.0
+            assert multiset_distance(vals, np.linalg.eigvals(m.psi())) <= 1e-12
+
+
+class TestPsiBlock:
+    @staticmethod
+    def psi_eigs(m):
+        return np.linalg.eigvals(m.psi())
+
+    def test_shared_axis_gives_the_half_sized_block(self):
+        rng = np.random.default_rng(3)
+        for _ in range(10):
+            m = axis_qmatrix(rng, 5, rng.normal(size=3))
+            block = psi_block(m)
+            assert block.shape == (5, 5) and np.iscomplexobj(block)
+            vals = psi_spectrum(np.linalg.eigvals(block), m.rows)
+            assert multiset_distance(vals, self.psi_eigs(m)) <= 1e-12
+
+    def test_block_entries_are_the_entries_turned_onto_i(self):
+        # a + b*u with u = (2j - 2k)/|..| maps to a + b*i, or its conjugate
+        # when the axis is taken as -u.
+        m = QuatMatrix.from_entries([[Quaternion(1, 0, 2, -2), ONE],
+                                     [Quaternion(0, 0, -1, 1), Quaternion(3)]])
+        r = np.sqrt(8.0)
+        expected = np.array([[1 + r * 1j, 1], [-r / 2 * 1j, 3]])
+        block = psi_block(m)
+        assert (np.allclose(block, expected, atol=1e-15)
+                or np.allclose(block, np.conj(expected), atol=1e-15))
+
+    def test_complex_matrix_gives_itself_up_to_conjugation(self):
+        m = random_qmatrix(np.random.default_rng(4), 4)
+        m = QuatMatrix.from_complex(m.s)
+        block = psi_block(m)
+        assert (np.array_equal(block, m.s)
+                or np.array_equal(block, np.conj(m.s)))
+
+    def test_real_matrix_stays_real(self):
+        s = np.random.default_rng(5).uniform(-1, 1, (4, 4))
+        block = psi_block(QuatMatrix.from_complex(s))
+        assert block.dtype == float and np.array_equal(block, s)
+
+    def test_generic_matrix_gives_psi(self):
+        m = random_qmatrix(np.random.default_rng(6), 4)
+        assert np.array_equal(psi_block(m), m.psi())
+
+    def test_empty_matrix(self):
+        block = psi_block(QuatMatrix.zeros(0))
+        assert block.shape == (0, 0)
+        assert psi_spectrum(np.linalg.eigvals(block), 0).size == 0
+
+    @pytest.mark.parametrize("factor, halved", [(0.5, True), (4.0, False)])
+    def test_off_axis_part_is_dropped_only_below_the_bound(self, factor,
+                                                          halved):
+        # One entry moved off the axis by factor * AXIS_TOL * eps * max|entry|.
+        rng = np.random.default_rng(7)
+        m = axis_qmatrix(rng, 4, (0.0, 1.0, 0.0), scale=10.0)
+        big = np.sqrt(np.abs(m.s) ** 2 + np.abs(m.p) ** 2).max()
+        p = m.p.copy()
+        p[1, 2] -= 1j * factor * AXIS_TOL * np.finfo(float).eps * big
+        block = psi_block(QuatMatrix(m.s, p))
+        assert block.shape == ((4, 4) if halved else (8, 8))
 
 
 class TestDedupe:

@@ -14,7 +14,7 @@ from qqwalk.graph import (
     random_connected_graph,
     star_graph,
 )
-from qqwalk import linalg
+from qqwalk import linalg, spectra
 from qqwalk.linalg import (
     NotSimultaneouslyTriangularizableError,
     multiset_distance,
@@ -100,6 +100,81 @@ class TestDirectRoute:
                            for _ in range(g.num_arcs)])
         vals = spectrum_direct(g, coin).psi_spectrum
         assert multiset_distance(vals, np.conj(vals)) == 0.0
+
+
+def axis_coin(g, rng, kind):
+    """Coins whose values, and so the entries of U, share one axis, except
+    "off-axis", which moves one value 1e-6 off the axis of "axis"."""
+    if kind == "grover":
+        return CoinMap.grover(g)
+    if kind == "complex":
+        return CoinMap.from_arc_values(g, {
+            e: Quaternion(*rng.uniform(-1, 1, 2)) for e in range(g.num_arcs)})
+    if kind == "alpha":
+        return CoinMap.from_alpha(g, Quaternion(*rng.uniform(-1, 1, 4)))
+    u = rng.normal(size=3)
+    u /= np.linalg.norm(u)
+    values = [Quaternion(a, *(b * u))
+              for a, b in rng.uniform(-1, 1, (g.num_arcs, 2))]
+    if kind == "off-axis":
+        off = 1e-6 * np.cross(u, rng.normal(size=3))
+        values[0] = values[0] + Quaternion(0, *off)
+    return CoinMap(g, values)
+
+
+class TestDirectBlock:
+    """spectrum_direct eigensolves the 2m x 2m block of psi(U) when the
+    entries of U share one imaginary axis, and psi(U) itself otherwise."""
+
+    @staticmethod
+    def direct_dims(monkeypatch, g, coin):
+        dims = []
+
+        def counting(m):
+            dims.append(np.shape(m)[0])
+            return linalg.eigenvalues(m)
+        monkeypatch.setattr(spectra, "eigenvalues", counting)
+        return spectrum_direct(g, coin).psi_spectrum, dims
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 7), st.floats(0.0, 0.6), st.integers(0, 2**32 - 1),
+           st.sampled_from(["grover", "complex", "alpha", "axis"]))
+    def test_matches_the_psi_spectrum(self, n, extra, seed, kind):
+        rng = np.random.default_rng(seed)
+        g = random_connected_graph(rng, n, extra)
+        coin = axis_coin(g, rng, kind)
+        with pytest.MonkeyPatch.context() as mp:
+            vals, dims = self.direct_dims(mp, g, coin)
+        assert dims == [2 * g.m]
+        reference = np.linalg.eigvals(build_U(g, coin).psi())
+        assert multisets_match(vals, reference, tol=1e-9)
+        assert multiset_distance(vals, np.conj(vals)) == 0.0
+
+    def test_off_axis_coin_takes_the_full_psi(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        g = random_connected_graph(rng, 6, 0.4)
+        coin = axis_coin(g, rng, "off-axis")
+        vals, dims = self.direct_dims(monkeypatch, g, coin)
+        assert dims == [4 * g.m]
+        reference = np.linalg.eigvals(build_U(g, coin).psi())
+        assert multisets_match(vals, reference, tol=1e-9)
+
+    def test_real_coin_takes_the_real_solver(self, monkeypatch):
+        g = petersen_graph()
+        dtypes = []
+        real_eigvals = np.linalg.eigvals
+
+        def recording(m):
+            dtypes.append(m.dtype)
+            return real_eigvals(m)
+        monkeypatch.setattr(np.linalg, "eigvals", recording)
+        spectrum_direct(g, CoinMap.grover(g))
+        assert dtypes == [np.dtype(float)]
+
+    def test_edgeless_graph(self, monkeypatch):
+        g = Graph(1, [])
+        vals, dims = self.direct_dims(monkeypatch, g, CoinMap.grover(g))
+        assert vals.size == 0 and dims == [0]
 
 
 class TestQuadraticRoute:
