@@ -17,10 +17,13 @@ numpy alone.
 Simultaneous triangularization takes the Schur basis of a + theta*b for a
 commuting pair.  A non-commuting pair is first tested for a nilpotent
 commutator C = ab - ba (tr(C^2) = 0), which every jointly triangular pair
-has, and is then deflated one common eigenvector at a time.  A deflation
-step at size s costs two eigendecompositions, one SVD per cluster of
-repeated eigenvalues and O(s^3) scoring, so a pair of size n costs O(n^4)
-when the clusters are few.
+has, and is then deflated: each step splits off every joint eigenvector it
+finds at once, as a block of columns of one QR factor that q^H a q and
+q^H b q must keep triangular.  A step at size s costs two
+eigendecompositions, one SVD per cluster of repeated eigenvalues and
+O(s^3) scoring and factoring, so a pair of size n costs O(n^3) per step: a
+weighted star takes two steps, a generic triangular pair, with one joint
+eigenvector per step, n - 1.
 """
 
 from __future__ import annotations
@@ -46,6 +49,10 @@ __all__ = [
 _THETA_CANDIDATES = (0.6180339887, 0.3141592653589793)
 # Clustering distance of pair_conjugates, relative to max(1, max|value|).
 PAIR_TOL = 1e-9
+# A joint eigenvector joins a deflation step's block only when its component
+# orthogonal to the vectors already taken has at least this norm: the
+# direction of a smaller component is set by rounding, not by the pair.
+_INDEPENDENCE_FLOOR = 0.5
 
 
 class NonConvergenceError(RuntimeError):
@@ -226,41 +233,101 @@ def _strict_lower_max(m: np.ndarray) -> float:
     return float(np.abs(np.tril(m, -1)).max()) if m.shape[0] > 1 else 0.0
 
 
+def _joined_cells(zs: np.ndarray, start: np.ndarray, cells: np.ndarray,
+                  tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs (a, b) of cells, given as column + i*row and sorted, that hold
+    a pair of values within tol; cell c holds zs[start[c]:start[c+1]].
+
+    Such cells are at most two apart on each axis: cell c is compared with
+    the cells after it in its own and the next two columns that lie within
+    two rows of it.  Two cells whose bounding boxes of values are within
+    tol corner to corner are joined, two whose boxes are farther apart than
+    tol are not, and the values of the rest are compared pair by pair.
+    """
+    n = cells.size
+    # Cell c + step is in the next two columns while c + step < reach[c].
+    reach = np.searchsorted(cells.real, cells.real + 2.0, side="right")
+    ci, cj = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    for step in range(1, int((reach - np.arange(n)).max())):
+        i = np.nonzero((np.arange(step, n) < reach[:-step]) & (
+            np.abs(cells[step:].imag - cells[:-step].imag) <= 2.0))[0]
+        ci.append(i)
+        cj.append(i + step)
+    ci, cj = np.concatenate(ci), np.concatenate(cj)
+    if not ci.size:
+        return ci, cj
+
+    def box_distances(part):
+        """Largest and least distance along one axis between the values
+        of cells ci and those of cells cj."""
+        lo = np.minimum.reduceat(part, start)
+        hi = np.maximum.reduceat(part, start)
+        return (np.maximum(hi[cj] - lo[ci], hi[ci] - lo[cj]),
+                np.maximum(np.maximum(lo[cj] - hi[ci], lo[ci] - hi[cj]), 0.0))
+
+    (re_far, re_gap), (im_far, im_gap) = map(box_distances, (zs.real, zs.imag))
+    far, gap = np.hypot(re_far, im_far), np.hypot(re_gap, im_gap)
+    test = np.nonzero((far > tol) & (gap <= tol))[0]
+    ti, tj = ci[test], cj[test]
+    # Pair k of the sizes[ti] * sizes[tj] pairs of cells ti, tj.
+    sizes = np.diff(np.append(start, zs.size))
+    span = sizes[ti] * sizes[tj]
+    pair = np.repeat(np.arange(span.size), span)
+    k = np.arange(pair.size) - (np.cumsum(span) - span)[pair]
+    near = np.abs(zs[start[ti][pair] + k // sizes[tj][pair]]
+                  - zs[start[tj][pair] + k % sizes[tj][pair]]) <= tol
+    joined = np.concatenate((np.nonzero(far <= tol)[0], test[pair[near]]))
+    return ci[joined], cj[joined]
+
+
 def _cluster_labels(values: np.ndarray, tol: float) -> np.ndarray:
     """Single-linkage cluster labels of complex values at distance tol.
 
     Two values share a cluster when a chain of values joins them with every
     step at most tol.  Returns one label per input value; labels run 0..k-1
-    in the (re, im) order of each cluster's least member.  Exact duplicates
-    are collapsed before linking, so a value repeated many times costs no
-    more than one copy.
+    in the (re, im) order of each cluster's least member.
+
+    Exact duplicates are collapsed first.  The other values are binned into
+    square cells of side tol/2, whose members lie within tol/sqrt(2) of each
+    other and so share a cluster, and cells are joined by _joined_cells.  So
+    a cluster of near-equal values inside one cell costs its size, not its
+    size squared.
     """
     z, inverse = np.unique(np.asarray(values, dtype=complex).ravel(),
                            return_inverse=True, equal_nan=False)
-    count = z.size
-    # z is sorted by (re, im), so only values within tol in real part can be
-    # linked: z[i] with z[i + step] for i + step < reach[i].
-    reach = np.searchsorted(z.real, z.real + tol, side="right")
-    a, b = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
-    for step in range(1, int((reach - np.arange(count)).max(initial=1))):
-        i = np.nonzero((np.arange(step, count) < reach[:-step])
-                       & (np.abs(z[step:] - z[:-step]) <= tol))[0]
-        a.append(i)
-        b.append(i + step)
-    a, b = np.concatenate(a), np.concatenate(b)
-    # Connected components: each label falls to the least index of its own
-    # component (min over links, then pointer jumping).
-    label = np.arange(count)
-    while True:
-        new = label.copy()
-        low = np.minimum(label[a], label[b])
-        np.minimum.at(new, a, low)
-        np.minimum.at(new, b, low)
-        new = new[new]
-        if np.array_equal(new, label):
-            break
-        label = new
-    return np.unique(label, return_inverse=True)[1][inverse.ravel()]
+    label = np.arange(z.size)
+    # Beyond modulus 2^49 * tol a value's rounding nears tol and its cell is
+    # no longer exact; such values, and non-finite ones, stay alone.
+    idx = np.nonzero(np.abs(z) < 2.0 ** 49 * tol)[0]
+    if idx.size > 1:
+        h = tol / 2.0
+        key = np.floor(z[idx].real / h) + 1j * np.floor(z[idx].imag / h)
+        order = np.argsort(key, kind="stable")
+        members, key = idx[order], key[order]
+        first = np.concatenate(([True], key[1:] != key[:-1]))
+        start = np.nonzero(first)[0]
+        cells, least, cell = key[start], members[start], np.cumsum(first) - 1
+        a, b = _joined_cells(z[members], start, cells, tol)
+        if a.size:
+            # Connected components of the cells: each falls to the least
+            # cell of its component (min over links, then pointer jumping).
+            root = np.arange(cells.size)
+            while True:
+                new = root.copy()
+                low = np.minimum(root[a], root[b])
+                np.minimum.at(new, a, low)
+                np.minimum.at(new, b, low)
+                new = new[new]
+                if np.array_equal(new, root):
+                    break
+                root = new
+            low = np.full(cells.size, z.size)
+            np.minimum.at(low, root, least)
+            least = low[root]
+        label[members] = least[cell]
+    # Number the clusters by their least values, which are their own labels.
+    rank = np.cumsum(label == np.arange(z.size)) - 1
+    return rank[label][inverse.ravel()]
 
 
 def _eigen_candidates(x: np.ndarray, y: np.ndarray, tol: float) -> np.ndarray:
@@ -288,58 +355,87 @@ def _eigen_candidates(x: np.ndarray, y: np.ndarray, tol: float) -> np.ndarray:
     return v / np.linalg.norm(v, axis=0)
 
 
-def _common_eigenvector(a: np.ndarray, b: np.ndarray,
-                        null_tol: float) -> tuple[np.ndarray, float]:
-    """Best candidate for a joint eigenvector of a and b.
+def _joint_eigenvectors(a: np.ndarray, b: np.ndarray,
+                        tol: float) -> np.ndarray:
+    """Linearly independent joint eigenvectors of a and b, best first.
 
     A joint eigenvector is an eigenvector of each matrix, so both supply
     candidates (_eigen_candidates of (a, b) and of (b, a), clustering at
-    null_tol * scale * s): the well-separated eigenvalues of one matrix
-    give accurate vectors where the other's are defective and split by
-    rounding.  Every candidate is scored by its worst eigen-residual
-    ||M v - (v^H M v) v|| for the two matrices.  Returns (vector, residual).
+    tol): the well-separated eigenvalues of one matrix give accurate
+    vectors where the other's are defective and split by rounding.  Every
+    candidate is scored by its worst eigen-residual ||M v - (v^H M v) v||
+    for the two matrices.  Those within tol, or the best one when none is,
+    are taken in order of residual, each only when its component orthogonal
+    to those already taken has norm at least _INDEPENDENCE_FLOOR.  Returns
+    the taken unit columns in that order.
     """
-    n = a.shape[0]
-    scale = max(float(np.abs(a).max(initial=0.0)),
-                float(np.abs(b).max(initial=0.0)), 1.0)
-    tol = null_tol * scale * n
     v = np.hstack([_eigen_candidates(a, b, tol), _eigen_candidates(b, a, tol)])
     res = np.zeros(v.shape[1])
     for mat in (a, b):
         mv = mat @ v
         ray = np.sum(v.conj() * mv, axis=0)
         res = np.maximum(res, np.linalg.norm(mv - v * ray, axis=0))
-    best = int(np.argmin(res))
-    return v[:, best], float(res[best])
+    order = np.argsort(res)
+    order = order[:max(int(np.sum(res <= tol)), 1)]
+    basis = np.zeros((a.shape[0], 0), dtype=complex)
+    taken = []
+    for j in order:
+        w = v[:, j] - basis @ (basis.conj().T @ v[:, j])
+        norm = float(np.linalg.norm(w))
+        if norm >= _INDEPENDENCE_FLOOR:
+            taken.append(j)
+            basis = np.column_stack([basis, w / norm])
+            if basis.shape[1] == a.shape[0]:
+                break
+    return v[:, taken]
 
 
 def _deflation_triangularize(a: np.ndarray, b: np.ndarray,
+                             residual_tol: float,
                              null_tol: float = 1e-8) -> np.ndarray:
-    """Unitary joint triangularization by common-eigenvector deflation.
+    """Unitary joint triangularization by block deflation of joint
+    eigenvectors.
 
     Works whenever the pair admits a joint triangularization reachable by
-    repeatedly splitting off a common eigenvector; triangularity is
-    verified by the caller.  A step at size s takes one eigendecomposition
-    of each matrix, one SVD per cluster of its eigenvalues that are joined
-    by single linkage at null_tol * scale * s (scale the larger max-abs
-    entry, at least 1), and O(s^3) vectorized scoring; the unitary factor
-    is updated in its trailing s columns only.  With few clusters the
-    whole deflation is O(n^4).
+    repeatedly splitting off common eigenvectors; triangularity is verified
+    by the caller.  A step at size s works at tol = null_tol * scale * s
+    (scale the larger max-abs entry, at least 1) and splits off every joint
+    eigenvector it finds (_joint_eigenvectors), r of them, at once: one
+    Householder QR of [vectors | I] gives a unitary q whose first r columns
+    span them in nested order, and of those columns the step keeps the
+    longest prefix in which q^H a q and q^H b q have no strictly lower entry
+    above residual_tol, the caller's final bound, and at least one.  With
+    one vector the step is the one-vector deflation.  The unitary factor is
+    updated in its trailing s columns only.  A step costs two
+    eigendecompositions, one SVD per cluster of repeated eigenvalues, a QR
+    and O(s^3) scoring, so a pair of size n costs O(n^3) per step: the
+    weighted star K_{1,k} (n = 2k + 2) takes two steps, a generic
+    triangular pair, which has one joint eigenvector per step, n - 1.
     """
     n = a.shape[0]
     p_total = np.eye(n, dtype=complex)
     a_cur, b_cur = a.copy(), b.copy()
-    for k in range(n - 1):
+    k = 0
+    while n - k > 1:
         size = n - k
-        v, _ = _common_eigenvector(a_cur, b_cur, null_tol)
-        # Householder-style unitary with v as first column.
-        q, _ = np.linalg.qr(
-            np.column_stack([v, np.eye(size, dtype=complex)[:, :size - 1]]))
-        phase = np.vdot(q[:, 0], v)
-        q[:, 0] *= phase / abs(phase)
-        a_cur = (q.conj().T @ a_cur @ q)[1:, 1:]
-        b_cur = (q.conj().T @ b_cur @ q)[1:, 1:]
+        scale = max(float(np.abs(a_cur).max()), float(np.abs(b_cur).max()),
+                    1.0)
+        tol = null_tol * scale * size
+        v = _joint_eigenvectors(a_cur, b_cur, tol)
+        r = v.shape[1]
+        q, _ = np.linalg.qr(np.column_stack([v, np.eye(size, dtype=complex)]))
+        phase = np.sum(q[:, :r].conj() * v, axis=0)
+        q[:, :r] *= phase / np.abs(phase)
+        ta = q.conj().T @ a_cur @ q
+        tb = q.conj().T @ b_cur @ q
+        lower = np.maximum(np.abs(np.tril(ta, -1)[:, :r]).max(axis=0),
+                           np.abs(np.tril(tb, -1)[:, :r]).max(axis=0))
+        bad = np.nonzero(lower > residual_tol)[0]
+        if bad.size:
+            r = max(int(bad[0]), 1)
+        a_cur, b_cur = ta[r:, r:], tb[r:, r:]
         p_total[:, k:] = p_total[:, k:] @ q
+        k += r
     return p_total
 
 
@@ -386,7 +482,7 @@ def simultaneous_triangularize(
             raise NotSimultaneouslyTriangularizableError(
                 "not simultaneously triangularizable: the commutator C is "
                 f"not nilpotent, |tr(C^2)|/||C||_F^2 = {ratio:.3e}")
-        candidates = [_deflation_triangularize(a, b)]
+        candidates = [_deflation_triangularize(a, b, residual_tol)]
     last_residual = np.inf
     for p in candidates:
         ta = p.conj().T @ a @ p

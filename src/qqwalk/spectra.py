@@ -96,8 +96,12 @@ class SpectrumReport:
 
     method: str
     psi_spectrum: np.ndarray
-    class_reps: list[tuple[complex, int]]
     cross_check: ComparisonRecord | None = None
+
+    @property
+    def class_reps(self) -> list[tuple[complex, int]]:
+        """Grouped class representatives of psi_spectrum (qmatrix.class_reps)."""
+        return class_reps(self.psi_spectrum)
 
     def grouped_spectrum(self, tol: float = 1e-7) -> list[tuple[complex, int]]:
         """Eigenvalues clustered within tol, with multiplicities, sorted."""
@@ -148,8 +152,7 @@ def spectrum_direct(graph: Graph, coin: CoinMap) -> SpectrumReport:
     u = build_U(graph, coin)
     vals = eigenvalues(psi_block(u)).eigenvalues
     vals = pair_conjugates(psi_spectrum(vals, u.rows))
-    return SpectrumReport(method="direct", psi_spectrum=vals,
-                          class_reps=class_reps(vals))
+    return SpectrumReport(method="direct", psi_spectrum=vals)
 
 
 def _last_argmin(dist: np.ndarray) -> int:
@@ -283,8 +286,7 @@ def _finish_quadratic_route(graph: Graph, method: str, mu: np.ndarray,
     else:
         lam = _trim_tree_values(lam)
     vals = pair_conjugates(np.sort_complex(lam))
-    report = SpectrumReport(method=method, psi_spectrum=vals,
-                            class_reps=class_reps(vals))
+    report = SpectrumReport(method=method, psi_spectrum=vals)
     report.cross_check = _certificate(graph, coin, vals)
     return report
 

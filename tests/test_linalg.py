@@ -354,8 +354,9 @@ def _noncommuting_triangular_pair(n, seed, t1_kind):
     """a = P T1 P^H, b = P T2 P^H with P unitary and T1, T2 upper triangular.
 
     T1 is nilpotent of index 2 (Jordan blocks of size at most 2, like the
-    star's psi(W^T)) or has a diagonal drawn from {0, 1} (repeated
-    eigenvalues in Jordan blocks); T2 has a random, so distinct, diagonal.
+    star's psi(W^T)), has a diagonal drawn from {0, 1} (repeated
+    eigenvalues in Jordan blocks) or, for "generic", is Gaussian upper
+    triangular like T2, whose random diagonal is distinct.
     """
     rng = np.random.default_rng(seed)
 
@@ -366,6 +367,8 @@ def _noncommuting_triangular_pair(n, seed, t1_kind):
     if t1_kind == "nilpotent":
         t1 = np.zeros((n, n), dtype=complex)
         t1[:n // 2, n // 2:] = gauss(n // 2, n - n // 2)
+    elif t1_kind == "generic":
+        t1 = np.triu(gauss(n, n))
     else:
         t1 = np.triu(gauss(n, n), 1) + np.diag(rng.choice([0.0, 1.0], n))
     t2 = np.triu(gauss(n, n))
@@ -472,3 +475,96 @@ class TestSimultaneousTriangularization:
         assert sorted(order) == list(range(n))
         assert np.abs(db - np.diag(t2)[order]).max() <= 1e-6
         assert np.abs(da - np.diag(t1)[order]).max() <= 1e-6
+
+
+def _eigen_residuals(a, b, v):
+    """Worst eigen-residual ||M v - (v^H M v) v|| over M in (a, b), per
+    unit column of v."""
+    res = np.zeros(v.shape[1])
+    for m in (a, b):
+        mv = m @ v
+        res = np.maximum(res, np.linalg.norm(
+            mv - v * np.sum(v.conj() * mv, axis=0), axis=0))
+    return res
+
+
+def _step_tol(a, b):
+    """The clustering tolerance of a deflation step on (a, b)."""
+    return 1e-8 * max(np.abs(a).max(), np.abs(b).max(), 1.0) * a.shape[0]
+
+
+def _recording_steps(monkeypatch):
+    """Record (size, vectors found) of every deflation step."""
+    steps = []
+    found = linalg._joint_eigenvectors
+
+    def recording(a, b, tol):
+        v = found(a, b, tol)
+        steps.append((a.shape[0], v.shape[1]))
+        return v
+    monkeypatch.setattr(linalg, "_joint_eigenvectors", recording)
+    return steps
+
+
+class TestBlockDeflation:
+    @pytest.mark.parametrize("leaves", [24, 32])
+    def test_weighted_stars_split_off_in_few_steps(self, monkeypatch,
+                                                   leaves):
+        from qqwalk.graph import star_graph
+        from qqwalk.quaternion import Quaternion
+        from qqwalk.spectra import spectrum_theorem_general
+        from qqwalk.walks import CoinMap, build_U, build_W_Dw
+        rng = np.random.default_rng(leaves)
+        g = star_graph(leaves)
+        coin = CoinMap.from_arc_values(
+            g, {2 * i: Quaternion(*rng.uniform(-1, 1, 4))
+                for i in range(leaves)})
+        steps = _recording_steps(monkeypatch)
+        report = spectrum_theorem_general(g, coin)
+        assert 1 <= len(steps) <= 3, steps
+        assert multiset_distance(
+            report.psi_spectrum,
+            np.linalg.eigvals(build_U(g, coin).psi())) <= 1e-9
+        # The first step's vectors are joint eigenvectors within the step's
+        # tolerance, each at least half outside the span of those before.
+        w, dw = build_W_Dw(g, coin)
+        a, b = w.transpose().psi(), dw.psi()
+        v = linalg._joint_eigenvectors(a, b, _step_tol(a, b))
+        assert v.shape[1] > 1
+        assert _eigen_residuals(a, b, v).max() <= _step_tol(a, b)
+        r = np.linalg.qr(v, mode="r")
+        assert np.abs(np.diag(r)).min() >= linalg._INDEPENDENCE_FLOOR
+
+    def test_nearly_parallel_candidates_give_one_vector(self):
+        # A generic triangular pair has one joint eigenvector, which both
+        # matrices offer: two candidates pass the residual test, parallel
+        # up to rounding, and only one of them may be split off.
+        a, b, _, _ = _noncommuting_triangular_pair(5, 7, "generic")
+        tol = _step_tol(a, b)
+        cands = np.hstack([linalg._eigen_candidates(a, b, tol),
+                           linalg._eigen_candidates(b, a, tol)])
+        passing = cands[:, _eigen_residuals(a, b, cands) <= tol]
+        assert passing.shape[1] == 2
+        assert abs(np.vdot(passing[:, 0], passing[:, 1])) > 1 - 1e-12
+        v = linalg._joint_eigenvectors(a, b, tol)
+        assert v.shape[1] == 1
+        assert abs(np.vdot(v[:, 0], passing[:, 0])) > 1 - 1e-12
+
+    def test_prefix_check_trims_a_near_eigenvector(self, monkeypatch):
+        # Upper triangular pair with one joint eigenvector e1; at size 3 the
+        # step tolerance is 3e-8.  (e1 + e3)/sqrt(2) is an eigenvector of b
+        # and, as a maps e3 to c*e2 with c = 4e-8, a near-eigenvector of a
+        # (residual c/sqrt(2) < 3e-8), so it passes with e1.  Orthogonal to
+        # e1 it leaves e3, whose column of q^H a q holds c below the
+        # diagonal, above the final bound 1e-8: the step keeps e1 alone and
+        # the next one splits off e2.
+        c = 4e-8
+        a = np.array([[0, 0.5, 0], [0, 0.5, c], [0, 0, 0]], dtype=complex)
+        b = np.array([[0, 0.3, 0.75], [0, 0.25, 0], [0, 0, 0.75]],
+                     dtype=complex)
+        steps = _recording_steps(monkeypatch)
+        p, da, db = simultaneous_triangularize(a, b)
+        assert steps == [(3, 2), (2, 1)]
+        assert np.abs(np.tril(p.conj().T @ a @ p, -1)).max() <= 1e-8
+        assert np.abs(da - [0, 0.5, 0]).max() <= 1e-12
+        assert np.abs(db - [0, 0.25, 0.75]).max() <= 1e-12

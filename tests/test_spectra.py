@@ -1,5 +1,7 @@
 """Walk spectra by all routes, cross-validated against the direct one."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from qqwalk.linalg import (
     multiset_distance,
     multisets_match,
 )
+from qqwalk.qmatrix import class_reps
 from qqwalk.quaternion import Quaternion
 from qqwalk.spectra import (
     CERT_RADII,
@@ -388,6 +391,21 @@ class TestCompareSpectra:
         assert d["method"] == "grover"
         assert sum(e["mult"] for e in d["psi_spectrum"]) == 4 * g.m
         assert d["cross_check"]["verdict"] is True
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(2, 7), st.floats(0.0, 0.6), st.integers(0, 2**32 - 1))
+    def test_class_reps_are_derived_from_the_spectrum(self, n, extra, seed):
+        rng = np.random.default_rng(seed)
+        g = random_connected_graph(rng, n, extra)
+        alpha = Quaternion(*rng.uniform(-1, 1, 4))
+        coin = CoinMap.from_alpha(g, alpha)
+        for report in (spectrum_direct(g, coin), spectrum_alpha_coin(g, alpha),
+                       spectrum_theorem_general(g, coin), spectrum_grover(g)):
+            reps = class_reps(report.psi_spectrum)
+            assert report.class_reps == reps
+            assert report.to_dict()["class_reps"] == [
+                {"re": v.real, "im": v.imag, "mult": mult} for v, mult in reps]
+            assert b"class_reps" not in pickle.dumps(report)
 
 
 class TestCertificate:
