@@ -10,9 +10,9 @@ lists, single-linkage clustering of eigenvalues, and the simultaneous
 triangularization used by the spectral formulas.  Pairing and comparison
 pair values by sorting within clusters and fall back to a minimal-cost
 assignment only for the clusters sorting cannot pair.  scipy is imported
-only where it is called: schur on the commuting path and
-linear_sum_assignment for those clusters, so importing the package loads
-numpy alone.
+only where it is called: schur on the commuting path,
+linear_sum_assignment for those clusters and splu for the determinant of a
+sparse matrix, so importing the package loads numpy alone.
 
 Simultaneous triangularization takes the Schur basis of a + theta*b for a
 commuting pair.  A non-commuting pair is first tested for a nilpotent
@@ -98,12 +98,57 @@ def eigenvalues(m: np.ndarray) -> EigenResult:
     return EigenResult(eigenvalues=np.sort_complex(vals))
 
 
-def determinant(m: np.ndarray) -> complex:
-    """Determinant via LU with partial pivoting."""
+def determinant(m) -> complex:
+    """Determinant via LU with partial pivoting.
+
+    A dense array goes to LAPACK.  A scipy sparse matrix is factored by
+    SuperLU with a COLAMD column ordering, Pr A Pc = L U with unit-diagonal
+    L, and det(A) = sign(Pr) sign(Pc) prod(diag U), accumulated as numpy
+    accumulates its dense det: a sign times exp of the summed log-moduli.
+    An exactly singular factor reads 0, as dense det does.
+    """
+    if hasattr(m, "tocsc"):
+        return _sparse_determinant(m)
     m = _require_square(m)
     if m.shape[0] == 0:
         return 1.0 + 0.0j
     return complex(np.linalg.det(m))
+
+
+def _sparse_determinant(m) -> complex:
+    from scipy.sparse.linalg import splu
+
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if m.shape[0] == 0:
+        return 1.0 + 0.0j
+    try:
+        lu = splu(m.tocsc().astype(complex, copy=False),
+                  permc_spec="COLAMD")
+    except RuntimeError as exc:
+        if "singular" not in str(exc):
+            raise
+        return 0j
+    diag = lu.U.diagonal()
+    moduli = np.abs(diag)
+    sign = -1.0 if (_parity(lu.perm_r) + _parity(lu.perm_c)) % 2 else 1.0
+    phase = sign * np.prod(diag / moduli)
+    return complex(phase * np.exp(np.sum(np.log(moduli))))
+
+
+def _parity(perm: np.ndarray) -> int:
+    """0 for an even permutation of 0..n-1, 1 for an odd one."""
+    perm = perm.tolist()
+    seen = [False] * len(perm)
+    cycles = 0
+    for start in range(len(perm)):
+        if not seen[start]:
+            cycles += 1
+            j = start
+            while not seen[j]:
+                seen[j] = True
+                j = perm[j]
+    return (len(perm) - cycles) % 2
 
 
 def pair_conjugates(values: np.ndarray) -> np.ndarray:

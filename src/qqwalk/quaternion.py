@@ -110,13 +110,6 @@ class Quaternion:
             raise ZeroDivisionError("non-invertible: zero quaternion")
         return self.conjugate() / n2
 
-    def is_real(self, atol: float = DEFAULT_ATOL) -> bool:
-        return self.imag_norm <= atol
-
-    def is_complex(self, atol: float = DEFAULT_ATOL) -> bool:
-        """True when the j and k coordinates vanish."""
-        return abs(self.x2) <= atol and abs(self.x3) <= atol
-
     def isclose(self, other: "Quaternion", atol: float = DEFAULT_ATOL) -> bool:
         d = self - _coerce(other)
         return max(abs(d.x0), abs(d.x1), abs(d.x2), abs(d.x3)) <= atol

@@ -19,6 +19,13 @@ with an arc-side matrix X, a vertex-side matrix Y and a diagonal D:
 
 Samples with |1 - t^2| < POLE_GUARD sit on the (1 - t^2) poles and are
 skipped by every identity.
+
+The arc side is a genuine factorization of I - t*X at every sample: a
+dense LAPACK LU below SPARSE_LU_MIN rows, and from there up a sparse LU
+(scipy's splu, COLAMD column order, partial pivoting) of X in CSC form.  X
+has about sum_v d_v^2 nonzeros per block: the 4m x 4m X of a random graph
+with m = 250 has about 11 000 of its 10^6 entries nonzero.  Below the
+threshold no scipy module is imported.
 """
 
 from __future__ import annotations
@@ -45,6 +52,14 @@ __all__ = [
 
 # Samples this close to t^2 = 1 hit the (1 - t^2) poles and are skipped.
 POLE_GUARD = 1e-6
+# Arc matrices with at least this many rows take the sparse LU, smaller
+# ones stay dense.  All three identities on one random graph with three
+# samples (one AMD EPYC core, one BLAS thread, scipy loaded) take 0.062 s
+# dense and 0.026 s sparse at m = 160, 0.181 s and 0.056 s at m = 250; at
+# 400 rows the m = 160 graph's 2m sides stay dense and take 0.034 s.  At
+# m = 50 both ways take about 4 ms, less than the 0.12 s and 33 MB that
+# importing scipy.sparse.linalg costs a fresh process.
+SPARSE_LU_MIN = 256
 
 
 @dataclass
@@ -102,8 +117,20 @@ def default_samples(count: int = 8, seed: int = 0,
 
 # -- the comparison core ---------------------------------------------
 
-def _arc_side(x: np.ndarray, t: complex) -> complex:
-    return determinant(np.eye(x.shape[0]) - t * x)
+def _arc_matrix(x: np.ndarray):
+    """X as the arc side factors it: CSC from SPARSE_LU_MIN rows up."""
+    if x.shape[0] < SPARSE_LU_MIN:
+        return x
+    from scipy.sparse import csc_array
+    return csc_array(x)
+
+
+def _arc_side(x, t: complex) -> complex:
+    """det(I - t*X) for an X from _arc_matrix."""
+    if isinstance(x, np.ndarray):
+        return determinant(np.eye(x.shape[0]) - t * x)
+    from scipy.sparse import eye_array
+    return determinant(eye_array(x.shape[0], format="csc") - t * x)
 
 
 def _vertex_side(y: np.ndarray, d: np.ndarray, exponent: int,
@@ -119,6 +146,7 @@ def _compare(x: np.ndarray, y: np.ndarray, d: np.ndarray, exponent: int,
     """Compare det(I - t*X) with (1 - t^2)^e * det(I - t*Y + t^2*(D - I))
     at every sample off the poles; check(t), when given, runs first at each
     compared sample."""
+    x = _arc_matrix(x)
     pairs = []
     skipped = []
     for t in t_samples:
@@ -147,7 +175,7 @@ def _ihara_arc_matrix(graph: Graph) -> np.ndarray:
 
 def ihara_hashimoto(graph: Graph, t: complex) -> complex:
     """det(I_{2m} - t*(B - J0)) at the sample point t."""
-    return _arc_side(_ihara_arc_matrix(graph), t)
+    return _arc_side(_arc_matrix(_ihara_arc_matrix(graph)), t)
 
 
 def ihara_bass(graph: Graph, t: complex) -> complex:
@@ -209,6 +237,9 @@ def quaternionic_identity(graph: Graph, weights: CoinMap,
     psi_wt, psi_dw = wq.transpose().psi(), dwq.psi()
     kq, lq = build_K_L(graph, weights)
     psi_k, psi_lt = kq.psi(), lq.transpose().psi()
+    if x.shape[0] >= SPARSE_LU_MIN:
+        from scipy.sparse import csr_array
+        psi_lt = csr_array(psi_lt)  # 4m nonzeros: the product costs O(m*n)
     flipped_k = psi_k[np.arange(psi_k.shape[0]) ^ 1]  # psi(J0) @ psi(K)
 
     def check(t: complex) -> None:

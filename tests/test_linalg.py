@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
@@ -97,6 +98,32 @@ class TestDeterminant:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             determinant(np.zeros((2, 3)))
+
+    def test_non_square_sparse_rejected(self):
+        with pytest.raises(ValueError):
+            determinant(scipy.sparse.csc_array(np.ones((2, 3))))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sparse_lu_equals_dense(self, seed):
+        # Rows shuffled by a random permutation force row pivoting, so the
+        # sign of the row and of the column permutation both matter.
+        rng = np.random.default_rng(seed)
+        n = 300
+        noise = scipy.sparse.random_array(
+            (n, n), density=0.01, rng=rng, dtype=complex,
+            data_sampler=lambda size: (rng.uniform(-1, 1, size)
+                                       + 1j * rng.uniform(-1, 1, size)))
+        m = (scipy.sparse.eye_array(n) + 0.5 * noise)[rng.permutation(n)]
+        dense = np.linalg.det(m.toarray())
+        assert abs(determinant(m.tocsc()) - dense) <= 1e-12 * abs(dense)
+
+    def test_singular_sparse_reads_zero(self):
+        # SuperLU raises on an exactly zero pivot; dense det returns 0.
+        n = 300
+        m = scipy.sparse.eye_array(n, format="lil", dtype=complex)
+        m[0, 1] = 2.0
+        m[7, :] = 0.0
+        assert determinant(m.tocsc()) == 0j
 
 
 class TestConjugatePairing:

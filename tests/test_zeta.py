@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qqwalk import zeta
 from qqwalk.graph import (
@@ -14,7 +16,13 @@ from qqwalk.graph import (
 )
 from qqwalk.linalg import determinant
 from qqwalk.quaternion import Quaternion
-from qqwalk.walks import CoinMap, build_B_and_J0, build_K_L, build_W_Dw
+from qqwalk.walks import (
+    CoinMap,
+    build_B_and_J0,
+    build_Bw,
+    build_K_L,
+    build_W_Dw,
+)
 from qqwalk.zeta import (
     default_samples,
     ihara_bass,
@@ -35,6 +43,11 @@ def complex_weights(rng, g):
 def quaternion_weights(rng, g):
     return CoinMap(g, [Quaternion(*rng.uniform(-1, 1, 4)) for _ in
                        range(g.num_arcs)])
+
+
+# The arc side's two factorizations: the default threshold, and every arc
+# matrix through the sparse LU.
+ARC_PATHS = {"dense": zeta.SPARSE_LU_MIN, "sparse": 0}
 
 
 class TestClassicalIdentity:
@@ -114,11 +127,15 @@ class TestWeightedIdentity:
             report = weighted_zeta_identity(g, w, SAMPLES, tol=1e-8)
             assert report.verdict, report.max_rel_err
 
-    @pytest.mark.parametrize("bad", [0, 2])
+    @pytest.mark.parametrize("bad, arc_path",
+                             [(0, "dense"), (2, "dense"),
+                              (0, "sparse"), (2, "sparse")],
+                             ids=["0", "2", "sparse-0", "sparse-2"])
     def test_non_finite_sample_fails_wherever_it_falls(self, monkeypatch,
-                                                       bad):
+                                                       bad, arc_path):
         # Both sides of one sample overflow.  Its rel_err is NaN, which a
         # plain max over the samples kept only when it came first.
+        monkeypatch.setattr(zeta, "SPARSE_LU_MIN", ARC_PATHS[arc_path])
         calls = []
 
         def overflowing(m):
@@ -138,9 +155,12 @@ class TestWeightedIdentity:
         assert not report.verdict
         assert not np.isfinite(report.max_rel_err)
 
-    def test_tiny_determinants_are_compared_relatively(self, monkeypatch):
+    @pytest.mark.parametrize("arc_path", ARC_PATHS)
+    def test_tiny_determinants_are_compared_relatively(self, monkeypatch,
+                                                       arc_path):
         # Near the pole both sides carry (1 - t^2)^(m - n) and are tiny; an
         # error measured against a floor of 1 would pass any two of them.
+        monkeypatch.setattr(zeta, "SPARSE_LU_MIN", ARC_PATHS[arc_path])
         g = complete_graph(5)
         grover = CoinMap.grover(g)
         honest = weighted_zeta_identity(g, grover, [0.999], tol=1e-8)
@@ -246,6 +266,76 @@ class TestQuaternionicIdentity:
         d = quaternionic_identity(g, w, [0.25]).to_dict()
         assert d["verdict"] is True
         assert d["samples"][0]["t"] == {"re": 0.25, "im": 0.0}
+
+
+def arc_matrices(g, quat, cplx):
+    """The dense X of each identity, as the dense path factors it."""
+    b, j0 = build_B_and_J0(g)
+    return {"quaternionic": build_Bw(g, quat).transpose().psi() - j0.psi(),
+            "weighted": build_Bw(g, cplx).s.T - j0.s,
+            "ihara": b.s - j0.s}
+
+
+def all_identities(g, quat, cplx, ts):
+    return {"quaternionic": quaternionic_identity(g, quat, ts),
+            "weighted": weighted_zeta_identity(g, cplx, ts),
+            "ihara": ihara_identity(g, ts)}
+
+
+class TestSparseArcSide:
+    """From SPARSE_LU_MIN rows up the arc side is a sparse LU of I - t*X;
+    it must read what the dense LAPACK factorization reads."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 8), st.floats(0.0, 0.6), st.integers(0, 2**32 - 1))
+    def test_sparse_path_equals_dense(self, n, extra, seed):
+        rng = np.random.default_rng(seed)
+        g = random_connected_graph(rng, n, extra)
+        quat, cplx = quaternion_weights(rng, g), complex_weights(rng, g)
+        ts = default_samples(4, seed=seed % 1000)
+        dense = all_identities(g, quat, cplx, ts)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(zeta, "SPARSE_LU_MIN", 0)
+            sparse = all_identities(g, quat, cplx, ts)
+        for name, x in arc_matrices(g, quat, cplx).items():
+            assert sparse[name].verdict == dense[name].verdict, name
+            for sample in sparse[name].samples:
+                want = np.linalg.det(np.eye(len(x)) - sample.t * x)
+                assert abs(sample.lhs - want) <= 1e-12 * abs(want), name
+
+    @pytest.mark.parametrize("rows, sparse", [(255, False), (256, True)])
+    def test_threshold(self, monkeypatch, rows, sparse):
+        rng = np.random.default_rng(rows)
+        x = np.zeros((rows, rows), dtype=complex)
+        for _ in range(4):
+            cols = rng.permutation(rows)
+            x[np.arange(rows), cols] = (rng.uniform(-1, 1, rows)
+                                        + 1j * rng.uniform(-1, 1, rows))
+        seen = []
+
+        def recording(m):
+            seen.append(not isinstance(m, np.ndarray))
+            return determinant(m)
+
+        monkeypatch.setattr(zeta, "determinant", recording)
+        t = 0.3 - 0.45j
+        lhs = zeta._arc_side(zeta._arc_matrix(x), t)
+        want = np.linalg.det(np.eye(rows) - t * x)
+        assert seen == [sparse]
+        assert abs(lhs - want) <= 1e-12 * abs(want)
+
+    def test_sparse_resolvent_check_rejects_a_wrong_factor(self,
+                                                          monkeypatch):
+        # psi(L^T) is CSR on this path; L^T (1.5 K) = 1.5 W^T must still fail.
+        def scaled_K_L(graph, weights):
+            k, l = build_K_L(graph, weights)
+            return k.scale(1.5), l
+
+        monkeypatch.setattr(zeta, "SPARSE_LU_MIN", 0)
+        monkeypatch.setattr(zeta, "build_K_L", scaled_K_L)
+        g = complete_graph(3)
+        with pytest.raises(ArithmeticError, match="resolvent"):
+            quaternionic_identity(g, CoinMap.grover(g), [0.3])
 
 
 class TestSamplePoints:
