@@ -7,7 +7,7 @@ graph zeta functions.
 """
 
 from .graph import Graph, parse_graph
-from .qmatrix import QuatMatrix, right_eigenvalues, right_spectrum_class_reps
+from .qmatrix import QuatMatrix, right_eigenvalues
 from .quaternion import Quaternion, canonical_class_rep, parse_quaternion
 from .spectra import (
     SpectrumReport,
@@ -38,7 +38,6 @@ __all__ = [
     "parse_quaternion",
     "quaternionic_identity",
     "right_eigenvalues",
-    "right_spectrum_class_reps",
     "spectrum_alpha_coin",
     "spectrum_direct",
     "spectrum_grover",

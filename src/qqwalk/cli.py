@@ -21,6 +21,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from importlib import resources
@@ -28,7 +29,7 @@ from importlib import resources
 import numpy as np
 
 from .graph import Graph, GraphFormatError, load_graph, random_connected_graph
-from .linalg import NonConvergenceError, NotSimultaneouslyTriangularizableError
+from .linalg import NotSimultaneouslyTriangularizableError
 from .quaternion import Quaternion, QuaternionFormatError, parse_quaternion
 from .spectra import (
     CROSS_TOL,
@@ -70,9 +71,16 @@ def _default_tol() -> float:
     if env is None:
         return DEFAULT_TOL
     try:
-        return float(env)
+        tol = float(env)
     except ValueError:
         raise InputError(f"QQWALK_TOL is not a number: {env!r}") from None
+    return _checked_tol(tol, "QQWALK_TOL")
+
+
+def _checked_tol(tol: float, source: str) -> float:
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise InputError(f"{source} must be finite and >= 0, got {tol!r}")
+    return tol
 
 
 def _load_graph(path: str) -> Graph:
@@ -150,15 +158,15 @@ def _cmd_spectrum(args) -> int:
         report = spectrum_alpha_coin(graph, alpha)
     else:  # pragma: no cover - argparse restricts choices
         raise InputError(f"unknown method {args.method!r}")
-    _emit(report.to_dict(), args)
-    if report.cross_check is not None and not report.cross_check.verdict:
-        return EXIT_VERDICT_FALSE
-    return EXIT_OK
+    return _emit_spectrum(report, args)
 
 
 def _cmd_grover(args) -> int:
-    graph = _load_graph(args.graph)
-    report = spectrum_grover(graph)
+    return _emit_spectrum(spectrum_grover(_load_graph(args.graph)), args)
+
+
+def _emit_spectrum(report, args) -> int:
+    """Print a spectrum report; the exit code follows its cross-check."""
     _emit(report.to_dict(), args)
     if report.cross_check is not None and not report.cross_check.verdict:
         return EXIT_VERDICT_FALSE
@@ -177,6 +185,8 @@ def _cmd_unitarity(args) -> int:
 
 
 def _zeta_common(args, runner) -> int:
+    if args.samples < 1:
+        raise InputError(f"--samples must be at least 1, got {args.samples}")
     graph = _load_graph(args.graph)
     samples = default_samples(args.samples, seed=args.seed)
     report = runner(graph, samples)
@@ -295,10 +305,10 @@ def _add_common(parser: argparse.ArgumentParser, coin: bool = True,
                             help="use the Grover coin 2/d")
     if tol:
         parser.add_argument("--tol", type=float, default=None,
-                            help="tolerance (default 1e-9; env QQWALK_TOL)")
+                            help="tolerance >= 0 (default 1e-9; QQWALK_TOL)")
     if samples:
         parser.add_argument("--samples", type=int, default=8,
-                            help="number of sample points for identities")
+                            help="number (>= 1) of identity sample points")
         parser.add_argument("--seed", type=int, default=0,
                             help="seed for the sample points")
     parser.add_argument("--output", choices=("json", "csv"), default="json")
@@ -348,13 +358,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if "tol" in vars(args) and args.tol is None:
-            args.tol = _default_tol()
+        if "tol" in vars(args):
+            args.tol = (_default_tol() if args.tol is None
+                        else _checked_tol(args.tol, "--tol"))
         return args.handler(args)
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT_ERROR
-    except (NonConvergenceError, NotSimultaneouslyTriangularizableError,
+    except (np.linalg.LinAlgError, NotSimultaneouslyTriangularizableError,
             SpectrumConsistencyError, ArithmeticError,
             ZeroDivisionError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")

@@ -2,8 +2,9 @@
 
 Each undirected edge uv contributes two arcs; edge r (0-based, in input
 order) yields arc 2r = (u, v) and arc 2r + 1 = (v, u), so the inverse of
-the arc at index ``idx`` sits at ``idx ^ 1``.  Vertex order is index
-order, which fixes the row/column order of every derived matrix.
+the arc at index ``idx`` sits at ``idx ^ 1``.  Arcs exist only as the
+index arrays ``origin`` and ``terminal`` of o(e) and t(e).  Vertex order is
+index order, which fixes the row/column order of every derived matrix.
 
 On-disk format: first line ``n m``, then m lines ``u v`` with 0-based
 vertex indices; ``#`` starts a comment line.  Loops, duplicate edges and
@@ -12,13 +13,11 @@ disconnected graphs are rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections import deque
 
 import numpy as np
 
 __all__ = [
-    "Arc",
     "Graph",
     "GraphFormatError",
     "complete_graph",
@@ -39,19 +38,6 @@ class GraphFormatError(ValueError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
-
-
-@dataclass(frozen=True)
-class Arc:
-    """A directed edge with its position in the canonical arc order."""
-
-    origin: int
-    terminal: int
-    index: int
-
-    @property
-    def inverse_index(self) -> int:
-        return self.index ^ 1
 
 
 class Graph:
@@ -76,10 +62,6 @@ class Graph:
         ends = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
         self.origin = ends.ravel()
         self.terminal = ends[:, ::-1].ravel()
-        self.arcs: list[Arc] = []
-        for r, (u, v) in enumerate(self.edges):
-            self.arcs.append(Arc(u, v, 2 * r))
-            self.arcs.append(Arc(v, u, 2 * r + 1))
         self._degrees = np.bincount(self.origin, minlength=n)
         if not self._connected():
             raise GraphFormatError("graph is not connected")
@@ -125,9 +107,6 @@ class Graph:
             raise ValueError(f"vertex {u} out of range [0, {self.n})")
         return int(self._degrees[u])
 
-    def inverse_arc(self, arc: Arc) -> Arc:
-        return self.arcs[arc.index ^ 1]
-
     # -- classical matrices -------------------------------------------
 
     def adjacency_matrix(self) -> np.ndarray:
@@ -137,10 +116,6 @@ class Graph:
 
     def degree_matrix(self) -> np.ndarray:
         return np.diag(self._degrees.astype(float))
-
-    def transition_matrix(self) -> np.ndarray:
-        """Row-stochastic matrix with 1/d_u on each arc (u, v)."""
-        return self.adjacency_matrix() / self._degrees[:, None]
 
 
 def parse_graph(text: str) -> Graph:

@@ -28,18 +28,12 @@ eigenvector per step, n - 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "EigenResult",
-    "NonConvergenceError",
     "NotSimultaneouslyTriangularizableError",
     "determinant",
     "eigenvalues",
-    "multiset_distance",
-    "multisets_match",
     "pair_conjugates",
     "simultaneous_triangularize",
 ]
@@ -55,10 +49,6 @@ PAIR_TOL = 1e-9
 _INDEPENDENCE_FLOOR = 0.5
 
 
-class NonConvergenceError(RuntimeError):
-    """Eigensolver failed to converge."""
-
-
 class NotSimultaneouslyTriangularizableError(RuntimeError):
     """The commutator of the inputs is not nilpotent, or the computed basis
     failed to triangularize both."""
@@ -68,14 +58,6 @@ class NotSimultaneouslyTriangularizableError(RuntimeError):
         self.residual = residual
 
 
-@dataclass
-class EigenResult:
-    """Full spectrum of a square complex matrix, with multiplicity."""
-
-    eigenvalues: np.ndarray
-    converged: bool = True
-
-
 def _require_square(m: np.ndarray, dtype=complex) -> np.ndarray:
     m = np.asarray(m, dtype=dtype)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -83,19 +65,15 @@ def _require_square(m: np.ndarray, dtype=complex) -> np.ndarray:
     return m
 
 
-def eigenvalues(m: np.ndarray) -> EigenResult:
-    """All eigenvalues of a square matrix, counted with multiplicity.
+def eigenvalues(m: np.ndarray) -> np.ndarray:
+    """All eigenvalues of a square matrix, counted with multiplicity and
+    sorted by (re, im); raises np.linalg.LinAlgError when LAPACK fails.
 
     A real matrix stays real and goes to LAPACK's real solver, about three
     times cheaper than the complex one; its non-real eigenvalues come in
     exact conjugate pairs.
     """
-    m = _require_square(m, dtype=None)
-    try:
-        vals = np.linalg.eigvals(m)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergenceError(f"eigensolver did not converge: {exc}") from exc
-    return EigenResult(eigenvalues=np.sort_complex(vals))
+    return np.sort_complex(np.linalg.eigvals(_require_square(m, dtype=None)))
 
 
 def determinant(m) -> complex:
@@ -194,12 +172,8 @@ def pair_conjugates(values: np.ndarray) -> np.ndarray:
     out = (vals + mirror) / 2.0
     ambiguous = np.isin(labels, labels[~(np.abs(vals - mirror) <= tol)])
     if ambiguous.any():
-        from scipy.optimize import linear_sum_assignment
-
         idx = np.nonzero(ambiguous)[0]
-        sub = vals[idx]
-        rows, cols = linear_sum_assignment(
-            np.abs(sub[:, None] - np.conj(sub)[None, :]))
+        rows, cols = _assign(vals[idx], np.conj(vals[idx]))
         done = np.zeros(vals.size, dtype=bool)
         for a, b in zip(idx[rows], idx[cols]):
             if done[a]:
@@ -240,11 +214,8 @@ def _matching(a: np.ndarray, b: np.ndarray, tol: float = 0.0
     bad = ~even
     bad[la[rows[np.abs(a[rows] - b[cols]) > tol]]] = True
     if bad.any():
-        from scipy.optimize import linear_sum_assignment
-
         sub_a, sub_b = np.nonzero(bad[la])[0], np.nonzero(bad[lb])[0]
-        r, c = linear_sum_assignment(
-            np.abs(a[sub_a][:, None] - b[sub_b][None, :]))
+        r, c = _assign(a[sub_a], b[sub_b])
         keep = ~bad[la[rows]]
         rows = np.concatenate((rows[keep], sub_a[r]))
         cols = np.concatenate((cols[keep], sub_b[c]))
@@ -253,25 +224,12 @@ def _matching(a: np.ndarray, b: np.ndarray, tol: float = 0.0
     return float(dist[i]), (complex(a[rows[i]]), complex(b[cols[i]]))
 
 
-def multiset_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Max pair distance of a minimal-cost perfect matching of two multisets,
-    after exactly equal values are paired (see _matching at tol = 0).
+def _assign(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimal-cost perfect matching (rows, cols) of the values of a with
+    those of b at cost |a - b| (scipy's linear_sum_assignment)."""
+    from scipy.optimize import linear_sum_assignment
 
-    Returns inf when the cardinalities differ.
-    """
-    a = np.asarray(a, dtype=complex).ravel()
-    b = np.asarray(b, dtype=complex).ravel()
-    if a.size != b.size:
-        return float("inf")
-    return _matching(a, b)[0]
-
-
-def multisets_match(a: np.ndarray, b: np.ndarray, tol: float = 1e-7) -> bool:
-    """Whether a perfect matching of a and b pairs every value within tol
-    (see _matching)."""
-    a = np.asarray(a, dtype=complex).ravel()
-    b = np.asarray(b, dtype=complex).ravel()
-    return a.size == b.size and _matching(a, b, tol)[0] <= tol
+    return linear_sum_assignment(np.abs(a[:, None] - b[None, :]))
 
 
 def _strict_lower_max(m: np.ndarray) -> float:

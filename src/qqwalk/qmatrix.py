@@ -25,11 +25,11 @@ into the spectrum of psi(M).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .linalg import EigenResult, _cluster_labels, eigenvalues, pair_conjugates
+from .linalg import _cluster_labels, eigenvalues, pair_conjugates
 from .quaternion import Quaternion
 
 # psi_block drops the parts of the entries off the shared axis when none is
@@ -44,7 +44,6 @@ __all__ = [
     "psi_homomorphism_check",
     "psi_spectrum",
     "right_eigenvalues",
-    "right_spectrum_class_reps",
 ]
 
 
@@ -108,15 +107,6 @@ class QuatMatrix:
         return Quaternion.from_complex_pair(complex(self.s[u, v]),
                                             complex(self.p[u, v]))
 
-    def entries(self) -> Iterable[tuple[int, int, Quaternion]]:
-        for u in range(self.rows):
-            for v in range(self.cols):
-                yield u, v, self[u, v]
-
-    def symplectic_parts(self) -> tuple[np.ndarray, np.ndarray]:
-        """The unique complex pair (S, P) with M = S + j*P."""
-        return self.s.copy(), self.p.copy()
-
     # -- algebra ------------------------------------------------------
 
     def __add__(self, other: "QuatMatrix") -> "QuatMatrix":
@@ -157,9 +147,6 @@ class QuatMatrix:
 
     def isclose(self, other: "QuatMatrix", atol: float = 1e-10) -> bool:
         return self.shape == other.shape and self.max_abs_diff(other) <= atol
-
-    def is_complex_valued(self, atol: float = 1e-12) -> bool:
-        return float(np.abs(self.p).max(initial=0.0)) <= atol
 
     def is_unitary(self, tol: float = 1e-9) -> bool:
         if self.rows != self.cols:
@@ -230,32 +217,21 @@ def psi_spectrum(values: np.ndarray, rows: int) -> np.ndarray:
     return np.concatenate((values, np.conj(values)))
 
 
-def right_eigenvalues(m: QuatMatrix) -> EigenResult:
-    """The 2n complex right eigenvalues of a square quaternionic matrix.
+def right_eigenvalues(m: QuatMatrix) -> np.ndarray:
+    """The 2n complex right eigenvalues of a square quaternionic matrix,
+    sorted.
 
     Obtained as the spectrum of psi(M), from the eigenvalues of
     psi_block(M), with conjugate pairing enforced.
     """
     if m.rows != m.cols:
         raise ValueError("right eigenvalues are defined for square matrices")
-    result = eigenvalues(psi_block(m))
-    result.eigenvalues = pair_conjugates(
-        psi_spectrum(result.eigenvalues, m.rows))
-    return result
-
-
-def right_spectrum_class_reps(m: QuatMatrix, tol: float = 1e-7) -> list[tuple[complex, int]]:
-    """Deduplicated similarity-class representatives of the right spectrum.
-
-    Each complexified eigenvalue lambda contributes the class of
-    x0 + |Im|*i; conjugate eigenvalues collapse to the same representative.
-    Returns (representative, multiplicity) pairs as dedupe_class_reps does.
-    """
-    return class_reps(right_eigenvalues(m).eigenvalues, tol)
+    return pair_conjugates(psi_spectrum(eigenvalues(psi_block(m)), m.rows))
 
 
 def class_reps(values: np.ndarray, tol: float = 1e-7) -> list[tuple[complex, int]]:
-    """Grouped class representatives re + |im|*i of complex eigenvalues."""
+    """Grouped similarity-class representatives re + |im|*i of complex
+    eigenvalues; conjugates share one (see dedupe_class_reps)."""
     values = np.asarray(values, dtype=complex)
     return dedupe_class_reps(values.real + 1j * np.abs(values.imag), tol)
 

@@ -165,7 +165,8 @@ _TERM = re.compile(
 def parse_quaternion(text: str) -> Quaternion:
     """Parse a literal like ``1``, ``-0.5+0.5i``, ``1-j`` or ``2k``.
 
-    The format is whitespace-free with case-sensitive basis letters.
+    The format is whitespace-free with case-sensitive basis letters: terms
+    after the first start with a sign, and every coordinate is finite.
     """
     if not text:
         raise QuaternionFormatError("empty quaternion literal")
@@ -173,7 +174,7 @@ def parse_quaternion(text: str) -> Quaternion:
     pos = 0
     while pos < len(text):
         m = _TERM.match(text, pos)
-        if m is None or m.end() == pos:
+        if m is None or m.end() == pos or (pos and text[pos] not in "+-"):
             raise QuaternionFormatError(
                 f"bad quaternion literal {text!r} at position {pos}")
         if m.group(4) is not None:
@@ -184,4 +185,6 @@ def parse_quaternion(text: str) -> Quaternion:
             axis = m.group(2)
         coords[axis] += coef
         pos = m.end()
+    if not all(map(math.isfinite, coords.values())):
+        raise QuaternionFormatError(f"non-finite quaternion literal {text!r}")
     return Quaternion(coords[""], coords["i"], coords["j"], coords["k"])

@@ -92,31 +92,22 @@ class ComparisonRecord:
 
 @dataclass
 class SpectrumReport:
-    """Multiset of complexified eigenvalues plus similarity-class reps."""
+    """Multiset of complexified eigenvalues and the route's cross-check."""
 
     method: str
     psi_spectrum: np.ndarray
     cross_check: ComparisonRecord | None = None
 
-    @property
-    def class_reps(self) -> list[tuple[complex, int]]:
-        """Grouped class representatives of psi_spectrum (qmatrix.class_reps)."""
-        return class_reps(self.psi_spectrum)
-
-    def grouped_spectrum(self, tol: float = 1e-7) -> list[tuple[complex, int]]:
-        """Eigenvalues clustered within tol, with multiplicities, sorted."""
-        return dedupe_class_reps(list(self.psi_spectrum), tol)
-
-    def to_dict(self, tol: float = 1e-7) -> dict:
+    def to_dict(self) -> dict:
         d = {
             "method": self.method,
             "psi_spectrum": [
                 {"re": v.real, "im": v.imag, "mult": mult}
-                for v, mult in self.grouped_spectrum(tol)
+                for v, mult in dedupe_class_reps(self.psi_spectrum)
             ],
             "class_reps": [
                 {"re": v.real, "im": v.imag, "mult": mult}
-                for v, mult in self.class_reps
+                for v, mult in class_reps(self.psi_spectrum)
             ],
         }
         if self.cross_check is not None:
@@ -127,11 +118,12 @@ class SpectrumReport:
 def compare_spectra(a: SpectrumReport | np.ndarray,
                     b: SpectrumReport | np.ndarray,
                     tol: float = 1e-7) -> ComparisonRecord:
-    """Multiset comparison of two spectra by a perfect matching: pairs by
-    sorting within clusters at tol, minimal-cost assignment only where
-    those fail (linalg._matching)."""
-    va = a.psi_spectrum if isinstance(a, SpectrumReport) else np.asarray(a)
-    vb = b.psi_spectrum if isinstance(b, SpectrumReport) else np.asarray(b)
+    """Multiset comparison of two spectra (reports, or arrays of any shape)
+    by a perfect matching: pairs by sorting within clusters at tol,
+    minimal-cost assignment only where those fail (linalg._matching), so
+    at tol = 0 max_dist is that of a minimal-cost matching."""
+    va, vb = (np.asarray(x.psi_spectrum if isinstance(x, SpectrumReport)
+                         else x, dtype=complex).ravel() for x in (a, b))
     against = b.method if isinstance(b, SpectrumReport) else "other"
     if va.size != vb.size:
         return ComparisonRecord(
@@ -150,7 +142,7 @@ def spectrum_direct(graph: Graph, coin: CoinMap) -> SpectrumReport:
     """Eigensolve of psi(U), or of its 2m x 2m block when U's entries
     share one imaginary axis (qmatrix.psi_block)."""
     u = build_U(graph, coin)
-    vals = eigenvalues(psi_block(u)).eigenvalues
+    vals = eigenvalues(psi_block(u))
     vals = pair_conjugates(psi_spectrum(vals, u.rows))
     return SpectrumReport(method="direct", psi_spectrum=vals)
 

@@ -50,8 +50,9 @@ class CoinMap:
 
     Also serves as the general weight map for the zeta-function matrices;
     the walk coin is the special case where the weights feed the transition
-    matrix U.  The complex arrays ``s`` and ``p`` hold the symplectic parts,
-    q(e) = s[e] + j*p[e], which the matrix builders index.
+    matrix U.  The coin is stored only as the complex arrays ``s`` and
+    ``p`` of its symplectic parts, q(e) = s[e] + j*p[e], which the matrix
+    builders index.
     """
 
     def __init__(self, graph: Graph, values: list[Quaternion]):
@@ -59,9 +60,8 @@ class CoinMap:
             raise ValueError(
                 f"expected {graph.num_arcs} arc values, got {len(values)}")
         self.graph = graph
-        self.values = list(values)
-        self.s = np.array([q.simplex for q in self.values], dtype=complex)
-        self.p = np.array([q.perplex for q in self.values], dtype=complex)
+        self.s = np.array([q.simplex for q in values], dtype=complex)
+        self.p = np.array([q.perplex for q in values], dtype=complex)
 
     @classmethod
     def from_arc_values(cls, graph: Graph,
@@ -78,22 +78,22 @@ class CoinMap:
     def from_vertex_values(cls, graph: Graph,
                            per_vertex: dict[int, Quaternion]) -> "CoinMap":
         """q(e) = value at o(e); unspecified vertices get 0."""
-        values = [per_vertex.get(arc.origin, Quaternion.ZERO)
-                  for arc in graph.arcs]
-        return cls(graph, values)
+        values = [per_vertex.get(v, Quaternion.ZERO) for v in range(graph.n)]
+        return cls(graph, [values[v] for v in graph.origin])
 
     @classmethod
     def from_alpha(cls, graph: Graph, alpha: Quaternion) -> "CoinMap":
         """q(e) = alpha / d_{o(e)} (real divisor, so side of division is moot)."""
-        values = [alpha / graph.degree(arc.origin) for arc in graph.arcs]
-        return cls(graph, values)
+        degree = np.bincount(graph.origin, minlength=graph.n)
+        return cls(graph, [alpha / d for d in degree[graph.origin]])
 
     @classmethod
     def grover(cls, graph: Graph) -> "CoinMap":
         return cls.from_alpha(graph, Quaternion(2.0))
 
     def __getitem__(self, arc_index: int) -> Quaternion:
-        return self.values[arc_index]
+        return Quaternion.from_complex_pair(complex(self.s[arc_index]),
+                                            complex(self.p[arc_index]))
 
     def is_complex_valued(self, atol: float = 1e-12) -> bool:
         return bool(np.all(_within(0.0, self.p, atol)))

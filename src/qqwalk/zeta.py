@@ -11,8 +11,9 @@ with an arc-side matrix X, a vertex-side matrix Y and a diagonal D:
 
 * classical: X = B - J0, Y = A, D the degree matrix, e = m - n (the
   Bass form (1 - t^2)^(r-1) with r the Betti number);
-* complex-weighted: X = B_w^T - J0, Y = W^T, D = D_w, e = m - n;
-* quaternionic, through the complexification map: X = psi(B_w^T - J0),
+* complex-weighted: X = U = B_w^T - J0, the walk matrix of the weights
+  (walks.build_U), Y = W^T, D = D_w, e = m - n;
+* quaternionic, through the complexification map: X = psi(U),
   Y = psi(W^T), D = psi(D_w), e = 2m - 2n, together with the resolvent-style
   intermediate identity
   psi(L^T) (I + t*psi(J0))^-1 psi(K) = (psi(W^T) - t*psi(D_w)) / (1 - t^2).
@@ -37,7 +38,7 @@ import numpy as np
 
 from .graph import Graph
 from .linalg import determinant
-from .walks import CoinMap, build_B_and_J0, build_Bw, build_K_L, build_W_Dw
+from .walks import CoinMap, build_B_and_J0, build_K_L, build_U, build_W_Dw
 
 __all__ = [
     "IdentityReport",
@@ -210,9 +211,8 @@ def weighted_zeta_identity(graph: Graph, weights: CoinMap,
     if not weights.is_complex_valued():
         raise ValueError(
             "weights have nonzero j/k parts; use quaternionic_identity")
-    _, j0 = build_B_and_J0(graph)
     w, dw = build_W_Dw(graph, weights)
-    return _compare(build_Bw(graph, weights).s.T - j0.s, w.s.T, dw.s,
+    return _compare(build_U(graph, weights).s, w.s.T, dw.s,
                     graph.m - graph.n, t_samples, tol)
 
 
@@ -231,8 +231,7 @@ def quaternionic_identity(graph: Graph, weights: CoinMap,
     psi(J0) = blockdiag(J0, J0) acts as the row permutation idx ^ 1 on the
     4m complexified arcs.
     """
-    _, j0 = build_B_and_J0(graph)
-    x = build_Bw(graph, weights).transpose().psi() - j0.psi()
+    x = build_U(graph, weights).psi()
     wq, dwq = build_W_Dw(graph, weights)
     psi_wt, psi_dw = wq.transpose().psi(), dwq.psi()
     kq, lq = build_K_L(graph, weights)

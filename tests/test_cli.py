@@ -195,6 +195,44 @@ class TestErrorsAndEnvironment:
                            "--alpha", "1+q")
         assert code == 2
 
+    def test_non_finite_alpha_is_an_input_error(self, capsys, k3_path):
+        code, out, err = run(capsys, "spectrum", "--graph", k3_path,
+                             "--alpha", "1e400")
+        assert code == 2 and out == ""
+        assert "non-finite" in err
+
+    @pytest.mark.parametrize("count", ["-1", "0"])
+    @pytest.mark.parametrize("coin", [(), ("--grover",)])
+    def test_samples_below_one_rejected(self, capsys, k3_path, count, coin):
+        sub = "zeta-quat" if coin else "zeta-ihara"
+        code, out, err = run(capsys, sub, "--graph", k3_path, *coin,
+                             "--samples", count)
+        assert code == 2 and out == ""
+        assert "--samples" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+    def test_bad_tol_option_rejected(self, capsys, k3_path, value):
+        for argv in (("unitarity", "--grover"),
+                     ("spectrum", "--grover", "--method", "theorem10")):
+            code, out, err = run(capsys, argv[0], "--graph", k3_path,
+                                 *argv[1:], f"--tol={value}")
+            assert code == 2 and out == ""
+            assert "--tol must be finite and >= 0" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1e-3"])
+    def test_bad_tol_env_rejected(self, capsys, k3_path, monkeypatch, value):
+        monkeypatch.setenv("QQWALK_TOL", value)
+        code, out, err = run(capsys, "unitarity", "--graph", k3_path,
+                             "--grover")
+        assert code == 2 and out == ""
+        assert "QQWALK_TOL must be finite and >= 0" in err
+
+    def test_zero_tol_accepted(self, capsys, k3_path, monkeypatch):
+        assert run(capsys, "unitarity", "--graph", k3_path, "--grover",
+                   "--tol", "0")[0] == 0
+        monkeypatch.setenv("QQWALK_TOL", "0")
+        assert run(capsys, "unitarity", "--graph", k3_path, "--grover")[0] == 0
+
     def test_tol_env_override(self, capsys, k3_path, monkeypatch):
         monkeypatch.setenv("QQWALK_TOL", "not-a-number")
         code, _, err = run(capsys, "unitarity", "--graph", k3_path, "--grover")

@@ -14,7 +14,8 @@ from qqwalk.graph import (
     random_connected_graph,
     star_graph,
 )
-from qqwalk.linalg import eigenvalues, multisets_match
+from qqwalk.linalg import eigenvalues
+from qqwalk.spectra import compare_spectra
 
 K3_TEXT = "3 3\n0 1\n1 2\n2 0"
 STAR_TEXT = "4 3\n3 0\n3 1\n3 2"
@@ -59,17 +60,17 @@ class TestParsing:
 class TestArcs:
     def test_inverse_pairing(self):
         g = parse_graph(K3_TEXT)
-        for arc in g.arcs:
-            inv = g.inverse_arc(arc)
-            assert inv.origin == arc.terminal
-            assert inv.terminal == arc.origin
-            assert g.inverse_arc(inv).index == arc.index
+        for idx in range(g.num_arcs):
+            inv = idx ^ 1
+            assert g.origin[inv] == g.terminal[idx]
+            assert g.terminal[inv] == g.origin[idx]
+            assert inv ^ 1 == idx
 
     def test_input_order_determines_arcs(self):
         g = parse_graph(K3_TEXT)
-        assert (g.arcs[0].origin, g.arcs[0].terminal) == (0, 1)
-        assert (g.arcs[1].origin, g.arcs[1].terminal) == (1, 0)
-        assert (g.arcs[4].origin, g.arcs[4].terminal) == (2, 0)
+        assert (g.origin[0], g.terminal[0]) == (0, 1)
+        assert (g.origin[1], g.terminal[1]) == (1, 0)
+        assert (g.origin[4], g.terminal[4]) == (2, 0)
 
 
 class TestDegreesAndBetti:
@@ -99,13 +100,19 @@ class TestDegreesAndBetti:
             complete_graph(3).degree(5)
 
 
+def transition_matrix(g: Graph) -> np.ndarray:
+    """T = D^-1 A, the random-walk matrix the alpha-coin route diagonalizes,
+    from the adjacency and degree matrices."""
+    return g.adjacency_matrix() / g.degree_matrix().diagonal()[:, None]
+
+
 class TestTransitionMatrix:
     def test_triangle(self):
-        t = complete_graph(3).transition_matrix()
+        t = transition_matrix(complete_graph(3))
         assert np.allclose(t, (np.ones((3, 3)) - np.eye(3)) / 2)
 
     def test_star(self):
-        t = star_graph(3).transition_matrix()
+        t = transition_matrix(star_graph(3))
         assert np.allclose(t[3, :3], 1 / 3) and t[3, 3] == 0
         for leaf in range(3):
             assert t[leaf, 3] == 1.0
@@ -114,8 +121,9 @@ class TestTransitionMatrix:
         rng = np.random.default_rng(3)
         for _ in range(10):
             g = random_connected_graph(rng, int(rng.integers(2, 9)))
-            assert np.allclose(g.transition_matrix().sum(axis=1), 1.0)
+            assert np.allclose(transition_matrix(g).sum(axis=1), 1.0)
 
     def test_triangle_spectrum(self):
-        vals = eigenvalues(complete_graph(3).transition_matrix()).eigenvalues
-        assert multisets_match(vals, np.array([1.0, -0.5, -0.5]), tol=1e-10)
+        vals = eigenvalues(transition_matrix(complete_graph(3)))
+        assert compare_spectra(vals, np.array([1.0, -0.5, -0.5]),
+                               tol=1e-10).verdict

@@ -15,11 +15,10 @@ from qqwalk.linalg import (
     _matching,
     determinant,
     eigenvalues,
-    multiset_distance,
-    multisets_match,
     pair_conjugates,
     simultaneous_triangularize,
 )
+from qqwalk.spectra import compare_spectra
 
 
 def cofactor_determinant(m):
@@ -36,29 +35,30 @@ def cofactor_determinant(m):
 
 class TestEigenvalues:
     def test_diagonal(self):
-        vals = eigenvalues(np.diag([1, 1j, 1, -1j])).eigenvalues
-        assert multisets_match(vals, np.array([1, 1, 1j, -1j]), tol=1e-12)
+        vals = eigenvalues(np.diag([1, 1j, 1, -1j]))
+        assert compare_spectra(vals, np.array([1, 1, 1j, -1j]),
+                               tol=1e-12).verdict
 
     def test_zero_matrix(self):
-        vals = eigenvalues(np.zeros((5, 5))).eigenvalues
+        vals = eigenvalues(np.zeros((5, 5)))
         assert np.abs(vals).max() == 0.0
 
     def test_companion_of_golden_ratio_polynomial(self):
         # lambda^2 - lambda - 1: roots from the quadratic formula.
         companion = np.array([[0.0, 1.0], [1.0, 1.0]])
-        vals = eigenvalues(companion).eigenvalues
+        vals = eigenvalues(companion)
         phi = (1 + np.sqrt(5.0)) / 2
-        assert multisets_match(vals, np.array([phi, 1 - phi]), tol=1e-12)
+        assert compare_spectra(vals, np.array([phi, 1 - phi]),
+                               tol=1e-12).verdict
 
     def test_sum_and_product_match_trace_and_det(self):
         rng = np.random.default_rng(43)
         for _ in range(20):
             m = rng.uniform(-1, 1, (5, 5)) + 1j * rng.uniform(-1, 1, (5, 5))
-            res = eigenvalues(m)
-            assert res.converged
-            assert np.sum(res.eigenvalues) == pytest.approx(np.trace(m),
-                                                            rel=1e-8, abs=1e-8)
-            assert np.prod(res.eigenvalues) == pytest.approx(
+            vals = eigenvalues(m)
+            assert np.sum(vals) == pytest.approx(np.trace(m),
+                                                 rel=1e-8, abs=1e-8)
+            assert np.prod(vals) == pytest.approx(
                 determinant(m), rel=1e-8, abs=1e-8)
 
     def test_non_square_rejected(self):
@@ -74,11 +74,11 @@ class TestEigenvalues:
             return eigvals(m)
         monkeypatch.setattr(np.linalg, "eigvals", recording)
         m = np.random.default_rng(44).uniform(-1, 1, (6, 6))
-        vals = eigenvalues(m).eigenvalues
+        vals = eigenvalues(m)
         eigenvalues(m.astype(complex))
         assert dtypes == [np.dtype(float), np.dtype(complex)]
         assert vals.dtype == complex
-        assert multiset_distance(vals, np.conj(vals)) == 0.0
+        assert compare_spectra(vals, np.conj(vals), tol=0.0).max_dist == 0.0
 
 
 class TestDeterminant:
@@ -131,7 +131,8 @@ class TestConjugatePairing:
         vals = np.array([1 + 1e-10j + 1j, 1 - 1j + 3e-11, 0.5 + 2e-12j,
                          0.5 - 1e-12j])
         paired = pair_conjugates(vals)
-        assert multiset_distance(paired, np.conj(paired)) == 0.0
+        assert compare_spectra(paired, np.conj(paired),
+                               tol=0.0).max_dist == 0.0
 
     def test_spectra_of_complexified_matrices_pair_up(self):
         from qqwalk.qmatrix import QuatMatrix
@@ -139,8 +140,9 @@ class TestConjugatePairing:
         for _ in range(50):
             s = rng.uniform(-1, 1, (4, 4)) + 1j * rng.uniform(-1, 1, (4, 4))
             p = rng.uniform(-1, 1, (4, 4)) + 1j * rng.uniform(-1, 1, (4, 4))
-            vals = eigenvalues(QuatMatrix(s, p).psi()).eigenvalues
-            assert multiset_distance(vals, np.conj(vals)) <= 1e-8
+            vals = eigenvalues(QuatMatrix(s, p).psi())
+            assert compare_spectra(vals, np.conj(vals),
+                                   tol=0.0).max_dist <= 1e-8
 
     def test_determinant_of_complexification_is_real_nonnegative(self):
         from qqwalk.qmatrix import QuatMatrix
@@ -208,8 +210,9 @@ class TestSortBasedPairing:
             got = pair_conjugates(vals)
             again = pair_conjugates(got)
         assert np.array_equal(again, got)
-        assert multiset_distance(got, np.conj(got)) == 0.0
-        assert multiset_distance(got, _assignment_pairing(vals)) <= 1e-12
+        assert compare_spectra(got, np.conj(got), tol=0.0).max_dist == 0.0
+        assert compare_spectra(got, _assignment_pairing(vals),
+                               tol=0.0).max_dist <= 1e-12
 
     def test_defective_split_falls_back_to_the_assignment(self):
         # A triple eigenvalue split by 1e-6 around lambda and, rotated,
@@ -230,8 +233,9 @@ class TestSortBasedPairing:
             mp.setattr(scipy.optimize, "linear_sum_assignment", counting)
             got = pair_conjugates(vals)
         assert sizes == [(6, 6)]
-        assert multiset_distance(got, np.conj(got)) == 0.0
-        assert multiset_distance(got, _assignment_pairing(vals)) <= 1e-12
+        assert compare_spectra(got, np.conj(got), tol=0.0).max_dist == 0.0
+        assert compare_spectra(got, _assignment_pairing(vals),
+                               tol=0.0).max_dist <= 1e-12
         assert np.array_equal(pair_conjugates(got), got)
 
     def test_non_finite_values_reach_the_assignment(self):
@@ -242,21 +246,22 @@ class TestSortBasedPairing:
 class TestMultisetComparison:
     def test_identical(self):
         a = np.array([1, 2, 3 + 1j])
-        assert multiset_distance(a, a) == 0.0
+        assert compare_spectra(a, a, tol=0.0).max_dist == 0.0
 
     def test_permutation_invariant(self):
         a = np.array([1, 2, 3 + 1j])
-        assert multiset_distance(a, a[::-1]) == 0.0
+        assert compare_spectra(a, a[::-1], tol=0.0).max_dist == 0.0
 
     def test_perturbation_detected(self):
         a = np.array([1.0, 2.0])
         b = np.array([1.0, 2.0 + 1e-3])
-        assert multiset_distance(a, b) == pytest.approx(1e-3)
-        assert not multisets_match(a, b, tol=1e-7)
+        assert compare_spectra(a, b, tol=0.0).max_dist == pytest.approx(1e-3)
+        assert not compare_spectra(a, b, tol=1e-7).verdict
 
     def test_cardinality_mismatch(self):
-        assert multiset_distance(np.array([1.0]), np.array([1.0, 2.0])) == np.inf
-        assert not multisets_match(np.array([1.0]), np.array([1.0, 2.0]))
+        a, b = np.array([1.0]), np.array([1.0, 2.0])
+        assert compare_spectra(a, b, tol=0.0).max_dist == np.inf
+        assert not compare_spectra(a, b).verdict
 
 
 def _full_matching(a, b):
@@ -291,7 +296,7 @@ class TestSortBasedMatching:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(scipy.optimize, "linear_sum_assignment", _refuse)
             dist, _ = _matching(a, b, 1e-9)
-            assert multiset_distance(a, a[::-1]) == 0.0
+            assert compare_spectra(a, a[::-1], tol=0.0).max_dist == 0.0
         assert dist <= 1e-9
         assert dist == pytest.approx(_full_matching(a, b)[0], abs=1e-12)
 
@@ -301,7 +306,7 @@ class TestSortBasedMatching:
                                                             moved):
         a, b = _spectrum_pair(np.random.default_rng(seed), moved)
         assert _matching(a, b, 1e-9) == _full_matching(a, b)
-        assert not multisets_match(a, b, tol=1e-9)
+        assert not compare_spectra(a, b, tol=1e-9).verdict
 
     def test_assignment_sees_only_the_clusters_that_need_it(self):
         # 3 in a against 3 + 1e-3 in b: two singleton clusters, counts
@@ -327,7 +332,7 @@ class TestSortBasedMatching:
         b = np.array([0.05 + 0.3j, 0.12, 0.1 + 0.15j])
         dist, _ = _matching(a, b, 0.2)
         assert dist == pytest.approx(0.12)
-        assert multisets_match(a, b, tol=0.2)
+        assert compare_spectra(a, b, tol=0.2).verdict
 
 
 class TestClusterLabels:
@@ -445,7 +450,7 @@ class TestSimultaneousTriangularization:
         assert np.abs(mus).max() <= 1e-8
         expected_xis = np.array([1 + 1j, 1 + 1j, 1 - 1j, 1 - 1j,
                                  2, 2, 0, 0])
-        assert multisets_match(xis, expected_xis, tol=1e-8)
+        assert compare_spectra(xis, expected_xis, tol=1e-8).verdict
 
     def test_commuting_pair_takes_one_schur(self, monkeypatch):
         import scipy.linalg
@@ -549,9 +554,10 @@ class TestBlockDeflation:
         steps = _recording_steps(monkeypatch)
         report = spectrum_theorem_general(g, coin)
         assert 1 <= len(steps) <= 3, steps
-        assert multiset_distance(
+        assert compare_spectra(
             report.psi_spectrum,
-            np.linalg.eigvals(build_U(g, coin).psi())) <= 1e-9
+            np.linalg.eigvals(build_U(g, coin).psi()),
+            tol=0.0).max_dist <= 1e-9
         # The first step's vectors are joint eigenvectors within the step's
         # tolerance, each at least half outside the span of those before.
         w, dw = build_W_Dw(g, coin)

@@ -5,18 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qqwalk.linalg import multiset_distance
 from qqwalk.qmatrix import (
     AXIS_TOL,
     QuatMatrix,
+    class_reps,
     dedupe_class_reps,
     psi_block,
     psi_homomorphism_check,
     psi_spectrum,
     right_eigenvalues,
-    right_spectrum_class_reps,
 )
 from qqwalk.quaternion import Quaternion
+from qqwalk.spectra import compare_spectra
 
 ONE, I, J, K = Quaternion.ONE, Quaternion.I, Quaternion.J, Quaternion.K
 
@@ -38,17 +38,17 @@ def axis_qmatrix(rng, n, axis, scale=1.0):
 class TestSymplecticParts:
     def test_complex_matrix_has_zero_perplex(self):
         m = QuatMatrix.from_entries([[Quaternion(1, 1)]])
-        s, p = m.symplectic_parts()
+        s, p = m.s, m.p
         assert s[0, 0] == 1 + 1j and p[0, 0] == 0
 
     def test_pure_j(self):
         m = QuatMatrix.from_entries([[J]])
-        s, p = m.symplectic_parts()
+        s, p = m.s, m.p
         assert s[0, 0] == 0 and p[0, 0] == 1
 
     def test_one_minus_j_reconstructs(self):
         m = QuatMatrix.from_entries([[Quaternion(1, 0, -1)]])
-        s, p = m.symplectic_parts()
+        s, p = m.s, m.p
         assert s[0, 0] == 1 and p[0, 0] == -1
         # M = S + j*P entrywise
         rebuilt = Quaternion(s[0, 0].real, s[0, 0].imag) + J * Quaternion(
@@ -58,7 +58,7 @@ class TestSymplecticParts:
     def test_decomposition_uniqueness_random(self):
         rng = np.random.default_rng(3)
         m = random_qmatrix(rng, 4)
-        s, p = m.symplectic_parts()
+        s, p = m.s, m.p
         for u in range(4):
             for v in range(4):
                 q = m[u, v]
@@ -205,13 +205,13 @@ class TestRightEigenvalues:
     def test_diag_one_i(self):
         m = QuatMatrix.from_entries([[ONE, Quaternion.ZERO],
                                      [Quaternion.ZERO, I]])
-        vals = right_eigenvalues(m).eigenvalues
+        vals = right_eigenvalues(m)
         expected = np.array([1, 1, 1j, -1j])
-        assert multiset_distance(vals, expected) <= 1e-9
+        assert compare_spectra(vals, expected, tol=0.0).max_dist <= 1e-9
 
     def test_mixed_basis_matrix(self):
         m = QuatMatrix.from_entries([[ONE, J], [K, I]])
-        vals = right_eigenvalues(m).eigenvalues
+        vals = right_eigenvalues(m)
         s3 = np.sqrt(3.0)
         expected = np.array([
             (1 + s3) / 2 + (1 - s3) / 2 * 1j,
@@ -219,12 +219,12 @@ class TestRightEigenvalues:
             (1 - s3) / 2 + (1 + s3) / 2 * 1j,
             (1 - s3) / 2 - (1 + s3) / 2 * 1j,
         ])
-        assert multiset_distance(vals, expected) <= 1e-9
+        assert compare_spectra(vals, expected, tol=0.0).max_dist <= 1e-9
 
     def test_class_reps(self):
         m = QuatMatrix.from_entries([[ONE, Quaternion.ZERO],
                                      [Quaternion.ZERO, I]])
-        reps = right_spectrum_class_reps(m)
+        reps = class_reps(right_eigenvalues(m))
         values = [r for r, _ in reps]
         assert values[0] == pytest.approx(0 + 1j)
         assert values[1] == pytest.approx(1 + 0j)
@@ -242,10 +242,12 @@ class TestRightEigenvalues:
                 m = QuatMatrix.from_complex(random_qmatrix(rng, 6).s)
             else:
                 m = random_qmatrix(rng, 6)
-            vals = right_eigenvalues(m).eigenvalues
+            vals = right_eigenvalues(m)
             assert vals.size == 12
-            assert multiset_distance(vals, np.conj(vals)) == 0.0
-            assert multiset_distance(vals, np.linalg.eigvals(m.psi())) <= 1e-12
+            assert compare_spectra(vals, np.conj(vals),
+                                   tol=0.0).max_dist == 0.0
+            assert compare_spectra(vals, np.linalg.eigvals(m.psi()),
+                                   tol=0.0).max_dist <= 1e-12
 
 
 class TestPsiBlock:
@@ -260,7 +262,8 @@ class TestPsiBlock:
             block = psi_block(m)
             assert block.shape == (5, 5) and np.iscomplexobj(block)
             vals = psi_spectrum(np.linalg.eigvals(block), m.rows)
-            assert multiset_distance(vals, self.psi_eigs(m)) <= 1e-12
+            assert compare_spectra(vals, self.psi_eigs(m),
+                                   tol=0.0).max_dist <= 1e-12
 
     def test_block_entries_are_the_entries_turned_onto_i(self):
         # a + b*u with u = (2j - 2k)/|..| maps to a + b*i, or its conjugate

@@ -155,7 +155,13 @@ class TestParsing:
     def test_literals(self, text, expected):
         assert parse_quaternion(text).isclose(expected)
 
-    @pytest.mark.parametrize("bad", ["", "1+", "x", "1+Ij", "i j", "++i"])
+    @pytest.mark.parametrize("bad", [
+        "", "1+", "x", "1+Ij", "i j", "++i",
+        # every term after the first needs its sign
+        "1.5.5", "ii", "i2", "2ij",
+        # coordinates must be finite
+        "1e400", "1-1e400k", "1e308+1e308",
+    ])
     def test_rejects_garbage(self, bad):
         with pytest.raises(QuaternionFormatError):
             parse_quaternion(bad)

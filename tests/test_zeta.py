@@ -244,7 +244,7 @@ class TestQuaternionicIdentity:
         w = CoinMap.grover(g)
 
         def corrupted_K_L(graph, weights):
-            values = list(weights.values)
+            values = [weights[e] for e in range(graph.num_arcs)]
             values[0] = values[0] + Quaternion(0.0, 0.0, 0.5)
             return build_K_L(graph, CoinMap(graph, values))
 
@@ -302,6 +302,27 @@ class TestSparseArcSide:
             for sample in sparse[name].samples:
                 want = np.linalg.det(np.eye(len(x)) - sample.t * x)
                 assert abs(sample.lhs - want) <= 1e-12 * abs(want), name
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 8), st.floats(0.0, 0.6), st.integers(0, 2**32 - 1))
+    def test_arc_side_is_the_walk_matrix(self, n, extra, seed):
+        # The weighted and quaternionic identities factor build_U and its
+        # psi: entry for entry the definition's B_w^T - J0, and I - t*X is
+        # the same array bit for bit.
+        rng = np.random.default_rng(seed)
+        g = random_connected_graph(rng, n, extra)
+        quat, cplx = quaternion_weights(rng, g), complex_weights(rng, g)
+        seen = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(zeta, "_compare",
+                       lambda x, *args, **kwargs: seen.append(x))
+            quaternionic_identity(g, quat, [0.3])
+            weighted_zeta_identity(g, cplx, [0.3])
+        t = 0.3 - 0.45j
+        for got, (name, want) in zip(seen, arc_matrices(g, quat, cplx).items()):
+            eye = np.eye(len(want))
+            assert np.array_equal(got, want), name
+            assert (eye - t * got).tobytes() == (eye - t * want).tobytes(), name
 
     @pytest.mark.parametrize("rows, sparse", [(255, False), (256, True)])
     def test_threshold(self, monkeypatch, rows, sparse):
