@@ -361,6 +361,8 @@ def main(argv: list[str] | None = None) -> int:
         if "tol" in vars(args):
             args.tol = (_default_tol() if args.tol is None
                         else _checked_tol(args.tol, "--tol"))
+        if getattr(args, "seed", 0) < 0:
+            raise InputError(f"--seed must be >= 0, got {args.seed}")
         return args.handler(args)
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")

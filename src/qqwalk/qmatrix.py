@@ -20,7 +20,10 @@ into a complex matrix S' = Re S + i*(v . u), v the imaginary parts, and
 psi(M) is unitarily similar to diag(S', conj(S')).  psi_block returns that
 half-sized S' (or S itself, as a real array, for a real M) and psi(M) for
 every other M; psi_spectrum closes a block's eigenvalues under conjugation
-into the spectrum of psi(M).
+into the spectrum of psi(M).  psi_blocks does the same for several matrices
+with one axis chosen for all of them, so one h turns them all and any
+polynomial in their psi images splits into the same polynomial in the S' and
+in their conjugates.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ __all__ = [
     "QuatMatrix",
     "class_reps",
     "psi_block",
+    "psi_blocks",
     "psi_homomorphism_check",
     "psi_spectrum",
     "right_eigenvalues",
@@ -185,26 +189,56 @@ def psi_homomorphism_check(m: QuatMatrix, n: QuatMatrix,
 
 def psi_block(m: QuatMatrix) -> np.ndarray:
     """A complex matrix whose spectrum, closed under conjugation, is the
-    spectrum of psi(M).
+    spectrum of psi(M): psi_blocks of M alone."""
+    return psi_blocks(m)[0]
 
-    With v = (Im S, Re P, -Im P) the imaginary parts of the entries and u
-    the axis of the entry with the largest |v|: a real M gives S as a real
-    array; an M whose every entry has a part off u of at most
-    AXIS_TOL * eps * max|entry| gives S' = Re S + i*(v . u); any other M
-    gives psi(M).  The first two are n x n, psi(M) is 2n x 2n.
+
+def _imaginary_parts(m: QuatMatrix) -> np.ndarray:
+    """v = (Im S, Re P, -Im P): the i, j, k parts of the entries."""
+    return np.stack((m.s.imag, m.p.real, -m.p.imag))
+
+
+def psi_blocks(*ms: QuatMatrix) -> tuple[np.ndarray, ...]:
+    """One matrix per M, turned by one shared axis: real S, the block S'
+    or psi(M).
+
+    With v the imaginary parts of the entries and u the axis of the entry
+    with the largest |v| over all the matrices, in argument order: real
+    matrices give their S as real arrays; matrices whose every entry has a
+    part off u of at most AXIS_TOL * eps * (largest |entry| of them all) give
+    S' = Re S + i*(v . u) each; any others give psi(M) each.  The first two
+    are n x n, psi(M) is 2n x 2n.  In the first two cases one unitary Q has
+    psi(M) = Q diag(S', conj(S')) Q^H for every M, so a polynomial in the
+    psi(M) splits the same way.  An axis taken per matrix would not do: a
+    matrix whose largest entry points along -u would be turned onto -i, its
+    S' conjugated against the others'.
     """
-    v = np.stack((m.s.imag, m.p.real, -m.p.imag))
-    size = np.sqrt(np.sum(v * v, axis=0))
-    if not size.any():
-        return m.s.real
-    u = v.reshape(3, -1)[:, np.argmax(size)]
+    top, bound, u = 0.0, 0.0, None
+    for m in ms:
+        v = _imaginary_parts(m)
+        size = np.sqrt(np.sum(v * v, axis=0))
+        if not size.size:
+            continue
+        k = np.argmax(size)
+        if not size.flat[k] <= top:  # NaN wins: it shows in the blocks
+            top, u = float(size.flat[k]), v.reshape(3, -1)[:, k]
+        bound = max(bound, float(np.max(m.s.real ** 2 + size ** 2)))
+    if u is None:
+        return tuple(m.s.real for m in ms)
     u = u / np.linalg.norm(u)
-    along = np.tensordot(u, v, axes=1)
-    off = np.sqrt(np.sum((v - u[:, None, None] * along) ** 2, axis=0))
-    entry = np.sqrt(m.s.real ** 2 + size ** 2)
-    if off.max() > AXIS_TOL * np.finfo(float).eps * entry.max():
-        return m.psi()
-    return m.s.real + 1j * along
+    # Squared: the off-axis parts are compared with AXIS_TOL*eps*max|entry|.
+    bound *= (AXIS_TOL * np.finfo(float).eps) ** 2
+    blocks = []
+    for m in ms:
+        v = _imaginary_parts(m)
+        along = np.dot(u[None, :], v.reshape(3, -1)).reshape(m.shape)
+        off = u[:, None, None] * along
+        np.subtract(v, off, out=off)
+        off *= off
+        if np.sum(off, axis=0).max(initial=0.0) > bound:
+            return tuple(m.psi() for m in ms)
+        blocks.append(m.s.real + 1j * along)
+    return tuple(blocks)
 
 
 def psi_spectrum(values: np.ndarray, rows: int) -> np.ndarray:

@@ -25,6 +25,15 @@ builds or eigensolves psi(U) and the check costs O(n^3).  The direct route
 and compare_spectra remain the reference.  Similarity-class representatives of
 the right spectrum are the upper-half-plane members of the computed
 eigenvalues.
+
+Each formula route builds the vertex pair once (_vertex_blocks):
+qmatrix.psi_blocks of (W^T, D_w), with one axis for both.  When all their
+entries lie in one copy R + R*u of C, it is the n x n pair (Y', D') with
+psi(W^T) and psi(D_w) unitarily similar to diag(Y', conj(Y')) and
+diag(D', conj(D')) by one similarity: theorem8 triangularizes (Y', D'),
+whose aligned diagonals (mu, xi) give the rest as (conj(mu), conj(xi)), and
+the certificate's determinant is the product of two n x n ones (one, squared,
+for a real pair).  Other coins keep the 2n x 2n pair (psi(W^T), psi(D_w)).
 """
 
 from __future__ import annotations
@@ -41,7 +50,13 @@ from .linalg import (
     pair_conjugates,
     simultaneous_triangularize,
 )
-from .qmatrix import class_reps, dedupe_class_reps, psi_block, psi_spectrum
+from .qmatrix import (
+    class_reps,
+    dedupe_class_reps,
+    psi_block,
+    psi_blocks,
+    psi_spectrum,
+)
 from .quaternion import Quaternion, canonical_class_rep
 from .walks import CoinMap, build_U, build_W_Dw
 
@@ -56,13 +71,16 @@ __all__ = [
 ]
 
 TREE_TRIM_TOL = 1e-6
-# Largest certificate residual, in eigenvalue units, of a formula route.
+# Largest certificate residual of a formula route, in eigenvalue units
+# relative to max(1, max|lambda|).
 CROSS_TOL = 1e-7
 # The certificate's sample points t = rho*e^(i*theta) / max(||psi(U)||_inf, 1)
 # lie on two rings rho in CERT_RADII; the spectra are closed under
 # conjugation, so angles in (0, pi) carry all the information.
 CERT_ANGLES = (0.3, 1.1, 1.9, 2.7)
 CERT_RADII = (0.5, 0.9)
+# Most matrix entries one batched slogdet of the vertex side holds at once.
+CERT_BATCH = 1 << 20
 # How far outside [-1, 1] a computed eigenvalue of T may fall before clipping.
 MODULUS_TOL = 1e-8
 
@@ -204,28 +222,59 @@ def _sample_points(graph: Graph, coin: CoinMap) -> np.ndarray:
                              np.exp(1j * np.array(CERT_ANGLES))).ravel()
 
 
-def _vertex_logdet(graph: Graph, coin: CoinMap, ts: np.ndarray) -> np.ndarray:
+def _vertex_blocks(graph: Graph, coin: CoinMap) -> tuple[np.ndarray, np.ndarray]:
+    """The vertex pair psi_blocks(W^T, D_w): the n x n (Y', D') when the
+    coin's values share one imaginary axis (real for a real coin), else
+    (psi(W^T), psi(D_w))."""
+    w, dw = build_W_Dw(graph, coin)
+    return psi_blocks(w.transpose(), dw)
+
+
+def _vertex_logdet(graph: Graph, coin: CoinMap, ts: np.ndarray,
+                   blocks: tuple[np.ndarray, np.ndarray] | None = None
+                   ) -> np.ndarray:
     """log det(I - t*psi(U)) at each t from the vertex side of the paper's
     determinant expression, (2m - 2n)*log(1 - t^2)
-    + log det(I_2n - t*psi(W^T) + t^2*(psi(D_w) - I_2n)), one slogdet each.
-    The imaginary part is a phase, not reduced mod 2*pi."""
-    w, dw = build_W_Dw(graph, coin)
-    y, d = w.transpose().psi(), dw.psi()
-    eye = np.eye(y.shape[0])
-    t = ts[:, None, None]
-    sign, logabs = np.linalg.slogdet(eye - t * y + t * t * (d - eye))
-    return ((2 * graph.m - 2 * graph.n) * np.log(1.0 - ts * ts) + logabs
-            + 1j * np.angle(sign))
+    + log det(I_2n - t*psi(W^T) + t^2*(psi(D_w) - I_2n)).
+
+    blocks is the vertex pair (_vertex_blocks, built here when None).  An
+    n x n pair (Y', D') splits the 2n determinant into those of
+    I - t*Y' + t^2*(D' - I) and of its partner with conj(Y') and conj(D');
+    for a real pair the two are one matrix, taken once and counted twice.
+    The slogdets run over batches of points holding at most CERT_BATCH
+    entries, so memory stays bounded at any n.  The imaginary part is a
+    phase, not reduced mod 2*pi.
+    """
+    y, d = _vertex_blocks(graph, coin) if blocks is None else blocks
+    size = y.shape[0]
+    parts = [(y, d, 1.0)]
+    if size != 2 * graph.n:
+        if np.iscomplexobj(y):
+            parts.append((y.conj(), d.conj(), 1.0))
+        else:
+            parts = [(y, d, 2.0)]
+    eye = np.eye(size)
+    step = max(CERT_BATCH // max(size * size, 1), 1)
+    total = np.zeros(ts.size, dtype=complex)
+    for yp, dp, count in parts:
+        for lo in range(0, ts.size, step):
+            t = ts[lo:lo + step, None, None]
+            sign, logabs = np.linalg.slogdet(eye - t * yp + t * t * (dp - eye))
+            total[lo:lo + step] += count * (logabs + 1j * np.angle(sign))
+    return (2 * graph.m - 2 * graph.n) * np.log(1.0 - ts * ts) + total
 
 
-def _certificate(graph: Graph, coin: CoinMap,
-                 values: np.ndarray) -> ComparisonRecord:
+def _certificate(graph: Graph, coin: CoinMap, values: np.ndarray,
+                 blocks: tuple[np.ndarray, np.ndarray] | None = None
+                 ) -> ComparisonRecord:
     """Characteristic-polynomial certificate of values against psi(U).
 
     The eigenvalues of psi(U), with multiplicity, are the multiset whose
     sum of log(1 - t*lambda) equals log det(I - t*psi(U)) at every t; that
-    log-determinant is taken from the 2n-sized vertex side
-    (_vertex_logdet), so psi(U) is never built and the check is O(n^3).
+    log-determinant is taken from the vertex side (_vertex_logdet, on the
+    route's vertex pair blocks, or one built here when None): two n x n
+    slogdets per point when the coin's values share an axis, one 2n x 2n
+    one otherwise, so psi(U) is never built and the check is O(n^3).
     With s = max(||psi(U)||_inf, 1), the sample points are
     t = rho*e^(i*theta)/s for rho in CERT_RADII and theta in CERT_ANGLES.
     As |t*lambda| <= rho, I - t*psi(U) is nonsingular and well conditioned,
@@ -243,7 +292,8 @@ def _certificate(graph: Graph, coin: CoinMap,
     inner one the exact difference, about 1e-22, is below rounding.
 
     The residual is the largest difference over the sample points, phase
-    taken mod 2*pi, divided by |t|: it is in eigenvalue units and the
+    taken mod 2*pi, divided by |t| and by max(1, max|lambda|): relative to
+    the spectrum's scale, as the rounding of both sides grows with it.  The
     verdict compares it with CROSS_TOL.  A non-finite residual fails, and
     an empty spectrum (no arcs) has residual 0.
     """
@@ -258,18 +308,22 @@ def _certificate(graph: Graph, coin: CoinMap,
                                 verdict=True)
     ts = _sample_points(graph, coin)
     diffs = (np.log(1.0 - np.multiply.outer(ts, values)).sum(axis=1)
-             - _vertex_logdet(graph, coin, ts))
+             - _vertex_logdet(graph, coin, ts, blocks))
     phase = (diffs.imag + np.pi) % (2.0 * np.pi) - np.pi
-    residual = float(np.max(np.hypot(diffs.real, phase) / np.abs(ts)))
+    scale = max(1.0, float(np.abs(values).max()))
+    residual = float(np.max(np.hypot(diffs.real, phase) / np.abs(ts))) / scale
     return ComparisonRecord(against="certificate", max_dist=residual,
                             verdict=residual <= CROSS_TOL)
 
 
 def _finish_quadratic_route(graph: Graph, method: str, mu: np.ndarray,
-                            xi: np.ndarray, coin: CoinMap) -> SpectrumReport:
+                            xi: np.ndarray, coin: CoinMap,
+                            blocks: tuple[np.ndarray, np.ndarray] | None = None
+                            ) -> SpectrumReport:
     """Report of the roots of lambda^2 - mu*lambda + xi - 1 over aligned
     (mu, xi) pairs, padded or trimmed to 4m values and certified against
-    psi(U) (see _certificate)."""
+    psi(U) (see _certificate, which reads the route's vertex pair blocks,
+    or builds it when None)."""
     disc = np.sqrt(mu * mu - 4.0 * (xi - 1.0))
     lam = np.column_stack(((mu + disc) / 2.0, (mu - disc) / 2.0)).ravel()
     excess = graph.m - graph.n
@@ -279,7 +333,7 @@ def _finish_quadratic_route(graph: Graph, method: str, mu: np.ndarray,
         lam = _trim_tree_values(lam)
     vals = pair_conjugates(np.sort_complex(lam))
     report = SpectrumReport(method=method, psi_spectrum=vals)
-    report.cross_check = _certificate(graph, coin, vals)
+    report.cross_check = _certificate(graph, coin, vals, blocks)
     return report
 
 
@@ -288,18 +342,22 @@ def spectrum_theorem_general(graph: Graph, coin: CoinMap,
     """Quadratic-formula route via joint triangularization.
 
     The aligned diagonals of the jointly triangularized psi(W^T) and
-    psi(D_w) are the (mu, xi) pairs.  Raises when the pair cannot be
-    triangularized together; the caller should then use the direct route.
+    psi(D_w) are the (mu, xi) pairs.  When the vertex pair is the n x n
+    (Y', D') (_vertex_blocks), the pair triangularized is (Y', D') and its n
+    aligned diagonals, with their conjugates, are the 2n pairs.  Raises
+    when the pair cannot be triangularized together; the caller should then
+    use the direct route.
     """
-    w, dw = build_W_Dw(graph, coin)
+    blocks = _vertex_blocks(graph, coin)
     try:
-        _, mus, xis = simultaneous_triangularize(
-            w.transpose().psi(), dw.psi(), commute_tol=commute_tol)
+        _, mus, xis = simultaneous_triangularize(*blocks,
+                                                 commute_tol=commute_tol)
     except NotSimultaneouslyTriangularizableError as exc:
         raise NotSimultaneouslyTriangularizableError(
             f"{exc}; use the direct route for this coin",
             residual=exc.residual) from exc
-    return _finish_quadratic_route(graph, "theorem8", mus, xis, coin)
+    mus, xis = psi_spectrum(mus, graph.n), psi_spectrum(xis, graph.n)
+    return _finish_quadratic_route(graph, "theorem8", mus, xis, coin, blocks)
 
 
 def _alpha_route(graph: Graph, alpha_plus: complex, method: str,

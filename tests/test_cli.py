@@ -210,6 +210,15 @@ class TestErrorsAndEnvironment:
         assert code == 2 and out == ""
         assert "--samples" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("zeta-ihara",), ("zeta-weighted", "--grover"),
+        ("zeta-quat", "--grover"), ("selftest",)])
+    def test_negative_seed_rejected(self, capsys, k3_path, argv):
+        graph = () if argv[0] == "selftest" else ("--graph", k3_path)
+        code, out, err = run(capsys, *argv, *graph, "--seed", "-1")
+        assert code == 2 and out == ""
+        assert "--seed must be >= 0, got -1" in err
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
     def test_bad_tol_option_rejected(self, capsys, k3_path, value):
         for argv in (("unitarity", "--grover"),

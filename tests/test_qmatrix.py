@@ -11,6 +11,7 @@ from qqwalk.qmatrix import (
     class_reps,
     dedupe_class_reps,
     psi_block,
+    psi_blocks,
     psi_homomorphism_check,
     psi_spectrum,
     right_eigenvalues,
@@ -308,6 +309,60 @@ class TestPsiBlock:
         p[1, 2] -= 1j * factor * AXIS_TOL * np.finfo(float).eps * big
         block = psi_block(QuatMatrix(m.s, p))
         assert block.shape == ((4, 4) if halved else (8, 8))
+
+
+class TestPsiBlocks:
+    """One axis for several matrices: psi_blocks."""
+
+    @staticmethod
+    def along(rng, n, u, sign):
+        """Entries a + b*u with b of the given sign; the diagonal ones larger."""
+        a, b = rng.uniform(-1, 1, (2, n, n))
+        b = sign * (np.abs(b) + 3.0 * np.eye(n))
+        return QuatMatrix(a + 1j * b * u[0], b * (u[1] - 1j * u[2]))
+
+    def test_axis_is_chosen_for_the_pair(self):
+        # X's largest entry points along +u and Y's along -u: one axis turns
+        # both onto i, so det(X' + Y') det(conj(X' + Y')) = det psi(X + Y),
+        # while the axis taken per matrix conjugates one against the other.
+        rng = np.random.default_rng(8)
+        u = rng.normal(size=3)
+        u /= np.linalg.norm(u)
+        x, y = self.along(rng, 4, u, 1.0), self.along(rng, 4, u, -2.0)
+        bx, by = psi_blocks(x, y)
+        assert bx.shape == by.shape == (4, 4)
+        exact = np.linalg.det((x + y).psi())
+        joint = np.linalg.det(bx + by)
+        assert joint * np.conj(joint) == pytest.approx(exact, rel=1e-12)
+        alone = np.linalg.det(psi_block(x) + psi_block(y))
+        assert abs(alone * np.conj(alone) - exact) > 1e-3 * abs(exact)
+
+    def test_one_similarity_for_all(self):
+        # Products too: psi(X @ Y) splits as X' @ Y' and its conjugate.
+        rng = np.random.default_rng(9)
+        u = rng.normal(size=3)
+        x, y = (axis_qmatrix(rng, 5, u) for _ in range(2))
+        bx, by = psi_blocks(x, y)
+        vals = psi_spectrum(np.linalg.eigvals(bx @ by), 5)
+        assert compare_spectra(vals, np.linalg.eigvals((x @ y).psi()),
+                               tol=0.0).max_dist <= 1e-12
+
+    def test_real_pair_stays_real(self):
+        rng = np.random.default_rng(10)
+        s, d = rng.uniform(-1, 1, (2, 4, 4))
+        blocks = psi_blocks(QuatMatrix.from_complex(s),
+                            QuatMatrix.from_complex(np.diag(np.diag(d))))
+        assert [b.dtype for b in blocks] == [np.dtype(float)] * 2
+        assert np.array_equal(blocks[0], s)
+
+    def test_pair_off_a_shared_axis_gives_psi_of_each(self):
+        # Each matrix shares an axis with itself, not with the other.
+        rng = np.random.default_rng(11)
+        x = axis_qmatrix(rng, 3, (1.0, 0.0, 0.0))
+        y = axis_qmatrix(rng, 3, (0.0, 1.0, 0.0))
+        bx, by = psi_blocks(x, y)
+        assert np.array_equal(bx, x.psi()) and np.array_equal(by, y.psi())
+        assert psi_block(x).shape == psi_block(y).shape == (3, 3)
 
 
 class TestDedupe:

@@ -18,7 +18,7 @@ from qqwalk.graph import (
 )
 from qqwalk import linalg, spectra
 from qqwalk.linalg import NotSimultaneouslyTriangularizableError
-from qqwalk.qmatrix import class_reps, dedupe_class_reps
+from qqwalk.qmatrix import class_reps, dedupe_class_reps, psi_block
 from qqwalk.quaternion import Quaternion
 from qqwalk.spectra import (
     CERT_RADII,
@@ -33,7 +33,7 @@ from qqwalk.spectra import (
     spectrum_grover,
     spectrum_theorem_general,
 )
-from qqwalk.walks import CoinMap, build_U
+from qqwalk.walks import CoinMap, build_U, build_W_Dw
 
 S2 = np.sqrt(2.0)
 
@@ -104,9 +104,13 @@ class TestDirectRoute:
 
 def axis_coin(g, rng, kind):
     """Coins whose values, and so the entries of U, share one axis, except
-    "off-axis", which moves one value 1e-6 off the axis of "axis"."""
+    "off-axis", which moves one value 1e-6 off the axis of "axis" (values
+    a + b*u, a and b of either sign)."""
     if kind == "grover":
         return CoinMap.grover(g)
+    if kind == "real":
+        return CoinMap(g, [Quaternion(a)
+                           for a in rng.uniform(-1, 1, g.num_arcs)])
     if kind == "complex":
         return CoinMap.from_arc_values(g, {
             e: Quaternion(*rng.uniform(-1, 1, 2)) for e in range(g.num_arcs)})
@@ -175,6 +179,160 @@ class TestDirectBlock:
         g = Graph(1, [])
         vals, dims = self.direct_dims(monkeypatch, g, CoinMap.grover(g))
         assert vals.size == 0 and dims == [0]
+
+
+def vertex_psi(g, coin):
+    """The full 2n x 2n vertex pair (psi(W^T), psi(D_w))."""
+    w, dw = build_W_Dw(g, coin)
+    return w.transpose().psi(), dw.psi()
+
+
+def log_det_distance(a, b):
+    """Largest difference of log-determinants, phase taken mod 2*pi."""
+    phase = (a.imag - b.imag + np.pi) % (2 * np.pi) - np.pi
+    return float(np.max(np.hypot(a.real - b.real, phase)))
+
+
+def planted_star(k=4):
+    """K_{1,k} with values a + 2u on the leaf -> center arcs and a - u on
+    the center -> leaf ones: W^T's largest entry points along +u, D_w's,
+    the center's sum with imaginary part -k*u, along -u."""
+    rng = np.random.default_rng(k)
+    g = star_graph(k)
+    u = rng.normal(size=3)
+    u /= np.linalg.norm(u)
+    values = [Quaternion(a, *((2.0 if g.terminal[e] == 0 else -1.0) * u))
+              for e, a in enumerate(rng.uniform(-1, 1, g.num_arcs))]
+    return g, CoinMap(g, values)
+
+
+def leaf_star(k, rng, kind):
+    """K_{1,k} with axis_coin values on the leaf -> center arcs and zero on
+    the others ("off-axis" moves the first of them off the axis)."""
+    g = star_graph(k)
+    values = axis_coin(g, rng, kind)
+    return g, CoinMap.from_arc_values(
+        g, {e: values[e] for e in range(0, g.num_arcs, 2)})
+
+
+class TestVertexBlocks:
+    """The formula routes work on the n x n vertex pair (Y', D') when the
+    coin's values share one axis, and on (psi(W^T), psi(D_w)) otherwise."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 7), st.sampled_from([0.0, 0.3, 0.6]),
+           st.integers(0, 2**32 - 1),
+           st.sampled_from(["alpha", "complex", "real", "axis"]))
+    def test_half_sized_log_det_is_the_full_one(self, n, extra, seed, kind):
+        rng = np.random.default_rng(seed)
+        g = random_connected_graph(rng, n, extra)
+        coin = axis_coin(g, rng, kind)
+        ts = _sample_points(g, coin)
+        half = _vertex_logdet(g, coin, ts)
+        assert log_det_distance(
+            half, _vertex_logdet(g, coin, ts, vertex_psi(g, coin))) <= 1e-10
+        psi_u = build_U(g, coin).psi()
+        sign, logabs = np.linalg.slogdet(
+            np.eye(psi_u.shape[0]) - ts[:, None, None] * psi_u)
+        assert log_det_distance(half, logabs + 1j * np.angle(sign)) <= 1e-10
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 7), st.sampled_from([0.0, 0.3, 0.6]),
+           st.integers(1, 12), st.integers(0, 2**32 - 1),
+           st.sampled_from(["alpha", "complex", "real", "axis"]))
+    def test_theorem8_on_the_half_pair_is_direct(self, n, extra, k, seed,
+                                                 kind):
+        # alpha/d coins commute with D_w = alpha*I on any graph; the per-arc
+        # coins go on the leaf -> center arcs of K_{1,k}, whose pair does
+        # not commute and is triangularized by deflation.
+        rng = np.random.default_rng(seed)
+        if kind == "alpha":
+            g = random_connected_graph(rng, n, extra)
+            coin = axis_coin(g, rng, kind)
+        else:
+            g, coin = leaf_star(k, rng, kind)
+        report = spectrum_theorem_general(g, coin)
+        assert report.cross_check.verdict, report.cross_check
+        assert compare_spectra(report, spectrum_direct(g, coin),
+                               tol=1e-9).verdict
+
+    def test_axis_is_chosen_for_the_pair(self):
+        g, coin = planted_star()
+        w, dw = build_W_Dw(g, coin)
+        ts = _sample_points(g, coin)
+        psi_u = build_U(g, coin).psi()
+        sign, logabs = np.linalg.slogdet(
+            np.eye(psi_u.shape[0]) - ts[:, None, None] * psi_u)
+        exact = logabs + 1j * np.angle(sign)
+        assert log_det_distance(_vertex_logdet(g, coin, ts), exact) <= 1e-12
+        # Axes taken one matrix at a time conjugate D' against Y': the
+        # determinant moves far beyond rounding, and the certificate
+        # rejects the true spectrum.
+        apart = (psi_block(w.transpose()), psi_block(dw))
+        assert apart[0].shape == (g.n, g.n)
+        assert log_det_distance(_vertex_logdet(g, coin, ts, apart),
+                                exact) > 1e-4
+        vals = spectrum_direct(g, coin).psi_spectrum
+        assert _certificate(g, coin, vals).verdict
+        assert not _certificate(g, coin, vals, apart).verdict
+
+    @staticmethod
+    def recording(monkeypatch):
+        """Records, while the test runs, the matrix shapes passed to slogdet
+        and to simultaneous_triangularize, and each build_W_Dw call."""
+        seen = {"slogdet": set(), "triangularize": [], "builds": 0}
+        slogdet = np.linalg.slogdet
+
+        def recording_slogdet(m):
+            seen["slogdet"].add(m.shape[-2:])
+            return slogdet(m)
+
+        def recording_triangularize(a, b, **kwargs):
+            seen["triangularize"].append((a.shape, b.shape))
+            return linalg.simultaneous_triangularize(a, b, **kwargs)
+
+        def counting_build(*args):
+            seen["builds"] += 1
+            return build_W_Dw(*args)
+
+        monkeypatch.setattr(np.linalg, "slogdet", recording_slogdet)
+        monkeypatch.setattr(spectra, "simultaneous_triangularize",
+                            recording_triangularize)
+        monkeypatch.setattr(spectra, "build_W_Dw", counting_build)
+        return seen
+
+    @pytest.mark.parametrize("kind, half", [("axis", True),
+                                            ("off-axis", False)])
+    def test_theorem8_sizes(self, monkeypatch, kind, half):
+        g, coin = leaf_star(12, np.random.default_rng(12), kind)
+        size = g.n if half else 2 * g.n
+        seen = self.recording(monkeypatch)
+        report = spectrum_theorem_general(g, coin)
+        assert seen == {"slogdet": {(size, size)},
+                        "triangularize": [((size, size), (size, size))],
+                        "builds": 1}
+        assert report.cross_check.verdict
+        assert matches_direct(report, g, coin)
+
+    @pytest.mark.parametrize("route", ["alpha", "grover"])
+    def test_alpha_routes_certify_on_n_by_n(self, monkeypatch, route):
+        g = petersen_graph()
+        seen = self.recording(monkeypatch)
+        report = (spectrum_grover(g) if route == "grover" else
+                  spectrum_alpha_coin(g, Quaternion(1, 1, 1, 1)))
+        assert seen == {"slogdet": {(g.n, g.n)}, "triangularize": [],
+                        "builds": 1}
+        assert report.cross_check.verdict
+
+    def test_axis_sharing_pair_without_nilpotent_commutator_is_refused(
+            self, monkeypatch):
+        g = random_connected_graph(np.random.default_rng(1), 30, 0.15)
+        coin = axis_coin(g, np.random.default_rng(2), "complex")
+        seen = self.recording(monkeypatch)
+        with pytest.raises(NotSimultaneouslyTriangularizableError,
+                           match="not nilpotent.*use the direct route"):
+            spectrum_theorem_general(g, coin)
+        assert seen["triangularize"] == [((g.n, g.n), (g.n, g.n))]
 
 
 class TestQuadraticRoute:
@@ -442,6 +600,23 @@ class TestCertificate:
         assert not rec.verdict and not rec.cardinality_match
         assert rec.max_dist == np.inf
         assert rec.to_dict()["cardinality_match"] is False
+
+    def test_residual_is_relative_to_the_spectrum_scale(self):
+        # At alpha = 1e6*(1+i+j+k), max|lambda| is 2e6 and the rounding of
+        # both sides alone read 3.9e-7 in absolute eigenvalue units, which
+        # failed the verdict though the route matches direct.
+        g = random_connected_graph(np.random.default_rng(0), 60, 0.15)
+        alpha = Quaternion(1e6, 1e6, 1e6, 1e6)
+        report = spectrum_alpha_coin(g, alpha)
+        assert report.cross_check.verdict, report.cross_check
+        assert matches_direct(report, g, CoinMap.from_alpha(g, alpha))
+        vals = report.psi_spectrum.copy()
+        scale = np.abs(vals).max()
+        assert scale == pytest.approx(2e6, rel=1e-6)
+        vals[7] += 10 * CROSS_TOL * scale
+        rec = _certificate(g, CoinMap.from_alpha(g, alpha), vals)
+        assert not rec.verdict and rec.cardinality_match
+        assert rec.max_dist >= 5 * CROSS_TOL
 
     @pytest.mark.parametrize("factor", [1.3, 1 + 1e-6])
     def test_rejects_a_scaled_spectrum(self, factor):
