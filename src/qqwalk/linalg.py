@@ -115,18 +115,21 @@ def _sparse_determinant(m) -> complex:
 
 
 def _parity(perm: np.ndarray) -> int:
-    """0 for an even permutation of 0..n-1, 1 for an odd one."""
-    perm = perm.tolist()
-    seen = [False] * len(perm)
-    cycles = 0
-    for start in range(len(perm)):
-        if not seen[start]:
-            cycles += 1
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-    return (len(perm) - cycles) % 2
+    """0 for an even permutation of 0..n-1, 1 for an odd one: n minus the
+    number of cycles, mod 2.
+
+    Cycles are counted by their smallest member.  Pointer doubling labels
+    each i with min{perm^j(i) : j < 2^k} after k rounds, using
+    perm^(2^k) = step, so ceil(log2 n) rounds label every cycle by its
+    minimum."""
+    step = np.asarray(perm, dtype=np.intp)
+    label = np.arange(step.size)
+    span = 1
+    while span < step.size:
+        label = np.minimum(label, label[step])
+        step = step[step]
+        span *= 2
+    return int(step.size - np.count_nonzero(label == np.arange(step.size))) % 2
 
 
 def pair_conjugates(values: np.ndarray) -> np.ndarray:
@@ -459,14 +462,21 @@ def simultaneous_triangularize(
     (_deflation_triangularize).  Returns (P, diag_a, diag_b) with aligned
     diagonals; raises NotSimultaneouslyTriangularizableError when the
     commutator test or the final triangularity check fails.
+
+    commute_tol and residual_tol bound the largest entry of the commutator
+    and of the strictly lower parts relative to the pair's scale,
+    max(1, largest |entry| of a and b), as the certificate's residual is
+    relative to the spectrum's: rounding grows with the entries.
     """
     a = _require_square(a)
     b = _require_square(b)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    scale = max(1.0, float(np.abs(a).max(initial=0.0)),
+                float(np.abs(b).max(initial=0.0)))
     comm = a @ b - b @ a
     comm_norm = float(np.abs(comm).max()) if comm.size else 0.0
-    if comm_norm <= commute_tol:
+    if comm_norm <= commute_tol * scale:
         import scipy.linalg
 
         # A generator: the second Schur basis is computed only when the
@@ -485,17 +495,17 @@ def simultaneous_triangularize(
             raise NotSimultaneouslyTriangularizableError(
                 "not simultaneously triangularizable: the commutator C is "
                 f"not nilpotent, |tr(C^2)|/||C||_F^2 = {ratio:.3e}")
-        candidates = [_deflation_triangularize(a, b, residual_tol)]
+        candidates = [_deflation_triangularize(a, b, residual_tol * scale)]
     last_residual = np.inf
     for p in candidates:
         ta = p.conj().T @ a @ p
         tb = p.conj().T @ b @ p
-        residual = max(_strict_lower_max(ta), _strict_lower_max(tb))
+        residual = max(_strict_lower_max(ta), _strict_lower_max(tb)) / scale
         if residual <= residual_tol:
             return p, np.diag(ta).copy(), np.diag(tb).copy()
         last_residual = min(last_residual, residual)
     raise NotSimultaneouslyTriangularizableError(
-        "not simultaneously triangularizable by this method: "
+        "not simultaneously triangularizable by this method: relative "
         f"triangularity residual {last_residual:.3e} exceeds "
         f"{residual_tol:.1e}",
         residual=last_residual,

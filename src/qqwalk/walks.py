@@ -10,6 +10,11 @@ value alpha characterizes the Grover-like regime.
 Every matrix is built by fancy indexing from the arc arrays of the graph
 (``origin``, ``terminal``, and the inverse ``idx ^ 1``) and the symplectic
 arrays ``s``, ``p`` of the coin, following U = B_w^T - J0 = K L^T - J0.
+U, B_w and B place their entries on one list of arc pairs (e, f) with
+t(f) = o(e), sum_v d_v^2 of them, built in O(sum_v d_v^2) by np.repeat over
+the arcs grouped by vertex; the zeta identities take U's entries from that
+list and never build the 2m x 2m or 4m x 4m arc matrices densely from
+zeta.SPARSE_LU_MIN rows up.
 """
 
 from __future__ import annotations
@@ -151,21 +156,26 @@ def _place(shape: tuple[int, int], rows, cols, s, p=0.0) -> QuatMatrix:
     return QuatMatrix(*parts)
 
 
-def _follows(graph: Graph) -> np.ndarray:
-    """Boolean arc-by-arc pattern [t(e) = o(f)] of B."""
-    return graph.terminal[:, None] == graph.origin[None, :]
+def _arc_pairs(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """U's pattern: the sum_v d_v^2 arc pairs (e, f) with t(f) = o(e) as
+    row and column indices.  Column f holds the arcs leaving t(f), taken
+    from the arcs grouped by origin."""
+    by_origin = np.argsort(graph.origin, kind="stable")
+    degree = np.bincount(graph.origin, minlength=graph.n)
+    count = degree[graph.terminal]
+    cols = np.repeat(np.arange(graph.num_arcs), count)
+    # Pair k of column f sits k places past the start of t(f)'s group.
+    shift = np.cumsum(degree)[graph.terminal] - np.cumsum(count)
+    rows = by_origin[np.arange(cols.size) + np.repeat(shift, count)]
+    return rows, cols
 
 
-def _j0(graph: Graph) -> QuatMatrix:
-    """The arc-inversion permutation matrix: 1 at (e, e ^ 1)."""
-    arcs = np.arange(graph.num_arcs)
-    return _place((graph.num_arcs,) * 2, arcs, arcs ^ 1, 1.0)
-
-
-def _edge_parts(graph: Graph, weights: CoinMap) -> tuple[np.ndarray, np.ndarray]:
-    """Symplectic parts of B_w: w(f) at (e, f) when t(e) = o(f)."""
-    follows = _follows(graph)
-    return np.where(follows, weights.s, 0), np.where(follows, weights.p, 0)
+def _walk_triplets(graph: Graph, s: np.ndarray, p: np.ndarray):
+    """U's entries for the arc weights s + j*p as (rows, cols, s, p) over
+    the arc pairs: the weight of the row's arc, minus 1 on the backtracking
+    pair f = e^-1."""
+    rows, cols = _arc_pairs(graph)
+    return rows, cols, s[rows] - (cols == rows ^ 1), p[rows]
 
 
 def _out_sums(graph: Graph, coin: CoinMap) -> np.ndarray:
@@ -194,8 +204,8 @@ def build_U(graph: Graph, coin: CoinMap) -> QuatMatrix:
     backtracking pair f = e^-1, and 0 otherwise; that is U = B_w^T - J0
     with the coin as the weights.
     """
-    s, p = _edge_parts(graph, coin)
-    return QuatMatrix(s.T - _j0(graph).s, p.T)
+    return _place((graph.num_arcs,) * 2,
+                  *_walk_triplets(graph, coin.s, coin.p))
 
 
 def grover_matrix(graph: Graph) -> QuatMatrix:
@@ -226,13 +236,19 @@ def unitarity_condition(graph: Graph, coin: CoinMap,
 # -- zeta-function matrices -------------------------------------------
 
 def build_B_and_J0(graph: Graph) -> tuple[QuatMatrix, QuatMatrix]:
-    """B_{ef} = [t(e) = o(f)] and the arc-inversion permutation J0."""
-    return QuatMatrix.from_complex(_follows(graph)), _j0(graph)
+    """B_{ef} = [t(e) = o(f)] and the arc-inversion permutation J0, 1 at
+    (e, e ^ 1)."""
+    rows, cols = _arc_pairs(graph)
+    arcs = np.arange(graph.num_arcs)
+    shape = (graph.num_arcs,) * 2
+    return _place(shape, cols, rows, 1.0), _place(shape, arcs, arcs ^ 1, 1.0)
 
 
 def build_Bw(graph: Graph, weights: CoinMap) -> QuatMatrix:
     """(B_w)_{ef} = w(f) when t(e) = o(f); reduces to B at w == 1."""
-    return QuatMatrix(*_edge_parts(graph, weights))
+    rows, cols = _arc_pairs(graph)
+    return _place((graph.num_arcs,) * 2, cols, rows, weights.s[rows],
+                  weights.p[rows])
 
 
 def build_K_L(graph: Graph, weights: CoinMap) -> tuple[QuatMatrix, QuatMatrix]:

@@ -21,12 +21,15 @@ with an arc-side matrix X, a vertex-side matrix Y and a diagonal D:
 Samples with |1 - t^2| < POLE_GUARD sit on the (1 - t^2) poles and are
 skipped by every identity.
 
-The arc side is a genuine factorization of I - t*X at every sample: a
-dense LAPACK LU below SPARSE_LU_MIN rows, and from there up a sparse LU
-(scipy's splu, COLAMD column order, partial pivoting) of X in CSC form.  X
-has about sum_v d_v^2 nonzeros per block: the 4m x 4m X of a random graph
-with m = 250 has about 11 000 of its 10^6 entries nonzero.  Below the
-threshold no scipy module is imported.
+X is built from the walk matrix's list of arc pairs (e, f) with
+t(f) = o(e), sum_v d_v^2 of them (walks._walk_triplets), in O(sum_v d_v^2)
+time and memory; psi(U) takes its four blocks by index arithmetic.  The arc
+side is a genuine factorization of I - t*X at every sample: a dense LAPACK
+LU below SPARSE_LU_MIN rows, and from there up a sparse LU (scipy's splu,
+COLAMD column order, partial pivoting) of I - t*X in CSC form, built from
+the entries without any dense 2m x 2m or 4m x 4m array.  The 4m x 4m X of a
+random graph with m = 250 has about 11 000 of its 10^6 entries nonzero.
+Below the threshold no scipy module is imported.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import numpy as np
 
 from .graph import Graph
 from .linalg import determinant
-from .walks import CoinMap, build_B_and_J0, build_K_L, build_U, build_W_Dw
+from .walks import CoinMap, _walk_triplets, build_K_L, build_W_Dw
 
 __all__ = [
     "IdentityReport",
@@ -118,20 +121,53 @@ def default_samples(count: int = 8, seed: int = 0,
 
 # -- the comparison core ---------------------------------------------
 
-def _arc_matrix(x: np.ndarray):
-    """X as the arc side factors it: CSC from SPARSE_LU_MIN rows up."""
-    if x.shape[0] < SPARSE_LU_MIN:
+def _psi_triplets(rows, cols, s, p, shape):
+    """The entries of psi(M) = [[S, -conj(P)], [P, conj(S)]] as (rows, cols,
+    values), for the quaternionic M of the given shape with s + j*p at
+    (rows, cols)."""
+    r, c = shape
+    return (np.concatenate((rows, rows, rows + r, rows + r)),
+            np.concatenate((cols, cols + c, cols, cols + c)),
+            np.concatenate((s, -np.conj(p), p, np.conj(s))))
+
+
+def _psi_csr(m):
+    """psi(M) in CSR form, from the nonzero entries of the dense M."""
+    from scipy.sparse import csr_array
+    rows, cols = np.nonzero((m.s != 0) | (m.p != 0))
+    r, c, v = _psi_triplets(rows, cols, m.s[rows, cols], m.p[rows, cols],
+                            m.shape)
+    return csr_array((v, (r, c)), shape=(2 * m.rows, 2 * m.cols))
+
+
+def _arc_matrix(rows, cols, values, size: int):
+    """X with the given entries, as the arc side factors it.
+
+    Below SPARSE_LU_MIN rows the dense array.  From there up the CSC of X
+    without its zero entries, with the diagonal stored (as explicit zeros
+    where X has none), and the mask of the diagonal among its entries."""
+    if size < SPARSE_LU_MIN:
+        x = np.zeros((size, size), dtype=complex)
+        x[rows, cols] = values
         return x
     from scipy.sparse import csc_array
-    return csc_array(x)
+    keep, diag = values != 0, np.arange(size)
+    x = csc_array((np.r_[values[keep], np.zeros(size)],
+                   (np.r_[rows[keep], diag], np.r_[cols[keep], diag])),
+                  shape=(size, size))
+    return x, x.indices == np.repeat(diag, np.diff(x.indptr))
 
 
 def _arc_side(x, t: complex) -> complex:
-    """det(I - t*X) for an X from _arc_matrix."""
+    """det(I - t*X) for an X from _arc_matrix; the sparse I - t*X takes
+    X's pattern, with 0 - x*t at its entries plus 1 on the diagonal."""
     if isinstance(x, np.ndarray):
         return determinant(np.eye(x.shape[0]) - t * x)
-    from scipy.sparse import eye_array
-    return determinant(eye_array(x.shape[0], format="csc") - t * x)
+    from scipy.sparse import csc_array
+    x, diag = x
+    # x * t: numpy's complex product can differ in the last bit from t * x.
+    return determinant(csc_array((0.0 - x.data * t + diag, x.indices,
+                                  x.indptr), shape=x.shape))
 
 
 def _vertex_side(y: np.ndarray, d: np.ndarray, exponent: int,
@@ -141,13 +177,14 @@ def _vertex_side(y: np.ndarray, d: np.ndarray, exponent: int,
         eye - t * y + t * t * (d - eye))
 
 
-def _compare(x: np.ndarray, y: np.ndarray, d: np.ndarray, exponent: int,
+def _compare(x: tuple, y: np.ndarray, d: np.ndarray, exponent: int,
              t_samples: list[complex], tol: float,
              check=None) -> IdentityReport:
     """Compare det(I - t*X) with (1 - t^2)^e * det(I - t*Y + t^2*(D - I))
-    at every sample off the poles; check(t), when given, runs first at each
-    compared sample."""
-    x = _arc_matrix(x)
+    at every sample off the poles, X given by its entries x = (rows, cols,
+    values, size); check(t), when given, runs first at each compared
+    sample."""
+    x = _arc_matrix(*x)
     pairs = []
     skipped = []
     for t in t_samples:
@@ -169,14 +206,17 @@ def _compare(x: np.ndarray, y: np.ndarray, d: np.ndarray, exponent: int,
 
 # -- classical (unweighted) identity ----------------------------------
 
-def _ihara_arc_matrix(graph: Graph) -> np.ndarray:
-    b, j0 = build_B_and_J0(graph)
-    return b.s - j0.s
+def _ihara_arc_triplets(graph: Graph) -> tuple:
+    """The entries of B - J0, the transpose of the walk matrix of unit
+    weights."""
+    ones = np.ones(graph.num_arcs, dtype=complex)
+    rows, cols, s, _ = _walk_triplets(graph, ones, ones)
+    return cols, rows, s, graph.num_arcs
 
 
 def ihara_hashimoto(graph: Graph, t: complex) -> complex:
     """det(I_{2m} - t*(B - J0)) at the sample point t."""
-    return _arc_side(_arc_matrix(_ihara_arc_matrix(graph)), t)
+    return _arc_side(_arc_matrix(*_ihara_arc_triplets(graph)), t)
 
 
 def ihara_bass(graph: Graph, t: complex) -> complex:
@@ -191,7 +231,7 @@ def ihara_bass(graph: Graph, t: complex) -> complex:
 def ihara_identity(graph: Graph, t_samples: list[complex],
                    tol: float = 1e-8) -> IdentityReport:
     """Compare the arc-level and Bass-type expressions at each sample."""
-    return _compare(_ihara_arc_matrix(graph), graph.adjacency_matrix(),
+    return _compare(_ihara_arc_triplets(graph), graph.adjacency_matrix(),
                     graph.degree_matrix(), graph.betti_number - 1,
                     t_samples, tol)
 
@@ -212,7 +252,8 @@ def weighted_zeta_identity(graph: Graph, weights: CoinMap,
         raise ValueError(
             "weights have nonzero j/k parts; use quaternionic_identity")
     w, dw = build_W_Dw(graph, weights)
-    return _compare(build_U(graph, weights).s, w.s.T, dw.s,
+    rows, cols, s, _ = _walk_triplets(graph, weights.s, weights.p)
+    return _compare((rows, cols, s, graph.num_arcs), w.s.T, dw.s,
                     graph.m - graph.n, t_samples, tol)
 
 
@@ -231,19 +272,24 @@ def quaternionic_identity(graph: Graph, weights: CoinMap,
     psi(J0) = blockdiag(J0, J0) acts as the row permutation idx ^ 1 on the
     4m complexified arcs.
     """
-    x = build_U(graph, weights).psi()
+    rows, cols, s, p = _walk_triplets(graph, weights.s, weights.p)
+    size = 2 * graph.num_arcs
+    x = (*_psi_triplets(rows, cols, s, p, (graph.num_arcs,) * 2), size)
     wq, dwq = build_W_Dw(graph, weights)
     psi_wt, psi_dw = wq.transpose().psi(), dwq.psi()
     kq, lq = build_K_L(graph, weights)
-    psi_k, psi_lt = kq.psi(), lq.transpose().psi()
-    if x.shape[0] >= SPARSE_LU_MIN:
-        from scipy.sparse import csr_array
-        psi_lt = csr_array(psi_lt)  # 4m nonzeros: the product costs O(m*n)
-    flipped_k = psi_k[np.arange(psi_k.shape[0]) ^ 1]  # psi(J0) @ psi(K)
+    if size < SPARSE_LU_MIN:
+        psi_k, psi_lt = kq.psi(), lq.transpose().psi()
+    else:  # 8m and 4m nonzeros: the products cost O(m)
+        psi_k, psi_lt = _psi_csr(kq), _psi_csr(lq.transpose())
+    flipped_k = psi_k[np.arange(size) ^ 1]  # psi(J0) @ psi(K)
+    # psi(L^T) psi(K) and psi(L^T) psi(J0) psi(K), formed once.
+    lk, ljk = (prod if isinstance(prod, np.ndarray) else prod.toarray()
+               for prod in (psi_lt @ psi_k, psi_lt @ flipped_k))
 
     def check(t: complex) -> None:
         one_minus = 1.0 - t * t
-        resolvent = psi_lt @ (psi_k - t * flipped_k) / one_minus
+        resolvent = (lk - t * ljk) / one_minus
         expected = (psi_wt - t * psi_dw) / one_minus
         residual = float(np.abs(resolvent - expected).max(initial=0.0))
         scale = max(1.0, float(np.abs(expected).max(initial=0.0)))

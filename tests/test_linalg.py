@@ -126,6 +126,35 @@ class TestDeterminant:
         assert determinant(m.tocsc()) == 0j
 
 
+def parity_by_cycle_walk(perm):
+    """The parity of a permutation, from a walk along its cycles."""
+    seen, cycles = [False] * len(perm), 0
+    for start in range(len(perm)):
+        if not seen[start]:
+            cycles += 1
+            j = start
+            while not seen[j]:
+                seen[j] = True
+                j = perm[j]
+    return (len(perm) - cycles) % 2
+
+
+class TestParity:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 300).flatmap(lambda n: st.permutations(range(n))))
+    def test_equals_the_cycle_walk(self, perm):
+        # int32, as SuperLU returns its permutations.
+        assert linalg._parity(np.array(perm, dtype=np.int32)) == \
+            parity_by_cycle_walk(perm)
+
+    @pytest.mark.parametrize("perm, parity", [
+        ([], 0), ([0], 0), (list(range(9)), 0), ([0, 1, 5, 3, 4, 2], 1),
+        ([1, 0], 1), ([1, 2, 0], 0), ([3, 0, 1, 2], 1)])
+    def test_known_parities(self, perm, parity):
+        assert linalg._parity(np.array(perm, dtype=np.int32)) == parity
+        assert parity_by_cycle_walk(perm) == parity
+
+
 class TestConjugatePairing:
     def test_enforces_exact_pairing(self):
         vals = np.array([1 + 1e-10j + 1j, 1 - 1j + 3e-11, 0.5 + 2e-12j,
@@ -470,6 +499,26 @@ class TestSimultaneousTriangularization:
         a = rng.uniform(-1, 1, (4, 4))
         b = rng.uniform(-1, 1, (4, 4))
         with pytest.raises(NotSimultaneouslyTriangularizableError):
+            simultaneous_triangularize(a, b)
+
+    @pytest.mark.parametrize("scale", [1e8, 1e10])
+    def test_tolerances_are_relative_to_the_scale(self, scale):
+        # Rounding grows with the entries, so a commuting pair and a jointly
+        # triangular non-commuting pair, scaled, still triangularize within
+        # 1e-8 of their largest entry, and a generic pair is still refused.
+        rng = np.random.default_rng(61)
+        m = rng.uniform(-1, 1, (5, 5)) + 1j * rng.uniform(-1, 1, (5, 5))
+        pairs = [(m @ m + 2 * m, 3 * m @ m - m),
+                 _noncommuting_triangular_pair(8, 3, "nilpotent")[:2]]
+        for a, b in pairs:
+            a, b = scale * a, scale * b
+            p, _, _ = simultaneous_triangularize(a, b)
+            for x in (a, b):
+                lower = np.abs(np.tril(p.conj().T @ x @ p, -1)).max()
+                assert lower <= 1e-8 * max(np.abs(a).max(), np.abs(b).max())
+        a, b = (scale * rng.uniform(-1, 1, (4, 4)) for _ in range(2))
+        with pytest.raises(NotSimultaneouslyTriangularizableError,
+                           match="not nilpotent"):
             simultaneous_triangularize(a, b)
 
     def test_generic_pair_rejected_before_deflation(self, monkeypatch):

@@ -359,6 +359,17 @@ class TestQuadraticRoute:
         assert report.cross_check.verdict, report.cross_check.max_dist
         assert matches_direct(report, g, w)
 
+    @pytest.mark.parametrize("scale", [1e7, 1e8])
+    def test_large_alpha_coin_is_triangularized(self, scale):
+        # D_w = alpha*I commutes with W^T at any scale; the triangularity
+        # residual grows with alpha and is judged relative to the pair.
+        g = random_connected_graph(np.random.default_rng(0), 60, 0.15)
+        coin = CoinMap.from_alpha(g, Quaternion(scale, scale, scale, scale))
+        report = spectrum_theorem_general(g, coin)
+        assert report.cross_check.verdict, report.cross_check.max_dist
+        assert compare_spectra(report, spectrum_direct(g, coin),
+                               tol=CROSS_TOL * scale).verdict
+
     def test_generic_coin_rejected_without_deflation(self, monkeypatch):
         def entered(*args, **kwargs):
             raise AssertionError("deflation entered on a generic pair")

@@ -11,6 +11,7 @@ from qqwalk.quaternion import Quaternion, parse_quaternion
 from qqwalk.walks import (
     CoinFormatError,
     CoinMap,
+    _arc_pairs,
     build_B_and_J0,
     build_Bw,
     build_K_L,
@@ -49,6 +50,43 @@ def graphs_with_coins(draw):
     values = draw(st.lists(st.builds(Quaternion, coord, coord, coord, coord),
                            min_size=g.num_arcs, max_size=g.num_arcs))
     return g, CoinMap(g, values)
+
+
+@st.composite
+def pair_core_inputs(draw):
+    """A tree, a star K_{1,k} or a random connected graph on 1..9 vertices,
+    with random quaternion weights, with zero weights on the odd arcs (on a
+    star the center -> leaf arcs: the ex5.w pattern) or with all weights
+    zero."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["tree", "star", "random"]))
+    if kind == "star":
+        g = star_graph(draw(st.integers(1, 9)))
+    else:
+        g = random_connected_graph(
+            rng, draw(st.integers(1, 9)),
+            0.0 if kind == "tree" else draw(st.floats(0.0, 1.0)))
+    values = rng.uniform(-1.0, 1.0, (g.num_arcs, 4))
+    zeros = draw(st.sampled_from(["none", "odd arcs", "all"]))
+    values[{"none": slice(0), "odd arcs": slice(1, None, 2),
+            "all": slice(None)}[zeros]] = 0.0
+    return g, CoinMap(g, [Quaternion(*v) for v in values])
+
+
+def arc_matrices_by_loop(g, coin):
+    """U, B_w and B from a loop over every ordered pair of arcs."""
+    size = g.num_arcs
+    u, bw = (np.zeros((2, size, size), complex) for _ in range(2))
+    b = np.zeros((size, size), complex)
+    for e in range(size):
+        for f in range(size):
+            if g.terminal[f] == g.origin[e]:
+                u[0, e, f] = coin.s[e] - (1.0 if f == e ^ 1 else 0.0)
+                u[1, e, f] = coin.p[e]
+            if g.terminal[e] == g.origin[f]:
+                bw[:, e, f] = coin.s[f], coin.p[f]
+                b[e, f] = 1.0
+    return u, bw, b
 
 
 def assert_identical(a, b):
@@ -357,6 +395,19 @@ class TestArcCoreProperties:
         assert_identical(u, reference_U(g, coin))
         assert_identical(u, build_Bw(g, coin).transpose() - j0)
         assert_identical(u, k @ l.transpose() - j0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(pair_core_inputs())
+    def test_arc_matrices_are_placed_from_the_pairs(self, graph_and_coin):
+        g, coin = graph_and_coin
+        rows, cols = _arc_pairs(g)
+        degree = np.bincount(g.origin, minlength=g.n)
+        assert rows.size == np.sum(degree ** 2)
+        assert len(set(zip(rows.tolist(), cols.tolist()))) == rows.size
+        u, bw, b = arc_matrices_by_loop(g, coin)
+        assert_identical(build_U(g, coin), QuatMatrix(*u))
+        assert_identical(build_Bw(g, coin), QuatMatrix(*bw))
+        assert_identical(build_B_and_J0(g)[0], QuatMatrix.from_complex(b))
 
     @settings(max_examples=60, deadline=None)
     @given(graphs_with_coins())

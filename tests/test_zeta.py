@@ -1,5 +1,7 @@
 """Determinant identities: classical, complex-weighted, and quaternionic."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -306,9 +308,11 @@ class TestSparseArcSide:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 8), st.floats(0.0, 0.6), st.integers(0, 2**32 - 1))
     def test_arc_side_is_the_walk_matrix(self, n, extra, seed):
-        # The weighted and quaternionic identities factor build_U and its
-        # psi: entry for entry the definition's B_w^T - J0, and I - t*X is
-        # the same array bit for bit.
+        # The identities factor the entries of build_U and of its psi, and
+        # of B - J0: placed densely, the definition's B_w^T - J0 entry for
+        # entry, and I - t*X the same array bit for bit.  On the sparse
+        # path I - X*t holds exactly the nonzero entries of that array (the
+        # operand order of a complex product can move its last bit).
         rng = np.random.default_rng(seed)
         g = random_connected_graph(rng, n, extra)
         quat, cplx = quaternion_weights(rng, g), complex_weights(rng, g)
@@ -316,13 +320,25 @@ class TestSparseArcSide:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(zeta, "_compare",
                        lambda x, *args, **kwargs: seen.append(x))
-            quaternionic_identity(g, quat, [0.3])
-            weighted_zeta_identity(g, cplx, [0.3])
+            all_identities(g, quat, cplx, [0.3])
         t = 0.3 - 0.45j
-        for got, (name, want) in zip(seen, arc_matrices(g, quat, cplx).items()):
+        factored = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(zeta, "SPARSE_LU_MIN", 0)
+            mp.setattr(zeta, "determinant", factored.append)
+            for x in seen:
+                zeta._arc_side(zeta._arc_matrix(*x), t)
+        for got, sparse, (name, want) in zip(
+                seen, factored, arc_matrices(g, quat, cplx).items()):
+            rows, cols, values, size = got
+            x = np.zeros((size, size), dtype=complex)
+            x[rows, cols] = values
             eye = np.eye(len(want))
-            assert np.array_equal(got, want), name
-            assert (eye - t * got).tobytes() == (eye - t * want).tobytes(), name
+            assert np.array_equal(x, want), name
+            assert (eye - t * x).tobytes() == (eye - t * want).tobytes(), name
+            assert np.array_equal(sparse.toarray(), eye - want * t), name
+            assert np.count_nonzero(sparse.data) == sparse.nnz == \
+                np.count_nonzero(eye - want * t), name
 
     @pytest.mark.parametrize("rows, sparse", [(255, False), (256, True)])
     def test_threshold(self, monkeypatch, rows, sparse):
@@ -340,7 +356,8 @@ class TestSparseArcSide:
 
         monkeypatch.setattr(zeta, "determinant", recording)
         t = 0.3 - 0.45j
-        lhs = zeta._arc_side(zeta._arc_matrix(x), t)
+        x_entries = (*np.nonzero(x), x[x != 0], rows)
+        lhs = zeta._arc_side(zeta._arc_matrix(*x_entries), t)
         want = np.linalg.det(np.eye(rows) - t * x)
         assert seen == [sparse]
         assert abs(lhs - want) <= 1e-12 * abs(want)
@@ -357,6 +374,35 @@ class TestSparseArcSide:
         g = complete_graph(3)
         with pytest.raises(ArithmeticError, match="resolvent"):
             quaternionic_identity(g, CoinMap.grover(g), [0.3])
+
+    def test_no_arc_sized_dense_array(self, monkeypatch):
+        # At m = 245 a dense 4m x 4m complex X is 15.4 MB.  The traced peak
+        # outside SuperLU's factorization, with every other array of the
+        # identity alive, stays below that, so no such array is made.
+        import scipy.sparse.linalg
+        factor = scipy.sparse.linalg.splu
+        peaks = []
+
+        def untraced(*args, **kwargs):
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+            try:
+                return factor(*args, **kwargs)
+            finally:
+                tracemalloc.start()
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", untraced)
+        rng = np.random.default_rng(0)
+        g = random_connected_graph(rng, 110, 0.022)
+        w = quaternion_weights(rng, g)
+        tracemalloc.start()
+        try:
+            report = quaternionic_identity(g, w, default_samples(3))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert g.m == 245 and report.verdict
+        assert len(peaks) == 4 and max(peaks) < (4 * g.m) ** 2 * 16
 
 
 class TestSamplePoints:
