@@ -22,8 +22,11 @@ finds at once, as a block of columns of one QR factor that q^H a q and
 q^H b q must keep triangular.  A step at size s costs two
 eigendecompositions, one SVD per cluster of repeated eigenvalues and
 O(s^3) scoring and factoring, so a pair of size n costs O(n^3) per step: a
-weighted star takes two steps, a generic triangular pair, with one joint
-eigenvector per step, n - 1.
+generic triangular pair, with one joint eigenvector per step, takes n - 1.
+Deflation stops as soon as the pair left over commutes: when a + theta*b
+has distinct eigenvalues there, the QR of its eigenvectors triangularizes
+both, in one eigendecomposition.  A weighted star takes one step and that
+finish.
 """
 
 from __future__ import annotations
@@ -396,8 +399,30 @@ def _joint_eigenvectors(a: np.ndarray, b: np.ndarray,
     return v[:, taken]
 
 
+def _commuting_basis(a: np.ndarray, b: np.ndarray, tol: float,
+                     residual_tol: float) -> np.ndarray | None:
+    """A unitary q with q^H a q and q^H b q upper triangular, for a
+    commuting pair, or None.
+
+    When x = a + theta*b has no two eigenvalues in one cluster at tol, a and
+    b are polynomials in x, so the factor q of the QR of x's eigenvectors V
+    = q R, with q^H x q = R Lambda R^-1, triangularizes both.  A pair that
+    commutes only within a bound, or an ill-conditioned V, can spoil that,
+    so q is returned only when the strictly lower parts of both are within
+    residual_tol.
+    """
+    vals, vecs = np.linalg.eig(a + _THETA_CANDIDATES[0] * b)
+    if _cluster_labels(vals, tol).max() + 1 < vals.size:
+        return None
+    q, _ = np.linalg.qr(vecs)
+    for m in (a, b):
+        if _strict_lower_max(q.conj().T @ m @ q) > residual_tol:
+            return None
+    return q
+
+
 def _deflation_triangularize(a: np.ndarray, b: np.ndarray,
-                             residual_tol: float,
+                             residual_tol: float, commute_tol: float,
                              null_tol: float = 1e-8) -> np.ndarray:
     """Unitary joint triangularization by block deflation of joint
     eigenvectors.
@@ -405,7 +430,10 @@ def _deflation_triangularize(a: np.ndarray, b: np.ndarray,
     Works whenever the pair admits a joint triangularization reachable by
     repeatedly splitting off common eigenvectors; triangularity is verified
     by the caller.  A step at size s works at tol = null_tol * scale * s
-    (scale the larger max-abs entry, at least 1) and splits off every joint
+    (scale the larger max-abs entry, at least 1).  When the pair left over
+    commutes within commute_tol * scale, the bound that routes a whole pair
+    in simultaneous_triangularize, _commuting_basis finishes it in one
+    eigendecomposition if it can.  Otherwise the step splits off every joint
     eigenvector it finds (_joint_eigenvectors), r of them, at once: one
     Householder QR of [vectors | I] gives a unitary q whose first r columns
     span them in nested order, and of those columns the step keeps the
@@ -415,8 +443,9 @@ def _deflation_triangularize(a: np.ndarray, b: np.ndarray,
     updated in its trailing s columns only.  A step costs two
     eigendecompositions, one SVD per cluster of repeated eigenvalues, a QR
     and O(s^3) scoring, so a pair of size n costs O(n^3) per step: the
-    weighted star K_{1,k} (n = 2k + 2) takes two steps, a generic
-    triangular pair, which has one joint eigenvector per step, n - 1.
+    weighted star K_{1,k} (n = 2k + 2) takes one step and the finish, a
+    generic triangular pair, which has one joint eigenvector per step,
+    n - 1 steps.
     """
     n = a.shape[0]
     p_total = np.eye(n, dtype=complex)
@@ -427,6 +456,11 @@ def _deflation_triangularize(a: np.ndarray, b: np.ndarray,
         scale = max(float(np.abs(a_cur).max()), float(np.abs(b_cur).max()),
                     1.0)
         tol = null_tol * scale * size
+        if np.abs(a_cur @ b_cur - b_cur @ a_cur).max() <= commute_tol * scale:
+            q = _commuting_basis(a_cur, b_cur, tol, residual_tol)
+            if q is not None:
+                p_total[:, k:] = p_total[:, k:] @ q
+                break
         v = _joint_eigenvectors(a_cur, b_cur, tol)
         r = v.shape[1]
         q, _ = np.linalg.qr(np.column_stack([v, np.eye(size, dtype=complex)]))
@@ -495,7 +529,8 @@ def simultaneous_triangularize(
             raise NotSimultaneouslyTriangularizableError(
                 "not simultaneously triangularizable: the commutator C is "
                 f"not nilpotent, |tr(C^2)|/||C||_F^2 = {ratio:.3e}")
-        candidates = [_deflation_triangularize(a, b, residual_tol * scale)]
+        candidates = [_deflation_triangularize(a, b, residual_tol * scale,
+                                               commute_tol)]
     last_residual = np.inf
     for p in candidates:
         ta = p.conj().T @ a @ p

@@ -193,9 +193,9 @@ def psi_block(m: QuatMatrix) -> np.ndarray:
     return psi_blocks(m)[0]
 
 
-def _imaginary_parts(m: QuatMatrix) -> np.ndarray:
+def _imaginary_parts(s: np.ndarray, p: np.ndarray) -> np.ndarray:
     """v = (Im S, Re P, -Im P): the i, j, k parts of the entries."""
-    return np.stack((m.s.imag, m.p.real, -m.p.imag))
+    return np.stack((s.imag, p.real, -p.imag))
 
 
 def psi_blocks(*ms: QuatMatrix) -> tuple[np.ndarray, ...]:
@@ -211,34 +211,29 @@ def psi_blocks(*ms: QuatMatrix) -> tuple[np.ndarray, ...]:
     psi(M) = Q diag(S', conj(S')) Q^H for every M, so a polynomial in the
     psi(M) splits the same way.  An axis taken per matrix would not do: a
     matrix whose largest entry points along -u would be turned onto -i, its
-    S' conjugated against the others'.
+    S' conjugated against the others'.  The axis and the test read only the
+    nonzero entries of all the matrices at once, gathered in that order:
+    for the vertex pair (W^T, D_w) the coin's 2m values and the n out-sums.
     """
-    top, bound, u = 0.0, 0.0, None
-    for m in ms:
-        v = _imaginary_parts(m)
-        size = np.sqrt(np.sum(v * v, axis=0))
-        if not size.size:
-            continue
-        k = np.argmax(size)
-        if not size.flat[k] <= top:  # NaN wins: it shows in the blocks
-            top, u = float(size.flat[k]), v.reshape(3, -1)[:, k]
-        bound = max(bound, float(np.max(m.s.real ** 2 + size ** 2)))
-    if u is None:
+    s = np.concatenate([m.s.ravel() for m in ms])
+    p = np.concatenate([m.p.ravel() for m in ms])
+    nonzero = (s != 0) | (p != 0)
+    s, p = s[nonzero], p[nonzero]
+    v = _imaginary_parts(s, p)
+    size = np.sqrt(np.sum(v * v, axis=0))
+    if not size.size or size.max() <= 0.0:  # NaN wins: it shows in the blocks
         return tuple(m.s.real for m in ms)
-    u = u / np.linalg.norm(u)
+    k = np.argmax(size)
+    u = v[:, k] / np.linalg.norm(v[:, k])
     # Squared: the off-axis parts are compared with AXIS_TOL*eps*max|entry|.
-    bound *= (AXIS_TOL * np.finfo(float).eps) ** 2
-    blocks = []
-    for m in ms:
-        v = _imaginary_parts(m)
-        along = np.dot(u[None, :], v.reshape(3, -1)).reshape(m.shape)
-        off = u[:, None, None] * along
-        np.subtract(v, off, out=off)
-        off *= off
-        if np.sum(off, axis=0).max(initial=0.0) > bound:
-            return tuple(m.psi() for m in ms)
-        blocks.append(m.s.real + 1j * along)
-    return tuple(blocks)
+    bound = (float(np.max(s.real ** 2 + size ** 2))
+             * (AXIS_TOL * np.finfo(float).eps) ** 2)
+    off = v - u[:, None] * np.dot(u[None, :], v)
+    if np.max(np.sum(off * off, axis=0)) > bound:
+        return tuple(m.psi() for m in ms)
+    return tuple(
+        m.s.real + 1j * np.dot(u[None, :], _imaginary_parts(
+            m.s, m.p).reshape(3, -1)).reshape(m.shape) for m in ms)
 
 
 def psi_spectrum(values: np.ndarray, rows: int) -> np.ndarray:

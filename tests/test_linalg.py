@@ -109,18 +109,19 @@ class TestDeterminant:
         # sign of the row and of the column permutation both matter.
         rng = np.random.default_rng(seed)
         n = 300
-        noise = scipy.sparse.random_array(
-            (n, n), density=0.01, rng=rng, dtype=complex,
-            data_sampler=lambda size: (rng.uniform(-1, 1, size)
-                                       + 1j * rng.uniform(-1, 1, size)))
-        m = (scipy.sparse.eye_array(n) + 0.5 * noise)[rng.permutation(n)]
+        noise = scipy.sparse.random(
+            n, n, density=0.01, random_state=rng, dtype=complex,
+            data_rvs=lambda size: (rng.uniform(-1, 1, size)
+                                   + 1j * rng.uniform(-1, 1, size)))
+        m = (scipy.sparse.identity(n) + 0.5 * noise).tocsr()[
+            rng.permutation(n)]
         dense = np.linalg.det(m.toarray())
         assert abs(determinant(m.tocsc()) - dense) <= 1e-12 * abs(dense)
 
     def test_singular_sparse_reads_zero(self):
         # SuperLU raises on an exactly zero pivot; dense det returns 0.
         n = 300
-        m = scipy.sparse.eye_array(n, format="lil", dtype=complex)
+        m = scipy.sparse.identity(n, dtype=complex, format="lil")
         m[0, 1] = 2.0
         m[7, :] = 0.0
         assert determinant(m.tocsc()) == 0j
@@ -587,6 +588,57 @@ def _recording_steps(monkeypatch):
     return steps
 
 
+def _recording_finisher(monkeypatch):
+    """Record (size, basis returned) of every commuting-remainder finish."""
+    finishes = []
+    finish = linalg._commuting_basis
+
+    def recording(a, b, tol, residual_tol):
+        q = finish(a, b, tol, residual_tol)
+        finishes.append((a.shape[0], q is not None))
+        return q
+    monkeypatch.setattr(linalg, "_commuting_basis", recording)
+    return finishes
+
+
+def _weighted_star(leaves):
+    """K_{1,leaves} with seeded random quaternion weights on the leaf ->
+    center arcs and zero on the others, the ex5.w pattern."""
+    from qqwalk.graph import star_graph
+    from qqwalk.quaternion import Quaternion
+    from qqwalk.walks import CoinMap
+    rng = np.random.default_rng(leaves)
+    g = star_graph(leaves)
+    return g, CoinMap.from_arc_values(
+        g, {2 * i: Quaternion(*rng.uniform(-1, 1, 4)) for i in range(leaves)})
+
+
+def _planted_commuting_tail(seed, lead, ta, tb):
+    """a = P T1 P^H, b = P T2 P^H with P unitary and T1, T2 Gaussian upper
+    triangular on their first `lead` rows and (ta, tb) below them: the
+    trailing block the deflation meets once the leading vectors are split
+    off."""
+    rng = np.random.default_rng(seed)
+
+    def gauss(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    n = lead + ta.shape[0]
+    t1, t2 = np.triu(gauss(n, n)), np.triu(gauss(n, n))
+    t1[lead:, lead:], t2[lead:, lead:] = ta, tb
+    p, _ = np.linalg.qr(gauss(n, n))
+    return p @ t1 @ p.conj().T, p @ t2 @ p.conj().T, t1, t2
+
+
+def _assert_planted_diagonals(da, db, t1, t2, tol):
+    """The aligned diagonal pairs (da, db) are those of (T1, T2) as a
+    multiset."""
+    cost = (np.abs(da[:, None] - np.diag(t1)[None, :])
+            + np.abs(db[:, None] - np.diag(t2)[None, :]))
+    rows, cols = linear_sum_assignment(cost)
+    assert cost[rows, cols].max() <= tol
+
+
 class TestBlockDeflation:
     @pytest.mark.parametrize("leaves", [24, 32])
     def test_weighted_stars_split_off_in_few_steps(self, monkeypatch,
@@ -650,3 +702,98 @@ class TestBlockDeflation:
         assert np.abs(np.tril(p.conj().T @ a @ p, -1)).max() <= 1e-8
         assert np.abs(da - [0, 0.5, 0]).max() <= 1e-12
         assert np.abs(db - [0, 0.25, 0.75]).max() <= 1e-12
+
+    @pytest.mark.parametrize("leaves", [24, 32])
+    def test_weighted_star_finishes_after_one_step(self, monkeypatch,
+                                                   leaves):
+        # The star's first step splits off its joint eigenvectors and leaves
+        # a commuting pair, which one eigendecomposition finishes.
+        from qqwalk.spectra import spectrum_theorem_general
+        from qqwalk.walks import build_U
+        g, coin = _weighted_star(leaves)
+        steps = _recording_steps(monkeypatch)
+        finishes = _recording_finisher(monkeypatch)
+        report = spectrum_theorem_general(g, coin)
+        size = 2 * leaves + 2
+        assert len(steps) == 1 and steps[0][0] == size
+        assert finishes == [(size - steps[0][1], True)]
+        assert compare_spectra(
+            report.psi_spectrum,
+            np.linalg.eigvals(build_U(g, coin).psi()),
+            tol=0.0).max_dist <= 1e-9
+
+    @pytest.mark.parametrize("leaves", [24, 32])
+    def test_commuting_bound_is_relative_to_the_scale(self, monkeypatch,
+                                                      leaves):
+        # Scaled by 1e4, the star's remainder commutes to about 1e-7, within
+        # 1e-9 of its scale but not of 1: it is still finished at once.
+        from qqwalk.walks import build_W_Dw
+        w, dw = build_W_Dw(*_weighted_star(leaves))
+        a, b = 1e4 * w.transpose().psi(), 1e4 * dw.psi()
+        steps = _recording_steps(monkeypatch)
+        finishes = _recording_finisher(monkeypatch)
+        p, _, _ = simultaneous_triangularize(a, b)
+        assert len(steps) == 1
+        assert finishes == [(2 * leaves + 2 - steps[0][1], True)]
+        for x in (a, b):
+            assert (np.abs(np.tril(p.conj().T @ x @ p, -1)).max()
+                    <= 1e-8 * max(np.abs(a).max(), np.abs(b).max()))
+
+    def test_repeated_eigenvalue_goes_to_the_two_sided_step(self,
+                                                            monkeypatch):
+        # The trailing pair commutes, but a + theta*b has a Jordan block
+        # there: no basis of its eigenvectors, so the two-sided step runs.
+        ta = np.array([[1, 1, 0], [0, 1, 0], [0, 0, 2]], dtype=complex)
+        a, b, t1, t2 = _planted_commuting_tail(1, 1, ta, 2 * ta + ta @ ta)
+        steps = _recording_steps(monkeypatch)
+        finishes = _recording_finisher(monkeypatch)
+        p, da, db = simultaneous_triangularize(a, b)
+        assert finishes[0] == (3, False)
+        assert (3, 2) in steps
+        for x in (a, b):
+            assert np.abs(np.tril(p.conj().T @ x @ p, -1)).max() <= 1e-8
+        _assert_planted_diagonals(da, db, t1, t2, 1e-8)
+
+    def test_failed_check_goes_to_the_two_sided_step(self, monkeypatch):
+        # The trailing pair commutes within the 1e-9 bound (3e-10) but not
+        # exactly: b couples a's eigenvectors by 3e-7, and a + theta*b has
+        # eigenvalues only 4e-7 apart, so its eigenbasis is ill-conditioned
+        # and turned far from a's.  In it q^H a q keeps about 5e-4 below the
+        # diagonal, above the caller's 1e-6; the two-sided step meets it.
+        theta = linalg._THETA_CANDIDATES[0]
+        ta = np.diag([1e-3, 0.0]).astype(complex)
+        tb = np.array([[-(1e-3 - 1e-7) / theta, 3e-7], [3e-7, 0.0]],
+                      dtype=complex)
+        assert np.abs(ta @ tb - tb @ ta).max() <= 1e-9
+        a, b, t1, t2 = _planted_commuting_tail(2, 1, ta, tb)
+        steps = _recording_steps(monkeypatch)
+        finishes = _recording_finisher(monkeypatch)
+        p, da, db = simultaneous_triangularize(a, b, residual_tol=1e-6)
+        assert finishes == [(2, False)]
+        assert steps == [(3, 1), (2, 1)]
+        for x in (a, b):
+            assert np.abs(np.tril(p.conj().T @ x @ p, -1)).max() <= 1e-6
+        _assert_planted_diagonals(da, db, t1, t2, 1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.integers(2, 8), st.integers(0, 2**32 - 1))
+    def test_planted_diagonals_with_a_commuting_tail(self, lead, tail, seed):
+        # The tail (A, c0 + c1 A + c2 A^2) commutes; the leading rows and the
+        # coupling do not.  The two-sided steps split off the leading rows
+        # and one eigendecomposition finishes the tail.
+        rng = np.random.default_rng(seed)
+        ta = np.triu(rng.standard_normal((tail, tail))
+                     + 1j * rng.standard_normal((tail, tail)))
+        c = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        tb = c[0] * np.eye(tail) + c[1] * ta + c[2] * ta @ ta
+        a, b, t1, t2 = _planted_commuting_tail(seed, lead, ta, tb)
+        assert np.abs(a @ b - b @ a).max() > 1e-9
+        with pytest.MonkeyPatch.context() as mp:
+            finishes = _recording_finisher(mp)
+            p, da, db = simultaneous_triangularize(a, b)
+        assert finishes == [(tail, True)]
+        scale = max(np.abs(a).max(), np.abs(b).max(), 1.0)
+        for x in (a, b):
+            assert (np.abs(np.tril(p.conj().T @ x @ p, -1)).max()
+                    <= 1e-8 * scale)
+        _assert_planted_diagonals(da, db, t1, t2, 1e-6 * scale)
