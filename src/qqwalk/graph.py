@@ -63,25 +63,29 @@ class Graph:
         self.origin = ends.ravel()
         self.terminal = ends[:, ::-1].ravel()
         self._degrees = np.bincount(self.origin, minlength=n)
-        if not self._connected():
+        colour = self._bfs_colours()
+        if np.any(colour < 0):
             raise GraphFormatError("graph is not connected")
+        self._bipartite = bool(np.all(colour[self.origin]
+                                      != colour[self.terminal]))
 
-    def _connected(self) -> bool:
-        if self.n == 1:
-            return True
+    def _bfs_colours(self) -> np.ndarray:
+        """Parity of each vertex's distance from vertex 0 in a breadth-first
+        search, -1 where the search does not reach."""
         adj: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        seen = {0}
+        colour = [-1] * self.n
+        colour[0] = 0
         queue = deque([0])
         while queue:
             u = queue.popleft()
             for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
+                if colour[v] < 0:
+                    colour[v] = 1 - colour[u]
                     queue.append(v)
-        return len(seen) == self.n
+        return np.array(colour)
 
     # -- basic quantities ---------------------------------------------
 
@@ -101,6 +105,11 @@ class Graph:
     @property
     def is_tree(self) -> bool:
         return self.betti_number == 0
+
+    @property
+    def is_bipartite(self) -> bool:
+        """Whether the breadth-first 2-colouring is proper: no odd cycle."""
+        return self._bipartite
 
     def degree(self, u: int) -> int:
         if not (0 <= u < self.n):

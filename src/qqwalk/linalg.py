@@ -421,6 +421,13 @@ def _commuting_basis(a: np.ndarray, b: np.ndarray, tol: float,
     return q
 
 
+def _commute_scale(a: np.ndarray, b: np.ndarray) -> float:
+    """max(1, max|a|) * max(1, max|b|): the commutator's rounding grows
+    with the product of the two scales."""
+    return (max(1.0, float(np.abs(a).max(initial=0.0)))
+            * max(1.0, float(np.abs(b).max(initial=0.0))))
+
+
 def _deflation_triangularize(a: np.ndarray, b: np.ndarray,
                              residual_tol: float, commute_tol: float,
                              null_tol: float = 1e-8) -> np.ndarray:
@@ -431,18 +438,18 @@ def _deflation_triangularize(a: np.ndarray, b: np.ndarray,
     repeatedly splitting off common eigenvectors; triangularity is verified
     by the caller.  A step at size s works at tol = null_tol * scale * s
     (scale the larger max-abs entry, at least 1).  When the pair left over
-    commutes within commute_tol * scale, the bound that routes a whole pair
-    in simultaneous_triangularize, _commuting_basis finishes it in one
-    eigendecomposition if it can.  Otherwise the step splits off every joint
-    eigenvector it finds (_joint_eigenvectors), r of them, at once: one
-    Householder QR of [vectors | I] gives a unitary q whose first r columns
-    span them in nested order, and of those columns the step keeps the
-    longest prefix in which q^H a q and q^H b q have no strictly lower entry
-    above residual_tol, the caller's final bound, and at least one.  With
-    one vector the step is the one-vector deflation.  The unitary factor is
-    updated in its trailing s columns only.  A step costs two
-    eigendecompositions, one SVD per cluster of repeated eigenvalues, a QR
-    and O(s^3) scoring, so a pair of size n costs O(n^3) per step: the
+    commutes within commute_tol * _commute_scale, the bound that routes a
+    whole pair in simultaneous_triangularize, _commuting_basis finishes it
+    in one eigendecomposition if it can.  Otherwise the step splits off
+    every joint eigenvector it finds (_joint_eigenvectors), r of them, at
+    once: one Householder QR of [vectors | I] gives a unitary q whose first
+    r columns span them in nested order, and of those columns the step
+    keeps the longest prefix in which q^H a q and q^H b q have no strictly
+    lower entry above residual_tol, the caller's final bound, and at least
+    one.  With one vector the step is the one-vector deflation.  The
+    unitary factor is updated in its trailing s columns only.  A step costs
+    two eigendecompositions, one SVD per cluster of repeated eigenvalues, a
+    QR and O(s^3) scoring, so a pair of size n costs O(n^3) per step: the
     weighted star K_{1,k} (n = 2k + 2) takes one step and the finish, a
     generic triangular pair, which has one joint eigenvector per step,
     n - 1 steps.
@@ -456,7 +463,8 @@ def _deflation_triangularize(a: np.ndarray, b: np.ndarray,
         scale = max(float(np.abs(a_cur).max()), float(np.abs(b_cur).max()),
                     1.0)
         tol = null_tol * scale * size
-        if np.abs(a_cur @ b_cur - b_cur @ a_cur).max() <= commute_tol * scale:
+        if (np.abs(a_cur @ b_cur - b_cur @ a_cur).max()
+                <= commute_tol * _commute_scale(a_cur, b_cur)):
             q = _commuting_basis(a_cur, b_cur, tol, residual_tol)
             if q is not None:
                 p_total[:, k:] = p_total[:, k:] @ q
@@ -497,10 +505,12 @@ def simultaneous_triangularize(
     diagonals; raises NotSimultaneouslyTriangularizableError when the
     commutator test or the final triangularity check fails.
 
-    commute_tol and residual_tol bound the largest entry of the commutator
-    and of the strictly lower parts relative to the pair's scale,
-    max(1, largest |entry| of a and b), as the certificate's residual is
-    relative to the spectrum's: rounding grows with the entries.
+    residual_tol bounds the largest strictly lower entry relative to the
+    pair's scale, max(1, largest |entry| of a and b), as the certificate's
+    residual is relative to the spectrum's: rounding grows with the
+    entries.  commute_tol bounds the largest entry of the commutator
+    relative to max(1, max|a|) * max(1, max|b|), as the rounding of ab - ba
+    grows with both factors.
     """
     a = _require_square(a)
     b = _require_square(b)
@@ -510,7 +520,7 @@ def simultaneous_triangularize(
                 float(np.abs(b).max(initial=0.0)))
     comm = a @ b - b @ a
     comm_norm = float(np.abs(comm).max()) if comm.size else 0.0
-    if comm_norm <= commute_tol * scale:
+    if comm_norm <= commute_tol * _commute_scale(a, b):
         import scipy.linalg
 
         # A generator: the second Schur basis is computed only when the

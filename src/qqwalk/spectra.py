@@ -1,10 +1,15 @@
 """Spectrum of the quaternionic walk by four routes, with cross-validation.
 
-* direct: eigensolve of qmatrix.psi_block(U): the complexified 4m x 4m
-  transition matrix psi(U), or its 2m x 2m block S' when every entry of U
-  lies in one copy R + R*u of C (the Grover coin, every alpha/d coin,
-  every complex coin), whose eigenvalues and their conjugates are those
-  of psi(U);
+* direct: eigensolve of U compressed off the part of its spectrum the
+  graph fixes: U = -J0 on Z0, the common kernel of L^T and O^T (O = J0 L),
+  which gives +1 betti_number times and -1 m - n + b times (b = 1 for a
+  bipartite graph); the rest is the spectrum of C = Q1^T U Q1 over an
+  orthonormal basis Q1 of the complement, of size 2n - 1 - b, built in
+  O(m n^2) with no 2m x 2m array.  C is turned as qmatrix.psi_block(U)
+  would be: real for a real coin, complex when every entry of U lies in
+  one copy R + R*u of C (the Grover coin, every alpha/d coin, every
+  complex coin), whose eigenvalues and their conjugates are then the
+  spectrum, and psi(C), of size 2(2n - 1 - b), otherwise;
 * formula routes: each is a source of aligned pairs (mu, xi), and one
   finisher takes the two roots of lambda^2 - mu*lambda + xi - 1 per pair,
   pads with +-1 for non-trees and trims {1, 1, -1, -1} for trees:
@@ -51,6 +56,7 @@ from .linalg import (
     simultaneous_triangularize,
 )
 from .qmatrix import (
+    QuatMatrix,
     class_reps,
     dedupe_class_reps,
     psi_block,
@@ -58,7 +64,7 @@ from .qmatrix import (
     psi_spectrum,
 )
 from .quaternion import Quaternion, canonical_class_rep
-from .walks import CoinMap, build_U, build_W_Dw
+from .walks import CoinMap, build_W_Dw
 
 __all__ = [
     "ComparisonRecord",
@@ -156,12 +162,99 @@ def compare_spectra(a: SpectrumReport | np.ndarray,
 
 # -- routes -----------------------------------------------------------
 
+def _cut_basis(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """An orthonormal basis Q1 of Z0^perp = range(L - O) + range(L + O),
+    as a real 2m x r array, and the signs sigma with J0 Q1 = Q1 diag(sigma).
+
+    The columns of L - O are odd under J0 and those of L + O even, so Q1
+    is built from the edges: with A = [Qa | Qs]/sqrt(2), Qa and Qs the Q
+    factors of the m x n signed and unsigned incidence matrices (row k of
+    the signed one is +1 at t(2k) and -1 at o(2k), of the unsigned one +1 at
+    both), arc 2k gets row k of A and arc 2k + 1 that row times sigma, -1
+    over Qa and +1 over Qs.  The cross terms of the blocks cancel in
+    Q1^T Q1 = I.  The incidence matrices lose vertex 0's
+    column where it is their one dependency: the signed one always (the
+    all-ones vector), the unsigned one when the graph is bipartite (the
+    2-colouring).  So r = 2n - 1 - b, b = 1 for a bipartite graph.
+    """
+    edge = np.arange(graph.m)
+    signed = np.zeros((graph.m, graph.n))
+    signed[edge, graph.terminal[0::2]] = 1.0
+    signed[edge, graph.origin[0::2]] = -1.0
+    odd = np.linalg.qr(signed[:, 1:])[0]
+    even = np.linalg.qr(np.abs(signed)[:, int(graph.is_bipartite):])[0]
+    sigma = np.concatenate((-np.ones(odd.shape[1]), np.ones(even.shape[1])))
+    rows = np.hstack((odd, even)) / np.sqrt(2.0)
+    basis = np.stack((rows, rows * sigma), axis=1)
+    return basis.reshape(graph.num_arcs, sigma.size), sigma
+
+
+def _origin_sums(graph: Graph, rows: np.ndarray) -> np.ndarray:
+    """O^T rows: the n x r sums of the arc rows over the arcs leaving each
+    vertex."""
+    sums = np.zeros((graph.n, rows.shape[1]), dtype=rows.dtype)
+    np.add.at(sums, graph.origin, rows)
+    return sums
+
+
+def _turned_coin(graph: Graph, coin: CoinMap) -> np.ndarray | None:
+    """The coin as qmatrix.psi_block(U) turns U's entries: the real parts
+    for a real U, Re q + i*(v . u) when the entries share the axis u, None
+    when psi(U) stays whole.
+
+    The axis and its test read U's nonzero entries: q(e) - 1 on the
+    backtracking pair of every arc and q(e) on the others, of which an arc
+    leaving a leaf has none.
+    """
+    leaf = np.bincount(graph.origin, minlength=graph.n)[graph.origin] < 2
+    turned = psi_block(QuatMatrix(
+        np.stack((np.where(leaf, 0.0, coin.s), coin.s - 1.0)),
+        np.stack((np.where(leaf, 0.0, coin.p), coin.p))))
+    if turned.shape[0] != 2:
+        return None
+    if not np.iscomplexobj(turned):
+        return coin.s.real
+    return coin.s.real + 1j * turned[1].imag
+
+
 def spectrum_direct(graph: Graph, coin: CoinMap) -> SpectrumReport:
-    """Eigensolve of psi(U), or of its 2m x 2m block when U's entries
-    share one imaginary axis (qmatrix.psi_block)."""
-    u = build_U(graph, coin)
-    vals = eigenvalues(psi_block(u))
-    vals = pair_conjugates(psi_spectrum(vals, u.rows))
+    """Eigensolve of U compressed onto the complement of its fixed +-1
+    eigenspace.
+
+    Let O = J0 L be the origin incidence.  For L^T x = 0,
+    (U x)_e = q(e) (L^T x)_{o(e)} - x_{e^-1} = -(J0 x)_e whatever the coin,
+    so Z0, the intersection of ker L^T and ker O^T, which J0 maps onto
+    itself, is invariant under U and U = -J0 there: +1 on its odd part,
+    the cycle space of betti_number = m - n + 1 dimensions, and -1 on its
+    even part, of m - n + b (b = 1 for a bipartite graph).  With Q1 an
+    orthonormal basis of Z0^perp (_cut_basis), Q1^T U Q0 = 0 for any basis
+    Q0 of Z0, so the rest of the spectrum is that of C = Q1^T U Q1, of size
+    r = 2n - 1 - b.  As U = K L^T - J0 and L^T Q1 = O^T Q1 diag(sigma),
+    C = ((O^T diag(q) Q1)^T (O^T Q1) - I) diag(sigma): sums over the arcs
+    leaving each vertex and one n-deep product, so with the QR of
+    _cut_basis C costs O(m n^2) and no 2m x 2m array is built.  The coin
+    is turned as qmatrix.psi_block(U) would turn it (_turned_coin): C is
+    real for a real coin, complex when the coin's values share an axis,
+    and otherwise psi(C), of size 2r, is solved.  The exact +-1 values are
+    appended, twice for psi(C).
+    """
+    basis, sigma = _cut_basis(graph)
+    origin_q1 = _origin_sums(graph, basis)
+    eye = np.eye(sigma.size)
+    turned = _turned_coin(graph, coin)
+    if turned is None:
+        s, p = (_origin_sums(graph, part[:, None] * basis).T @ origin_q1
+                for part in (coin.s, coin.p))
+        block = QuatMatrix((s - eye) * sigma, p * sigma).psi()
+    else:
+        block = (_origin_sums(graph, turned[:, None] * basis).T @ origin_q1
+                 - eye) * sigma
+    copies = 1 if turned is not None else 2
+    even = graph.m - graph.n + int(graph.is_bipartite)
+    vals = np.concatenate((eigenvalues(block),
+                           np.ones(copies * graph.betti_number),
+                           -np.ones(copies * even)))
+    vals = pair_conjugates(psi_spectrum(vals, graph.num_arcs))
     return SpectrumReport(method="direct", psi_spectrum=vals)
 
 

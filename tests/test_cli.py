@@ -335,6 +335,7 @@ for arg in sys.argv[1:]:
         grover_w, ex5 = str(fixtures / "k3_grover.w"), str(fixtures / "ex5.w")
         commands = [
             ["spectrum", "--graph", k3, "--grover"],
+            ["spectrum", "--graph", k13, "--coin", ex5],
             ["spectrum", "--graph", k13, "--coin", ex5, "--method", "theorem8"],
             ["grover", "--graph", k13],
             ["unitarity", "--graph", k3, "--alpha=2"],

@@ -100,6 +100,26 @@ class TestDegreesAndBetti:
             complete_graph(3).degree(5)
 
 
+class TestBipartite:
+    def test_small_graphs(self):
+        assert Graph(1, []).is_bipartite
+        assert cycle_graph(6).is_bipartite and star_graph(4).is_bipartite
+        assert not cycle_graph(5).is_bipartite
+        assert not complete_graph(3).is_bipartite
+        assert not petersen_graph().is_bipartite
+
+    def test_matches_the_signless_laplacian(self):
+        # A connected graph is bipartite exactly when its signless
+        # Laplacian D + A is singular.
+        rng = np.random.default_rng(23)
+        for _ in range(40):
+            g = random_connected_graph(rng, int(rng.integers(2, 12)),
+                                       float(rng.choice([0.0, 0.1, 0.3])))
+            least = np.linalg.eigvalsh(g.degree_matrix()
+                                       + g.adjacency_matrix())[0]
+            assert g.is_bipartite == (abs(least) <= 1e-9)
+
+
 def transition_matrix(g: Graph) -> np.ndarray:
     """T = D^-1 A, the random-walk matrix the alpha-coin route diagonalizes,
     from the adjacency and degree matrices."""

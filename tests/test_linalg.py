@@ -522,6 +522,41 @@ class TestSimultaneousTriangularization:
                            match="not nilpotent"):
             simultaneous_triangularize(a, b)
 
+    def test_commute_bound_scales_with_both_matrices(self, monkeypatch):
+        # The theorem8 pair of a 1e8 alpha coin commutes up to the rounding
+        # of its out-sums, about 1e-16 * max|a| * max|b|: the bound follows
+        # that product, so the pair takes the Schur path, not deflation.
+        from qqwalk.graph import random_connected_graph
+        from qqwalk.quaternion import Quaternion
+        from qqwalk.spectra import spectrum_theorem_general
+        from qqwalk.walks import CoinMap
+
+        def entered(*args, **kwargs):
+            raise AssertionError("deflation entered on a commuting pair")
+
+        g = random_connected_graph(np.random.default_rng(0), 60, 0.15)
+        coin = CoinMap.from_alpha(g, Quaternion(1e8, 1e8, 1e8, 1e8))
+        monkeypatch.setattr(linalg, "_deflation_triangularize", entered)
+        assert spectrum_theorem_general(g, coin).cross_check.verdict
+
+    def test_noncommuting_pair_at_scale_still_deflates(self, monkeypatch):
+        a, b, _, _ = _noncommuting_triangular_pair(8, 3, "nilpotent")
+        a, b = 1e8 * a, 1e8 * b
+        calls = []
+        deflate = linalg._deflation_triangularize
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return deflate(*args, **kwargs)
+        monkeypatch.setattr(linalg, "_deflation_triangularize", counting)
+        simultaneous_triangularize(a, b)
+        assert calls == [1]
+        rng = np.random.default_rng(5)
+        with pytest.raises(NotSimultaneouslyTriangularizableError,
+                           match="not nilpotent"):
+            simultaneous_triangularize(
+                *(1e8 * rng.uniform(-1, 1, (6, 6)) for _ in range(2)))
+
     def test_generic_pair_rejected_before_deflation(self, monkeypatch):
         def entered(*args, **kwargs):
             raise AssertionError("deflation entered on a generic pair")

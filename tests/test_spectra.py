@@ -1,6 +1,7 @@
 """Walk spectra by all routes, cross-validated against the direct one."""
 
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -126,9 +127,15 @@ def axis_coin(g, rng, kind):
     return CoinMap(g, values)
 
 
+def cut_size(g):
+    """2n - 1 - b: the size of U compressed off its fixed +-1 eigenspace."""
+    return 2 * g.n - 1 - int(g.is_bipartite)
+
+
 class TestDirectBlock:
-    """spectrum_direct eigensolves the 2m x 2m block of psi(U) when the
-    entries of U share one imaginary axis, and psi(U) itself otherwise."""
+    """spectrum_direct eigensolves the compression of U, of size
+    2n - 1 - b, when the entries of U share one imaginary axis, and its psi
+    image otherwise."""
 
     @staticmethod
     def direct_dims(monkeypatch, g, coin):
@@ -149,7 +156,7 @@ class TestDirectBlock:
         coin = axis_coin(g, rng, kind)
         with pytest.MonkeyPatch.context() as mp:
             vals, dims = self.direct_dims(mp, g, coin)
-        assert dims == [2 * g.m]
+        assert dims == [cut_size(g)]
         reference = np.linalg.eigvals(build_U(g, coin).psi())
         assert compare_spectra(vals, reference, tol=1e-9).verdict
         assert compare_spectra(vals, np.conj(vals), tol=0.0).max_dist == 0.0
@@ -159,7 +166,7 @@ class TestDirectBlock:
         g = random_connected_graph(rng, 6, 0.4)
         coin = axis_coin(g, rng, "off-axis")
         vals, dims = self.direct_dims(monkeypatch, g, coin)
-        assert dims == [4 * g.m]
+        assert dims == [2 * cut_size(g)]
         reference = np.linalg.eigvals(build_U(g, coin).psi())
         assert compare_spectra(vals, reference, tol=1e-9).verdict
 
@@ -175,10 +182,114 @@ class TestDirectBlock:
         spectrum_direct(g, CoinMap.grover(g))
         assert dtypes == [np.dtype(float)]
 
+    def test_no_arc_sized_square_array(self):
+        # K_50 has 2m = 2450 arcs: one real 2m x 2m array takes 48 MB, and
+        # the whole route, on the psi(C) path, stays under a quarter of it.
+        g = complete_graph(50)
+        coin = any_coin(g, np.random.default_rng(3), "quaternion")
+        tracemalloc.start()
+        try:
+            spectrum_direct(g, coin)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (2 * g.m) ** 2 * 8 / 4
+
     def test_edgeless_graph(self, monkeypatch):
         g = Graph(1, [])
         vals, dims = self.direct_dims(monkeypatch, g, CoinMap.grover(g))
         assert vals.size == 0 and dims == [0]
+
+
+def complete_bipartite(a, b):
+    return Graph(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+
+
+def grid_graph(rows, cols):
+    def at(r, c):
+        return r * cols + c
+    return Graph(rows * cols,
+                 [(at(r, c), at(r, c + 1)) for r in range(rows)
+                  for c in range(cols - 1)]
+                 + [(at(r, c), at(r + 1, c)) for r in range(rows - 1)
+                    for c in range(cols)])
+
+
+def family_graph(kind, size, rng):
+    """A graph of the named family with about `size` vertices."""
+    if kind == "random":
+        return random_connected_graph(rng, size, 0.4)
+    if kind == "tree":
+        return random_connected_graph(rng, size, 0.0)
+    if kind == "single":
+        return Graph(1, [])
+    if kind == "even cycle":
+        return cycle_graph(2 * max(size // 2, 2))
+    if kind == "odd cycle":
+        return cycle_graph(2 * max(size // 2, 1) + 1)
+    if kind == "bipartite":
+        return complete_bipartite(max(size // 2, 1), max(size - size // 2, 1))
+    return grid_graph(2, max(size // 2, 1))
+
+
+def any_coin(g, rng, kind):
+    """axis_coin's families plus a per-arc random quaternion coin; Grover
+    without arcs, where no value can be moved off an axis."""
+    if g.m == 0:
+        return CoinMap.grover(g)
+    if kind == "quaternion":
+        return CoinMap(g, [Quaternion(*rng.uniform(-1, 1, 4))
+                           for _ in range(g.num_arcs)])
+    return axis_coin(g, rng, kind)
+
+
+COIN_KINDS = ["grover", "alpha", "complex", "axis", "off-axis", "quaternion"]
+
+
+class TestDirectCompression:
+    """The direct route against the dense eigvals of psi(U) on the graph
+    families, with the exact +-1 values of the invariant subspace Z0."""
+
+    @staticmethod
+    def assert_matches_reference(g, coin):
+        vals = spectrum_direct(g, coin).psi_spectrum
+        reference = np.linalg.eigvals(build_U(g, coin).psi())
+        record = compare_spectra(vals, reference, tol=1e-9)
+        assert record.verdict, record
+        even = g.m - g.n + int(g.is_bipartite)
+        assert np.count_nonzero(vals == 1.0) >= 2 * g.betti_number
+        assert np.count_nonzero(vals == -1.0) >= 2 * even
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(["random", "tree", "single", "even cycle",
+                            "odd cycle", "bipartite", "grid"]),
+           st.integers(2, 8), st.integers(0, 2**32 - 1),
+           st.sampled_from(COIN_KINDS))
+    def test_matches_the_psi_spectrum(self, family, size, seed, kind):
+        rng = np.random.default_rng(seed)
+        g = family_graph(family, size, rng)
+        self.assert_matches_reference(g, any_coin(g, rng, kind))
+
+    @pytest.mark.parametrize("g, kind", [(path_graph(200), "quaternion"),
+                                         (cycle_graph(199), "grover")],
+                             ids=["path", "odd cycle"])
+    def test_long_graphs(self, g, kind):
+        # The incidence matrices of a long path or odd cycle are among the
+        # worst conditioned of their size: their least nonzero singular
+        # value is about pi/n.
+        self.assert_matches_reference(
+            g, any_coin(g, np.random.default_rng(g.n), kind))
+
+    def test_fixed_part_counts(self):
+        # K_{3,4} is bipartite: m = 12, n = 7, so U is +1 six times and -1
+        # six times on Z0, psi(U) twelve times each, and the compression has
+        # size 2n - 2 = 12.
+        g = complete_bipartite(3, 4)
+        assert g.is_bipartite and cut_size(g) == 12
+        vals = spectrum_direct(g, CoinMap.from_alpha(
+            g, Quaternion(0.3, 0.2, -0.1, 0.4))).psi_spectrum
+        assert np.count_nonzero(vals == 1.0) >= 12
+        assert np.count_nonzero(vals == -1.0) >= 12
 
 
 def vertex_psi(g, coin):
