@@ -34,6 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "ColumnOrder",
     "NotSimultaneouslyTriangularizableError",
     "determinant",
     "eigenvalues",
@@ -79,42 +80,80 @@ def eigenvalues(m: np.ndarray) -> np.ndarray:
     return np.sort_complex(np.linalg.eigvals(_require_square(m, dtype=None)))
 
 
-def determinant(m) -> complex:
+class ColumnOrder:
+    """The column order of a sparse LU, shared by matrices of one sparsity
+    pattern.
+
+    Empty until determinant factors a sparse matrix with it: that
+    factorization takes COLAMD's order, which reads the pattern alone, and
+    ``columns`` keeps it as the gather order of A*Pc, ``parity`` its parity.
+    An exactly singular first matrix leaves it empty for the next one.
+    """
+
+    __slots__ = ("columns", "parity")
+
+    def __init__(self):
+        self.columns = None
+        self.parity = 0
+
+
+def determinant(m, order: ColumnOrder | None = None) -> complex:
     """Determinant via LU with partial pivoting.
 
     A dense array goes to LAPACK.  A scipy sparse matrix is factored by
-    SuperLU with a COLAMD column ordering, Pr A Pc = L U with unit-diagonal
-    L, and det(A) = sign(Pr) sign(Pc) prod(diag U), accumulated as numpy
-    accumulates its dense det: a sign times exp of the summed log-moduli.
-    An exactly singular factor reads 0, as dense det does.
+    SuperLU, Pr A Pc = L U with unit-diagonal L, and det(A) =
+    sign(Pr) sign(Pc) prod(diag U), accumulated as numpy accumulates its
+    dense det: a sign times exp of the summed log-moduli.  The column
+    order Pc is COLAMD's, unless an ``order`` that an earlier factorization
+    filled is given: then the columns are gathered in that order and
+    factored as they stand (SuperLU's NATURAL order), which skips the
+    ordering and still pivots each matrix on its own values.  An empty
+    ``order`` is filled with this factorization's COLAMD order.  An exactly
+    singular factor reads 0, as dense det does.
     """
-    if hasattr(m, "tocsc"):
-        return _sparse_determinant(m)
-    m = _require_square(m)
-    if m.shape[0] == 0:
-        return 1.0 + 0.0j
-    return complex(np.linalg.det(m))
-
-
-def _sparse_determinant(m) -> complex:
+    if not hasattr(m, "tocsc"):
+        m = _require_square(m)
+        if m.shape[0] == 0:
+            return 1.0 + 0.0j
+        return complex(np.linalg.det(m))
     from scipy.sparse.linalg import splu
 
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] == 0:
         return 1.0 + 0.0j
+    m = m.tocsc().astype(complex, copy=False)
+    reuse = order is not None and order.columns is not None
     try:
-        lu = splu(m.tocsc().astype(complex, copy=False),
-                  permc_spec="COLAMD")
+        if reuse:
+            lu = splu(_gather_columns(m, order.columns), permc_spec="NATURAL")
+        else:
+            lu = splu(m, permc_spec="COLAMD")
     except RuntimeError as exc:
         if "singular" not in str(exc):
             raise
         return 0j
+    parity = _parity(lu.perm_c)
+    if reuse:
+        parity += order.parity
+    elif order is not None:
+        order.columns, order.parity = np.argsort(lu.perm_c), parity
     diag = lu.U.diagonal()
     moduli = np.abs(diag)
-    sign = -1.0 if (_parity(lu.perm_r) + _parity(lu.perm_c)) % 2 else 1.0
+    sign = -1.0 if (_parity(lu.perm_r) + parity) % 2 else 1.0
     phase = sign * np.prod(diag / moduli)
     return complex(phase * np.exp(np.sum(np.log(moduli))))
+
+
+def _gather_columns(m, columns: np.ndarray):
+    """The CSC matrix whose column j is column columns[j] of the CSC m."""
+    from scipy.sparse import csc_array
+
+    counts = np.diff(m.indptr)[columns]
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    take = (np.repeat(m.indptr[columns] - indptr[:-1], counts)
+            + np.arange(indptr[-1]))
+    return csc_array((m.data[take], m.indices[take], indptr), shape=m.shape)
 
 
 def _parity(perm: np.ndarray) -> int:

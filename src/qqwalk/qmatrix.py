@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import _cluster_labels, eigenvalues, pair_conjugates
+from .linalg import PAIR_TOL, _cluster_labels, eigenvalues, pair_conjugates
 from .quaternion import Quaternion
 
 # psi_block drops the parts of the entries off the shared axis when none is
@@ -266,14 +266,21 @@ def class_reps(values: np.ndarray, tol: float = 1e-7) -> list[tuple[complex, int
 
 
 def dedupe_class_reps(reps: Sequence[complex], tol: float = 1e-7) -> list[tuple[complex, int]]:
-    """Single-linkage clusters of the values at distance tol, with sizes.
+    """Single-linkage clusters of the values, with sizes, at the distance
+    tol or PAIR_TOL * max|value|, whichever is larger.
 
     Two values share a cluster when a chain of values joins them with every
-    step at most tol, so clusters are pairwise farther apart than tol.
-    Returns (mean, size) pairs sorted by (re, im) of the mean.
+    step at most that distance, so clusters are pairwise farther apart.
+    The second bound is the relative distance at which
+    linalg.pair_conjugates clusters: on a spectrum of large scale, a
+    multiple eigenvalue that a backward-stable solver splits by rounding
+    stays one value, while up to max|value| = tol / PAIR_TOL the grouping
+    is that of the absolute tol.  Returns (mean, size) pairs sorted by
+    (re, im) of the mean.
     """
     z = np.sort_complex(np.asarray(reps, dtype=complex).ravel())
-    label = _cluster_labels(z, tol)
+    label = _cluster_labels(
+        z, max(tol, PAIR_TOL * float(np.abs(z).max(initial=0.0))))
     sizes = np.bincount(label)
     means = np.zeros(sizes.size, dtype=complex)
     np.add.at(means, label, z)

@@ -59,12 +59,11 @@ from .qmatrix import (
     QuatMatrix,
     class_reps,
     dedupe_class_reps,
-    psi_block,
     psi_blocks,
     psi_spectrum,
 )
 from .quaternion import Quaternion, canonical_class_rep
-from .walks import CoinMap, build_W_Dw
+from .walks import CoinMap, _turned_coin, build_W_Dw
 
 __all__ = [
     "ComparisonRecord",
@@ -197,26 +196,6 @@ def _origin_sums(graph: Graph, rows: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _turned_coin(graph: Graph, coin: CoinMap) -> np.ndarray | None:
-    """The coin as qmatrix.psi_block(U) turns U's entries: the real parts
-    for a real U, Re q + i*(v . u) when the entries share the axis u, None
-    when psi(U) stays whole.
-
-    The axis and its test read U's nonzero entries: q(e) - 1 on the
-    backtracking pair of every arc and q(e) on the others, of which an arc
-    leaving a leaf has none.
-    """
-    leaf = np.bincount(graph.origin, minlength=graph.n)[graph.origin] < 2
-    turned = psi_block(QuatMatrix(
-        np.stack((np.where(leaf, 0.0, coin.s), coin.s - 1.0)),
-        np.stack((np.where(leaf, 0.0, coin.p), coin.p))))
-    if turned.shape[0] != 2:
-        return None
-    if not np.iscomplexobj(turned):
-        return coin.s.real
-    return coin.s.real + 1j * turned[1].imag
-
-
 def spectrum_direct(graph: Graph, coin: CoinMap) -> SpectrumReport:
     """Eigensolve of U compressed onto the complement of its fixed +-1
     eigenspace.
@@ -233,10 +212,10 @@ def spectrum_direct(graph: Graph, coin: CoinMap) -> SpectrumReport:
     C = ((O^T diag(q) Q1)^T (O^T Q1) - I) diag(sigma): sums over the arcs
     leaving each vertex and one n-deep product, so with the QR of
     _cut_basis C costs O(m n^2) and no 2m x 2m array is built.  The coin
-    is turned as qmatrix.psi_block(U) would turn it (_turned_coin): C is
-    real for a real coin, complex when the coin's values share an axis,
-    and otherwise psi(C), of size 2r, is solved.  The exact +-1 values are
-    appended, twice for psi(C).
+    is turned as qmatrix.psi_block(U) would turn it (walks._turned_coin):
+    C is real for a real coin, complex when the coin's values share an
+    axis, and otherwise psi(C), of size 2r, is solved.  The exact +-1
+    values are appended, twice for psi(C).
     """
     basis, sigma = _cut_basis(graph)
     origin_q1 = _origin_sums(graph, basis)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graph import Graph
-from .qmatrix import QuatMatrix
+from .qmatrix import QuatMatrix, psi_block
 from .quaternion import Quaternion, QuaternionFormatError, parse_quaternion
 
 __all__ = [
@@ -69,6 +69,19 @@ class CoinMap:
         self.p = np.array([q.perplex for q in values], dtype=complex)
 
     @classmethod
+    def _from_coordinates(cls, graph: Graph, x: np.ndarray) -> "CoinMap":
+        """The coin with coordinates x[:, e] = (x0, x1, x2, x3) on arc e:
+        s = x0 + x1*i and p = x2 - x3*i, as Quaternion.simplex and
+        perplex give them."""
+        coin = cls.__new__(cls)
+        coin.graph = graph
+        coin.s, coin.p = (np.empty(graph.num_arcs, dtype=complex)
+                          for _ in range(2))
+        coin.s.real, coin.s.imag = x[0], x[1]
+        coin.p.real, coin.p.imag = x[2], -x[3]
+        return coin
+
+    @classmethod
     def from_arc_values(cls, graph: Graph,
                         per_arc: dict[int, Quaternion]) -> "CoinMap":
         """Per-arc values by index into the arc order; unspecified arcs are 0."""
@@ -83,14 +96,17 @@ class CoinMap:
     def from_vertex_values(cls, graph: Graph,
                            per_vertex: dict[int, Quaternion]) -> "CoinMap":
         """q(e) = value at o(e); unspecified vertices get 0."""
-        values = [per_vertex.get(v, Quaternion.ZERO) for v in range(graph.n)]
-        return cls(graph, [values[v] for v in graph.origin])
+        x = np.array([[q.x0, q.x1, q.x2, q.x3] for q in (
+            per_vertex.get(v, Quaternion.ZERO) for v in range(graph.n))],
+            dtype=float).reshape(graph.n, 4)
+        return cls._from_coordinates(graph, x.T[:, graph.origin])
 
     @classmethod
     def from_alpha(cls, graph: Graph, alpha: Quaternion) -> "CoinMap":
         """q(e) = alpha / d_{o(e)} (real divisor, so side of division is moot)."""
         degree = np.bincount(graph.origin, minlength=graph.n)
-        return cls(graph, [alpha / d for d in degree[graph.origin]])
+        x = np.array([alpha.x0, alpha.x1, alpha.x2, alpha.x3])[:, None]
+        return cls._from_coordinates(graph, x / degree[graph.origin])
 
     @classmethod
     def grover(cls, graph: Graph) -> "CoinMap":
@@ -178,6 +194,26 @@ def _walk_triplets(graph: Graph, s: np.ndarray, p: np.ndarray):
     return rows, cols, s[rows] - (cols == rows ^ 1), p[rows]
 
 
+def _turned_coin(graph: Graph, coin: CoinMap) -> np.ndarray | None:
+    """The coin as qmatrix.psi_block(U) turns U's entries: the real parts
+    for a real U, Re q + i*(v . u) when the entries share the axis u, None
+    when psi(U) stays whole.
+
+    The axis and its test read U's nonzero entries: q(e) - 1 on the
+    backtracking pair of every arc and q(e) on the others, of which an arc
+    leaving a leaf has none.
+    """
+    leaf = np.bincount(graph.origin, minlength=graph.n)[graph.origin] < 2
+    turned = psi_block(QuatMatrix(
+        np.stack((np.where(leaf, 0.0, coin.s), coin.s - 1.0)),
+        np.stack((np.where(leaf, 0.0, coin.p), coin.p))))
+    if turned.shape[0] != 2:
+        return None
+    if not np.iscomplexobj(turned):
+        return coin.s.real
+    return coin.s.real + 1j * turned[1].imag
+
+
 def _out_sums(graph: Graph, coin: CoinMap) -> np.ndarray:
     """Symplectic parts (s, p) of the per-vertex sums of the coin over the
     outgoing arcs, added in arc order."""
@@ -251,13 +287,21 @@ def build_Bw(graph: Graph, weights: CoinMap) -> QuatMatrix:
                   weights.p[rows])
 
 
+def _K_L_entries(graph: Graph, weights: CoinMap) -> tuple[tuple, tuple]:
+    """The entries of K and L as (rows, cols, s, p), one per arc:
+    K_{e,o(e)} = w(e) and L_{e,t(e)} = 1."""
+    arcs = np.arange(graph.num_arcs)
+    return ((arcs, graph.origin, weights.s, weights.p),
+            (arcs, graph.terminal, np.ones(graph.num_arcs, dtype=complex),
+             np.zeros(graph.num_arcs, dtype=complex)))
+
+
 def build_K_L(graph: Graph, weights: CoinMap) -> tuple[QuatMatrix, QuatMatrix]:
     """The 2m x n factor matrices with K_{ev} = w(e)[o(e) = v] and
     L_{ev} = [t(e) = v], satisfying B_w^T = K L^T and W^T = L^T K."""
     shape = (graph.num_arcs, graph.n)
-    arcs = np.arange(graph.num_arcs)
-    return (_place(shape, arcs, graph.origin, weights.s, weights.p),
-            _place(shape, arcs, graph.terminal, 1.0))
+    return tuple(_place(shape, *entries)
+                 for entries in _K_L_entries(graph, weights))
 
 
 def build_W_Dw(graph: Graph, weights: CoinMap) -> tuple[QuatMatrix, QuatMatrix]:

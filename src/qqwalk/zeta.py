@@ -26,10 +26,22 @@ t(f) = o(e), sum_v d_v^2 of them (walks._walk_triplets), in O(sum_v d_v^2)
 time and memory; psi(U) takes its four blocks by index arithmetic.  The arc
 side is a genuine factorization of I - t*X at every sample: a dense LAPACK
 LU below SPARSE_LU_MIN rows, and from there up a sparse LU (scipy's splu,
-COLAMD column order, partial pivoting) of I - t*X in CSC form, built from
-the entries without any dense 2m x 2m or 4m x 4m array.  The 4m x 4m X of a
+partial pivoting) of I - t*X in CSC form, built from the entries without
+any dense 2m x 2m or 4m x 4m array.  Every sample of a call has the same
+pattern, so the call plans once: the first sparse factorization takes
+COLAMD's column order, which reads the pattern alone, and every later one
+gathers its columns in that order (linalg.ColumnOrder).  The 4m x 4m X of a
 random graph with m = 250 has about 11 000 of its 10^6 entries nonzero.
 Below the threshold no scipy module is imported.
+
+When the quaternionic weights share one axis (walks._turned_coin: the
+Grover and alpha/d coins, complex weights), psi(U) is unitarily similar to
+diag(S', conj(S')) with the 2m x 2m block S' = qmatrix.psi_block(U), and
+the arc side is det(I - t*S') * conj(det(I - conj(t)*S')): two
+factorizations of S' in one column order.  K and L enter only the
+resolvent check, as their arc entries (e, o(e), w(e)) and (e, t(e), 1),
+from which psi(K) and psi(L^T) are built directly, in CSR form from the
+threshold up.
 """
 
 from __future__ import annotations
@@ -40,8 +52,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import Graph
-from .linalg import determinant
-from .walks import CoinMap, _walk_triplets, build_K_L, build_W_Dw
+from .linalg import ColumnOrder, determinant
+from .walks import (
+    CoinMap,
+    _K_L_entries,
+    _turned_coin,
+    _walk_triplets,
+    build_W_Dw,
+)
 
 __all__ = [
     "IdentityReport",
@@ -57,12 +75,14 @@ __all__ = [
 # Samples this close to t^2 = 1 hit the (1 - t^2) poles and are skipped.
 POLE_GUARD = 1e-6
 # Arc matrices with at least this many rows take the sparse LU, smaller
-# ones stay dense.  All three identities on one random graph with three
-# samples (one AMD EPYC core, one BLAS thread, scipy loaded) take 0.062 s
-# dense and 0.026 s sparse at m = 160, 0.181 s and 0.056 s at m = 250; at
-# 400 rows the m = 160 graph's 2m sides stay dense and take 0.034 s.  At
-# m = 50 both ways take about 4 ms, less than the 0.12 s and 33 MB that
-# importing scipy.sparse.linalg costs a fresh process.
+# ones stay dense.  Each identity on a random graph (n = 0.44 m) with three
+# samples (one core, one BLAS thread, scipy loaded, the column order reused)
+# takes, dense against sparse: 1.38 and 1.55 ms on the Ihara 2m side at
+# 192 rows, 2.01 and 1.78 ms at 224, 3.11 and 2.46 ms at 256; 3.63 and
+# 3.52 ms on a 4m side of 192 rows, 7.18 and 5.24 ms at 256.  No rung of the
+# benchmark ladder falls between 192 and 256 rows, and at m = 32 the dense
+# sides take 0.3 to 1.6 ms, less than the 0.12 s and 33 MB that importing
+# scipy.sparse.linalg costs a fresh process.
 SPARSE_LU_MIN = 256
 
 
@@ -131,13 +151,19 @@ def _psi_triplets(rows, cols, s, p, shape):
             np.concatenate((s, -np.conj(p), p, np.conj(s))))
 
 
-def _psi_csr(m):
-    """psi(M) in CSR form, from the nonzero entries of the dense M."""
+def _psi_matrix(entries: tuple, shape: tuple[int, int], sparse: bool):
+    """psi(M) for the quaternionic M of the given shape with the entries
+    (rows, cols, s, p): CSR without its zero entries when sparse, else the
+    dense array."""
+    rows, cols, values = _psi_triplets(*entries, shape)
+    size = (2 * shape[0], 2 * shape[1])
+    if not sparse:
+        out = np.zeros(size, dtype=complex)
+        out[rows, cols] = values
+        return out
     from scipy.sparse import csr_array
-    rows, cols = np.nonzero((m.s != 0) | (m.p != 0))
-    r, c, v = _psi_triplets(rows, cols, m.s[rows, cols], m.p[rows, cols],
-                            m.shape)
-    return csr_array((v, (r, c)), shape=(2 * m.rows, 2 * m.cols))
+    keep = values != 0
+    return csr_array((values[keep], (rows[keep], cols[keep])), shape=size)
 
 
 def _arc_matrix(rows, cols, values, size: int):
@@ -158,16 +184,17 @@ def _arc_matrix(rows, cols, values, size: int):
     return x, x.indices == np.repeat(diag, np.diff(x.indptr))
 
 
-def _arc_side(x, t: complex) -> complex:
+def _arc_side(x, t: complex, order: ColumnOrder | None = None) -> complex:
     """det(I - t*X) for an X from _arc_matrix; the sparse I - t*X takes
-    X's pattern, with 0 - x*t at its entries plus 1 on the diagonal."""
+    X's pattern, with 0 - x*t at its entries plus 1 on the diagonal, and is
+    factored in the given column order."""
     if isinstance(x, np.ndarray):
         return determinant(np.eye(x.shape[0]) - t * x)
     from scipy.sparse import csc_array
     x, diag = x
     # x * t: numpy's complex product can differ in the last bit from t * x.
     return determinant(csc_array((0.0 - x.data * t + diag, x.indices,
-                                  x.indptr), shape=x.shape))
+                                  x.indptr), shape=x.shape), order)
 
 
 def _vertex_side(y: np.ndarray, d: np.ndarray, exponent: int,
@@ -178,13 +205,19 @@ def _vertex_side(y: np.ndarray, d: np.ndarray, exponent: int,
 
 
 def _compare(x: tuple, y: np.ndarray, d: np.ndarray, exponent: int,
-             t_samples: list[complex], tol: float,
-             check=None) -> IdentityReport:
+             t_samples: list[complex], tol: float, check=None,
+             halves: bool = False) -> IdentityReport:
     """Compare det(I - t*X) with (1 - t^2)^e * det(I - t*Y + t^2*(D - I))
     at every sample off the poles, X given by its entries x = (rows, cols,
     values, size); check(t), when given, runs first at each compared
-    sample."""
+    sample.  With halves, x holds the block S' of an X = psi(U) whose
+    entries share one axis, and the arc side is
+    det(I - t*S') * conj(det(I - conj(t)*S')).
+
+    Every sparse factorization of the call shares one column order, taken
+    by the first one that succeeds."""
     x = _arc_matrix(*x)
+    order = ColumnOrder()
     pairs = []
     skipped = []
     for t in t_samples:
@@ -193,7 +226,10 @@ def _compare(x: tuple, y: np.ndarray, d: np.ndarray, exponent: int,
             continue
         if check is not None:
             check(t)
-        pairs.append((t, _arc_side(x, t), _vertex_side(y, d, exponent, t)))
+        lhs = _arc_side(x, t, order)
+        if halves:
+            lhs *= _arc_side(x, t.conjugate(), order).conjugate()
+        pairs.append((t, lhs, _vertex_side(y, d, exponent, t)))
     samples = [SamplePoint(t, lhs, rhs, _rel_err(lhs, rhs))
                for t, lhs, rhs in sorted(pairs, key=lambda p: (p[0].real,
                                                                p[0].imag))]
@@ -265,34 +301,43 @@ def quaternionic_identity(graph: Graph, weights: CoinMap,
                           intermediate_tol: float = 1e-10) -> IdentityReport:
     """Quaternionic determinant identity through the complexification map.
 
-    At each admissible sample compares the 4m x 4m and 2n x 2n sides and
-    additionally verifies the proof-level resolvent identity entrywise
-    within intermediate_tol times the largest expected entry (at least 1).
-    Since J0^2 = I, (I + t*J0)^-1 is (I - t*J0) / (1 - t^2), and
-    psi(J0) = blockdiag(J0, J0) acts as the row permutation idx ^ 1 on the
-    4m complexified arcs.
+    At each admissible sample compares the arc side det(I - t*psi(U)) with
+    the 2n x 2n vertex side, and additionally verifies the proof-level
+    resolvent identity entrywise within intermediate_tol times the largest
+    expected entry (at least 1).  Since J0^2 = I, (I + t*J0)^-1 is
+    (I - t*J0) / (1 - t^2), and psi(J0) = blockdiag(J0, J0) acts as the row
+    permutation idx ^ 1 on the 4m complexified arcs; the differences
+    psi(L^T) psi(K) - psi(W^T) and psi(L^T) psi(J0) psi(K) - psi(D_w) are
+    formed once, so a sample's residual is one combination of them.  When
+    U's entries share one axis (walks._turned_coin), psi(U) is unitarily
+    similar to diag(S', conj(S')) with S' = qmatrix.psi_block(U), and the
+    arc side is factored on the 2m x 2m S' at t and at conj(t).
     """
-    rows, cols, s, p = _walk_triplets(graph, weights.s, weights.p)
-    size = 2 * graph.num_arcs
-    x = (*_psi_triplets(rows, cols, s, p, (graph.num_arcs,) * 2), size)
+    arcs, n = graph.num_arcs, graph.n
+    turned = _turned_coin(graph, weights)
+    if turned is None:
+        rows, cols, s, p = _walk_triplets(graph, weights.s, weights.p)
+        x = (*_psi_triplets(rows, cols, s, p, (arcs, arcs)), 2 * arcs)
+    else:
+        rows, cols, s, _ = _walk_triplets(graph, turned, turned)
+        x = (rows, cols, s, arcs)
     wq, dwq = build_W_Dw(graph, weights)
     psi_wt, psi_dw = wq.transpose().psi(), dwq.psi()
-    kq, lq = build_K_L(graph, weights)
-    if size < SPARSE_LU_MIN:
-        psi_k, psi_lt = kq.psi(), lq.transpose().psi()
-    else:  # 8m and 4m nonzeros: the products cost O(m)
-        psi_k, psi_lt = _psi_csr(kq), _psi_csr(lq.transpose())
-    flipped_k = psi_k[np.arange(size) ^ 1]  # psi(J0) @ psi(K)
-    # psi(L^T) psi(K) and psi(L^T) psi(J0) psi(K), formed once.
-    lk, ljk = (prod if isinstance(prod, np.ndarray) else prod.toarray()
-               for prod in (psi_lt @ psi_k, psi_lt @ flipped_k))
+    k, l = _K_L_entries(graph, weights)
+    sparse = x[-1] >= SPARSE_LU_MIN  # then 8m and 4m nonzeros, O(m) products
+    psi_k = _psi_matrix(k, (arcs, n), sparse)
+    psi_jk = _psi_matrix((k[0] ^ 1, *k[1:]), (arcs, n), sparse)
+    psi_lt = _psi_matrix((l[1], l[0], *l[2:]), (n, arcs), sparse)
+    # psi(L^T) psi(K) - psi(W^T) and psi(L^T) psi(J0 K) - psi(D_w).
+    gaps = [(prod if isinstance(prod, np.ndarray) else prod.toarray()) - want
+            for prod, want in ((psi_lt @ psi_k, psi_wt),
+                               (psi_lt @ psi_jk, psi_dw))]
 
     def check(t: complex) -> None:
-        one_minus = 1.0 - t * t
-        resolvent = (lk - t * ljk) / one_minus
-        expected = (psi_wt - t * psi_dw) / one_minus
-        residual = float(np.abs(resolvent - expected).max(initial=0.0))
-        scale = max(1.0, float(np.abs(expected).max(initial=0.0)))
+        one_minus = abs(1.0 - t * t)
+        residual = float(np.abs(gaps[0] - t * gaps[1]).max(initial=0.0))
+        scale = float(np.abs(psi_wt - t * psi_dw).max(initial=0.0))
+        residual, scale = residual / one_minus, max(1.0, scale / one_minus)
         if not residual <= intermediate_tol * scale:
             raise ArithmeticError(
                 f"intermediate resolvent identity failed at t = {t}: "
@@ -300,4 +345,4 @@ def quaternionic_identity(graph: Graph, weights: CoinMap,
                 f"{scale:.3e}")
 
     return _compare(x, psi_wt, psi_dw, 2 * graph.m - 2 * graph.n,
-                    t_samples, tol, check)
+                    t_samples, tol, check, halves=turned is not None)

@@ -10,6 +10,7 @@ from scipy.optimize import linear_sum_assignment
 
 from qqwalk import linalg
 from qqwalk.linalg import (
+    ColumnOrder,
     NotSimultaneouslyTriangularizableError,
     _cluster_labels,
     _matching,
@@ -125,6 +126,71 @@ class TestDeterminant:
         m[0, 1] = 2.0
         m[7, :] = 0.0
         assert determinant(m.tocsc()) == 0j
+
+
+def same_pattern(m, rng):
+    """The CSC m with new random complex values on its entries."""
+    values = rng.uniform(-1, 1, m.nnz) + 1j * rng.uniform(-1, 1, m.nnz)
+    return scipy.sparse.csc_array((values, m.indices, m.indptr),
+                                  shape=m.shape)
+
+
+def shuffled_sparse(rng, n=300):
+    """I + noise with its rows shuffled: every factorization pivots."""
+    noise = scipy.sparse.random(
+        n, n, density=0.01, random_state=rng, dtype=complex,
+        data_rvs=lambda size: (rng.uniform(-1, 1, size)
+                               + 1j * rng.uniform(-1, 1, size)))
+    return (scipy.sparse.identity(n) + 0.5 * noise).tocsr()[
+        rng.permutation(n)].tocsc()
+
+
+class TestColumnOrder:
+    """One COLAMD order serves every matrix of a pattern."""
+
+    def test_first_factorization_fills_the_order(self):
+        rng = np.random.default_rng(5)
+        m = shuffled_sparse(rng)
+        order = ColumnOrder()
+        assert determinant(m, order) == determinant(m)
+        assert order.columns is not None
+        assert order.parity == linalg._parity(order.columns)
+
+    def test_odd_order_is_reused_with_its_parity(self):
+        # Search for a pattern whose COLAMD order is an odd permutation;
+        # the later matrices carry its sign in the reused order alone.
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            m = shuffled_sparse(rng)
+            order = ColumnOrder()
+            determinant(m, order)
+            if order.parity == 1:
+                break
+        assert order.parity == 1 == parity_by_cycle_walk(order.columns)
+        for _ in range(3):
+            other = same_pattern(m, rng)
+            dense = np.linalg.det(other.toarray())
+            assert abs(determinant(other, order) - dense) <= 1e-12 * abs(dense)
+
+    def test_singular_first_matrix_leaves_the_order_empty(self):
+        # An explicitly stored zero empties row 7 without changing the
+        # pattern; the next matrix takes COLAMD and fills the order.
+        rng = np.random.default_rng(2)
+        m = shuffled_sparse(rng)
+        singular = m.copy()
+        singular.data[singular.indices == 7] = 0.0
+        order = ColumnOrder()
+        assert determinant(singular, order) == 0j
+        assert order.columns is None
+        other = same_pattern(m, rng)
+        assert determinant(other, order) == determinant(other)
+        assert order.columns is not None
+
+    def test_empty_matrix(self):
+        order = ColumnOrder()
+        assert determinant(scipy.sparse.csc_array((0, 0), dtype=complex),
+                           order) == 1.0
+        assert order.columns is None
 
 
 def parity_by_cycle_walk(perm):

@@ -377,6 +377,17 @@ class TestDedupe:
         groups = dedupe_class_reps([0.0, 0.6e-7, 1.2e-7, 5.0], tol=1e-7)
         assert [size for _, size in groups] == [3, 1]
 
+    def test_distance_is_relative_above_tol_over_pair_tol(self):
+        # Up to max|value| = tol / PAIR_TOL = 100 the distance is tol.
+        assert [s for _, s in dedupe_class_reps([1.0, 1.0 + 1.5e-7, 100.0])] \
+            == [1, 1, 1]
+        assert [s for _, s in dedupe_class_reps([1.0, 1.0 + 0.5, 1e9])] \
+            == [2, 1]
+        assert [s for _, s in dedupe_class_reps([1.0, 3.0, 1e9])] \
+            == [1, 1, 1]
+        assert [s for _, s in class_reps(np.array([3 + 0.5j, 3 - 0.5j,
+                                                   1e9]))] == [2, 1]
+
     @settings(max_examples=80, deadline=None)
     @given(st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5),
                               st.integers(1, 4)), max_size=12),

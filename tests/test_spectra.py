@@ -643,6 +643,35 @@ class TestGroverRoute:
         assert compare_spectra(report.psi_spectrum, expected, tol=1e-9).verdict
 
 
+class TestGroupingAtScale:
+    """Printed groups at a spectrum scale of 2e8: the direct and theorem8
+    routes resolve a multiple eigenvalue to about 1e-7, and the relative
+    grouping distance shows it as one value either way."""
+
+    @pytest.mark.parametrize("g", [cycle_graph(5), complete_graph(4),
+                                   petersen_graph()],
+                             ids=["C5", "K4", "Petersen"])
+    def test_routes_group_alike(self, g):
+        coin = CoinMap.from_alpha(g, Quaternion(1e8, 1e8, 1e8, 1e8))
+        groups = [[(complex(e["re"], e["im"]), e["mult"]) for e in
+                   report.to_dict()["psi_spectrum"]]
+                  for report in (spectrum_direct(g, coin),
+                                 spectrum_theorem_general(g, coin))]
+        assert [m for _, m in groups[0]] == [m for _, m in groups[1]]
+        for (a, _), (b, _) in zip(*groups):
+            assert abs(a - b) <= 1e-6 * max(1.0, abs(a))
+
+    def test_double_eigenvalue_shows_once(self):
+        # 1 + sqrt(5) is a double right eigenvalue of U on C5, four times
+        # in psi(U)'s spectrum: one value, not two split by rounding.
+        g = cycle_graph(5)
+        coin = CoinMap.from_alpha(g, Quaternion(1e8, 1e8, 1e8, 1e8))
+        for route in (spectrum_direct, spectrum_theorem_general):
+            near = [e for e in route(g, coin).to_dict()["psi_spectrum"]
+                    if abs(complex(e["re"], e["im"]) - 1 - np.sqrt(5)) < 1e-3]
+            assert len(near) == 1 and near[0]["mult"] == 4
+
+
 class TestCompareSpectra:
     def test_self_comparison(self):
         g = complete_graph(3)

@@ -382,6 +382,42 @@ class TestCoinFiles:
         assert coin[1].isclose(alpha / 3)  # center degree 3
 
 
+class TestCoinArrays:
+    """Coins built by array division and indexing hold the bits of the
+    per-arc Quaternion construction."""
+
+    @staticmethod
+    def assert_bit_identical(coin, values):
+        ref = CoinMap(coin.graph, values)
+        assert coin.s.tobytes() == ref.s.tobytes()
+        assert coin.p.tobytes() == ref.p.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 9), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1),
+           st.tuples(*[st.floats(-1e9, 1e9, allow_nan=False)] * 4))
+    def test_alpha_and_vertex_coins(self, n, extra, seed, coords):
+        rng = np.random.default_rng(seed)
+        g = random_connected_graph(rng, n, extra)
+        degree = np.bincount(g.origin, minlength=g.n)
+        alpha = Quaternion(*coords)
+        self.assert_bit_identical(CoinMap.from_alpha(g, alpha),
+                                  [alpha / d for d in degree[g.origin]])
+        self.assert_bit_identical(
+            CoinMap.grover(g), [Quaternion(2.0) / d for d in degree[g.origin]])
+        per_vertex = {v: Quaternion(*rng.uniform(-3, 3, 4))
+                      for v in range(g.n) if rng.random() < 0.7}
+        self.assert_bit_identical(
+            CoinMap.from_vertex_values(g, per_vertex),
+            [per_vertex.get(v, ZERO) for v in g.origin])
+
+    def test_signed_zeros_are_kept(self):
+        g = star_graph(2)
+        alpha = Quaternion(-0.0, 0.0, -0.0, 0.0)
+        degree = np.bincount(g.origin, minlength=g.n)
+        self.assert_bit_identical(CoinMap.from_alpha(g, alpha),
+                                  [alpha / d for d in degree[g.origin]])
+
+
 class TestArcCoreProperties:
     """The array-built matrices equal their definitions entry for entry."""
 

@@ -16,13 +16,15 @@ from qqwalk.graph import (
     random_connected_graph,
     star_graph,
 )
-from qqwalk.linalg import determinant
+from qqwalk.linalg import ColumnOrder, determinant
 from qqwalk.quaternion import Quaternion
 from qqwalk.walks import (
     CoinMap,
+    _K_L_entries,
+    _turned_coin,
     build_B_and_J0,
     build_Bw,
-    build_K_L,
+    build_U,
     build_W_Dw,
 )
 from qqwalk.zeta import (
@@ -140,13 +142,13 @@ class TestWeightedIdentity:
         monkeypatch.setattr(zeta, "SPARSE_LU_MIN", ARC_PATHS[arc_path])
         calls = []
 
-        def overflowing(m):
+        def overflowing(m, order=None):
             # Each sample computes the arc side, then the vertex side, in
             # input order.
             calls.append(m)
             if (len(calls) - 1) // 2 == bad:
                 return complex(np.inf, 0.0)
-            return determinant(m)
+            return determinant(m, order)
 
         monkeypatch.setattr(zeta, "determinant", overflowing)
         g = complete_graph(4)
@@ -248,9 +250,9 @@ class TestQuaternionicIdentity:
         def corrupted_K_L(graph, weights):
             values = [weights[e] for e in range(graph.num_arcs)]
             values[0] = values[0] + Quaternion(0.0, 0.0, 0.5)
-            return build_K_L(graph, CoinMap(graph, values))
+            return _K_L_entries(graph, CoinMap(graph, values))
 
-        monkeypatch.setattr(zeta, "build_K_L", corrupted_K_L)
+        monkeypatch.setattr(zeta, "_K_L_entries", corrupted_K_L)
         with pytest.raises(ArithmeticError, match="resolvent"):
             quaternionic_identity(g, w, [0.3])
 
@@ -325,7 +327,8 @@ class TestSparseArcSide:
         factored = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(zeta, "SPARSE_LU_MIN", 0)
-            mp.setattr(zeta, "determinant", factored.append)
+            mp.setattr(zeta, "determinant",
+                       lambda m, order=None: factored.append(m))
             for x in seen:
                 zeta._arc_side(zeta._arc_matrix(*x), t)
         for got, sparse, (name, want) in zip(
@@ -350,9 +353,9 @@ class TestSparseArcSide:
                                         + 1j * rng.uniform(-1, 1, rows))
         seen = []
 
-        def recording(m):
+        def recording(m, order=None):
             seen.append(not isinstance(m, np.ndarray))
-            return determinant(m)
+            return determinant(m, order)
 
         monkeypatch.setattr(zeta, "determinant", recording)
         t = 0.3 - 0.45j
@@ -366,11 +369,11 @@ class TestSparseArcSide:
                                                           monkeypatch):
         # psi(L^T) is CSR on this path; L^T (1.5 K) = 1.5 W^T must still fail.
         def scaled_K_L(graph, weights):
-            k, l = build_K_L(graph, weights)
-            return k.scale(1.5), l
+            (rows, cols, s, p), l = _K_L_entries(graph, weights)
+            return (rows, cols, 1.5 * s, 1.5 * p), l
 
         monkeypatch.setattr(zeta, "SPARSE_LU_MIN", 0)
-        monkeypatch.setattr(zeta, "build_K_L", scaled_K_L)
+        monkeypatch.setattr(zeta, "_K_L_entries", scaled_K_L)
         g = complete_graph(3)
         with pytest.raises(ArithmeticError, match="resolvent"):
             quaternionic_identity(g, CoinMap.grover(g), [0.3])
@@ -403,6 +406,201 @@ class TestSparseArcSide:
             tracemalloc.stop()
         assert g.m == 245 and report.verdict
         assert len(peaks) == 4 and max(peaks) < (4 * g.m) ** 2 * 16
+
+
+def captured_arc_entries(g, quat, cplx):
+    """The arc entries each identity hands to _compare, by name."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(zeta, "_compare",
+                   lambda x, *args, **kwargs: seen.append(x))
+        all_identities(g, quat, cplx, [0.3])
+    return dict(zip(("quaternionic", "weighted", "ihara"), seen))
+
+
+def recording_orders(monkeypatch):
+    """Patch the determinant seam to record, for every sparse arc matrix,
+    whether its column order was already filled."""
+    filled = []
+
+    def recording(m, order=None):
+        if not isinstance(m, np.ndarray):
+            filled.append(order is not None and order.columns is not None)
+        return determinant(m, order)
+
+    monkeypatch.setattr(zeta, "determinant", recording)
+    return filled
+
+
+def recording_sizes(monkeypatch):
+    """Patch the determinant seam to record the size of every matrix."""
+    sizes = []
+
+    def recording(m, order=None):
+        sizes.append(m.shape[0])
+        return determinant(m, order)
+
+    monkeypatch.setattr(zeta, "determinant", recording)
+    return sizes
+
+
+class TestReusedColumnOrder:
+    """Every sparse arc-side LU of one call after the first takes the first
+    one's COLAMD order."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 9), st.booleans(), st.floats(0.0, 0.6),
+           st.integers(0, 2**32 - 1))
+    def test_reused_order_equals_fresh_colamd(self, n, tree, extra, seed):
+        rng = np.random.default_rng(seed)
+        g = random_connected_graph(rng, n, 0.0 if tree else extra)
+        quat, cplx = quaternion_weights(rng, g), complex_weights(rng, g)
+        ts = default_samples(5, seed=seed % 1000)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(zeta, "SPARSE_LU_MIN", 0)
+            for name, x in captured_arc_entries(g, quat, cplx).items():
+                arc = zeta._arc_matrix(*x)
+                order = ColumnOrder()
+                for t in ts:
+                    planned = zeta._arc_side(arc, t, order)
+                    fresh = zeta._arc_side(arc, t)
+                    assert abs(planned - fresh) <= 1e-12 * abs(fresh), name
+                assert (order.columns is not None) == (x[-1] > 0), name
+
+    def test_each_call_orders_once(self, monkeypatch):
+        monkeypatch.setattr(zeta, "SPARSE_LU_MIN", 0)
+        filled = recording_orders(monkeypatch)
+        g = petersen_graph()
+        weighted_zeta_identity(g, CoinMap.grover(g), default_samples(4))
+        ihara_identity(g, default_samples(3))
+        assert filled == [False, True, True, True, False, True, True]
+
+    def test_pole_skipped_first_sample(self, monkeypatch):
+        monkeypatch.setattr(zeta, "SPARSE_LU_MIN", 0)
+        filled = recording_orders(monkeypatch)
+        report = ihara_identity(complete_graph(4), [1.0, 0.4, 0.3 + 0.2j],
+                                tol=1e-10)
+        assert report.skipped == [1.0] and report.verdict
+        assert filled == [False, True]
+
+    def test_singular_first_sample(self, monkeypatch):
+        # On one edge with weights 3, I - t*U = [[1, -2t], [-2t, 1]] is
+        # exactly singular at t = 0.5, and so is the vertex side; the order
+        # comes from the next sample.
+        monkeypatch.setattr(zeta, "SPARSE_LU_MIN", 0)
+        filled = recording_orders(monkeypatch)
+        g = path_graph(2)
+        report = weighted_zeta_identity(
+            g, CoinMap.from_alpha(g, Quaternion(3.0)), [0.5, 0.3, 0.2],
+            tol=1e-12)
+        assert report.verdict
+        assert [s.lhs for s in report.samples][-1] == 0j
+        assert filled == [False, False, True]
+
+
+def axis_weights(rng, g, axis):
+    """Random weights a + b*u on the unit pure quaternion u = axis."""
+    u = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+    return CoinMap(g, [Quaternion(a, *(b * u)) for a, b in
+                       rng.uniform(-1, 1, (g.num_arcs, 2))])
+
+
+@st.composite
+def one_axis_inputs(draw):
+    """A random graph or tree with an alpha/d, Grover, complex or same-axis
+    quaternion coin."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = random_connected_graph(rng, draw(st.integers(2, 9)),
+                               draw(st.sampled_from([0.0, 0.3, 0.6])))
+    kind = draw(st.sampled_from(["alpha", "grover", "complex", "axis"]))
+    if kind == "alpha":
+        return g, CoinMap.from_alpha(g, Quaternion(*rng.uniform(-1, 1, 4)))
+    if kind == "grover":
+        return g, CoinMap.grover(g)
+    if kind == "complex":
+        return g, complex_weights(rng, g)
+    return g, axis_weights(rng, g, rng.uniform(-1, 1, 3))
+
+
+class TestOneAxisArcSide:
+    """Weights on one axis: the arc side is det(I - t*S') *
+    conj(det(I - conj(t)*S')) on the 2m block S' of psi(U)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(one_axis_inputs(), st.sampled_from(sorted(ARC_PATHS)))
+    def test_block_equals_the_4m_psi(self, graph_and_coin, arc_path):
+        g, w = graph_and_coin
+        psi_u = build_U(g, w).psi()
+        eye = np.eye(len(psi_u))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(zeta, "SPARSE_LU_MIN", ARC_PATHS[arc_path])
+            sizes = recording_sizes(mp)
+            report = quaternionic_identity(g, w, SAMPLES, tol=1e-8)
+        assert report.verdict, report.max_rel_err
+        # Per sample: two 2m arc factors, then the 2n vertex side.
+        assert sizes == [g.num_arcs, g.num_arcs, 2 * g.n] * len(SAMPLES)
+        for sample in report.samples:
+            want = np.linalg.det(eye - sample.t * psi_u)
+            assert abs(sample.lhs - want) <= 1e-12 * abs(want)
+
+    def test_general_weights_keep_the_4m_psi(self, monkeypatch):
+        sizes = recording_sizes(monkeypatch)
+        g = complete_graph(4)
+        quaternionic_identity(g, quaternion_weights(
+            np.random.default_rng(1), g), [0.3])
+        assert sizes == [2 * g.num_arcs, 2 * g.n]
+
+    @pytest.mark.parametrize("arc_path", ARC_PATHS)
+    def test_one_changed_weight_fails(self, monkeypatch, arc_path):
+        # A weight changed on the arc side alone, or on the vertex side
+        # and its factors alone, along the same axis: the identity fails.
+        monkeypatch.setattr(zeta, "SPARSE_LU_MIN", ARC_PATHS[arc_path])
+        g = petersen_graph()
+        w = CoinMap.from_alpha(g, Quaternion(0.3, 0.2, 0.1, 0.1))
+        assert quaternionic_identity(g, w, SAMPLES).verdict
+        values = [w[e] for e in range(g.num_arcs)]
+        values[7] = values[7] * 1.25
+        changed = CoinMap(g, values)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(zeta, "_turned_coin",
+                       lambda graph, coin: _turned_coin(graph, changed))
+            arc_only = quaternionic_identity(g, w, SAMPLES)
+        assert arc_only.max_rel_err > 1e-3 and not arc_only.verdict
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(zeta, "build_W_Dw",
+                       lambda graph, coin: build_W_Dw(graph, changed))
+            mp.setattr(zeta, "_K_L_entries",
+                       lambda graph, coin: _K_L_entries(graph, changed))
+            vertex_only = quaternionic_identity(g, w, SAMPLES)
+        assert vertex_only.max_rel_err > 1e-3 and not vertex_only.verdict
+
+    def test_no_vertex_by_arc_array_at_scale(self, monkeypatch):
+        # At m = 1715 an n x 2m complex array (K or L as a dense matrix) is
+        # 27 MB.  Every array alive at the first arc-side LU is smaller:
+        # the largest is a 2n x 2n vertex matrix of 16 MB.
+        class Stop(Exception):
+            pass
+
+        blocks = []
+
+        def first_factor(m, order=None):
+            blocks.append(m.shape)
+            blocks.append(max(trace.size for trace in
+                              tracemalloc.take_snapshot().traces))
+            raise Stop
+
+        monkeypatch.setattr(zeta, "determinant", first_factor)
+        g = random_connected_graph(np.random.default_rng(3), 500, 0.01)
+        w = CoinMap.from_alpha(g, Quaternion(0.3, 0.2, 0.1, 0.1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(Stop):
+                quaternionic_identity(g, w, default_samples(3))
+        finally:
+            tracemalloc.stop()
+        assert (g.n, g.m) == (500, 1715)
+        assert blocks[0] == (2 * g.m, 2 * g.m)
+        assert blocks[1] < g.n * 2 * g.m * 16
 
 
 class TestSamplePoints:
