@@ -19,14 +19,20 @@ commuting pair.  A non-commuting pair is first tested for a nilpotent
 commutator C = ab - ba (tr(C^2) = 0), which every jointly triangular pair
 has, and is then deflated: each step splits off every joint eigenvector it
 finds at once, as a block of columns of one QR factor that q^H a q and
-q^H b q must keep triangular.  A step at size s costs two
-eigendecompositions, one SVD per cluster of repeated eigenvalues and
+q^H b q must keep triangular.  A joint eigenvector is an eigenvector of
+x = a + theta*b, so a step at size s costs one eigendecomposition of x,
+one SVD and one small eig per cluster of its repeated eigenvalues and
 O(s^3) scoring and factoring, so a pair of size n costs O(n^3) per step: a
 generic triangular pair, with one joint eigenvector per step, takes n - 1.
-Deflation stops as soon as the pair left over commutes: when a + theta*b
-has distinct eigenvalues there, the QR of its eigenvectors triangularizes
-both, in one eigendecomposition.  A weighted star takes one step and that
-finish.
+Deflation stops as soon as the pair left over commutes: when x has
+distinct eigenvalues there, the QR of its eigenvectors triangularizes
+both.  When the step before split off whole clusters of x, the rest of its
+eigenvectors are the remainder's and the finish makes no eigendecomposition
+of its own.  A weighted star takes one step and that finish: one
+eigendecomposition of the whole pair.  A deflation that fails the final
+triangularity check is rerun with two-sided candidates, from
+eigendecompositions of a and of b, whose better-separated eigenvalues can
+give accurate vectors where those of x are ill-conditioned.
 """
 
 from __future__ import annotations
@@ -378,20 +384,24 @@ def _cluster_labels(values: np.ndarray, tol: float) -> np.ndarray:
     return rank[label][inverse.ravel()]
 
 
-def _eigen_candidates(x: np.ndarray, y: np.ndarray, tol: float) -> np.ndarray:
+def _eigen_candidates(x: np.ndarray, y: np.ndarray, tol: float,
+                      eig: tuple[np.ndarray, np.ndarray] | None = None
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Unit columns that may be joint eigenvectors of x and y, from one
-    eigendecomposition of x.
+    eigendecomposition of x: ``eig``, its (values, vectors), or a fresh one.
 
     The eigenvalues of x are clustered by single linkage at tol.  A single
     eigenvalue offers its eigenvector.  A cluster of several takes the
     near-nullspace of x - mean*I (singular values <= tol, at least the
     smallest) from one SVD and offers the eigenvectors of the compression
-    of y onto it.
+    of y onto it.  Returns the candidates, the cluster each comes from and
+    the cluster labels of x's eigenvalues.
     """
-    vals, vecs = np.linalg.eig(x)
+    vals, vecs = np.linalg.eig(x) if eig is None else eig
     labels = _cluster_labels(vals, tol)
     sizes = np.bincount(labels)
-    cands = [vecs[:, sizes[labels] == 1]]
+    single = sizes[labels] == 1
+    cands, owner = [vecs[:, single]], [labels[single]]
     for c in np.nonzero(sizes > 1)[0]:
         lam = vals[labels == c].mean()
         _, sing, vh = np.linalg.svd(x - lam * np.eye(x.shape[0]))
@@ -399,25 +409,22 @@ def _eigen_candidates(x: np.ndarray, y: np.ndarray, tol: float) -> np.ndarray:
         basis = vh[-null_dim:, :].conj().T
         _, wvecs = np.linalg.eig(basis.conj().T @ y @ basis)
         cands.append(basis @ wvecs)
+        owner.append(np.full(null_dim, c))
     v = np.hstack(cands)
-    return v / np.linalg.norm(v, axis=0)
+    return v / np.linalg.norm(v, axis=0), np.concatenate(owner), labels
 
 
-def _joint_eigenvectors(a: np.ndarray, b: np.ndarray,
-                        tol: float) -> np.ndarray:
-    """Linearly independent joint eigenvectors of a and b, best first.
+def _take_joint(a: np.ndarray, b: np.ndarray, v: np.ndarray,
+                tol: float) -> np.ndarray:
+    """The indices of linearly independent joint eigenvectors of a and b
+    among the unit columns of v, best first.
 
-    A joint eigenvector is an eigenvector of each matrix, so both supply
-    candidates (_eigen_candidates of (a, b) and of (b, a), clustering at
-    tol): the well-separated eigenvalues of one matrix give accurate
-    vectors where the other's are defective and split by rounding.  Every
-    candidate is scored by its worst eigen-residual ||M v - (v^H M v) v||
-    for the two matrices.  Those within tol, or the best one when none is,
-    are taken in order of residual, each only when its component orthogonal
-    to those already taken has norm at least _INDEPENDENCE_FLOOR.  Returns
-    the taken unit columns in that order.
+    Every candidate is scored by its worst eigen-residual
+    ||M v - (v^H M v) v|| for the two matrices.  Those within tol, or the
+    best one when none is, are taken in order of residual, each only when
+    its component orthogonal to those already taken has norm at least
+    _INDEPENDENCE_FLOOR.
     """
-    v = np.hstack([_eigen_candidates(a, b, tol), _eigen_candidates(b, a, tol)])
     res = np.zeros(v.shape[1])
     for mat in (a, b):
         mv = mat @ v
@@ -435,22 +442,45 @@ def _joint_eigenvectors(a: np.ndarray, b: np.ndarray,
             basis = np.column_stack([basis, w / norm])
             if basis.shape[1] == a.shape[0]:
                 break
-    return v[:, taken]
+    return np.array(taken, dtype=np.intp)
+
+
+def _joint_eigenvectors(a: np.ndarray, b: np.ndarray,
+                        tol: float) -> np.ndarray:
+    """Linearly independent joint eigenvectors of a and b, best first, from
+    two-sided candidates: the step of the rerun deflation.
+
+    A joint eigenvector is an eigenvector of each matrix, so both supply
+    candidates (_eigen_candidates of (a, b) and of (b, a), clustering at
+    tol): the well-separated eigenvalues of one matrix give accurate
+    vectors where the other's are defective and split by rounding, and
+    where those of a + theta*b, whose candidates the first deflation
+    takes, are ill-conditioned.  That costs two eigendecompositions where
+    the first deflation's step makes one.  _take_joint picks among the
+    candidates; returns the taken unit columns in order.
+    """
+    v = np.hstack([_eigen_candidates(a, b, tol)[0],
+                   _eigen_candidates(b, a, tol)[0]])
+    return v[:, _take_joint(a, b, v, tol)]
 
 
 def _commuting_basis(a: np.ndarray, b: np.ndarray, tol: float,
-                     residual_tol: float) -> np.ndarray | None:
+                     residual_tol: float,
+                     eig: tuple[np.ndarray, np.ndarray] | None = None
+                     ) -> np.ndarray | None:
     """A unitary q with q^H a q and q^H b q upper triangular, for a
     commuting pair, or None.
 
     When x = a + theta*b has no two eigenvalues in one cluster at tol, a and
     b are polynomials in x, so the factor q of the QR of x's eigenvectors V
-    = q R, with q^H x q = R Lambda R^-1, triangularizes both.  A pair that
-    commutes only within a bound, or an ill-conditioned V, can spoil that,
-    so q is returned only when the strictly lower parts of both are within
-    residual_tol.
+    = q R, with q^H x q = R Lambda R^-1, triangularizes both.  ``eig`` is
+    x's (values, vectors) when the caller has them; otherwise x is
+    eigendecomposed here.  A pair that commutes only within a bound, or an
+    ill-conditioned V, can spoil that, so q is returned only when the
+    strictly lower parts of both are within residual_tol.
     """
-    vals, vecs = np.linalg.eig(a + _THETA_CANDIDATES[0] * b)
+    vals, vecs = (np.linalg.eig(a + _THETA_CANDIDATES[0] * b) if eig is None
+                  else eig)
     if _cluster_labels(vals, tol).max() + 1 < vals.size:
         return None
     q, _ = np.linalg.qr(vecs)
@@ -469,7 +499,8 @@ def _commute_scale(a: np.ndarray, b: np.ndarray) -> float:
 
 def _deflation_triangularize(a: np.ndarray, b: np.ndarray,
                              residual_tol: float, commute_tol: float,
-                             null_tol: float = 1e-8) -> np.ndarray:
+                             null_tol: float = 1e-8,
+                             two_sided: bool = False) -> np.ndarray:
     """Unitary joint triangularization by block deflation of joint
     eigenvectors.
 
@@ -479,36 +510,64 @@ def _deflation_triangularize(a: np.ndarray, b: np.ndarray,
     (scale the larger max-abs entry, at least 1).  When the pair left over
     commutes within commute_tol * _commute_scale, the bound that routes a
     whole pair in simultaneous_triangularize, _commuting_basis finishes it
-    in one eigendecomposition if it can.  Otherwise the step splits off
-    every joint eigenvector it finds (_joint_eigenvectors), r of them, at
-    once: one Householder QR of [vectors | I] gives a unitary q whose first
-    r columns span them in nested order, and of those columns the step
-    keeps the longest prefix in which q^H a q and q^H b q have no strictly
-    lower entry above residual_tol, the caller's final bound, and at least
-    one.  With one vector the step is the one-vector deflation.  The
-    unitary factor is updated in its trailing s columns only.  A step costs
-    two eigendecompositions, one SVD per cluster of repeated eigenvalues, a
-    QR and O(s^3) scoring, so a pair of size n costs O(n^3) per step: the
-    weighted star K_{1,k} (n = 2k + 2) takes one step and the finish, a
-    generic triangular pair, which has one joint eigenvector per step,
-    n - 1 steps.
+    if it can.  Otherwise the step splits off every joint eigenvector it
+    finds (_take_joint), r of them, at once: one Householder QR of
+    [vectors | I] gives a unitary q whose first r columns span them in
+    nested order, and of those columns the step keeps the longest prefix in
+    which q^H a q and q^H b q have no strictly lower entry above
+    residual_tol, the caller's final bound, and at least one.  With one
+    vector the step is the one-vector deflation.  The unitary factor is
+    updated in its trailing s columns only.
+
+    The candidates come from one eigendecomposition of x = a + theta*b
+    (_eigen_candidates(x, b, tol)), which the finish of the same step
+    shares.  When the r vectors kept use up whole clusters of x's
+    eigenvalues, the eigenvectors of the values left, in the trailing
+    columns of q, are those of the remainder's x, so the next step's finish
+    takes them instead of a fresh eigendecomposition.  With two_sided the
+    candidates are those of _joint_eigenvectors, from eigendecompositions
+    of a and of b, and the finish makes its own.  A step costs one
+    eigendecomposition (two when two_sided), one SVD and one small eig per
+    cluster of repeated eigenvalues, a QR and O(s^3) scoring, so a pair of
+    size n costs O(n^3) per step: the weighted star K_{1,k} (n = 2k + 2)
+    takes one step and the finish, one eigendecomposition of size n in
+    all, and a generic triangular pair, which has one joint eigenvector per
+    step, n - 1 steps.
     """
     n = a.shape[0]
+    theta = _THETA_CANDIDATES[0]
     p_total = np.eye(n, dtype=complex)
     a_cur, b_cur = a.copy(), b.copy()
+    carried = None
     k = 0
     while n - k > 1:
         size = n - k
         scale = max(float(np.abs(a_cur).max()), float(np.abs(b_cur).max()),
                     1.0)
         tol = null_tol * scale * size
+        x = a_cur + theta * b_cur
+        eig = None
         if (np.abs(a_cur @ b_cur - b_cur @ a_cur).max()
                 <= commute_tol * _commute_scale(a_cur, b_cur)):
-            q = _commuting_basis(a_cur, b_cur, tol, residual_tol)
+            if carried is not None:
+                vals, vecs, tail = carried
+                finish = (vals, tail.conj().T @ vecs)
+            elif two_sided:
+                finish = None
+            else:
+                finish = eig = np.linalg.eig(x)
+            q = _commuting_basis(a_cur, b_cur, tol, residual_tol, finish)
             if q is not None:
                 p_total[:, k:] = p_total[:, k:] @ q
                 break
-        v = _joint_eigenvectors(a_cur, b_cur, tol)
+        if two_sided:
+            v = _joint_eigenvectors(a_cur, b_cur, tol)
+        else:
+            if eig is None:
+                eig = np.linalg.eig(x)
+            cands, owner, labels = _eigen_candidates(x, b_cur, tol, eig)
+            taken = _take_joint(a_cur, b_cur, cands, tol)
+            v = cands[:, taken]
         r = v.shape[1]
         q, _ = np.linalg.qr(np.column_stack([v, np.eye(size, dtype=complex)]))
         phase = np.sum(q[:, :r].conj() * v, axis=0)
@@ -520,6 +579,15 @@ def _deflation_triangularize(a: np.ndarray, b: np.ndarray,
         bad = np.nonzero(lower > residual_tol)[0]
         if bad.size:
             r = max(int(bad[0]), 1)
+        if not two_sided:
+            # When whole clusters of x split off, the rest of x's
+            # eigenvectors, in the trailing columns of q, are the
+            # remainder's: kept for its finish.
+            used = np.bincount(owner[taken[:r]], minlength=labels.max() + 1)
+            carried = None
+            if np.all((used == 0) | (used == np.bincount(labels))):
+                left = used[labels] == 0
+                carried = (eig[0][left], eig[1][:, left], q[:, r:])
         a_cur, b_cur = ta[r:, r:], tb[r:, r:]
         p_total[:, k:] = p_total[:, k:] @ q
         k += r
@@ -540,9 +608,12 @@ def simultaneous_triangularize(
     rejected before any deflation when |tr(C^2)| exceeds
     residual_tol * ||C||_F^2 plus the rounding bound of forming C.  The
     rest are handled by common-eigenvector deflation
-    (_deflation_triangularize).  Returns (P, diag_a, diag_b) with aligned
-    diagonals; raises NotSimultaneouslyTriangularizableError when the
-    commutator test or the final triangularity check fails.
+    (_deflation_triangularize) on the eigenvectors of a + theta*b; only
+    when that fails the final triangularity check is the deflation rerun
+    with candidates from a and from b.  Returns (P, diag_a, diag_b) with
+    aligned diagonals; raises NotSimultaneouslyTriangularizableError when
+    the commutator test or the final triangularity check of every basis
+    tried fails.
 
     residual_tol bounds the largest strictly lower entry relative to the
     pair's scale, max(1, largest |entry| of a and b), as the certificate's
@@ -578,8 +649,11 @@ def simultaneous_triangularize(
             raise NotSimultaneouslyTriangularizableError(
                 "not simultaneously triangularizable: the commutator C is "
                 f"not nilpotent, |tr(C^2)|/||C||_F^2 = {ratio:.3e}")
-        candidates = [_deflation_triangularize(a, b, residual_tol * scale,
-                                               commute_tol)]
+        # The two-sided deflation reruns only when the first result fails
+        # the triangularity check.
+        candidates = (_deflation_triangularize(a, b, residual_tol * scale,
+                                               commute_tol, two_sided=two)
+                      for two in (False, True))
     last_residual = np.inf
     for p in candidates:
         ta = p.conj().T @ a @ p

@@ -679,13 +679,13 @@ def _step_tol(a, b):
 def _recording_steps(monkeypatch):
     """Record (size, vectors found) of every deflation step."""
     steps = []
-    found = linalg._joint_eigenvectors
+    take = linalg._take_joint
 
-    def recording(a, b, tol):
-        v = found(a, b, tol)
-        steps.append((a.shape[0], v.shape[1]))
-        return v
-    monkeypatch.setattr(linalg, "_joint_eigenvectors", recording)
+    def recording(a, b, v, tol):
+        taken = take(a, b, v, tol)
+        steps.append((a.shape[0], taken.size))
+        return taken
+    monkeypatch.setattr(linalg, "_take_joint", recording)
     return steps
 
 
@@ -694,8 +694,8 @@ def _recording_finisher(monkeypatch):
     finishes = []
     finish = linalg._commuting_basis
 
-    def recording(a, b, tol, residual_tol):
-        q = finish(a, b, tol, residual_tol)
+    def recording(a, b, tol, residual_tol, eig=None):
+        q = finish(a, b, tol, residual_tol, eig)
         finishes.append((a.shape[0], q is not None))
         return q
     monkeypatch.setattr(linalg, "_commuting_basis", recording)
@@ -776,8 +776,8 @@ class TestBlockDeflation:
         # up to rounding, and only one of them may be split off.
         a, b, _, _ = _noncommuting_triangular_pair(5, 7, "generic")
         tol = _step_tol(a, b)
-        cands = np.hstack([linalg._eigen_candidates(a, b, tol),
-                           linalg._eigen_candidates(b, a, tol)])
+        cands = np.hstack([linalg._eigen_candidates(a, b, tol)[0],
+                           linalg._eigen_candidates(b, a, tol)[0]])
         passing = cands[:, _eigen_residuals(a, b, cands) <= tol]
         assert passing.shape[1] == 2
         assert abs(np.vdot(passing[:, 0], passing[:, 1])) > 1 - 1e-12
@@ -787,16 +787,22 @@ class TestBlockDeflation:
 
     def test_prefix_check_trims_a_near_eigenvector(self, monkeypatch):
         # Upper triangular pair with one joint eigenvector e1; at size 3 the
-        # step tolerance is 3e-8.  (e1 + e3)/sqrt(2) is an eigenvector of b
-        # and, as a maps e3 to c*e2 with c = 4e-8, a near-eigenvector of a
-        # (residual c/sqrt(2) < 3e-8), so it passes with e1.  Orthogonal to
-        # e1 it leaves e3, whose column of q^H a q holds c below the
-        # diagonal, above the final bound 1e-8: the step keeps e1 alone and
-        # the next one splits off e2.
-        c = 4e-8
+        # step tolerance is 3e-8.  u = (e1 + e3)/sqrt(2) is an exact
+        # eigenvector of x = a + theta*b: a maps e3 to c*e2 and b maps it to
+        # 0.75*e1 - (c/theta)*e2 + 0.75*e3, with c = 1.5e-8, so the two
+        # residuals, c/sqrt(2) and c/(theta*sqrt(2)), are within 3e-8 and u
+        # passes with e1.  Orthogonal to e1 it leaves e3, whose column of
+        # q^H a q holds c below the diagonal, above the final bound 1e-8:
+        # the step keeps e1 alone and the next one splits off e2.
+        c = 1.5e-8
+        theta = linalg._THETA_CANDIDATES[0]
         a = np.array([[0, 0.5, 0], [0, 0.5, c], [0, 0, 0]], dtype=complex)
-        b = np.array([[0, 0.3, 0.75], [0, 0.25, 0], [0, 0, 0.75]],
+        b = np.array([[0, 0.3, 0.75], [0, 0.25, -c / theta], [0, 0, 0.75]],
                      dtype=complex)
+        u = np.array([1, 0, 1]) / np.sqrt(2)
+        cands = linalg._eigen_candidates(a + theta * b, b, _step_tol(a, b))[0]
+        assert max(abs(np.vdot(u, cands[:, j])) for j in range(3)) > 1 - 1e-12
+        assert 1e-8 < _eigen_residuals(a, b, u[:, None])[0] <= 3e-8
         steps = _recording_steps(monkeypatch)
         p, da, db = simultaneous_triangularize(a, b)
         assert steps == [(3, 2), (2, 1)]
@@ -860,7 +866,9 @@ class TestBlockDeflation:
         # exactly: b couples a's eigenvectors by 3e-7, and a + theta*b has
         # eigenvalues only 4e-7 apart, so its eigenbasis is ill-conditioned
         # and turned far from a's.  In it q^H a q keeps about 5e-4 below the
-        # diagonal, above the caller's 1e-6; the two-sided step meets it.
+        # diagonal, above the caller's 1e-6: the finish fails, and so does
+        # the step on the same eigenvectors.  The rerun's two-sided step,
+        # with a's own eigenvectors, meets it.
         theta = linalg._THETA_CANDIDATES[0]
         ta = np.diag([1e-3, 0.0]).astype(complex)
         tb = np.array([[-(1e-3 - 1e-7) / theta, 3e-7], [3e-7, 0.0]],
@@ -870,8 +878,8 @@ class TestBlockDeflation:
         steps = _recording_steps(monkeypatch)
         finishes = _recording_finisher(monkeypatch)
         p, da, db = simultaneous_triangularize(a, b, residual_tol=1e-6)
-        assert finishes == [(2, False)]
-        assert steps == [(3, 1), (2, 1)]
+        assert finishes == [(2, False), (2, False)]
+        assert steps == [(3, 1), (2, 1), (3, 1), (2, 1)]
         for x in (a, b):
             assert np.abs(np.tril(p.conj().T @ x @ p, -1)).max() <= 1e-6
         _assert_planted_diagonals(da, db, t1, t2, 1e-9)
@@ -898,3 +906,49 @@ class TestBlockDeflation:
             assert (np.abs(np.tril(p.conj().T @ x @ p, -1)).max()
                     <= 1e-8 * scale)
         _assert_planted_diagonals(da, db, t1, t2, 1e-6 * scale)
+
+    def test_failed_x_deflation_reruns_two_sided(self, monkeypatch):
+        # The eigenvectors of a + theta*b alone lose this pair (a has the
+        # repeated eigenvalues 0 and 1 in Jordan blocks): the first
+        # deflation fails the final check, and the two-sided rerun
+        # recovers the planted diagonals.
+        a, b, t1, t2 = _noncommuting_triangular_pair(24, 0, "repeated")
+        runs = []
+        deflate = linalg._deflation_triangularize
+
+        def recording(*args, **kwargs):
+            p = deflate(*args, **kwargs)
+            lower = max(np.abs(np.tril(p.conj().T @ m @ p, -1)).max()
+                        for m in (a, b))
+            runs.append((kwargs["two_sided"], lower))
+            return p
+        monkeypatch.setattr(linalg, "_deflation_triangularize", recording)
+        p, da, db = simultaneous_triangularize(a, b)
+        scale = max(np.abs(a).max(), np.abs(b).max(), 1.0)
+        assert [two for two, _ in runs] == [False, True]
+        assert runs[0][1] > 1e-8 * scale >= runs[1][1]
+        _assert_planted_diagonals(da, db, t1, t2, 1e-6)
+
+    def test_weighted_star_takes_one_full_eigendecomposition(self,
+                                                            monkeypatch):
+        # The first step's candidates come from one eigendecomposition of
+        # a + theta*b, and its two vectors use up whole clusters of it, so
+        # the finish reuses it: one 50 x 50 eig, and the small eig of b
+        # compressed onto the one cluster.
+        from qqwalk.walks import build_W_Dw
+        w, dw = build_W_Dw(*_weighted_star(24))
+        a, b = w.transpose().psi(), dw.psi()
+        sizes = []
+        eig = np.linalg.eig
+
+        def recording(m):
+            sizes.append(m.shape[0])
+            return eig(m)
+        monkeypatch.setattr(np.linalg, "eig", recording)
+        steps = _recording_steps(monkeypatch)
+        finishes = _recording_finisher(monkeypatch)
+        p, _, _ = simultaneous_triangularize(a, b)
+        assert steps == [(50, 2)] and finishes == [(48, True)]
+        assert sizes == [50, 2]
+        for x in (a, b):
+            assert np.abs(np.tril(p.conj().T @ x @ p, -1)).max() <= 1e-8
