@@ -10,9 +10,9 @@ lists, single-linkage clustering of eigenvalues, and the simultaneous
 triangularization used by the spectral formulas.  Pairing and comparison
 pair values by sorting within clusters and fall back to a minimal-cost
 assignment only for the clusters sorting cannot pair.  scipy is imported
-only where it is called: schur on the commuting path,
-linear_sum_assignment for those clusters and splu for the determinant of a
-sparse matrix, so importing the package loads numpy alone.
+only where it is called: schur on the commuting path and
+linear_sum_assignment for those clusters, so importing the package loads
+numpy alone.
 
 Simultaneous triangularization takes the Schur basis of a + theta*b for a
 commuting pair.  A non-commuting pair is first tested for a nilpotent
@@ -40,7 +40,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "ColumnOrder",
     "NotSimultaneouslyTriangularizableError",
     "determinant",
     "eigenvalues",
@@ -86,98 +85,13 @@ def eigenvalues(m: np.ndarray) -> np.ndarray:
     return np.sort_complex(np.linalg.eigvals(_require_square(m, dtype=None)))
 
 
-class ColumnOrder:
-    """The column order of a sparse LU, shared by matrices of one sparsity
-    pattern.
-
-    Empty until determinant factors a sparse matrix with it: that
-    factorization takes COLAMD's order, which reads the pattern alone, and
-    ``columns`` keeps it as the gather order of A*Pc, ``parity`` its parity.
-    An exactly singular first matrix leaves it empty for the next one.
-    """
-
-    __slots__ = ("columns", "parity")
-
-    def __init__(self):
-        self.columns = None
-        self.parity = 0
-
-
-def determinant(m, order: ColumnOrder | None = None) -> complex:
-    """Determinant via LU with partial pivoting.
-
-    A dense array goes to LAPACK.  A scipy sparse matrix is factored by
-    SuperLU, Pr A Pc = L U with unit-diagonal L, and det(A) =
-    sign(Pr) sign(Pc) prod(diag U), accumulated as numpy accumulates its
-    dense det: a sign times exp of the summed log-moduli.  The column
-    order Pc is COLAMD's, unless an ``order`` that an earlier factorization
-    filled is given: then the columns are gathered in that order and
-    factored as they stand (SuperLU's NATURAL order), which skips the
-    ordering and still pivots each matrix on its own values.  An empty
-    ``order`` is filled with this factorization's COLAMD order.  An exactly
-    singular factor reads 0, as dense det does.
-    """
-    if not hasattr(m, "tocsc"):
-        m = _require_square(m)
-        if m.shape[0] == 0:
-            return 1.0 + 0.0j
-        return complex(np.linalg.det(m))
-    from scipy.sparse.linalg import splu
-
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+def determinant(m: np.ndarray) -> complex:
+    """Determinant of a dense square matrix via LAPACK's LU with partial
+    pivoting."""
+    m = _require_square(m)
     if m.shape[0] == 0:
         return 1.0 + 0.0j
-    m = m.tocsc().astype(complex, copy=False)
-    reuse = order is not None and order.columns is not None
-    try:
-        if reuse:
-            lu = splu(_gather_columns(m, order.columns), permc_spec="NATURAL")
-        else:
-            lu = splu(m, permc_spec="COLAMD")
-    except RuntimeError as exc:
-        if "singular" not in str(exc):
-            raise
-        return 0j
-    parity = _parity(lu.perm_c)
-    if reuse:
-        parity += order.parity
-    elif order is not None:
-        order.columns, order.parity = np.argsort(lu.perm_c), parity
-    diag = lu.U.diagonal()
-    moduli = np.abs(diag)
-    sign = -1.0 if (_parity(lu.perm_r) + parity) % 2 else 1.0
-    phase = sign * np.prod(diag / moduli)
-    return complex(phase * np.exp(np.sum(np.log(moduli))))
-
-
-def _gather_columns(m, columns: np.ndarray):
-    """The CSC matrix whose column j is column columns[j] of the CSC m."""
-    from scipy.sparse import csc_array
-
-    counts = np.diff(m.indptr)[columns]
-    indptr = np.concatenate(([0], np.cumsum(counts)))
-    take = (np.repeat(m.indptr[columns] - indptr[:-1], counts)
-            + np.arange(indptr[-1]))
-    return csc_array((m.data[take], m.indices[take], indptr), shape=m.shape)
-
-
-def _parity(perm: np.ndarray) -> int:
-    """0 for an even permutation of 0..n-1, 1 for an odd one: n minus the
-    number of cycles, mod 2.
-
-    Cycles are counted by their smallest member.  Pointer doubling labels
-    each i with min{perm^j(i) : j < 2^k} after k rounds, using
-    perm^(2^k) = step, so ceil(log2 n) rounds label every cycle by its
-    minimum."""
-    step = np.asarray(perm, dtype=np.intp)
-    label = np.arange(step.size)
-    span = 1
-    while span < step.size:
-        label = np.minimum(label, label[step])
-        step = step[step]
-        span *= 2
-    return int(step.size - np.count_nonzero(label == np.arange(step.size))) % 2
+    return complex(np.linalg.det(m))
 
 
 def pair_conjugates(values: np.ndarray) -> np.ndarray:

@@ -12,9 +12,9 @@ Every matrix is built by fancy indexing from the arc arrays of the graph
 arrays ``s``, ``p`` of the coin, following U = B_w^T - J0 = K L^T - J0.
 U, B_w and B place their entries on one list of arc pairs (e, f) with
 t(f) = o(e), sum_v d_v^2 of them, built in O(sum_v d_v^2) by np.repeat over
-the arcs grouped by vertex; the zeta identities take U's entries from that
-list and never build the 2m x 2m or 4m x 4m arc matrices densely from
-zeta.SPARSE_LU_MIN rows up.
+the arcs grouped by vertex.  The direct route and the zeta identities build
+no arc-sized matrix: they read U through its n x n compression
+(spectra._compression).
 """
 
 from __future__ import annotations

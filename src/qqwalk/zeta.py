@@ -21,27 +21,24 @@ with an arc-side matrix X, a vertex-side matrix Y and a diagonal D:
 Samples with |1 - t^2| < POLE_GUARD sit on the (1 - t^2) poles and are
 skipped by every identity.
 
-X is built from the walk matrix's list of arc pairs (e, f) with
-t(f) = o(e), sum_v d_v^2 of them (walks._walk_triplets), in O(sum_v d_v^2)
-time and memory; psi(U) takes its four blocks by index arithmetic.  The arc
-side is a genuine factorization of I - t*X at every sample: a dense LAPACK
-LU below SPARSE_LU_MIN rows, and from there up a sparse LU (scipy's splu,
-partial pivoting) of I - t*X in CSC form, built from the entries without
-any dense 2m x 2m or 4m x 4m array.  Every sample of a call has the same
-pattern, so the call plans once: the first sparse factorization takes
-COLAMD's column order, which reads the pattern alone, and every later one
-gathers its columns in that order (linalg.ColumnOrder).  The 4m x 4m X of a
-random graph with m = 250 has about 11 000 of its 10^6 entries nonzero.
-Below the threshold no scipy module is imported.
+Both sides are taken as logarithms, so neither overflows nor underflows.
+The arc side goes through the walk's fixed +-1 eigenspace Z0 (see
+spectra.spectrum_direct): U is block upper triangular in an orthonormal
+basis [Q0 Q1] with U = -J0 on Z0, so
 
-When the quaternionic weights share one axis (walks._turned_coin: the
-Grover and alpha/d coins, complex weights), psi(U) is unitarily similar to
-diag(S', conj(S')) with the 2m x 2m block S' = qmatrix.psi_block(U), and
-the arc side is det(I - t*S') * conj(det(I - conj(t)*S')): two
-factorizations of S' in one column order.  K and L enter only the
-resolvent check, as their arc entries (e, o(e), w(e)) and (e, t(e), 1),
-from which psi(K) and psi(L^T) are built directly, in CSR form from the
-threshold up.
+    det(I - t*U) = (1 - t)^beta * (1 + t)^(m - n + b) * det(I_r - t*C)
+
+with beta the Betti number, b = 1 for a bipartite graph and
+C = Q1^T U Q1 of size r = 2n - 1 - b (spectra._compression), built from
+n x n arrays.  Unit weights (B - J0 is U's transpose at q = 1) and complex
+weights take C as it stands; quaternion weights take psi(C) and both
+exponents doubled; weights on one axis (walks._turned_coin) take
+det(I - t*C) * conj(det(I - conj(t)*C)) for the turned C.  The vertex side
+is spectra's batched slogdet.  So no identity builds or factors the 2m x 2m
+or 4m x 4m X: that the split equals the factorization of I - t*X is
+checked by the tests, not at run time.  K and L enter only the resolvent
+check, as their arc entries (e, o(e), w(e)) and (e, t(e), 1), from which
+psi(L^T K) and psi(L^T J0 K) are summed over the arcs directly.
 """
 
 from __future__ import annotations
@@ -52,14 +49,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import Graph
-from .linalg import ColumnOrder, determinant
-from .walks import (
-    CoinMap,
-    _K_L_entries,
-    _turned_coin,
-    _walk_triplets,
-    build_W_Dw,
-)
+from .qmatrix import QuatMatrix, psi_blocks
+from .spectra import _compression, _logdet, _vertex_logdet
+from .walks import CoinMap, _K_L_entries, _turned_coin, build_W_Dw
 
 __all__ = [
     "IdentityReport",
@@ -74,16 +66,6 @@ __all__ = [
 
 # Samples this close to t^2 = 1 hit the (1 - t^2) poles and are skipped.
 POLE_GUARD = 1e-6
-# Arc matrices with at least this many rows take the sparse LU, smaller
-# ones stay dense.  Each identity on a random graph (n = 0.44 m) with three
-# samples (one core, one BLAS thread, scipy loaded, the column order reused)
-# takes, dense against sparse: 1.38 and 1.55 ms on the Ihara 2m side at
-# 192 rows, 2.01 and 1.78 ms at 224, 3.11 and 2.46 ms at 256; 3.63 and
-# 3.52 ms on a 4m side of 192 rows, 7.18 and 5.24 ms at 256.  No rung of the
-# benchmark ladder falls between 192 and 256 rows, and at m = 32 the dense
-# sides take 0.3 to 1.6 ms, less than the 0.12 s and 33 MB that importing
-# scipy.sparse.linalg costs a fresh process.
-SPARSE_LU_MIN = 256
 
 
 @dataclass
@@ -119,13 +101,20 @@ class IdentityReport:
         }
 
 
-def _rel_err(lhs: complex, rhs: complex) -> float:
-    """|lhs - rhs| / max(|lhs|, |rhs|), 0 when both are 0, NaN when either
-    is not finite."""
-    if not (cmath.isfinite(lhs) and cmath.isfinite(rhs)):
+def _rel_err(log_lhs: complex, log_rhs: complex) -> float:
+    """|lhs - rhs| / max(|lhs|, |rhs|) from the logs of the two sides.
+
+    With delta = log lhs - log rhs, turned so that Re delta >= 0 (lhs the
+    larger side), that is |expm1(-delta)|, which cannot overflow; a phase
+    off by whole turns changes nothing.  NaN when a log is not finite, two
+    zero sides included.
+    """
+    delta = log_lhs - log_rhs
+    if not cmath.isfinite(delta):
         return float("nan")
-    scale = max(abs(lhs), abs(rhs))
-    return abs(lhs - rhs) / scale if scale else 0.0
+    if delta.real < 0.0:
+        delta = -delta
+    return float(abs(np.expm1(-delta)))
 
 
 def default_samples(count: int = 8, seed: int = 0,
@@ -141,98 +130,56 @@ def default_samples(count: int = 8, seed: int = 0,
 
 # -- the comparison core ---------------------------------------------
 
-def _psi_triplets(rows, cols, s, p, shape):
-    """The entries of psi(M) = [[S, -conj(P)], [P, conj(S)]] as (rows, cols,
-    values), for the quaternionic M of the given shape with s + j*p at
-    (rows, cols)."""
-    r, c = shape
-    return (np.concatenate((rows, rows, rows + r, rows + r)),
-            np.concatenate((cols, cols + c, cols, cols + c)),
-            np.concatenate((s, -np.conj(p), p, np.conj(s))))
+def _arc_logdet(graph: Graph, weights, ts: np.ndarray,
+                halves: bool = False) -> np.ndarray:
+    """log det(I - t*X) at each t through the +-1 split: X = U for weights
+    given as one value per arc, X = psi(U) for a CoinMap (psi(C), the fixed
+    exponents doubled).  With halves, the per-arc weights are a one-axis
+    coin turned by walks._turned_coin, and X = psi(U) is taken as
+    det(I - t*C) * conj(det(I - conj(t)*C))."""
+    c = _compression(graph, weights)
+    even = graph.m - graph.n + int(graph.is_bipartite)
+    copies = 2 if halves or isinstance(weights, CoinMap) else 1
+    # Modulus and phase apart, and a factor with exponent 0 left out, so
+    # that t = +-1 reads log 0 = -inf, not NaN.
+    with np.errstate(divide="ignore"):
+        fixed = sum(copies * count * np.log(np.abs(factor))
+                    + 1j * (copies * count * np.angle(factor))
+                    for count, factor in ((graph.betti_number, 1.0 - ts),
+                                          (even, 1.0 + ts)) if count)
+    if halves:
+        return fixed + _logdet(ts, c) + np.conj(_logdet(ts.conj(), c))
+    return fixed + _logdet(ts, c)
 
 
-def _psi_matrix(entries: tuple, shape: tuple[int, int], sparse: bool):
-    """psi(M) for the quaternionic M of the given shape with the entries
-    (rows, cols, s, p): CSR without its zero entries when sparse, else the
-    dense array."""
-    rows, cols, values = _psi_triplets(*entries, shape)
-    size = (2 * shape[0], 2 * shape[1])
-    if not sparse:
-        out = np.zeros(size, dtype=complex)
-        out[rows, cols] = values
-        return out
-    from scipy.sparse import csr_array
-    keep = values != 0
-    return csr_array((values[keep], (rows[keep], cols[keep])), shape=size)
+def _bass_logdet(graph: Graph, y: np.ndarray, d: np.ndarray, ts: np.ndarray
+                 ) -> np.ndarray:
+    """(m - n)*log(1 - t^2) + log det(I_n - t*Y + t^2*(D - I_n))."""
+    return (graph.m - graph.n) * np.log(1.0 - ts * ts) + _logdet(ts, y, d)
 
 
-def _arc_matrix(rows, cols, values, size: int):
-    """X with the given entries, as the arc side factors it.
-
-    Below SPARSE_LU_MIN rows the dense array.  From there up the CSC of X
-    without its zero entries, with the diagonal stored (as explicit zeros
-    where X has none), and the mask of the diagonal among its entries."""
-    if size < SPARSE_LU_MIN:
-        x = np.zeros((size, size), dtype=complex)
-        x[rows, cols] = values
-        return x
-    from scipy.sparse import csc_array
-    keep, diag = values != 0, np.arange(size)
-    x = csc_array((np.r_[values[keep], np.zeros(size)],
-                   (np.r_[rows[keep], diag], np.r_[cols[keep], diag])),
-                  shape=(size, size))
-    return x, x.indices == np.repeat(diag, np.diff(x.indptr))
-
-
-def _arc_side(x, t: complex, order: ColumnOrder | None = None) -> complex:
-    """det(I - t*X) for an X from _arc_matrix; the sparse I - t*X takes
-    X's pattern, with 0 - x*t at its entries plus 1 on the diagonal, and is
-    factored in the given column order."""
-    if isinstance(x, np.ndarray):
-        return determinant(np.eye(x.shape[0]) - t * x)
-    from scipy.sparse import csc_array
-    x, diag = x
-    # x * t: numpy's complex product can differ in the last bit from t * x.
-    return determinant(csc_array((0.0 - x.data * t + diag, x.indices,
-                                  x.indptr), shape=x.shape), order)
-
-
-def _vertex_side(y: np.ndarray, d: np.ndarray, exponent: int,
-                 t: complex) -> complex:
-    eye = np.eye(y.shape[0])
-    return complex((1.0 - t * t) ** exponent) * determinant(
-        eye - t * y + t * t * (d - eye))
-
-
-def _compare(x: tuple, y: np.ndarray, d: np.ndarray, exponent: int,
-             t_samples: list[complex], tol: float, check=None,
-             halves: bool = False) -> IdentityReport:
-    """Compare det(I - t*X) with (1 - t^2)^e * det(I - t*Y + t^2*(D - I))
-    at every sample off the poles, X given by its entries x = (rows, cols,
-    values, size); check(t), when given, runs first at each compared
-    sample.  With halves, x holds the block S' of an X = psi(U) whose
-    entries share one axis, and the arc side is
-    det(I - t*S') * conj(det(I - conj(t)*S')).
-
-    Every sparse factorization of the call shares one column order, taken
-    by the first one that succeeds."""
-    x = _arc_matrix(*x)
-    order = ColumnOrder()
-    pairs = []
-    skipped = []
+def _compare(arc, vertex, t_samples: list[complex], tol: float,
+             check=None) -> IdentityReport:
+    """Compare the arc side with the vertex side at every sample off the
+    poles, each side a function from an array of points to its logs;
+    check(t), when given, runs first at each compared sample.  lhs and rhs
+    are reported as exp of the logs, rel_err comes from the logs
+    (_rel_err)."""
+    kept, skipped = [], []
     for t in t_samples:
         if abs(1.0 - t * t) < POLE_GUARD:
             skipped.append(t)
             continue
         if check is not None:
             check(t)
-        lhs = _arc_side(x, t, order)
-        if halves:
-            lhs *= _arc_side(x, t.conjugate(), order).conjugate()
-        pairs.append((t, lhs, _vertex_side(y, d, exponent, t)))
-    samples = [SamplePoint(t, lhs, rhs, _rel_err(lhs, rhs))
-               for t, lhs, rhs in sorted(pairs, key=lambda p: (p[0].real,
-                                                               p[0].imag))]
+        kept.append(t)
+    kept.sort(key=lambda t: (t.real, t.imag))
+    ts = np.array(kept, dtype=complex)
+    lhs, rhs = arc(ts), vertex(ts)
+    with np.errstate(over="ignore"):
+        samples = [SamplePoint(t, complex(np.exp(a)), complex(np.exp(b)),
+                               _rel_err(complex(a), complex(b)))
+                   for t, a, b in zip(kept, lhs, rhs)]
     # np.max propagates NaN, so a non-finite sample fails the verdict
     # wherever it falls among the samples.
     max_err = float(np.max([s.rel_err for s in samples], initial=0.0))
@@ -242,17 +189,10 @@ def _compare(x: tuple, y: np.ndarray, d: np.ndarray, exponent: int,
 
 # -- classical (unweighted) identity ----------------------------------
 
-def _ihara_arc_triplets(graph: Graph) -> tuple:
-    """The entries of B - J0, the transpose of the walk matrix of unit
-    weights."""
-    ones = np.ones(graph.num_arcs, dtype=complex)
-    rows, cols, s, _ = _walk_triplets(graph, ones, ones)
-    return cols, rows, s, graph.num_arcs
-
-
 def ihara_hashimoto(graph: Graph, t: complex) -> complex:
     """det(I_{2m} - t*(B - J0)) at the sample point t."""
-    return _arc_side(_arc_matrix(*_ihara_arc_triplets(graph)), t)
+    ts = np.array([t], dtype=complex)
+    return complex(np.exp(_arc_logdet(graph, np.ones(graph.num_arcs), ts)[0]))
 
 
 def ihara_bass(graph: Graph, t: complex) -> complex:
@@ -260,15 +200,19 @@ def ihara_bass(graph: Graph, t: complex) -> complex:
     if graph.is_tree and abs(1.0 - t * t) < POLE_GUARD:
         raise ZeroDivisionError(
             f"pole at t = {t}: tree case has exponent -1 in (1 - t^2)")
-    return _vertex_side(graph.adjacency_matrix(), graph.degree_matrix(),
-                        graph.betti_number - 1, t)
+    logdet = _logdet(np.array([t], dtype=complex), graph.adjacency_matrix(),
+                     graph.degree_matrix())[0]
+    return complex((1.0 - t * t) ** (graph.betti_number - 1)) * complex(
+        np.exp(logdet))
 
 
 def ihara_identity(graph: Graph, t_samples: list[complex],
                    tol: float = 1e-8) -> IdentityReport:
     """Compare the arc-level and Bass-type expressions at each sample."""
-    return _compare(_ihara_arc_triplets(graph), graph.adjacency_matrix(),
-                    graph.degree_matrix(), graph.betti_number - 1,
+    ones = np.ones(graph.num_arcs)
+    adjacency, degree = graph.adjacency_matrix(), graph.degree_matrix()
+    return _compare(lambda ts: _arc_logdet(graph, ones, ts),
+                    lambda ts: _bass_logdet(graph, adjacency, degree, ts),
                     t_samples, tol)
 
 
@@ -282,18 +226,34 @@ def weighted_zeta_identity(graph: Graph, weights: CoinMap,
     Checks det(I - t*(B_w^T - J0)) against
     (1 - t^2)^(m-n) * det(I - t*W^T + t^2*(D_w - I)) at each sample.  The
     untransposed form (B_w with W) has the same two sides exactly, since
-    det(X^T) = det(X) and J0 is symmetric.
+    det(X^T) = det(X) and J0 is symmetric.  The weights enter both sides
+    as given: C is the compression of the complex U itself.
     """
     if not weights.is_complex_valued():
         raise ValueError(
             "weights have nonzero j/k parts; use quaternionic_identity")
     w, dw = build_W_Dw(graph, weights)
-    rows, cols, s, _ = _walk_triplets(graph, weights.s, weights.p)
-    return _compare((rows, cols, s, graph.num_arcs), w.s.T, dw.s,
-                    graph.m - graph.n, t_samples, tol)
+    return _compare(lambda ts: _arc_logdet(graph, weights.s, ts),
+                    lambda ts: _bass_logdet(graph, w.s.T, dw.s, ts),
+                    t_samples, tol)
 
 
 # -- quaternionic identity --------------------------------------------
+
+def _psi_product(n: int, left: tuple, right: tuple) -> np.ndarray:
+    """psi(L^T R), 2n x 2n, for 2m x n quaternionic L and R with one entry
+    in each row, given as (rows, cols, s, p): each row's entry of L^T times
+    that of R, summed over the rows."""
+    at = np.empty_like(right[0])
+    at[right[0]] = np.arange(right[0].size)
+    rows, cols_l, sl, pl = left
+    _, cols_r, sr, pr = (part[at[rows]] for part in right)
+    # (sl + j*pl)(sr + j*pr), with j*z = conj(z)*j.
+    s, p = np.zeros((2, n, n), dtype=complex)
+    np.add.at(s, (cols_l, cols_r), sl * sr - np.conj(pl) * pr)
+    np.add.at(p, (cols_l, cols_r), np.conj(sl) * pr + pl * sr)
+    return QuatMatrix(s, p).psi()
+
 
 def quaternionic_identity(graph: Graph, weights: CoinMap,
                           t_samples: list[complex],
@@ -305,33 +265,21 @@ def quaternionic_identity(graph: Graph, weights: CoinMap,
     the 2n x 2n vertex side, and additionally verifies the proof-level
     resolvent identity entrywise within intermediate_tol times the largest
     expected entry (at least 1).  Since J0^2 = I, (I + t*J0)^-1 is
-    (I - t*J0) / (1 - t^2), and psi(J0) = blockdiag(J0, J0) acts as the row
-    permutation idx ^ 1 on the 4m complexified arcs; the differences
-    psi(L^T) psi(K) - psi(W^T) and psi(L^T) psi(J0) psi(K) - psi(D_w) are
-    formed once, so a sample's residual is one combination of them.  When
-    U's entries share one axis (walks._turned_coin), psi(U) is unitarily
-    similar to diag(S', conj(S')) with S' = qmatrix.psi_block(U), and the
-    arc side is factored on the 2m x 2m S' at t and at conj(t).
+    (I - t*J0) / (1 - t^2), and psi(J0) = blockdiag(J0, J0); the
+    differences psi(L^T K) - psi(W^T) and psi(L^T J0 K) - psi(D_w) are
+    summed over the arcs once, so a sample's residual is one combination
+    of them.  When U's entries share one axis (walks._turned_coin), psi(U)
+    is unitarily similar to diag(S', conj(S')) with S' = qmatrix.psi_block(U),
+    and the arc side is taken on the compression of S' at t and at conj(t).
     """
-    arcs, n = graph.num_arcs, graph.n
     turned = _turned_coin(graph, weights)
-    if turned is None:
-        rows, cols, s, p = _walk_triplets(graph, weights.s, weights.p)
-        x = (*_psi_triplets(rows, cols, s, p, (arcs, arcs)), 2 * arcs)
-    else:
-        rows, cols, s, _ = _walk_triplets(graph, turned, turned)
-        x = (rows, cols, s, arcs)
     wq, dwq = build_W_Dw(graph, weights)
-    psi_wt, psi_dw = wq.transpose().psi(), dwq.psi()
+    blocks = psi_blocks(wq.transpose(), dwq)
+    psi_wt, psi_dw = (blocks if len(blocks[0]) == 2 * graph.n
+                      else (wq.transpose().psi(), dwq.psi()))
     k, l = _K_L_entries(graph, weights)
-    sparse = x[-1] >= SPARSE_LU_MIN  # then 8m and 4m nonzeros, O(m) products
-    psi_k = _psi_matrix(k, (arcs, n), sparse)
-    psi_jk = _psi_matrix((k[0] ^ 1, *k[1:]), (arcs, n), sparse)
-    psi_lt = _psi_matrix((l[1], l[0], *l[2:]), (n, arcs), sparse)
-    # psi(L^T) psi(K) - psi(W^T) and psi(L^T) psi(J0 K) - psi(D_w).
-    gaps = [(prod if isinstance(prod, np.ndarray) else prod.toarray()) - want
-            for prod, want in ((psi_lt @ psi_k, psi_wt),
-                               (psi_lt @ psi_jk, psi_dw))]
+    gaps = [_psi_product(graph.n, l, k) - psi_wt,
+            _psi_product(graph.n, l, (k[0] ^ 1, *k[1:])) - psi_dw]
 
     def check(t: complex) -> None:
         one_minus = abs(1.0 - t * t)
@@ -344,5 +292,8 @@ def quaternionic_identity(graph: Graph, weights: CoinMap,
                 f"entrywise residual {residual:.3e} at entry scale "
                 f"{scale:.3e}")
 
-    return _compare(x, psi_wt, psi_dw, 2 * graph.m - 2 * graph.n,
-                    t_samples, tol, check, halves=turned is not None)
+    return _compare(
+        lambda ts: _arc_logdet(graph, weights if turned is None else turned,
+                               ts, halves=turned is not None),
+        lambda ts: _vertex_logdet(graph, weights, ts, blocks),
+        t_samples, tol, check)

@@ -6,10 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qqwalk import cli
 from qqwalk.cli import main
+from qqwalk.graph import random_connected_graph
 
 K3 = "3 3\n0 1\n1 2\n2 0\n"
 STAR = "4 3\n3 0\n3 1\n3 2\n"
@@ -312,11 +314,30 @@ class TestSelftest:
         assert out.strip().endswith("all checks passed")
 
 
+def write_random_graph_and_coin(tmp_path):
+    """A random graph with m >= 128 (so 2m >= 256 arc rows) and a per-arc
+    quaternion coin on it, as files."""
+    rng = np.random.default_rng(3)
+    g = random_connected_graph(rng, 40, 0.15)
+    assert g.m >= 128
+    graph = tmp_path / "random.g"
+    graph.write_text(f"{g.n} {g.m}\n"
+                     + "".join(f"{u} {v}\n" for u, v in g.edges))
+    coin = tmp_path / "random.w"
+    coin.write_text("".join(
+        f"a {arc} {x0:.6f}{x1:+.6f}i{x2:+.6f}j{x3:+.6f}k\n"
+        for arc, (x0, x1, x2, x3) in enumerate(
+            rng.uniform(-1, 1, (g.num_arcs, 4)))))
+    return str(graph), str(coin)
+
+
 class TestImportCost:
     # Every command below runs on numpy alone: scipy is imported only for
     # the clusters that multiset matching and conjugate pairing cannot pair
     # by sorting and for the commuting Schur path, and importing it costs
-    # more than all the rest of a short CLI process.
+    # more than all the rest of a short CLI process.  The zeta identities
+    # take no sparse factorization at any size: the random graph has
+    # m >= 128 edges.
     SCRIPT = """
 import json
 import sys
@@ -333,6 +354,7 @@ for arg in sys.argv[1:]:
         fixtures = Path(cli.__file__).parent / "fixtures"
         k3, k13 = str(fixtures / "k3.g"), str(fixtures / "k13.g")
         grover_w, ex5 = str(fixtures / "k3_grover.w"), str(fixtures / "ex5.w")
+        big, big_w = write_random_graph_and_coin(tmp_path)
         commands = [
             ["spectrum", "--graph", k3, "--grover"],
             ["spectrum", "--graph", k13, "--coin", ex5],
@@ -342,6 +364,9 @@ for arg in sys.argv[1:]:
             ["zeta-ihara", "--graph", k3],
             ["zeta-weighted", "--graph", k3, "--coin", grover_w],
             ["zeta-quat", "--graph", k13, "--coin", ex5],
+            ["zeta-ihara", "--graph", big],
+            ["zeta-quat", "--graph", big, "--coin", big_w],
+            ["zeta-quat", "--graph", big, "--alpha=0.3+0.2i+0.1j+0.1k"],
             ["selftest"],
         ]
         src = str(Path(cli.__file__).parents[1])

@@ -3,14 +3,12 @@
 import numpy as np
 import pytest
 import scipy.optimize
-import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from qqwalk import linalg
 from qqwalk.linalg import (
-    ColumnOrder,
     NotSimultaneouslyTriangularizableError,
     _cluster_labels,
     _matching,
@@ -99,127 +97,6 @@ class TestDeterminant:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             determinant(np.zeros((2, 3)))
-
-    def test_non_square_sparse_rejected(self):
-        with pytest.raises(ValueError):
-            determinant(scipy.sparse.csc_array(np.ones((2, 3))))
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_sparse_lu_equals_dense(self, seed):
-        # Rows shuffled by a random permutation force row pivoting, so the
-        # sign of the row and of the column permutation both matter.
-        rng = np.random.default_rng(seed)
-        n = 300
-        noise = scipy.sparse.random(
-            n, n, density=0.01, random_state=rng, dtype=complex,
-            data_rvs=lambda size: (rng.uniform(-1, 1, size)
-                                   + 1j * rng.uniform(-1, 1, size)))
-        m = (scipy.sparse.identity(n) + 0.5 * noise).tocsr()[
-            rng.permutation(n)]
-        dense = np.linalg.det(m.toarray())
-        assert abs(determinant(m.tocsc()) - dense) <= 1e-12 * abs(dense)
-
-    def test_singular_sparse_reads_zero(self):
-        # SuperLU raises on an exactly zero pivot; dense det returns 0.
-        n = 300
-        m = scipy.sparse.identity(n, dtype=complex, format="lil")
-        m[0, 1] = 2.0
-        m[7, :] = 0.0
-        assert determinant(m.tocsc()) == 0j
-
-
-def same_pattern(m, rng):
-    """The CSC m with new random complex values on its entries."""
-    values = rng.uniform(-1, 1, m.nnz) + 1j * rng.uniform(-1, 1, m.nnz)
-    return scipy.sparse.csc_array((values, m.indices, m.indptr),
-                                  shape=m.shape)
-
-
-def shuffled_sparse(rng, n=300):
-    """I + noise with its rows shuffled: every factorization pivots."""
-    noise = scipy.sparse.random(
-        n, n, density=0.01, random_state=rng, dtype=complex,
-        data_rvs=lambda size: (rng.uniform(-1, 1, size)
-                               + 1j * rng.uniform(-1, 1, size)))
-    return (scipy.sparse.identity(n) + 0.5 * noise).tocsr()[
-        rng.permutation(n)].tocsc()
-
-
-class TestColumnOrder:
-    """One COLAMD order serves every matrix of a pattern."""
-
-    def test_first_factorization_fills_the_order(self):
-        rng = np.random.default_rng(5)
-        m = shuffled_sparse(rng)
-        order = ColumnOrder()
-        assert determinant(m, order) == determinant(m)
-        assert order.columns is not None
-        assert order.parity == linalg._parity(order.columns)
-
-    def test_odd_order_is_reused_with_its_parity(self):
-        # Search for a pattern whose COLAMD order is an odd permutation;
-        # the later matrices carry its sign in the reused order alone.
-        for seed in range(20):
-            rng = np.random.default_rng(seed)
-            m = shuffled_sparse(rng)
-            order = ColumnOrder()
-            determinant(m, order)
-            if order.parity == 1:
-                break
-        assert order.parity == 1 == parity_by_cycle_walk(order.columns)
-        for _ in range(3):
-            other = same_pattern(m, rng)
-            dense = np.linalg.det(other.toarray())
-            assert abs(determinant(other, order) - dense) <= 1e-12 * abs(dense)
-
-    def test_singular_first_matrix_leaves_the_order_empty(self):
-        # An explicitly stored zero empties row 7 without changing the
-        # pattern; the next matrix takes COLAMD and fills the order.
-        rng = np.random.default_rng(2)
-        m = shuffled_sparse(rng)
-        singular = m.copy()
-        singular.data[singular.indices == 7] = 0.0
-        order = ColumnOrder()
-        assert determinant(singular, order) == 0j
-        assert order.columns is None
-        other = same_pattern(m, rng)
-        assert determinant(other, order) == determinant(other)
-        assert order.columns is not None
-
-    def test_empty_matrix(self):
-        order = ColumnOrder()
-        assert determinant(scipy.sparse.csc_array((0, 0), dtype=complex),
-                           order) == 1.0
-        assert order.columns is None
-
-
-def parity_by_cycle_walk(perm):
-    """The parity of a permutation, from a walk along its cycles."""
-    seen, cycles = [False] * len(perm), 0
-    for start in range(len(perm)):
-        if not seen[start]:
-            cycles += 1
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-    return (len(perm) - cycles) % 2
-
-
-class TestParity:
-    @settings(max_examples=100, deadline=None)
-    @given(st.integers(0, 300).flatmap(lambda n: st.permutations(range(n))))
-    def test_equals_the_cycle_walk(self, perm):
-        # int32, as SuperLU returns its permutations.
-        assert linalg._parity(np.array(perm, dtype=np.int32)) == \
-            parity_by_cycle_walk(perm)
-
-    @pytest.mark.parametrize("perm, parity", [
-        ([], 0), ([0], 0), (list(range(9)), 0), ([0, 1, 5, 3, 4, 2], 1),
-        ([1, 0], 1), ([1, 2, 0], 0), ([3, 0, 1, 2], 1)])
-    def test_known_parities(self, perm, parity):
-        assert linalg._parity(np.array(perm, dtype=np.int32)) == parity
-        assert parity_by_cycle_walk(perm) == parity
 
 
 class TestConjugatePairing:

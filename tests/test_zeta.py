@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from qqwalk import zeta
 from qqwalk.graph import (
+    Graph,
     complete_graph,
     cycle_graph,
     path_graph,
@@ -16,7 +17,6 @@ from qqwalk.graph import (
     random_connected_graph,
     star_graph,
 )
-from qqwalk.linalg import ColumnOrder, determinant
 from qqwalk.quaternion import Quaternion
 from qqwalk.walks import (
     CoinMap,
@@ -24,6 +24,7 @@ from qqwalk.walks import (
     _turned_coin,
     build_B_and_J0,
     build_Bw,
+    build_K_L,
     build_U,
     build_W_Dw,
 )
@@ -49,9 +50,66 @@ def quaternion_weights(rng, g):
                        range(g.num_arcs)])
 
 
-# The arc side's two factorizations: the default threshold, and every arc
-# matrix through the sparse LU.
-ARC_PATHS = {"dense": zeta.SPARSE_LU_MIN, "sparse": 0}
+def log_distance(a, b):
+    """Distance of two logs of a nonzero number: the modulus part and the
+    phase mod 2*pi."""
+    d = np.asarray(a) - np.asarray(b)
+    return np.hypot(d.real, (d.imag + np.pi) % (2 * np.pi) - np.pi)
+
+
+def oracle_logdet(x, ts):
+    """The dense factorization of the arc side: slogdet(I - t*X) at each t,
+    as a complex log."""
+    eye = np.eye(len(x))
+    out = []
+    for t in ts:
+        sign, logabs = np.linalg.slogdet(eye - t * x)
+        out.append(logabs + 1j * np.angle(sign))
+    return np.array(out)
+
+
+def arc_matrices(g, quat, cplx):
+    """The dense X of each identity: psi(U) = psi(B_w^T - J0), U = B_w^T - J0
+    and B - J0, placed from the definitions."""
+    b, j0 = build_B_and_J0(g)
+    return {"quaternionic": build_Bw(g, quat).transpose().psi() - j0.psi(),
+            "weighted": build_Bw(g, cplx).s.T - j0.s,
+            "ihara": b.s - j0.s}
+
+
+def all_identities(g, quat, cplx, ts):
+    return {"quaternionic": quaternionic_identity(g, quat, ts),
+            "weighted": weighted_zeta_identity(g, cplx, ts),
+            "ihara": ihara_identity(g, ts)}
+
+
+def captured_arc_sides(g, quat, cplx):
+    """The arc-side function each identity hands to _compare, by name."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(zeta, "_compare",
+                   lambda arc, *args, **kwargs: seen.append(arc))
+        all_identities(g, quat, cplx, [0.3])
+    return dict(zip(("quaternionic", "weighted", "ihara"), seen))
+
+
+def recording_sizes(monkeypatch):
+    """Patch zeta's log-determinant seam to record the size of every
+    matrix it is handed."""
+    sizes = []
+    logdet = zeta._logdet
+
+    def recording(ts, y, *args):
+        sizes.append(y.shape[0])
+        return logdet(ts, y, *args)
+
+    monkeypatch.setattr(zeta, "_logdet", recording)
+    return sizes
+
+
+def cut_size(g):
+    """2n - 1 - b: the size of U compressed off its fixed +-1 eigenspace."""
+    return 2 * g.n - 1 - int(g.is_bipartite)
 
 
 class TestClassicalIdentity:
@@ -131,40 +189,32 @@ class TestWeightedIdentity:
             report = weighted_zeta_identity(g, w, SAMPLES, tol=1e-8)
             assert report.verdict, report.max_rel_err
 
-    @pytest.mark.parametrize("bad, arc_path",
-                             [(0, "dense"), (2, "dense"),
-                              (0, "sparse"), (2, "sparse")],
-                             ids=["0", "2", "sparse-0", "sparse-2"])
+    @pytest.mark.parametrize("bad", [0, 2], ids=["0", "2"])
     def test_non_finite_sample_fails_wherever_it_falls(self, monkeypatch,
-                                                       bad, arc_path):
-        # Both sides of one sample overflow.  Its rel_err is NaN, which a
-        # plain max over the samples kept only when it came first.
-        monkeypatch.setattr(zeta, "SPARSE_LU_MIN", ARC_PATHS[arc_path])
-        calls = []
+                                                       bad):
+        # Both sides of one sample are non-finite.  Its rel_err is NaN,
+        # which a plain max over the samples kept only when it came first.
+        logdet = zeta._logdet
 
-        def overflowing(m, order=None):
-            # Each sample computes the arc side, then the vertex side, in
-            # input order.
-            calls.append(m)
-            if (len(calls) - 1) // 2 == bad:
-                return complex(np.inf, 0.0)
-            return determinant(m, order)
+        def overflowing(ts, *args):
+            # Every side takes all the samples at once, in sorted order.
+            out = logdet(ts, *args)
+            out[bad] = complex(np.inf, 0.0)
+            return out
 
-        monkeypatch.setattr(zeta, "determinant", overflowing)
+        monkeypatch.setattr(zeta, "_logdet", overflowing)
         g = complete_graph(4)
         report = weighted_zeta_identity(g, CoinMap.grover(g),
                                         [0.1, 0.2, 0.3], tol=1e-8)
         sample = report.samples[bad]
         assert not np.isfinite(sample.lhs) and not np.isfinite(sample.rhs)
+        assert np.isnan(sample.rel_err)
         assert not report.verdict
         assert not np.isfinite(report.max_rel_err)
 
-    @pytest.mark.parametrize("arc_path", ARC_PATHS)
-    def test_tiny_determinants_are_compared_relatively(self, monkeypatch,
-                                                       arc_path):
+    def test_tiny_determinants_are_compared_relatively(self, monkeypatch):
         # Near the pole both sides carry (1 - t^2)^(m - n) and are tiny; an
         # error measured against a floor of 1 would pass any two of them.
-        monkeypatch.setattr(zeta, "SPARSE_LU_MIN", ARC_PATHS[arc_path])
         g = complete_graph(5)
         grover = CoinMap.grover(g)
         honest = weighted_zeta_identity(g, grover, [0.999], tol=1e-8)
@@ -256,6 +306,58 @@ class TestQuaternionicIdentity:
         with pytest.raises(ArithmeticError, match="resolvent"):
             quaternionic_identity(g, w, [0.3])
 
+    @pytest.mark.parametrize("jump", [False, True], ids=["K", "J0K"])
+    def test_arc_sums_are_the_dense_product(self, jump):
+        # psi(L^T K) and psi(L^T J0 K) summed over the arcs equal the dense
+        # products of psi(L^T) with psi(K) and psi(J0 K) from walks.build_K_L.
+        rng = np.random.default_rng(6)
+        g = random_connected_graph(rng, 8, 0.4)
+        w = quaternion_weights(rng, g)
+        k, l = _K_L_entries(g, w)
+        dense_k, dense_l = build_K_L(g, w)
+        if jump:
+            k = (k[0] ^ 1, *k[1:])
+            dense_k = build_B_and_J0(g)[1] @ dense_k
+        want = dense_l.transpose().psi() @ dense_k.psi()
+        got = zeta._psi_product(g.n, l, k)
+        assert np.abs(got - want).max() <= 1e-14
+
+    def test_resolvent_check_rejects_a_wrong_factor(self, monkeypatch):
+        # psi(L^T K) is summed over the arcs; L^T (1.5 K) = 1.5 W^T must
+        # still fail.
+        def scaled_K_L(graph, weights):
+            (rows, cols, s, p), l = _K_L_entries(graph, weights)
+            return (rows, cols, 1.5 * s, 1.5 * p), l
+
+        monkeypatch.setattr(zeta, "_K_L_entries", scaled_K_L)
+        g = complete_graph(3)
+        with pytest.raises(ArithmeticError, match="resolvent"):
+            quaternionic_identity(g, CoinMap.grover(g), [0.3])
+
+    def test_no_arc_sized_dense_array(self, monkeypatch):
+        # At m = 245 a dense 4m x 4m complex X is 15.4 MB.  At every slogdet
+        # of the identity, when its largest arrays are alive, each array is
+        # below a quarter of that: psi(C) and I - t*psi(C) are (4n)^2.
+        slogdet = np.linalg.slogdet
+        blocks = []
+
+        def recording(m):
+            blocks.append(max(trace.size for trace in
+                              tracemalloc.take_snapshot().traces))
+            return slogdet(m)
+
+        monkeypatch.setattr(np.linalg, "slogdet", recording)
+        rng = np.random.default_rng(0)
+        g = random_connected_graph(rng, 110, 0.022)
+        w = quaternion_weights(rng, g)
+        tracemalloc.start()
+        try:
+            report = quaternionic_identity(g, w, default_samples(3))
+        finally:
+            tracemalloc.stop()
+        assert g.m == 245 and report.verdict
+        assert len(blocks) == 4 and max(blocks) < (4 * g.m) ** 2 * 16 / 4
+
     def test_resolvent_check_scales_with_the_entries(self):
         # Entries near 1e6: a residual of 1.2e-10 is about 1e-16 of them,
         # which an absolute 1e-10 called a failure.
@@ -270,232 +372,6 @@ class TestQuaternionicIdentity:
         d = quaternionic_identity(g, w, [0.25]).to_dict()
         assert d["verdict"] is True
         assert d["samples"][0]["t"] == {"re": 0.25, "im": 0.0}
-
-
-def arc_matrices(g, quat, cplx):
-    """The dense X of each identity, as the dense path factors it."""
-    b, j0 = build_B_and_J0(g)
-    return {"quaternionic": build_Bw(g, quat).transpose().psi() - j0.psi(),
-            "weighted": build_Bw(g, cplx).s.T - j0.s,
-            "ihara": b.s - j0.s}
-
-
-def all_identities(g, quat, cplx, ts):
-    return {"quaternionic": quaternionic_identity(g, quat, ts),
-            "weighted": weighted_zeta_identity(g, cplx, ts),
-            "ihara": ihara_identity(g, ts)}
-
-
-class TestSparseArcSide:
-    """From SPARSE_LU_MIN rows up the arc side is a sparse LU of I - t*X;
-    it must read what the dense LAPACK factorization reads."""
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(1, 8), st.floats(0.0, 0.6), st.integers(0, 2**32 - 1))
-    def test_sparse_path_equals_dense(self, n, extra, seed):
-        rng = np.random.default_rng(seed)
-        g = random_connected_graph(rng, n, extra)
-        quat, cplx = quaternion_weights(rng, g), complex_weights(rng, g)
-        ts = default_samples(4, seed=seed % 1000)
-        dense = all_identities(g, quat, cplx, ts)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(zeta, "SPARSE_LU_MIN", 0)
-            sparse = all_identities(g, quat, cplx, ts)
-        for name, x in arc_matrices(g, quat, cplx).items():
-            assert sparse[name].verdict == dense[name].verdict, name
-            for sample in sparse[name].samples:
-                want = np.linalg.det(np.eye(len(x)) - sample.t * x)
-                assert abs(sample.lhs - want) <= 1e-12 * abs(want), name
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(1, 8), st.floats(0.0, 0.6), st.integers(0, 2**32 - 1))
-    def test_arc_side_is_the_walk_matrix(self, n, extra, seed):
-        # The identities factor the entries of build_U and of its psi, and
-        # of B - J0: placed densely, the definition's B_w^T - J0 entry for
-        # entry, and I - t*X the same array bit for bit.  On the sparse
-        # path I - X*t holds exactly the nonzero entries of that array (the
-        # operand order of a complex product can move its last bit).
-        rng = np.random.default_rng(seed)
-        g = random_connected_graph(rng, n, extra)
-        quat, cplx = quaternion_weights(rng, g), complex_weights(rng, g)
-        seen = []
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(zeta, "_compare",
-                       lambda x, *args, **kwargs: seen.append(x))
-            all_identities(g, quat, cplx, [0.3])
-        t = 0.3 - 0.45j
-        factored = []
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(zeta, "SPARSE_LU_MIN", 0)
-            mp.setattr(zeta, "determinant",
-                       lambda m, order=None: factored.append(m))
-            for x in seen:
-                zeta._arc_side(zeta._arc_matrix(*x), t)
-        for got, sparse, (name, want) in zip(
-                seen, factored, arc_matrices(g, quat, cplx).items()):
-            rows, cols, values, size = got
-            x = np.zeros((size, size), dtype=complex)
-            x[rows, cols] = values
-            eye = np.eye(len(want))
-            assert np.array_equal(x, want), name
-            assert (eye - t * x).tobytes() == (eye - t * want).tobytes(), name
-            assert np.array_equal(sparse.toarray(), eye - want * t), name
-            assert np.count_nonzero(sparse.data) == sparse.nnz == \
-                np.count_nonzero(eye - want * t), name
-
-    @pytest.mark.parametrize("rows, sparse", [(255, False), (256, True)])
-    def test_threshold(self, monkeypatch, rows, sparse):
-        rng = np.random.default_rng(rows)
-        x = np.zeros((rows, rows), dtype=complex)
-        for _ in range(4):
-            cols = rng.permutation(rows)
-            x[np.arange(rows), cols] = (rng.uniform(-1, 1, rows)
-                                        + 1j * rng.uniform(-1, 1, rows))
-        seen = []
-
-        def recording(m, order=None):
-            seen.append(not isinstance(m, np.ndarray))
-            return determinant(m, order)
-
-        monkeypatch.setattr(zeta, "determinant", recording)
-        t = 0.3 - 0.45j
-        x_entries = (*np.nonzero(x), x[x != 0], rows)
-        lhs = zeta._arc_side(zeta._arc_matrix(*x_entries), t)
-        want = np.linalg.det(np.eye(rows) - t * x)
-        assert seen == [sparse]
-        assert abs(lhs - want) <= 1e-12 * abs(want)
-
-    def test_sparse_resolvent_check_rejects_a_wrong_factor(self,
-                                                          monkeypatch):
-        # psi(L^T) is CSR on this path; L^T (1.5 K) = 1.5 W^T must still fail.
-        def scaled_K_L(graph, weights):
-            (rows, cols, s, p), l = _K_L_entries(graph, weights)
-            return (rows, cols, 1.5 * s, 1.5 * p), l
-
-        monkeypatch.setattr(zeta, "SPARSE_LU_MIN", 0)
-        monkeypatch.setattr(zeta, "_K_L_entries", scaled_K_L)
-        g = complete_graph(3)
-        with pytest.raises(ArithmeticError, match="resolvent"):
-            quaternionic_identity(g, CoinMap.grover(g), [0.3])
-
-    def test_no_arc_sized_dense_array(self, monkeypatch):
-        # At m = 245 a dense 4m x 4m complex X is 15.4 MB.  The traced peak
-        # outside SuperLU's factorization, with every other array of the
-        # identity alive, stays below that, so no such array is made.
-        import scipy.sparse.linalg
-        factor = scipy.sparse.linalg.splu
-        peaks = []
-
-        def untraced(*args, **kwargs):
-            peaks.append(tracemalloc.get_traced_memory()[1])
-            tracemalloc.stop()
-            try:
-                return factor(*args, **kwargs)
-            finally:
-                tracemalloc.start()
-
-        monkeypatch.setattr(scipy.sparse.linalg, "splu", untraced)
-        rng = np.random.default_rng(0)
-        g = random_connected_graph(rng, 110, 0.022)
-        w = quaternion_weights(rng, g)
-        tracemalloc.start()
-        try:
-            report = quaternionic_identity(g, w, default_samples(3))
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-        assert g.m == 245 and report.verdict
-        assert len(peaks) == 4 and max(peaks) < (4 * g.m) ** 2 * 16
-
-
-def captured_arc_entries(g, quat, cplx):
-    """The arc entries each identity hands to _compare, by name."""
-    seen = []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(zeta, "_compare",
-                   lambda x, *args, **kwargs: seen.append(x))
-        all_identities(g, quat, cplx, [0.3])
-    return dict(zip(("quaternionic", "weighted", "ihara"), seen))
-
-
-def recording_orders(monkeypatch):
-    """Patch the determinant seam to record, for every sparse arc matrix,
-    whether its column order was already filled."""
-    filled = []
-
-    def recording(m, order=None):
-        if not isinstance(m, np.ndarray):
-            filled.append(order is not None and order.columns is not None)
-        return determinant(m, order)
-
-    monkeypatch.setattr(zeta, "determinant", recording)
-    return filled
-
-
-def recording_sizes(monkeypatch):
-    """Patch the determinant seam to record the size of every matrix."""
-    sizes = []
-
-    def recording(m, order=None):
-        sizes.append(m.shape[0])
-        return determinant(m, order)
-
-    monkeypatch.setattr(zeta, "determinant", recording)
-    return sizes
-
-
-class TestReusedColumnOrder:
-    """Every sparse arc-side LU of one call after the first takes the first
-    one's COLAMD order."""
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(1, 9), st.booleans(), st.floats(0.0, 0.6),
-           st.integers(0, 2**32 - 1))
-    def test_reused_order_equals_fresh_colamd(self, n, tree, extra, seed):
-        rng = np.random.default_rng(seed)
-        g = random_connected_graph(rng, n, 0.0 if tree else extra)
-        quat, cplx = quaternion_weights(rng, g), complex_weights(rng, g)
-        ts = default_samples(5, seed=seed % 1000)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(zeta, "SPARSE_LU_MIN", 0)
-            for name, x in captured_arc_entries(g, quat, cplx).items():
-                arc = zeta._arc_matrix(*x)
-                order = ColumnOrder()
-                for t in ts:
-                    planned = zeta._arc_side(arc, t, order)
-                    fresh = zeta._arc_side(arc, t)
-                    assert abs(planned - fresh) <= 1e-12 * abs(fresh), name
-                assert (order.columns is not None) == (x[-1] > 0), name
-
-    def test_each_call_orders_once(self, monkeypatch):
-        monkeypatch.setattr(zeta, "SPARSE_LU_MIN", 0)
-        filled = recording_orders(monkeypatch)
-        g = petersen_graph()
-        weighted_zeta_identity(g, CoinMap.grover(g), default_samples(4))
-        ihara_identity(g, default_samples(3))
-        assert filled == [False, True, True, True, False, True, True]
-
-    def test_pole_skipped_first_sample(self, monkeypatch):
-        monkeypatch.setattr(zeta, "SPARSE_LU_MIN", 0)
-        filled = recording_orders(monkeypatch)
-        report = ihara_identity(complete_graph(4), [1.0, 0.4, 0.3 + 0.2j],
-                                tol=1e-10)
-        assert report.skipped == [1.0] and report.verdict
-        assert filled == [False, True]
-
-    def test_singular_first_sample(self, monkeypatch):
-        # On one edge with weights 3, I - t*U = [[1, -2t], [-2t, 1]] is
-        # exactly singular at t = 0.5, and so is the vertex side; the order
-        # comes from the next sample.
-        monkeypatch.setattr(zeta, "SPARSE_LU_MIN", 0)
-        filled = recording_orders(monkeypatch)
-        g = path_graph(2)
-        report = weighted_zeta_identity(
-            g, CoinMap.from_alpha(g, Quaternion(3.0)), [0.5, 0.3, 0.2],
-            tol=1e-12)
-        assert report.verdict
-        assert [s.lhs for s in report.samples][-1] == 0j
-        assert filled == [False, False, True]
 
 
 def axis_weights(rng, g, axis):
@@ -523,73 +399,60 @@ def one_axis_inputs(draw):
 
 
 class TestOneAxisArcSide:
-    """Weights on one axis: the arc side is det(I - t*S') *
-    conj(det(I - conj(t)*S')) on the 2m block S' of psi(U)."""
+    """Weights on one axis: the arc side is det(I - t*C) *
+    conj(det(I - conj(t)*C)) on the compression C of the 2m block S' of
+    psi(U)."""
 
     @settings(max_examples=40, deadline=None)
-    @given(one_axis_inputs(), st.sampled_from(sorted(ARC_PATHS)))
-    def test_block_equals_the_4m_psi(self, graph_and_coin, arc_path):
+    @given(one_axis_inputs())
+    def test_block_equals_the_4m_psi(self, graph_and_coin):
         g, w = graph_and_coin
         psi_u = build_U(g, w).psi()
         eye = np.eye(len(psi_u))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(zeta, "SPARSE_LU_MIN", ARC_PATHS[arc_path])
             sizes = recording_sizes(mp)
             report = quaternionic_identity(g, w, SAMPLES, tol=1e-8)
         assert report.verdict, report.max_rel_err
-        # Per sample: two 2m arc factors, then the 2n vertex side.
-        assert sizes == [g.num_arcs, g.num_arcs, 2 * g.n] * len(SAMPLES)
+        # All samples at once: C at t, then at conj(t).
+        assert sizes == [cut_size(g)] * 2
         for sample in report.samples:
             want = np.linalg.det(eye - sample.t * psi_u)
             assert abs(sample.lhs - want) <= 1e-12 * abs(want)
 
-    def test_general_weights_keep_the_4m_psi(self, monkeypatch):
+    def test_general_weights_take_psi_of_the_compression(self, monkeypatch):
         sizes = recording_sizes(monkeypatch)
         g = complete_graph(4)
         quaternionic_identity(g, quaternion_weights(
             np.random.default_rng(1), g), [0.3])
-        assert sizes == [2 * g.num_arcs, 2 * g.n]
+        assert sizes == [2 * cut_size(g)]
 
-    @pytest.mark.parametrize("arc_path", ARC_PATHS)
-    def test_one_changed_weight_fails(self, monkeypatch, arc_path):
+    def test_one_changed_weight_fails(self):
         # A weight changed on the arc side alone, or on the vertex side
         # and its factors alone, along the same axis: the identity fails.
-        monkeypatch.setattr(zeta, "SPARSE_LU_MIN", ARC_PATHS[arc_path])
         g = petersen_graph()
         w = CoinMap.from_alpha(g, Quaternion(0.3, 0.2, 0.1, 0.1))
         assert quaternionic_identity(g, w, SAMPLES).verdict
-        values = [w[e] for e in range(g.num_arcs)]
-        values[7] = values[7] * 1.25
-        changed = CoinMap(g, values)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(zeta, "_turned_coin",
-                       lambda graph, coin: _turned_coin(graph, changed))
-            arc_only = quaternionic_identity(g, w, SAMPLES)
+        arc_only, vertex_only = one_side_changed(g, w, SAMPLES, 7)
         assert arc_only.max_rel_err > 1e-3 and not arc_only.verdict
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(zeta, "build_W_Dw",
-                       lambda graph, coin: build_W_Dw(graph, changed))
-            mp.setattr(zeta, "_K_L_entries",
-                       lambda graph, coin: _K_L_entries(graph, changed))
-            vertex_only = quaternionic_identity(g, w, SAMPLES)
         assert vertex_only.max_rel_err > 1e-3 and not vertex_only.verdict
 
     def test_no_vertex_by_arc_array_at_scale(self, monkeypatch):
         # At m = 1715 an n x 2m complex array (K or L as a dense matrix) is
-        # 27 MB.  Every array alive at the first arc-side LU is smaller:
-        # the largest is a 2n x 2n vertex matrix of 16 MB.
+        # 27 MB.  Every array alive at the first arc-side log-determinant is
+        # smaller: the largest, 16 MB, is the r x r compression or a 2n x 2n
+        # vertex matrix of the resolvent check.
         class Stop(Exception):
             pass
 
         blocks = []
 
-        def first_factor(m, order=None):
-            blocks.append(m.shape)
+        def first_logdet(ts, y, *args):
+            blocks.append(y.shape)
             blocks.append(max(trace.size for trace in
                               tracemalloc.take_snapshot().traces))
             raise Stop
 
-        monkeypatch.setattr(zeta, "determinant", first_factor)
+        monkeypatch.setattr(zeta, "_logdet", first_logdet)
         g = random_connected_graph(np.random.default_rng(3), 500, 0.01)
         w = CoinMap.from_alpha(g, Quaternion(0.3, 0.2, 0.1, 0.1))
         tracemalloc.start()
@@ -599,8 +462,243 @@ class TestOneAxisArcSide:
         finally:
             tracemalloc.stop()
         assert (g.n, g.m) == (500, 1715)
-        assert blocks[0] == (2 * g.m, 2 * g.m)
+        assert blocks[0] == (cut_size(g), cut_size(g))
         assert blocks[1] < g.n * 2 * g.m * 16
+        # A real 2m x r basis (27.41 MB) would pass that bound by a hair.
+        assert blocks[1] < 2 * g.m * cut_size(g) * 8
+
+
+def one_side_changed(g, w, ts, arc):
+    """The quaternionic identity with w(arc) scaled by 1.25 on the arc side
+    alone, then on the vertex side and its factors alone."""
+    values = [w[e] for e in range(g.num_arcs)]
+    values[arc] = values[arc] * 1.25
+    changed = CoinMap(g, values)
+    reports = []
+    with pytest.MonkeyPatch.context() as mp:
+        if _turned_coin(g, w) is None:
+            arc_logdet = zeta._arc_logdet
+            mp.setattr(zeta, "_arc_logdet",
+                       lambda graph, coin, *args, **kwargs: arc_logdet(
+                           graph, changed, *args, **kwargs))
+        else:
+            mp.setattr(zeta, "_turned_coin",
+                       lambda graph, coin: _turned_coin(graph, changed))
+        reports.append(quaternionic_identity(g, w, ts))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(zeta, "build_W_Dw",
+                   lambda graph, coin: build_W_Dw(graph, changed))
+        mp.setattr(zeta, "_K_L_entries",
+                   lambda graph, coin: _K_L_entries(graph, changed))
+        reports.append(quaternionic_identity(g, w, ts))
+    return reports
+
+
+@st.composite
+def oracle_graphs(draw):
+    """Random graphs, trees, even cycles, complete bipartite graphs and the
+    single vertex."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "tree", "even cycle",
+                                 "bipartite", "single"]))
+    size = draw(st.integers(2, 8))
+    if kind == "single":
+        return rng, Graph(1, [])
+    if kind == "even cycle":
+        return rng, cycle_graph(2 * max(size // 2, 2))
+    if kind == "bipartite":
+        a = max(size // 2, 1)
+        return rng, Graph(size, [(u, a + v) for u in range(a)
+                                 for v in range(size - a)])
+    return rng, random_connected_graph(
+        rng, size, 0.0 if kind == "tree" else draw(st.floats(0.0, 0.6)))
+
+
+def oracle_case(rng, g, kind):
+    """One identity's arc-side function and the dense X of its definition,
+    for random weights of the kind's sort ("one-axis": an alpha/d coin on
+    the quaternionic identity)."""
+    quat, cplx = quaternion_weights(rng, g), complex_weights(rng, g)
+    if kind == "one-axis":
+        axis = CoinMap.from_alpha(g, Quaternion(*rng.uniform(-1, 1, 4)))
+        return (captured_arc_sides(g, axis, cplx)["quaternionic"],
+                build_U(g, axis).psi())
+    return (captured_arc_sides(g, quat, cplx)[kind],
+            arc_matrices(g, quat, cplx)[kind])
+
+
+class TestArcSideOracle:
+    """Every arc side, taken through the +-1 split on the compression C, is
+    the dense factorization of I - t*X for the X of the definitions."""
+
+    @pytest.mark.parametrize("kind", ["ihara", "weighted", "quaternionic",
+                                      "one-axis"])
+    @settings(max_examples=40, deadline=None)
+    @given(oracle_graphs(), st.integers(0, 999))
+    def test_split_equals_the_dense_factorization(self, kind, graph_and_rng,
+                                                  seed):
+        rng, g = graph_and_rng
+        arc, x = oracle_case(rng, g, kind)
+        # Points near both poles, where the fixed factors dominate (nearer
+        # ones lose the oracle's own accuracy, as 1/|1 - t| times rounding).
+        ts = np.array(default_samples(4, seed=seed) + [1 - 1e-3, -1 + 2e-3j])
+        distance = log_distance(arc(ts), oracle_logdet(x, ts))
+        assert distance.max(initial=0.0) <= 1e-11
+
+    @settings(max_examples=20, deadline=None)
+    @given(oracle_graphs(), st.integers(0, 999))
+    def test_identities_skip_the_poles(self, graph_and_rng, seed):
+        rng, g = graph_and_rng
+        quat, cplx = quaternion_weights(rng, g), complex_weights(rng, g)
+        ts = [1.0, -1.0, *default_samples(4, seed=seed)]
+        for name, report in all_identities(g, quat, cplx, ts).items():
+            assert sorted(report.skipped) == [-1.0, 1.0], name
+            assert len(report.samples) == 4 and report.verdict, name
+
+    @pytest.mark.parametrize("t", [1.0, -1.0])
+    @pytest.mark.parametrize("g", [star_graph(3), path_graph(4),
+                                   complete_graph(4)],
+                             ids=["star", "path", "K4"])
+    def test_hashimoto_at_the_poles(self, g, t):
+        # A tree has no +1 part and its -1 part is empty: det(I - t(B - J0))
+        # at t = +-1 comes from C alone.  A graph with cycles vanishes there.
+        x = arc_matrices(g, *(CoinMap.grover(g),) * 2)["ihara"]
+        want = np.linalg.det(np.eye(g.num_arcs) - t * x)
+        assert ihara_hashimoto(g, t) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["quaternionic", "weighted"])
+    def test_planted_wrong_weight_fails_the_oracle(self, kind):
+        rng = np.random.default_rng(4)
+        g = random_connected_graph(rng, 7, 0.4)
+        w = (quaternion_weights if kind == "quaternionic"
+             else complex_weights)(rng, g)
+        x = build_U(g, w).psi() if kind == "quaternionic" else build_U(g, w).s
+        ts = np.array(default_samples(4))
+        want = oracle_logdet(x, ts)
+        weights = w if kind == "quaternionic" else w.s
+        assert log_distance(zeta._arc_logdet(g, weights, ts),
+                            want).max() <= 1e-11
+        values = [w[e] for e in range(g.num_arcs)]
+        values[3] = values[3] + Quaternion(0.0, 0.01)
+        wrong = CoinMap(g, values)
+        wrong = wrong if kind == "quaternionic" else wrong.s
+        assert log_distance(zeta._arc_logdet(g, wrong, ts), want).max() > 1e-4
+
+
+def minus_i_weights(rng, g):
+    """Complex weights whose largest imaginary part is negative, so that
+    walks._turned_coin turns them onto the -i axis, conjugated."""
+    values = rng.uniform(-1, 1, (g.num_arcs, 2))
+    big = np.argmax(np.abs(values[:, 1]))
+    values[big, 1] = -2.0
+    return CoinMap(g, [Quaternion(*v) for v in values])
+
+
+class TestComplexWeightsAsGiven:
+    """weighted_zeta_identity compresses the complex U itself, not the coin
+    as _turned_coin turns it, which is conjugated on the -i axis."""
+
+    @pytest.mark.parametrize("minus_i", [False, True],
+                             ids=["plus-i", "minus-i"])
+    @settings(max_examples=30, deadline=None)
+    @given(oracle_graphs(), st.integers(0, 999))
+    def test_equals_the_complex_walk(self, minus_i, graph_and_rng, seed):
+        rng, g = graph_and_rng
+        w = (minus_i_weights if minus_i and g.m else complex_weights)(rng, g)
+        if minus_i and g.m:
+            assert np.array_equal(_turned_coin(g, w), np.conj(w.s))
+        ts = default_samples(4, seed=seed)
+        report = weighted_zeta_identity(g, w, ts, tol=1e-10)
+        assert report.verdict, report.max_rel_err
+        want = oracle_logdet(build_U(g, w).s, ts)
+        got = captured_arc_sides(g, quaternion_weights(rng, g),
+                                 w)["weighted"](np.array(ts))
+        assert log_distance(got, want).max(initial=0.0) <= 1e-11
+
+
+class TestExtremeScales:
+    """Both sides compared as logs: no overflow to NaN, no underflow to an
+    agreement of two zeros."""
+
+    @pytest.mark.parametrize("reverse", [False, True],
+                             ids=["forward", "reversed"])
+    def test_large_alpha_does_not_overflow(self, reverse):
+        # m = 704, alpha = 8+8i+8j+8k: |lhs| reaches 1e51 and then leaves the
+        # double range, which a product of LU pivots read as NaN.
+        g = random_connected_graph(np.random.default_rng(0), 150, 0.05)
+        w = CoinMap.from_alpha(g, Quaternion(8, 8, 8, 8))
+        ts = default_samples(8)[::-1] if reverse else default_samples(8)
+        report = quaternionic_identity(g, w, ts)
+        assert g.m == 704
+        assert np.isfinite(report.max_rel_err) and report.verdict
+        assert not np.all(np.isfinite([s.lhs for s in report.samples]))
+        arc_only, vertex_only = one_side_changed(g, w, ts, 11)
+        assert not arc_only.verdict and not vertex_only.verdict
+
+    def test_underflowing_sample_still_compares(self):
+        # m = 863 is the smallest graph of this family on which a sample's
+        # two sides underflow to 0 in linear form: exp of their logs.  That
+        # sample still tells a changed weight apart.
+        g = random_connected_graph(np.random.default_rng(3), 322, 0.01)
+        w = CoinMap.from_alpha(g, Quaternion(0.3, 0.2, 0.1, 0.1))
+        ts = default_samples(3)
+        report = quaternionic_identity(g, w, ts)
+        assert g.m == 863 and report.verdict
+        tiny = [i for i, s in enumerate(report.samples)
+                if s.lhs == 0 and s.rhs == 0]
+        assert tiny and all(report.samples[i].rel_err <= 1e-8 for i in tiny)
+        arc_only, vertex_only = one_side_changed(g, w, ts, 5)
+        for i in tiny:
+            assert arc_only.samples[i].rel_err > 1e-3
+            assert vertex_only.samples[i].rel_err > 1e-3
+
+    @pytest.mark.parametrize("name", ["ihara", "weighted", "quaternionic"])
+    def test_identities_at_m_3894(self, name):
+        # A product of LU pivots overflows here: NaN on the Ihara arc side,
+        # OverflowError from the quaternionic (1 - t^2)^(2m - 2n).
+        g = random_connected_graph(np.random.default_rng(3), 800, 0.01)
+        ts = default_samples(3)
+        if name == "ihara":
+            report = ihara_identity(g, ts)
+        elif name == "weighted":
+            report = weighted_zeta_identity(
+                g, CoinMap.from_alpha(g, Quaternion(0.3, 0.2)), ts)
+        else:
+            report = quaternionic_identity(
+                g, CoinMap.from_alpha(g, Quaternion(0.3, 0.2, 0.1, 0.1)), ts)
+        assert g.m == 3894 and report.verdict, report.max_rel_err
+
+
+class TestRelErr:
+    """rel_err from the logs is |lhs - rhs| / max(|lhs|, |rhs|)."""
+
+    def test_equals_the_linear_relative_error(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            lhs = complex(*rng.normal(size=2)) * 10 ** rng.uniform(-3, 3)
+            rhs = (lhs * (1 + complex(*rng.normal(size=2))
+                          * 10 ** rng.uniform(-12, 1)))
+            want = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
+            # Either order, and a log's phase off by whole turns.  The logs
+            # carry rounding of about eps * |log|, up to 1e-14 here.
+            turns = 2j * np.pi * int(rng.integers(-3, 4))
+            for a, b in ((lhs, rhs), (rhs, lhs)):
+                got = zeta._rel_err(np.log(a) + turns, np.log(b))
+                assert got == pytest.approx(want, rel=1e-6, abs=1e-13)
+
+    def test_beyond_the_double_range(self):
+        # 10^400 * (1 + 1e-10) against 10^400, and the same below 10^-400.
+        for big in (400 * np.log(10), -400 * np.log(10)):
+            for a, b in ((big + 1e-10, big), (big, big + 1e-10)):
+                got = zeta._rel_err(complex(a, 0.3), complex(b, 0.3))
+                assert got == pytest.approx(1e-10, rel=1e-5)
+
+    @pytest.mark.parametrize("a, b", [(-np.inf, -np.inf), (-np.inf, 0.0),
+                                      (np.nan, 0.0)],
+                             ids=["both-zero", "one-zero", "nan"])
+    def test_non_finite_log_is_nan(self, a, b):
+        assert np.isnan(zeta._rel_err(complex(a, 0.0), complex(b, 0.0)))
+        assert np.isnan(zeta._rel_err(complex(b, 0.0), complex(a, 0.0)))
 
 
 class TestSamplePoints:
