@@ -12,7 +12,9 @@ Subcommands:
 
 Exit codes: 0 success / verdict true, 1 verdict false or numerical failure,
 2 input error.  The environment variable QQWALK_TOL overrides the default
-tolerance of the subcommands that take ``--tol``.
+tolerance of the subcommands that take ``--tol``.  JSON output is strict:
+a number that is not finite, such as an overflowed determinant, prints as
+null.
 """
 
 from __future__ import annotations
@@ -115,9 +117,21 @@ def _load_coin(args, graph: Graph) -> CoinMap:
         raise InputError(f"coin parse error: {exc}") from exc
 
 
+def _finite(value):
+    """The payload with every non-finite float replaced by None (null)."""
+    if isinstance(value, dict):
+        return {key: _finite(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_finite(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def _emit(payload: dict, args) -> None:
     if args.output == "json":
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(json.dumps(_finite(payload), indent=2,
+                                    sort_keys=True, allow_nan=False) + "\n")
         return
     buf = io.StringIO()
     writer = csv.writer(buf)

@@ -52,6 +52,9 @@ __all__ = [
 _THETA_CANDIDATES = (0.6180339887, 0.3141592653589793)
 # Clustering distance of pair_conjugates, relative to max(1, max|value|).
 PAIR_TOL = 1e-9
+# A deflation step at size s groups eigenvalues and takes null spaces at
+# NULL_TOL * s * (the pair's largest entry, at least 1).
+NULL_TOL = 1e-8
 # A joint eigenvector joins a deflation step's block only when its component
 # orthogonal to the vectors already taken has at least this norm: the
 # direction of a smaller component is set by rounding, not by the pair.
@@ -413,14 +416,13 @@ def _commute_scale(a: np.ndarray, b: np.ndarray) -> float:
 
 def _deflation_triangularize(a: np.ndarray, b: np.ndarray,
                              residual_tol: float, commute_tol: float,
-                             null_tol: float = 1e-8,
                              two_sided: bool = False) -> np.ndarray:
     """Unitary joint triangularization by block deflation of joint
     eigenvectors.
 
     Works whenever the pair admits a joint triangularization reachable by
     repeatedly splitting off common eigenvectors; triangularity is verified
-    by the caller.  A step at size s works at tol = null_tol * scale * s
+    by the caller.  A step at size s works at tol = NULL_TOL * scale * s
     (scale the larger max-abs entry, at least 1).  When the pair left over
     commutes within commute_tol * _commute_scale, the bound that routes a
     whole pair in simultaneous_triangularize, _commuting_basis finishes it
@@ -458,7 +460,7 @@ def _deflation_triangularize(a: np.ndarray, b: np.ndarray,
         size = n - k
         scale = max(float(np.abs(a_cur).max()), float(np.abs(b_cur).max()),
                     1.0)
-        tol = null_tol * scale * size
+        tol = NULL_TOL * scale * size
         x = a_cur + theta * b_cur
         eig = None
         if (np.abs(a_cur @ b_cur - b_cur @ a_cur).max()

@@ -14,16 +14,10 @@ eigenvalues of M are read off the ordinary spectrum of psi(M); they come in
 conjugate pairs and the upper-half-plane members label the similarity
 classes of the right spectrum.
 
-When every entry of M lies in one copy R + R*u of C (u a unit pure
-quaternion), conjugating each entry by a unit h with h^-1*u*h = i turns M
-into a complex matrix S' = Re S + i*(v . u), v the imaginary parts, and
-psi(M) is unitarily similar to diag(S', conj(S')).  psi_block returns that
-half-sized S' (or S itself, as a real array, for a real M) and psi(M) for
-every other M; psi_spectrum closes a block's eigenvalues under conjugation
-into the spectrum of psi(M).  psi_blocks does the same for several matrices
-with one axis chosen for all of them, so one h turns them all and any
-polynomial in their psi images splits into the same polynomial in the S' and
-in their conjugates.
+psi_spectrum closes the eigenvalues of a half-sized block X', with psi(M)
+unitarily similar to diag(X', conj(X')), under conjugation into the spectrum
+of psi(M); the walk's blocks X' are built from the values that
+walks.CoinMap.turned gives when the coin's values share one axis.
 """
 
 from __future__ import annotations
@@ -35,16 +29,9 @@ import numpy as np
 from .linalg import PAIR_TOL, _cluster_labels, eigenvalues, pair_conjugates
 from .quaternion import Quaternion
 
-# psi_block drops the parts of the entries off the shared axis when none is
-# above AXIS_TOL * eps * max|entry|: below the eigensolver's own backward
-# error, which is a small multiple of eps * ||psi(M)||.
-AXIS_TOL = 16.0
-
 __all__ = [
     "QuatMatrix",
     "class_reps",
-    "psi_block",
-    "psi_blocks",
     "psi_homomorphism_check",
     "psi_spectrum",
     "right_eigenvalues",
@@ -187,59 +174,11 @@ def psi_homomorphism_check(m: QuatMatrix, n: QuatMatrix,
     return float(np.abs(lhs - rhs).max(initial=0.0)) <= tol
 
 
-def psi_block(m: QuatMatrix) -> np.ndarray:
-    """A complex matrix whose spectrum, closed under conjugation, is the
-    spectrum of psi(M): psi_blocks of M alone."""
-    return psi_blocks(m)[0]
-
-
-def _imaginary_parts(s: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """v = (Im S, Re P, -Im P): the i, j, k parts of the entries."""
-    return np.stack((s.imag, p.real, -p.imag))
-
-
-def psi_blocks(*ms: QuatMatrix) -> tuple[np.ndarray, ...]:
-    """One matrix per M, turned by one shared axis: real S, the block S'
-    or psi(M).
-
-    With v the imaginary parts of the entries and u the axis of the entry
-    with the largest |v| over all the matrices, in argument order: real
-    matrices give their S as real arrays; matrices whose every entry has a
-    part off u of at most AXIS_TOL * eps * (largest |entry| of them all) give
-    S' = Re S + i*(v . u) each; any others give psi(M) each.  The first two
-    are n x n, psi(M) is 2n x 2n.  In the first two cases one unitary Q has
-    psi(M) = Q diag(S', conj(S')) Q^H for every M, so a polynomial in the
-    psi(M) splits the same way.  An axis taken per matrix would not do: a
-    matrix whose largest entry points along -u would be turned onto -i, its
-    S' conjugated against the others'.  The axis and the test read only the
-    nonzero entries of all the matrices at once, gathered in that order:
-    for the vertex pair (W^T, D_w) the coin's 2m values and the n out-sums.
-    """
-    s = np.concatenate([m.s.ravel() for m in ms])
-    p = np.concatenate([m.p.ravel() for m in ms])
-    nonzero = (s != 0) | (p != 0)
-    s, p = s[nonzero], p[nonzero]
-    v = _imaginary_parts(s, p)
-    size = np.sqrt(np.sum(v * v, axis=0))
-    if not size.size or size.max() <= 0.0:  # NaN wins: it shows in the blocks
-        return tuple(m.s.real for m in ms)
-    k = np.argmax(size)
-    u = v[:, k] / np.linalg.norm(v[:, k])
-    # Squared: the off-axis parts are compared with AXIS_TOL*eps*max|entry|.
-    bound = (float(np.max(s.real ** 2 + size ** 2))
-             * (AXIS_TOL * np.finfo(float).eps) ** 2)
-    off = v - u[:, None] * np.dot(u[None, :], v)
-    if np.max(np.sum(off * off, axis=0)) > bound:
-        return tuple(m.psi() for m in ms)
-    return tuple(
-        m.s.real + 1j * np.dot(u[None, :], _imaginary_parts(
-            m.s, m.p).reshape(3, -1)).reshape(m.shape) for m in ms)
-
-
 def psi_spectrum(values: np.ndarray, rows: int) -> np.ndarray:
     """The spectrum of psi(M), for M with the given number of rows, from
-    the eigenvalues of psi_block(M): n values are joined by their
-    conjugates, 2n values are already that spectrum."""
+    the eigenvalues of a matrix X' with psi(M) similar to diag(X',
+    conj(X')): n values are joined by their conjugates, 2n values (those of
+    psi(M) itself) are already that spectrum."""
     values = np.asarray(values)
     if values.size == 2 * rows:
         return values
@@ -248,14 +187,10 @@ def psi_spectrum(values: np.ndarray, rows: int) -> np.ndarray:
 
 def right_eigenvalues(m: QuatMatrix) -> np.ndarray:
     """The 2n complex right eigenvalues of a square quaternionic matrix,
-    sorted.
-
-    Obtained as the spectrum of psi(M), from the eigenvalues of
-    psi_block(M), with conjugate pairing enforced.
-    """
+    sorted: the spectrum of psi(M), with conjugate pairing enforced."""
     if m.rows != m.cols:
         raise ValueError("right eigenvalues are defined for square matrices")
-    return pair_conjugates(psi_spectrum(eigenvalues(psi_block(m)), m.rows))
+    return pair_conjugates(eigenvalues(m.psi()))
 
 
 def class_reps(values: np.ndarray, tol: float = 1e-7) -> list[tuple[complex, int]]:

@@ -6,9 +6,9 @@
   bipartite graph); the rest is the spectrum of C = Q1^T U Q1 over an
   orthonormal basis Q1 of the complement, of size 2n - 1 - b, built from
   n x n arrays in O(n^3) (_compression, which the zeta identities' arc
-  sides read too).  C is turned as qmatrix.psi_block(U)
-  would be: real for a real coin, complex when every entry of U lies in
-  one copy R + R*u of C (the Grover coin, every alpha/d coin, every
+  sides read too).  C is built from the coin's turned values
+  (walks.CoinMap.turned): real for a real coin, complex when the values
+  share one imaginary axis (the Grover coin, every alpha/d coin, every
   complex coin), whose eigenvalues and their conjugates are then the
   spectrum, and psi(C), of size 2(2n - 1 - b), otherwise;
 * formula routes: each is a source of aligned pairs (mu, xi), and one
@@ -32,14 +32,15 @@ and compare_spectra remain the reference.  Similarity-class representatives of
 the right spectrum are the upper-half-plane members of the computed
 eigenvalues.
 
-Each formula route builds the vertex pair once (_vertex_blocks):
-qmatrix.psi_blocks of (W^T, D_w), with one axis for both.  When all their
-entries lie in one copy R + R*u of C, it is the n x n pair (Y', D') with
-psi(W^T) and psi(D_w) unitarily similar to diag(Y', conj(Y')) and
-diag(D', conj(D')) by one similarity: theorem8 triangularizes (Y', D'),
-whose aligned diagonals (mu, xi) give the rest as (conj(mu), conj(xi)), and
-the certificate's determinant is the product of two n x n ones (one, squared,
-for a real pair).  Other coins keep the 2n x 2n pair (psi(W^T), psi(D_w)).
+Routes and identities read one operand per coin (_operand): its turned
+values (walks.CoinMap.turned) when they share one axis, the coin itself
+otherwise.  The vertex pair (_vertex_pair) of turned values is the n x n
+(Y', D') with psi(W^T) and psi(D_w) unitarily similar to diag(Y', conj(Y'))
+and diag(D', conj(D')) by one similarity; theorem8 triangularizes it, and
+its aligned diagonals (mu, xi) give the rest as (conj(mu), conj(xi)).  One
+halving slogdet (_logdet) takes both sides of the paper's identity, for the
+certificate and for zeta: det(X'(t)) * conj(det(X'(conj(t)))), one n x n
+determinant counted twice when X' is real.
 """
 
 from __future__ import annotations
@@ -56,15 +57,9 @@ from .linalg import (
     pair_conjugates,
     simultaneous_triangularize,
 )
-from .qmatrix import (
-    QuatMatrix,
-    class_reps,
-    dedupe_class_reps,
-    psi_blocks,
-    psi_spectrum,
-)
+from .qmatrix import QuatMatrix, class_reps, dedupe_class_reps, psi_spectrum
 from .quaternion import Quaternion, canonical_class_rep
-from .walks import CoinMap, _turned_coin, build_W_Dw
+from .walks import CoinMap, _vertex_arrays, build_W_Dw
 
 __all__ = [
     "ComparisonRecord",
@@ -210,10 +205,7 @@ def _compression(graph: Graph, weights) -> np.ndarray:
     lift, sigma = np.hstack(lifts), np.concatenate(signs)
 
     def form(q: np.ndarray) -> np.ndarray:
-        w = np.zeros((n, n), dtype=q.dtype)
-        w[graph.origin, graph.terminal] = q
-        out_sums = np.zeros(n, dtype=q.dtype)
-        np.add.at(out_sums, graph.origin, q)
+        w, out_sums = _vertex_arrays(graph, q)
         return _times_real(w, lift) + out_sums[:, None] * lift * sigma
 
     plain = form(np.ones(graph.num_arcs))
@@ -230,6 +222,15 @@ def _compression(graph: Graph, weights) -> np.ndarray:
                       compressed(weights.p, 0.0)).psi()
 
 
+def _operand(coin: CoinMap) -> tuple:
+    """(weights, halves): what the routes and the quaternionic identity
+    build from a coin.  (coin.turned(), True) when its values share one
+    imaginary axis, and every matrix is the block X' of psi(X) ~
+    diag(X', conj(X')); (coin, False) otherwise, and X is psi(X) itself."""
+    turned = coin.turned()
+    return (coin, False) if turned is None else (turned, True)
+
+
 def spectrum_direct(graph: Graph, coin: CoinMap) -> SpectrumReport:
     """Eigensolve of U compressed onto the complement of its fixed +-1
     eigenspace.
@@ -243,15 +244,14 @@ def spectrum_direct(graph: Graph, coin: CoinMap) -> SpectrumReport:
     basis of Z0^perp orthonormal up to rounding, Q1^T U Q0 = 0 for any
     basis Q0 of Z0, so the rest of the spectrum is that of
     C = Q1^T U Q1 (_compression), of size r = 2n - 1 - b, built from
-    n x n arrays with no 2m-sized one.  The coin is turned as
-    qmatrix.psi_block(U) would turn it (walks._turned_coin): C is real for
-    a real coin, complex when the coin's values share an axis, and
-    otherwise psi(C), of size 2r, is solved.  The exact +-1 values are
-    appended, twice for psi(C).
+    n x n arrays with no 2m-sized one.  C is that of the coin's operand
+    (_operand): real for a real coin, complex when the coin's values share
+    an axis, and otherwise psi(C), of size 2r, is solved.  The exact +-1
+    values are appended, twice for psi(C).
     """
-    turned = _turned_coin(graph, coin)
-    block = _compression(graph, coin if turned is None else turned)
-    copies = 1 if turned is not None else 2
+    weights, halves = _operand(coin)
+    block = _compression(graph, weights)
+    copies = 1 if halves else 2
     even = graph.m - graph.n + int(graph.is_bipartite)
     vals = np.concatenate((eigenvalues(block),
                            np.ones(copies * graph.betti_number),
@@ -317,20 +317,29 @@ def _sample_points(graph: Graph, coin: CoinMap) -> np.ndarray:
                              np.exp(1j * np.array(CERT_ANGLES))).ravel()
 
 
-def _vertex_blocks(graph: Graph, coin: CoinMap) -> tuple[np.ndarray, np.ndarray]:
-    """The vertex pair psi_blocks(W^T, D_w): the n x n (Y', D') when the
-    coin's values share one imaginary axis (real for a real coin), else
-    (psi(W^T), psi(D_w))."""
-    w, dw = build_W_Dw(graph, coin)
-    return psi_blocks(w.transpose(), dw)
+def _vertex_pair(graph: Graph, weights) -> tuple[np.ndarray, np.ndarray]:
+    """(Y, D) = (W^T, D_w) of the weights: n x n for one value per arc
+    (real, complex or turned), (psi(W^T), psi(D_w)) for a CoinMap."""
+    if isinstance(weights, CoinMap):
+        w, dw = build_W_Dw(graph, weights)
+        return w.transpose().psi(), dw.psi()
+    w, sums = _vertex_arrays(graph, weights)
+    return w.T, np.diag(sums)
 
 
-def _logdet(ts: np.ndarray, y: np.ndarray,
-            d: np.ndarray | None = None) -> np.ndarray:
-    """log det(I - t*y + t^2*(d - I)) at each t, or log det(I - t*y) when d
-    is None, by numpy's slogdet over batches of points holding at most
-    LOGDET_BATCH entries, so memory stays bounded at any size.  The imaginary
-    part is a phase, not reduced mod 2*pi."""
+def _logdet(ts: np.ndarray, y: np.ndarray, d: np.ndarray | None = None,
+            halves: bool = False) -> np.ndarray:
+    """log det(X(t)) at each t for X(t) = I - t*y + t^2*(d - I), or
+    I - t*y when d is None, by numpy's slogdet over batches of points
+    holding at most LOGDET_BATCH entries, so memory stays bounded at any
+    size.  The imaginary part is a phase, not reduced mod 2*pi.
+
+    With halves, y and d are blocks X' of a psi image unitarily similar to
+    diag(X', conj(X')), whose log-determinant is log det(X'(t)) +
+    conj(log det(X'(conj(t)))): one slogdet counted twice when X' is real.
+    """
+    if halves and (np.iscomplexobj(y) or np.iscomplexobj(d)):
+        return _logdet(ts, y, d) + np.conj(_logdet(ts.conj(), y, d))
     diag = np.arange(y.shape[0])
     square = None if d is None else d - np.eye(diag.size)
     step = max(LOGDET_BATCH // max(y.size, 1), 1)
@@ -343,43 +352,35 @@ def _logdet(ts: np.ndarray, y: np.ndarray,
             m += t * t * square
         sign, logabs = np.linalg.slogdet(m)
         out[lo:lo + step] = logabs + 1j * np.angle(sign)
-    return out
+    return 2.0 * out if halves else out
 
 
-def _vertex_logdet(graph: Graph, coin: CoinMap, ts: np.ndarray,
-                   blocks: tuple[np.ndarray, np.ndarray] | None = None
-                   ) -> np.ndarray:
-    """log det(I - t*psi(U)) at each t from the vertex side of the paper's
-    determinant expression, (2m - 2n)*log(1 - t^2)
-    + log det(I_2n - t*psi(W^T) + t^2*(psi(D_w) - I_2n)).
-
-    blocks is the vertex pair (_vertex_blocks, built here when None).  An
-    n x n pair (Y', D') splits the 2n determinant into those of
-    I - t*Y' + t^2*(D' - I) and of its partner with conj(Y') and conj(D');
-    for a real pair the two are one matrix, taken once and counted twice.
-    The determinants are _logdet's batched slogdets.
+def _vertex_logdet(graph: Graph, weights, halves: bool, ts: np.ndarray,
+                   pair: tuple | None = None) -> np.ndarray:
+    """The vertex side of the determinant identity at each t,
+    e*log(1 - t^2) + log det(I - t*Y + t^2*(D - I)), with (Y, D) the vertex
+    pair of the weights (or pair) and e = m - n, doubled for a CoinMap and
+    for turned values with halves, which _logdet halves.  For a coin's
+    operand (_operand) this is log det(I - t*psi(U)).
     """
-    y, d = _vertex_blocks(graph, coin) if blocks is None else blocks
-    if y.shape[0] == 2 * graph.n:
-        total = _logdet(ts, y, d)
-    elif np.iscomplexobj(y):
-        total = _logdet(ts, y, d) + _logdet(ts, y.conj(), d.conj())
-    else:
-        total = 2.0 * _logdet(ts, y, d)
-    return (2 * graph.m - 2 * graph.n) * np.log(1.0 - ts * ts) + total
+    y, d = _vertex_pair(graph, weights) if pair is None else pair
+    copies = 2 if halves or isinstance(weights, CoinMap) else 1
+    return (copies * (graph.m - graph.n) * np.log(1.0 - ts * ts)
+            + _logdet(ts, y, d, halves))
 
 
 def _certificate(graph: Graph, coin: CoinMap, values: np.ndarray,
-                 blocks: tuple[np.ndarray, np.ndarray] | None = None
+                 pair: tuple[np.ndarray, np.ndarray] | None = None
                  ) -> ComparisonRecord:
     """Characteristic-polynomial certificate of values against psi(U).
 
     The eigenvalues of psi(U), with multiplicity, are the multiset whose
     sum of log(1 - t*lambda) equals log det(I - t*psi(U)) at every t; that
-    log-determinant is taken from the vertex side (_vertex_logdet, on the
-    route's vertex pair blocks, or one built here when None): two n x n
-    slogdets per point when the coin's values share an axis, one 2n x 2n
-    one otherwise, so psi(U) is never built and the check is O(n^3).
+    log-determinant is taken from the vertex side (_vertex_logdet of the
+    coin's operand, on the route's vertex pair, or one built here when
+    None): two n x n slogdets per point when the coin's values share an
+    axis (one for a real coin), one 2n x 2n one otherwise, so psi(U) is
+    never built and the check is O(n^3).
     With s = max(||psi(U)||_inf, 1), the sample points are
     t = rho*e^(i*theta)/s for rho in CERT_RADII and theta in CERT_ANGLES.
     As |t*lambda| <= rho, I - t*psi(U) is nonsingular and well conditioned,
@@ -413,7 +414,7 @@ def _certificate(graph: Graph, coin: CoinMap, values: np.ndarray,
                                 verdict=True)
     ts = _sample_points(graph, coin)
     diffs = (np.log(1.0 - np.multiply.outer(ts, values)).sum(axis=1)
-             - _vertex_logdet(graph, coin, ts, blocks))
+             - _vertex_logdet(graph, *_operand(coin), ts, pair))
     phase = (diffs.imag + np.pi) % (2.0 * np.pi) - np.pi
     scale = max(1.0, float(np.abs(values).max()))
     residual = float(np.max(np.hypot(diffs.real, phase) / np.abs(ts))) / scale
@@ -423,12 +424,12 @@ def _certificate(graph: Graph, coin: CoinMap, values: np.ndarray,
 
 def _finish_quadratic_route(graph: Graph, method: str, mu: np.ndarray,
                             xi: np.ndarray, coin: CoinMap,
-                            blocks: tuple[np.ndarray, np.ndarray] | None = None
+                            pair: tuple[np.ndarray, np.ndarray] | None = None
                             ) -> SpectrumReport:
     """Report of the roots of lambda^2 - mu*lambda + xi - 1 over aligned
     (mu, xi) pairs, padded or trimmed to 4m values and certified against
-    psi(U) (see _certificate, which reads the route's vertex pair blocks,
-    or builds it when None)."""
+    psi(U) (see _certificate, which reads the route's vertex pair, or
+    builds it when None)."""
     disc = np.sqrt(mu * mu - 4.0 * (xi - 1.0))
     lam = np.column_stack(((mu + disc) / 2.0, (mu - disc) / 2.0)).ravel()
     excess = graph.m - graph.n
@@ -438,7 +439,7 @@ def _finish_quadratic_route(graph: Graph, method: str, mu: np.ndarray,
         lam = _trim_tree_values(lam)
     vals = pair_conjugates(np.sort_complex(lam))
     report = SpectrumReport(method=method, psi_spectrum=vals)
-    report.cross_check = _certificate(graph, coin, vals, blocks)
+    report.cross_check = _certificate(graph, coin, vals, pair)
     return report
 
 
@@ -447,22 +448,22 @@ def spectrum_theorem_general(graph: Graph, coin: CoinMap,
     """Quadratic-formula route via joint triangularization.
 
     The aligned diagonals of the jointly triangularized psi(W^T) and
-    psi(D_w) are the (mu, xi) pairs.  When the vertex pair is the n x n
-    (Y', D') (_vertex_blocks), the pair triangularized is (Y', D') and its n
-    aligned diagonals, with their conjugates, are the 2n pairs.  Raises
-    when the pair cannot be triangularized together; the caller should then
-    use the direct route.
+    psi(D_w) are the (mu, xi) pairs.  When the coin's values share an
+    axis, the pair triangularized is the n x n (Y', D') of its turned
+    values (_vertex_pair of _operand) and its n aligned diagonals, with
+    their conjugates, are the 2n pairs.  Raises when the pair cannot be
+    triangularized together; the caller should then use the direct route.
     """
-    blocks = _vertex_blocks(graph, coin)
+    pair = _vertex_pair(graph, _operand(coin)[0])
     try:
-        _, mus, xis = simultaneous_triangularize(*blocks,
+        _, mus, xis = simultaneous_triangularize(*pair,
                                                  commute_tol=commute_tol)
     except NotSimultaneouslyTriangularizableError as exc:
         raise NotSimultaneouslyTriangularizableError(
             f"{exc}; use the direct route for this coin",
             residual=exc.residual) from exc
     mus, xis = psi_spectrum(mus, graph.n), psi_spectrum(xis, graph.n)
-    return _finish_quadratic_route(graph, "theorem8", mus, xis, coin, blocks)
+    return _finish_quadratic_route(graph, "theorem8", mus, xis, coin, pair)
 
 
 def _alpha_route(graph: Graph, alpha_plus: complex, method: str,

@@ -14,7 +14,11 @@ U, B_w and B place their entries on one list of arc pairs (e, f) with
 t(f) = o(e), sum_v d_v^2 of them, built in O(sum_v d_v^2) by np.repeat over
 the arcs grouped by vertex.  The direct route and the zeta identities build
 no arc-sized matrix: they read U through its n x n compression
-(spectra._compression).
+(spectra._compression).  W, D_w and the compression place per-arc values
+with one helper (_vertex_arrays).  When the coin's values share an
+imaginary axis u, one unit h with h^-1*u*h = i turns every matrix built
+linearly from them onto C: CoinMap.turned decides this once per coin, and
+psi(X) ~ diag(X', conj(X')) for X' built from its values Re q + i*(v . u).
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graph import Graph
-from .qmatrix import QuatMatrix, psi_block
+from .qmatrix import QuatMatrix
 from .quaternion import Quaternion, QuaternionFormatError, parse_quaternion
 
 __all__ = [
@@ -38,6 +42,11 @@ __all__ = [
     "quat_cond_check",
     "unitarity_condition",
 ]
+
+# CoinMap.turned drops the parts of the values off the shared axis when none
+# is above AXIS_TOL * eps * (largest entry of U): below the eigensolver's own
+# backward error, which is a small multiple of eps * ||psi(U)||.
+AXIS_TOL = 16.0
 
 
 class CoinFormatError(ValueError):
@@ -119,6 +128,25 @@ class CoinMap:
     def is_complex_valued(self, atol: float = 1e-12) -> bool:
         return bool(np.all(_within(0.0, self.p, atol)))
 
+    def turned(self) -> np.ndarray | None:
+        """The values turned onto C by one unit quaternion: Re q + i*(v . u),
+        v(e) = (Im s, Re p, -Im p) and u the direction of the first largest
+        v(e) in arc order, or s.real (real) when every v(e) is zero; None
+        when some v(e) has a part off u above AXIS_TOL * eps * (the largest
+        |q(e)| or |q(e) - 1|: U's entries).  NaN values pass through."""
+        v = np.stack((self.s.imag, self.p.real, -self.p.imag))
+        size = np.sqrt(np.sum(v * v, axis=0))
+        if not size.size or size.max() <= 0.0:
+            return self.s.real
+        u = v[:, np.argmax(size)] / size.max()
+        along = u @ v
+        off = v - np.outer(u, along)
+        bound = (np.max(np.maximum(self.s.real ** 2, (self.s.real - 1) ** 2)
+                        + size ** 2) * (AXIS_TOL * np.finfo(float).eps) ** 2)
+        if np.max(np.sum(off * off, axis=0)) > bound:
+            return None
+        return self.s.real + 1j * along
+
 
 def parse_coin_file(text: str, graph: Graph) -> CoinMap:
     """Parse a coin/weight file.
@@ -194,33 +222,16 @@ def _walk_triplets(graph: Graph, s: np.ndarray, p: np.ndarray):
     return rows, cols, s[rows] - (cols == rows ^ 1), p[rows]
 
 
-def _turned_coin(graph: Graph, coin: CoinMap) -> np.ndarray | None:
-    """The coin as qmatrix.psi_block(U) turns U's entries: the real parts
-    for a real U, Re q + i*(v . u) when the entries share the axis u, None
-    when psi(U) stays whole.
-
-    The axis and its test read U's nonzero entries: q(e) - 1 on the
-    backtracking pair of every arc and q(e) on the others, of which an arc
-    leaving a leaf has none.
-    """
-    leaf = np.bincount(graph.origin, minlength=graph.n)[graph.origin] < 2
-    turned = psi_block(QuatMatrix(
-        np.stack((np.where(leaf, 0.0, coin.s), coin.s - 1.0)),
-        np.stack((np.where(leaf, 0.0, coin.p), coin.p))))
-    if turned.shape[0] != 2:
-        return None
-    if not np.iscomplexobj(turned):
-        return coin.s.real
-    return coin.s.real + 1j * turned[1].imag
-
-
-def _out_sums(graph: Graph, coin: CoinMap) -> np.ndarray:
-    """Symplectic parts (s, p) of the per-vertex sums of the coin over the
-    outgoing arcs, added in arc order."""
-    sums = np.zeros((2, graph.n), dtype=complex)
-    np.add.at(sums[0], graph.origin, coin.s)
-    np.add.at(sums[1], graph.origin, coin.p)
-    return sums
+def _vertex_arrays(graph: Graph, q: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """W_q, the n x n array with q(e) at (o(e), t(e)), and the sums of q
+    over the arcs leaving each vertex, added in arc order, for one value per
+    arc: real, turned (CoinMap.turned) or one symplectic part of a coin."""
+    w = np.zeros((graph.n, graph.n), dtype=q.dtype)
+    w[graph.origin, graph.terminal] = q
+    sums = np.zeros(graph.n, dtype=q.dtype)
+    np.add.at(sums, graph.origin, q)
+    return w, sums
 
 
 def _within(s: np.ndarray, p: np.ndarray, tol: float) -> np.ndarray:
@@ -307,9 +318,9 @@ def build_K_L(graph: Graph, weights: CoinMap) -> tuple[QuatMatrix, QuatMatrix]:
 def build_W_Dw(graph: Graph, weights: CoinMap) -> tuple[QuatMatrix, QuatMatrix]:
     """The n x n weighted matrix W (w(e) on each arc (u, v)) and the diagonal
     matrix D_w of outgoing-weight sums."""
-    w = _place((graph.n, graph.n), graph.origin, graph.terminal,
-               weights.s, weights.p)
-    return w, QuatMatrix(*map(np.diag, _out_sums(graph, weights)))
+    (ws, ss), (wp, sp) = (_vertex_arrays(graph, q)
+                          for q in (weights.s, weights.p))
+    return QuatMatrix(ws, wp), QuatMatrix(np.diag(ss), np.diag(sp))
 
 
 def quat_cond_check(graph: Graph, coin: CoinMap,
@@ -318,7 +329,7 @@ def quat_cond_check(graph: Graph, coin: CoinMap,
 
     Returns (True, alpha) with the common sum when it is, else (False, None).
     """
-    s, p = _out_sums(graph, coin)
+    s, p = (_vertex_arrays(graph, q)[1] for q in (coin.s, coin.p))
     if np.all(_within(s - s[0], p - p[0], tol)):
         return True, Quaternion.from_complex_pair(complex(s[0]), complex(p[0]))
     return False, None

@@ -30,15 +30,18 @@ basis [Q0 Q1] with U = -J0 on Z0, so
 
 with beta the Betti number, b = 1 for a bipartite graph and
 C = Q1^T U Q1 of size r = 2n - 1 - b (spectra._compression), built from
-n x n arrays.  Unit weights (B - J0 is U's transpose at q = 1) and complex
-weights take C as it stands; quaternion weights take psi(C) and both
-exponents doubled; weights on one axis (walks._turned_coin) take
-det(I - t*C) * conj(det(I - conj(t)*C)) for the turned C.  The vertex side
-is spectra's batched slogdet.  So no identity builds or factors the 2m x 2m
-or 4m x 4m X: that the split equals the factorization of I - t*X is
-checked by the tests, not at run time.  K and L enter only the resolvent
-check, as their arc entries (e, o(e), w(e)) and (e, t(e), 1), from which
-psi(L^T K) and psi(L^T J0 K) are summed over the arcs directly.
+n x n arrays.  Every identity is one comparison (_compare) of one operand
+read alike by both sides: unit weights (B - J0 is U's transpose at q = 1)
+and complex weights as they stand; quaternion weights as the coin, psi(C)
+with both exponents doubled; weights on one axis as their turned values
+(walks.CoinMap.turned), with det(I - t*C) * conj(det(I - conj(t)*C)), one
+determinant squared when C is real.  The vertex side is the certificate's,
+spectra._vertex_logdet, and both sides take spectra's halving, batched
+slogdet.  So no identity builds or factors the 2m x 2m or 4m x 4m X: that
+the split equals the factorization of I - t*X is checked by the tests, not
+at run time.  K and L enter only the resolvent check, as their arc entries
+(e, o(e), w(e)) and (e, t(e), 1), from which psi(L^T K) and psi(L^T J0 K)
+are summed over the arcs directly.
 """
 
 from __future__ import annotations
@@ -49,9 +52,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import Graph
-from .qmatrix import QuatMatrix, psi_blocks
-from .spectra import _compression, _logdet, _vertex_logdet
-from .walks import CoinMap, _K_L_entries, _turned_coin, build_W_Dw
+from .qmatrix import QuatMatrix
+from .spectra import (
+    _compression,
+    _logdet,
+    _operand,
+    _vertex_logdet,
+    _vertex_pair,
+)
+from .walks import CoinMap, _K_L_entries
 
 __all__ = [
     "IdentityReport",
@@ -66,6 +75,9 @@ __all__ = [
 
 # Samples this close to t^2 = 1 hit the (1 - t^2) poles and are skipped.
 POLE_GUARD = 1e-6
+# The quaternionic identity's resolvent check holds entrywise within this
+# multiple of the largest expected entry (at least 1).
+INTERMEDIATE_TOL = 1e-10
 
 
 @dataclass
@@ -130,13 +142,13 @@ def default_samples(count: int = 8, seed: int = 0,
 
 # -- the comparison core ---------------------------------------------
 
-def _arc_logdet(graph: Graph, weights, ts: np.ndarray,
-                halves: bool = False) -> np.ndarray:
+def _arc_logdet(graph: Graph, weights, halves: bool,
+                ts: np.ndarray) -> np.ndarray:
     """log det(I - t*X) at each t through the +-1 split: X = U for weights
     given as one value per arc, X = psi(U) for a CoinMap (psi(C), the fixed
     exponents doubled).  With halves, the per-arc weights are a one-axis
-    coin turned by walks._turned_coin, and X = psi(U) is taken as
-    det(I - t*C) * conj(det(I - conj(t)*C))."""
+    coin's turned values (walks.CoinMap.turned), and X = psi(U) is taken as
+    det(I - t*C) * conj(det(I - conj(t)*C)) (spectra._logdet)."""
     c = _compression(graph, weights)
     even = graph.m - graph.n + int(graph.is_bipartite)
     copies = 2 if halves or isinstance(weights, CoinMap) else 1
@@ -147,24 +159,16 @@ def _arc_logdet(graph: Graph, weights, ts: np.ndarray,
                     + 1j * (copies * count * np.angle(factor))
                     for count, factor in ((graph.betti_number, 1.0 - ts),
                                           (even, 1.0 + ts)) if count)
-    if halves:
-        return fixed + _logdet(ts, c) + np.conj(_logdet(ts.conj(), c))
-    return fixed + _logdet(ts, c)
+    return fixed + _logdet(ts, c, halves=halves)
 
 
-def _bass_logdet(graph: Graph, y: np.ndarray, d: np.ndarray, ts: np.ndarray
-                 ) -> np.ndarray:
-    """(m - n)*log(1 - t^2) + log det(I_n - t*Y + t^2*(D - I_n))."""
-    return (graph.m - graph.n) * np.log(1.0 - ts * ts) + _logdet(ts, y, d)
-
-
-def _compare(arc, vertex, t_samples: list[complex], tol: float,
-             check=None) -> IdentityReport:
-    """Compare the arc side with the vertex side at every sample off the
-    poles, each side a function from an array of points to its logs;
-    check(t), when given, runs first at each compared sample.  lhs and rhs
-    are reported as exp of the logs, rel_err comes from the logs
-    (_rel_err)."""
+def _compare(graph: Graph, weights, halves: bool, t_samples: list[complex],
+             tol: float, check=None) -> IdentityReport:
+    """The identity core: compare the arc side (_arc_logdet) with the
+    vertex side (spectra._vertex_logdet) of the weights, read alike by
+    both, at every sample off the poles; check(t), when given, runs first
+    at each compared sample.  lhs and rhs are reported as exp of the logs,
+    rel_err comes from the logs (_rel_err)."""
     kept, skipped = [], []
     for t in t_samples:
         if abs(1.0 - t * t) < POLE_GUARD:
@@ -175,7 +179,8 @@ def _compare(arc, vertex, t_samples: list[complex], tol: float,
         kept.append(t)
     kept.sort(key=lambda t: (t.real, t.imag))
     ts = np.array(kept, dtype=complex)
-    lhs, rhs = arc(ts), vertex(ts)
+    lhs = _arc_logdet(graph, weights, halves, ts)
+    rhs = _vertex_logdet(graph, weights, halves, ts)
     with np.errstate(over="ignore"):
         samples = [SamplePoint(t, complex(np.exp(a)), complex(np.exp(b)),
                                _rel_err(complex(a), complex(b)))
@@ -191,8 +196,8 @@ def _compare(arc, vertex, t_samples: list[complex], tol: float,
 
 def ihara_hashimoto(graph: Graph, t: complex) -> complex:
     """det(I_{2m} - t*(B - J0)) at the sample point t."""
-    ts = np.array([t], dtype=complex)
-    return complex(np.exp(_arc_logdet(graph, np.ones(graph.num_arcs), ts)[0]))
+    ones, ts = np.ones(graph.num_arcs), np.array([t], dtype=complex)
+    return complex(np.exp(_arc_logdet(graph, ones, False, ts)[0]))
 
 
 def ihara_bass(graph: Graph, t: complex) -> complex:
@@ -209,11 +214,7 @@ def ihara_bass(graph: Graph, t: complex) -> complex:
 def ihara_identity(graph: Graph, t_samples: list[complex],
                    tol: float = 1e-8) -> IdentityReport:
     """Compare the arc-level and Bass-type expressions at each sample."""
-    ones = np.ones(graph.num_arcs)
-    adjacency, degree = graph.adjacency_matrix(), graph.degree_matrix()
-    return _compare(lambda ts: _arc_logdet(graph, ones, ts),
-                    lambda ts: _bass_logdet(graph, adjacency, degree, ts),
-                    t_samples, tol)
+    return _compare(graph, np.ones(graph.num_arcs), False, t_samples, tol)
 
 
 # -- complex-weighted identity ----------------------------------------
@@ -232,10 +233,7 @@ def weighted_zeta_identity(graph: Graph, weights: CoinMap,
     if not weights.is_complex_valued():
         raise ValueError(
             "weights have nonzero j/k parts; use quaternionic_identity")
-    w, dw = build_W_Dw(graph, weights)
-    return _compare(lambda ts: _arc_logdet(graph, weights.s, ts),
-                    lambda ts: _bass_logdet(graph, w.s.T, dw.s, ts),
-                    t_samples, tol)
+    return _compare(graph, weights.s, False, t_samples, tol)
 
 
 # -- quaternionic identity --------------------------------------------
@@ -257,26 +255,22 @@ def _psi_product(n: int, left: tuple, right: tuple) -> np.ndarray:
 
 def quaternionic_identity(graph: Graph, weights: CoinMap,
                           t_samples: list[complex],
-                          tol: float = 1e-8,
-                          intermediate_tol: float = 1e-10) -> IdentityReport:
+                          tol: float = 1e-8) -> IdentityReport:
     """Quaternionic determinant identity through the complexification map.
 
     At each admissible sample compares the arc side det(I - t*psi(U)) with
     the 2n x 2n vertex side, and additionally verifies the proof-level
-    resolvent identity entrywise within intermediate_tol times the largest
+    resolvent identity entrywise within INTERMEDIATE_TOL times the largest
     expected entry (at least 1).  Since J0^2 = I, (I + t*J0)^-1 is
     (I - t*J0) / (1 - t^2), and psi(J0) = blockdiag(J0, J0); the
     differences psi(L^T K) - psi(W^T) and psi(L^T J0 K) - psi(D_w) are
     summed over the arcs once, so a sample's residual is one combination
-    of them.  When U's entries share one axis (walks._turned_coin), psi(U)
-    is unitarily similar to diag(S', conj(S')) with S' = qmatrix.psi_block(U),
-    and the arc side is taken on the compression of S' at t and at conj(t).
+    of them.  Both sides read the coin's operand (spectra._operand): when
+    its values share one axis, psi(U) is unitarily similar to
+    diag(S', conj(S')) with S' the walk of the turned values, and each side
+    is taken on the n x n matrices of S' at t and at conj(t).
     """
-    turned = _turned_coin(graph, weights)
-    wq, dwq = build_W_Dw(graph, weights)
-    blocks = psi_blocks(wq.transpose(), dwq)
-    psi_wt, psi_dw = (blocks if len(blocks[0]) == 2 * graph.n
-                      else (wq.transpose().psi(), dwq.psi()))
+    psi_wt, psi_dw = _vertex_pair(graph, weights)
     k, l = _K_L_entries(graph, weights)
     gaps = [_psi_product(graph.n, l, k) - psi_wt,
             _psi_product(graph.n, l, (k[0] ^ 1, *k[1:])) - psi_dw]
@@ -286,14 +280,10 @@ def quaternionic_identity(graph: Graph, weights: CoinMap,
         residual = float(np.abs(gaps[0] - t * gaps[1]).max(initial=0.0))
         scale = float(np.abs(psi_wt - t * psi_dw).max(initial=0.0))
         residual, scale = residual / one_minus, max(1.0, scale / one_minus)
-        if not residual <= intermediate_tol * scale:
+        if not residual <= INTERMEDIATE_TOL * scale:
             raise ArithmeticError(
                 f"intermediate resolvent identity failed at t = {t}: "
                 f"entrywise residual {residual:.3e} at entry scale "
                 f"{scale:.3e}")
 
-    return _compare(
-        lambda ts: _arc_logdet(graph, weights if turned is None else turned,
-                               ts, halves=turned is not None),
-        lambda ts: _vertex_logdet(graph, weights, ts, blocks),
-        t_samples, tol, check)
+    return _compare(graph, *_operand(weights), t_samples, tol, check)

@@ -170,6 +170,28 @@ class TestZeta:
         assert code == 0
         assert json.loads(out)["verdict"] is True
 
+    def test_overflowed_sides_print_as_strict_json(self, capsys, tmp_path):
+        # At alpha = 1e8(1+i+j+k) on m = 61 edges both sides of every sample
+        # overflow a double, and a rel_err near 1e-7 misses the default
+        # tolerance: the exit code says so, and the output still parses as
+        # strict JSON, the overflowed values as null.
+        g = random_connected_graph(np.random.default_rng(2), 30, 0.08)
+        assert g.m == 61
+        graph = tmp_path / "g.g"
+        graph.write_text(f"{g.n} {g.m}\n"
+                         + "".join(f"{u} {v}\n" for u, v in g.edges))
+
+        def reject(name):
+            raise ValueError(f"non-strict JSON constant {name}")
+
+        code, out, _ = run(capsys, "zeta-quat", "--graph", str(graph),
+                           "--alpha=1e8+1e8i+1e8j+1e8k")
+        assert code == 1
+        payload = json.loads(out, parse_constant=reject)
+        assert payload["verdict"] is False
+        assert any(None in (s["lhs"]["re"], s["rhs"]["re"])
+                   for s in payload["samples"])
+
     def test_csv_samples(self, capsys, k3_path):
         code, out, _ = run(capsys, "zeta-ihara", "--graph", k3_path,
                            "--output", "csv", "--samples", "3")

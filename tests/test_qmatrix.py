@@ -5,19 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qqwalk.graph import Graph, path_graph, random_connected_graph
 from qqwalk.qmatrix import (
-    AXIS_TOL,
     QuatMatrix,
     class_reps,
     dedupe_class_reps,
-    psi_block,
-    psi_blocks,
     psi_homomorphism_check,
     psi_spectrum,
     right_eigenvalues,
 )
 from qqwalk.quaternion import Quaternion
-from qqwalk.spectra import compare_spectra
+from qqwalk.spectra import _vertex_pair, compare_spectra
+from qqwalk.walks import AXIS_TOL, CoinMap, build_U, build_W_Dw
 
 ONE, I, J, K = Quaternion.ONE, Quaternion.I, Quaternion.J, Quaternion.K
 
@@ -251,118 +250,154 @@ class TestRightEigenvalues:
                                    tol=0.0).max_dist <= 1e-12
 
 
+def axis_values(rng, count, axis, scale=1.0, sign=None):
+    """Values a + b*u with u = axis/|axis|, a and b of either sign, or b of
+    the given sign and at least 3 in size."""
+    u = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+    a, b = scale * rng.uniform(-1, 1, (2, count))
+    if sign is not None:
+        b = sign * (np.abs(b) + 3.0)
+    return [Quaternion(x, *(y * u)) for x, y in zip(a, b)]
+
+
+def complex_coin(g, values):
+    """The coin with the given complex value on each arc."""
+    return CoinMap(g, [Quaternion(z.real, z.imag) for z in values])
+
+
 class TestPsiBlock:
-    @staticmethod
-    def psi_eigs(m):
-        return np.linalg.eigvals(m.psi())
+    """The half-sized psi block of the walk: CoinMap.turned gives values
+    whose walk U' has psi(U) similar to diag(U', conj(U')), or None when
+    psi(U) stays whole."""
 
     def test_shared_axis_gives_the_half_sized_block(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
-            m = axis_qmatrix(rng, 5, rng.normal(size=3))
-            block = psi_block(m)
-            assert block.shape == (5, 5) and np.iscomplexobj(block)
-            vals = psi_spectrum(np.linalg.eigvals(block), m.rows)
-            assert compare_spectra(vals, self.psi_eigs(m),
-                                   tol=0.0).max_dist <= 1e-12
+            g = random_connected_graph(rng, 5, 0.5)
+            coin = CoinMap(g, axis_values(rng, g.num_arcs, rng.normal(size=3)))
+            turned = coin.turned()
+            assert turned.shape == (g.num_arcs,) and np.iscomplexobj(turned)
+            block = build_U(g, complex_coin(g, turned)).s
+            vals = psi_spectrum(np.linalg.eigvals(block), g.num_arcs)
+            assert compare_spectra(
+                vals, np.linalg.eigvals(build_U(g, coin).psi()),
+                tol=0.0).max_dist <= 1e-12
 
     def test_block_entries_are_the_entries_turned_onto_i(self):
         # a + b*u with u = (2j - 2k)/|..| maps to a + b*i, or its conjugate
         # when the axis is taken as -u.
-        m = QuatMatrix.from_entries([[Quaternion(1, 0, 2, -2), ONE],
-                                     [Quaternion(0, 0, -1, 1), Quaternion(3)]])
+        g = path_graph(3)
+        coin = CoinMap(g, [Quaternion(1, 0, 2, -2), ONE,
+                           Quaternion(0, 0, -1, 1), Quaternion(3)])
         r = np.sqrt(8.0)
-        expected = np.array([[1 + r * 1j, 1], [-r / 2 * 1j, 3]])
-        block = psi_block(m)
-        assert (np.allclose(block, expected, atol=1e-15)
-                or np.allclose(block, np.conj(expected), atol=1e-15))
+        expected = np.array([1 + r * 1j, 1, -r / 2 * 1j, 3])
+        turned = coin.turned()
+        assert (np.allclose(turned, expected, atol=1e-15)
+                or np.allclose(turned, np.conj(expected), atol=1e-15))
 
     def test_complex_matrix_gives_itself_up_to_conjugation(self):
-        m = random_qmatrix(np.random.default_rng(4), 4)
-        m = QuatMatrix.from_complex(m.s)
-        block = psi_block(m)
-        assert (np.array_equal(block, m.s)
-                or np.array_equal(block, np.conj(m.s)))
+        g = random_connected_graph(np.random.default_rng(4), 4, 0.5)
+        coin = complex_coin(g, random_qmatrix(
+            np.random.default_rng(4), 1, g.num_arcs).s[0])
+        turned = coin.turned()
+        assert (np.array_equal(turned, coin.s)
+                or np.array_equal(turned, np.conj(coin.s)))
 
     def test_real_matrix_stays_real(self):
-        s = np.random.default_rng(5).uniform(-1, 1, (4, 4))
-        block = psi_block(QuatMatrix.from_complex(s))
-        assert block.dtype == float and np.array_equal(block, s)
+        g = random_connected_graph(np.random.default_rng(5), 4, 0.5)
+        s = np.random.default_rng(5).uniform(-1, 1, g.num_arcs)
+        turned = CoinMap(g, [Quaternion(x) for x in s]).turned()
+        assert turned.dtype == float and np.array_equal(turned, s)
 
     def test_generic_matrix_gives_psi(self):
-        m = random_qmatrix(np.random.default_rng(6), 4)
-        assert np.array_equal(psi_block(m), m.psi())
+        g = random_connected_graph(np.random.default_rng(6), 4, 0.5)
+        m = random_qmatrix(np.random.default_rng(6), 1, g.num_arcs)
+        coin = CoinMap(g, [m[0, e] for e in range(g.num_arcs)])
+        assert coin.turned() is None
 
     def test_empty_matrix(self):
-        block = psi_block(QuatMatrix.zeros(0))
-        assert block.shape == (0, 0)
-        assert psi_spectrum(np.linalg.eigvals(block), 0).size == 0
+        turned = CoinMap(Graph(1, []), []).turned()
+        assert turned.shape == (0,)
+        assert psi_spectrum(np.linalg.eigvals(np.zeros((0, 0))), 0).size == 0
 
     @pytest.mark.parametrize("factor, halved", [(0.5, True), (4.0, False)])
     def test_off_axis_part_is_dropped_only_below_the_bound(self, factor,
                                                           halved):
-        # One entry moved off the axis by factor * AXIS_TOL * eps * max|entry|.
+        # One value moved off the axis by factor * AXIS_TOL * eps * (the
+        # largest entry of U: |q(e)| or |q(e) - 1|); not the value that
+        # sets the axis, which would turn the axis with it.
         rng = np.random.default_rng(7)
-        m = axis_qmatrix(rng, 4, (0.0, 1.0, 0.0), scale=10.0)
-        big = np.sqrt(np.abs(m.s) ** 2 + np.abs(m.p) ** 2).max()
-        p = m.p.copy()
-        p[1, 2] -= 1j * factor * AXIS_TOL * np.finfo(float).eps * big
-        block = psi_block(QuatMatrix(m.s, p))
-        assert block.shape == ((4, 4) if halved else (8, 8))
+        g = random_connected_graph(rng, 5, 0.5)
+        coin = CoinMap(g, axis_values(rng, g.num_arcs, (0.0, 1.0, 0.0),
+                                      scale=10.0))
+        q = np.abs(coin.s) ** 2 + np.abs(coin.p) ** 2
+        big = np.sqrt(max(q.max(), (q - 2 * coin.s.real + 1).max()))
+        moved = int(np.argmin(np.abs(coin.p)))
+        coin.p[moved] -= 1j * factor * AXIS_TOL * np.finfo(float).eps * big
+        assert (coin.turned() is not None) == halved
 
 
 class TestPsiBlocks:
-    """One axis for several matrices: psi_blocks."""
+    """One turn for every psi block built from a coin: W^T and D_w of the
+    turned values (spectra._vertex_pair) share one similarity."""
 
     @staticmethod
-    def along(rng, n, u, sign):
-        """Entries a + b*u with b of the given sign; the diagonal ones larger."""
-        a, b = rng.uniform(-1, 1, (2, n, n))
-        b = sign * (np.abs(b) + 3.0 * np.eye(n))
-        return QuatMatrix(a + 1j * b * u[0], b * (u[1] - 1j * u[2]))
+    def coin_and_pair(rng, values_of):
+        g = random_connected_graph(rng, 6, 0.5)
+        coin = CoinMap(g, values_of(g))
+        w, dw = build_W_Dw(g, coin)
+        return g, coin, (w.transpose(), dw)
 
     def test_axis_is_chosen_for_the_pair(self):
-        # X's largest entry points along +u and Y's along -u: one axis turns
-        # both onto i, so det(X' + Y') det(conj(X' + Y')) = det psi(X + Y),
-        # while the axis taken per matrix conjugates one against the other.
+        # Values along +u and, larger, along -u: one turn maps both W^T and
+        # D_w onto i, so det(Y' + D') det(conj(Y' + D')) = det psi(W^T + D_w),
+        # while D' conjugated alone, as an axis taken per matrix can give,
+        # moves it far.
         rng = np.random.default_rng(8)
         u = rng.normal(size=3)
-        u /= np.linalg.norm(u)
-        x, y = self.along(rng, 4, u, 1.0), self.along(rng, 4, u, -2.0)
-        bx, by = psi_blocks(x, y)
-        assert bx.shape == by.shape == (4, 4)
-        exact = np.linalg.det((x + y).psi())
-        joint = np.linalg.det(bx + by)
+        g, coin, (wt, dw) = self.coin_and_pair(rng, lambda g: [
+            axis_values(rng, 1, u, sign=1.0 if e % 3 else -2.0)[0]
+            for e in range(g.num_arcs)])
+        y, d = _vertex_pair(g, coin.turned())
+        assert y.shape == d.shape == (g.n, g.n)
+        exact = np.linalg.det((wt + dw).psi())
+        joint = np.linalg.det(y + d)
         assert joint * np.conj(joint) == pytest.approx(exact, rel=1e-12)
-        alone = np.linalg.det(psi_block(x) + psi_block(y))
+        alone = np.linalg.det(y + np.conj(d))
         assert abs(alone * np.conj(alone) - exact) > 1e-3 * abs(exact)
 
     def test_one_similarity_for_all(self):
-        # Products too: psi(X @ Y) splits as X' @ Y' and its conjugate.
+        # Products too: psi(W^T @ D_w) splits as Y' @ D' and its conjugate.
         rng = np.random.default_rng(9)
         u = rng.normal(size=3)
-        x, y = (axis_qmatrix(rng, 5, u) for _ in range(2))
-        bx, by = psi_blocks(x, y)
-        vals = psi_spectrum(np.linalg.eigvals(bx @ by), 5)
-        assert compare_spectra(vals, np.linalg.eigvals((x @ y).psi()),
+        g, coin, (wt, dw) = self.coin_and_pair(
+            rng, lambda g: axis_values(rng, g.num_arcs, u))
+        y, d = _vertex_pair(g, coin.turned())
+        vals = psi_spectrum(np.linalg.eigvals(y @ d), g.n)
+        assert compare_spectra(vals, np.linalg.eigvals((wt @ dw).psi()),
                                tol=0.0).max_dist <= 1e-12
 
     def test_real_pair_stays_real(self):
         rng = np.random.default_rng(10)
-        s, d = rng.uniform(-1, 1, (2, 4, 4))
-        blocks = psi_blocks(QuatMatrix.from_complex(s),
-                            QuatMatrix.from_complex(np.diag(np.diag(d))))
-        assert [b.dtype for b in blocks] == [np.dtype(float)] * 2
-        assert np.array_equal(blocks[0], s)
+        g, coin, (wt, _) = self.coin_and_pair(rng, lambda g: [
+            Quaternion(a) for a in rng.uniform(-1, 1, g.num_arcs)])
+        pair = _vertex_pair(g, coin.turned())
+        assert [b.dtype for b in pair] == [np.dtype(float)] * 2
+        assert np.array_equal(pair[0], wt.s.real)
 
     def test_pair_off_a_shared_axis_gives_psi_of_each(self):
-        # Each matrix shares an axis with itself, not with the other.
+        # The even arcs share one axis, the odd arcs another.
         rng = np.random.default_rng(11)
-        x = axis_qmatrix(rng, 3, (1.0, 0.0, 0.0))
-        y = axis_qmatrix(rng, 3, (0.0, 1.0, 0.0))
-        bx, by = psi_blocks(x, y)
-        assert np.array_equal(bx, x.psi()) and np.array_equal(by, y.psi())
-        assert psi_block(x).shape == psi_block(y).shape == (3, 3)
+        axes = ((0.0, 1.0, 0.0), (1.0, 0.0, 0.0))
+        g, coin, (wt, dw) = self.coin_and_pair(rng, lambda g: [
+            axis_values(rng, 1, axes[e % 2])[0] for e in range(g.num_arcs)])
+        assert coin.turned() is None
+        y, d = _vertex_pair(g, coin)
+        assert np.array_equal(y, wt.psi()) and np.array_equal(d, dw.psi())
+        for parity in (0, 1):
+            alone = CoinMap.from_arc_values(g, {
+                e: coin[e] for e in range(parity, g.num_arcs, 2)})
+            assert alone.turned() is not None
 
 
 class TestDedupe:

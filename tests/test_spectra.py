@@ -19,22 +19,24 @@ from qqwalk.graph import (
 )
 from qqwalk import linalg, spectra
 from qqwalk.linalg import NotSimultaneouslyTriangularizableError
-from qqwalk.qmatrix import class_reps, dedupe_class_reps, psi_block
+from qqwalk.qmatrix import class_reps, dedupe_class_reps
 from qqwalk.quaternion import Quaternion
 from qqwalk.spectra import (
     CERT_RADII,
     CROSS_TOL,
     _certificate,
+    _operand,
     _sample_points,
     _trim_tree_values,
     _vertex_logdet,
+    _vertex_pair,
     compare_spectra,
     spectrum_alpha_coin,
     spectrum_direct,
     spectrum_grover,
     spectrum_theorem_general,
 )
-from qqwalk.walks import CoinMap, build_U, build_W_Dw
+from qqwalk.walks import CoinMap, build_U
 
 S2 = np.sqrt(2.0)
 
@@ -292,12 +294,6 @@ class TestDirectCompression:
         assert np.count_nonzero(vals == -1.0) >= 12
 
 
-def vertex_psi(g, coin):
-    """The full 2n x 2n vertex pair (psi(W^T), psi(D_w))."""
-    w, dw = build_W_Dw(g, coin)
-    return w.transpose().psi(), dw.psi()
-
-
 def log_det_distance(a, b):
     """Largest difference of log-determinants, phase taken mod 2*pi."""
     phase = (a.imag - b.imag + np.pi) % (2 * np.pi) - np.pi
@@ -339,9 +335,11 @@ class TestVertexBlocks:
         g = random_connected_graph(rng, n, extra)
         coin = axis_coin(g, rng, kind)
         ts = _sample_points(g, coin)
-        half = _vertex_logdet(g, coin, ts)
-        assert log_det_distance(
-            half, _vertex_logdet(g, coin, ts, vertex_psi(g, coin))) <= 1e-10
+        turned, halves = _operand(coin)
+        assert halves
+        half = _vertex_logdet(g, turned, halves, ts)
+        assert log_det_distance(half,
+                                _vertex_logdet(g, coin, False, ts)) <= 1e-10
         psi_u = build_U(g, coin).psi()
         sign, logabs = np.linalg.slogdet(
             np.eye(psi_u.shape[0]) - ts[:, None, None] * psi_u)
@@ -369,19 +367,21 @@ class TestVertexBlocks:
 
     def test_axis_is_chosen_for_the_pair(self):
         g, coin = planted_star()
-        w, dw = build_W_Dw(g, coin)
+        turned = coin.turned()
         ts = _sample_points(g, coin)
         psi_u = build_U(g, coin).psi()
         sign, logabs = np.linalg.slogdet(
             np.eye(psi_u.shape[0]) - ts[:, None, None] * psi_u)
         exact = logabs + 1j * np.angle(sign)
-        assert log_det_distance(_vertex_logdet(g, coin, ts), exact) <= 1e-12
-        # Axes taken one matrix at a time conjugate D' against Y': the
-        # determinant moves far beyond rounding, and the certificate
-        # rejects the true spectrum.
-        apart = (psi_block(w.transpose()), psi_block(dw))
+        assert log_det_distance(_vertex_logdet(g, turned, True, ts),
+                                exact) <= 1e-12
+        # An axis taken one matrix at a time, -u for D_w here, conjugates D'
+        # against Y': the determinant moves far beyond rounding, and the
+        # certificate rejects the true spectrum.
+        y, d = _vertex_pair(g, turned)
+        apart = (y, np.conj(d))
         assert apart[0].shape == (g.n, g.n)
-        assert log_det_distance(_vertex_logdet(g, coin, ts, apart),
+        assert log_det_distance(_vertex_logdet(g, turned, True, ts, apart),
                                 exact) > 1e-4
         vals = spectrum_direct(g, coin).psi_spectrum
         assert _certificate(g, coin, vals).verdict
@@ -390,7 +390,7 @@ class TestVertexBlocks:
     @staticmethod
     def recording(monkeypatch):
         """Records, while the test runs, the matrix shapes passed to slogdet
-        and to simultaneous_triangularize, and each build_W_Dw call."""
+        and to simultaneous_triangularize, and each vertex pair built."""
         seen = {"slogdet": set(), "triangularize": [], "builds": 0}
         slogdet = np.linalg.slogdet
 
@@ -404,12 +404,12 @@ class TestVertexBlocks:
 
         def counting_build(*args):
             seen["builds"] += 1
-            return build_W_Dw(*args)
+            return _vertex_pair(*args)
 
         monkeypatch.setattr(np.linalg, "slogdet", recording_slogdet)
         monkeypatch.setattr(spectra, "simultaneous_triangularize",
                             recording_triangularize)
-        monkeypatch.setattr(spectra, "build_W_Dw", counting_build)
+        monkeypatch.setattr(spectra, "_vertex_pair", counting_build)
         return seen
 
     @pytest.mark.parametrize("kind, half", [("axis", True),
@@ -797,7 +797,7 @@ class TestCertificate:
         norm = max(np.abs(psi_u).sum(axis=1).max(initial=0.0), 1.0)
         assert np.abs(ts).max() * norm == pytest.approx(max(CERT_RADII),
                                                         rel=1e-12)
-        got = _vertex_logdet(g, coin, ts)
+        got = _vertex_logdet(g, coin, False, ts)
         for t, value in zip(ts, got):
             sign, logabs = np.linalg.slogdet(np.eye(psi_u.shape[0]) - t * psi_u)
             assert value.real == pytest.approx(logabs, abs=1e-10)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qqwalk import zeta
+from qqwalk import spectra, zeta
 from qqwalk.graph import (
     Graph,
     complete_graph,
@@ -21,12 +21,10 @@ from qqwalk.quaternion import Quaternion
 from qqwalk.walks import (
     CoinMap,
     _K_L_entries,
-    _turned_coin,
     build_B_and_J0,
     build_Bw,
     build_K_L,
     build_U,
-    build_W_Dw,
 )
 from qqwalk.zeta import (
     default_samples,
@@ -84,26 +82,39 @@ def all_identities(g, quat, cplx, ts):
 
 
 def captured_arc_sides(g, quat, cplx):
-    """The arc-side function each identity hands to _compare, by name."""
+    """The arc side of the operand each identity hands to _compare, as a
+    function of the points, by name."""
     seen = []
+
+    def capture(graph, weights, halves, *args):
+        seen.append(lambda ts: zeta._arc_logdet(graph, weights, halves, ts))
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(zeta, "_compare",
-                   lambda arc, *args, **kwargs: seen.append(arc))
+        mp.setattr(zeta, "_compare", capture)
         all_identities(g, quat, cplx, [0.3])
     return dict(zip(("quaternionic", "weighted", "ihara"), seen))
 
 
 def recording_sizes(monkeypatch):
-    """Patch zeta's log-determinant seam to record the size of every
-    matrix it is handed."""
-    sizes = []
-    logdet = zeta._logdet
+    """Record the size of every matrix the arc side (zeta._arc_logdet)
+    hands to numpy's slogdet, one call per batch of points."""
+    sizes, inside = [], []
+    arc_logdet, slogdet = zeta._arc_logdet, np.linalg.slogdet
 
-    def recording(ts, y, *args):
-        sizes.append(y.shape[0])
-        return logdet(ts, y, *args)
+    def arc_side(*args, **kwargs):
+        inside.append(True)
+        try:
+            return arc_logdet(*args, **kwargs)
+        finally:
+            inside.pop()
 
-    monkeypatch.setattr(zeta, "_logdet", recording)
+    def recording(m):
+        if inside:
+            sizes.append(m.shape[-1])
+        return slogdet(m)
+
+    monkeypatch.setattr(zeta, "_arc_logdet", arc_side)
+    monkeypatch.setattr(np.linalg, "slogdet", recording)
     return sizes
 
 
@@ -194,15 +205,17 @@ class TestWeightedIdentity:
                                                        bad):
         # Both sides of one sample are non-finite.  Its rel_err is NaN,
         # which a plain max over the samples kept only when it came first.
-        logdet = zeta._logdet
+        logdet = spectra._logdet
 
-        def overflowing(ts, *args):
+        def overflowing(ts, *args, **kwargs):
             # Every side takes all the samples at once, in sorted order.
-            out = logdet(ts, *args)
+            out = logdet(ts, *args, **kwargs)
             out[bad] = complex(np.inf, 0.0)
             return out
 
+        # The arc side reads zeta's name, the vertex side spectra's.
         monkeypatch.setattr(zeta, "_logdet", overflowing)
+        monkeypatch.setattr(spectra, "_logdet", overflowing)
         g = complete_graph(4)
         report = weighted_zeta_identity(g, CoinMap.grover(g),
                                         [0.1, 0.2, 0.3], tol=1e-8)
@@ -220,11 +233,13 @@ class TestWeightedIdentity:
         honest = weighted_zeta_identity(g, grover, [0.999], tol=1e-8)
         assert honest.verdict and abs(honest.samples[0].lhs) < 1e-15
 
-        def skewed_W_Dw(graph, weights):
-            w, dw = build_W_Dw(graph, weights)
-            return w, dw.scale(1.5)
+        vertex_pair = spectra._vertex_pair
 
-        monkeypatch.setattr(zeta, "build_W_Dw", skewed_W_Dw)
+        def skewed_pair(graph, weights):
+            y, d = vertex_pair(graph, weights)
+            return y, 1.5 * d
+
+        monkeypatch.setattr(spectra, "_vertex_pair", skewed_pair)
         skewed = weighted_zeta_identity(g, grover, [0.999], tol=1e-8)
         sample = skewed.samples[0]
         assert max(abs(sample.lhs), abs(sample.rhs)) < 1e-10
@@ -413,11 +428,25 @@ class TestOneAxisArcSide:
             sizes = recording_sizes(mp)
             report = quaternionic_identity(g, w, SAMPLES, tol=1e-8)
         assert report.verdict, report.max_rel_err
-        # All samples at once: C at t, then at conj(t).
-        assert sizes == [cut_size(g)] * 2
+        # All samples at once: C at t, then at conj(t), or a real C once.
+        real = w.turned().dtype == float
+        assert sizes == [cut_size(g)] * (1 if real else 2)
         for sample in report.samples:
             want = np.linalg.det(eye - sample.t * psi_u)
             assert abs(sample.lhs - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("kind", ["grover", "real"])
+    def test_real_coin_takes_one_slogdet_per_batch(self, monkeypatch, kind):
+        # A real C has det(I - conj(t)*C) = conj(det(I - t*C)): its one
+        # slogdet per batch of points is counted twice, not taken again.
+        g = petersen_graph()
+        w = (CoinMap.grover(g) if kind == "grover" else CoinMap(g, [
+            Quaternion(a) for a in np.random.default_rng(5).uniform(
+                -1, 1, g.num_arcs)]))
+        sizes = recording_sizes(monkeypatch)
+        report = quaternionic_identity(g, w, SAMPLES)
+        assert report.verdict, report.max_rel_err
+        assert sizes == [cut_size(g)]
 
     def test_general_weights_take_psi_of_the_compression(self, monkeypatch):
         sizes = recording_sizes(monkeypatch)
@@ -446,7 +475,7 @@ class TestOneAxisArcSide:
 
         blocks = []
 
-        def first_logdet(ts, y, *args):
+        def first_logdet(ts, y, *args, **kwargs):
             blocks.append(y.shape)
             blocks.append(max(trace.size for trace in
                               tracemalloc.take_snapshot().traces))
@@ -474,20 +503,19 @@ def one_side_changed(g, w, ts, arc):
     values = [w[e] for e in range(g.num_arcs)]
     values[arc] = values[arc] * 1.25
     changed = CoinMap(g, values)
+    operand = spectra._operand(changed)[0]
     reports = []
     with pytest.MonkeyPatch.context() as mp:
-        if _turned_coin(g, w) is None:
-            arc_logdet = zeta._arc_logdet
-            mp.setattr(zeta, "_arc_logdet",
-                       lambda graph, coin, *args, **kwargs: arc_logdet(
-                           graph, changed, *args, **kwargs))
-        else:
-            mp.setattr(zeta, "_turned_coin",
-                       lambda graph, coin: _turned_coin(graph, changed))
+        arc_logdet = zeta._arc_logdet
+        mp.setattr(zeta, "_arc_logdet", lambda graph, weights, *args:
+                   arc_logdet(graph, operand, *args))
         reports.append(quaternionic_identity(g, w, ts))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(zeta, "build_W_Dw",
-                   lambda graph, coin: build_W_Dw(graph, changed))
+        vertex_logdet, vertex_pair = zeta._vertex_logdet, zeta._vertex_pair
+        mp.setattr(zeta, "_vertex_logdet", lambda graph, weights, *args:
+                   vertex_logdet(graph, operand, *args))
+        mp.setattr(zeta, "_vertex_pair",
+                   lambda graph, coin: vertex_pair(graph, changed))
         mp.setattr(zeta, "_K_L_entries",
                    lambda graph, coin: _K_L_entries(graph, changed))
         reports.append(quaternionic_identity(g, w, ts))
@@ -576,18 +604,19 @@ class TestArcSideOracle:
         ts = np.array(default_samples(4))
         want = oracle_logdet(x, ts)
         weights = w if kind == "quaternionic" else w.s
-        assert log_distance(zeta._arc_logdet(g, weights, ts),
+        assert log_distance(zeta._arc_logdet(g, weights, False, ts),
                             want).max() <= 1e-11
         values = [w[e] for e in range(g.num_arcs)]
         values[3] = values[3] + Quaternion(0.0, 0.01)
         wrong = CoinMap(g, values)
         wrong = wrong if kind == "quaternionic" else wrong.s
-        assert log_distance(zeta._arc_logdet(g, wrong, ts), want).max() > 1e-4
+        assert log_distance(zeta._arc_logdet(g, wrong, False, ts),
+                            want).max() > 1e-4
 
 
 def minus_i_weights(rng, g):
     """Complex weights whose largest imaginary part is negative, so that
-    walks._turned_coin turns them onto the -i axis, conjugated."""
+    CoinMap.turned turns them onto the -i axis, conjugated."""
     values = rng.uniform(-1, 1, (g.num_arcs, 2))
     big = np.argmax(np.abs(values[:, 1]))
     values[big, 1] = -2.0
@@ -596,7 +625,7 @@ def minus_i_weights(rng, g):
 
 class TestComplexWeightsAsGiven:
     """weighted_zeta_identity compresses the complex U itself, not the coin
-    as _turned_coin turns it, which is conjugated on the -i axis."""
+    as CoinMap.turned turns it, which is conjugated on the -i axis."""
 
     @pytest.mark.parametrize("minus_i", [False, True],
                              ids=["plus-i", "minus-i"])
@@ -606,7 +635,7 @@ class TestComplexWeightsAsGiven:
         rng, g = graph_and_rng
         w = (minus_i_weights if minus_i and g.m else complex_weights)(rng, g)
         if minus_i and g.m:
-            assert np.array_equal(_turned_coin(g, w), np.conj(w.s))
+            assert np.array_equal(w.turned(), np.conj(w.s))
         ts = default_samples(4, seed=seed)
         report = weighted_zeta_identity(g, w, ts, tol=1e-10)
         assert report.verdict, report.max_rel_err
