@@ -21,7 +21,8 @@ has, and is then deflated: each step splits off every joint eigenvector it
 finds at once, as a block of columns of one QR factor that q^H a q and
 q^H b q must keep triangular.  A joint eigenvector is an eigenvector of
 x = a + theta*b, so a step at size s costs one eigendecomposition of x,
-one SVD and one small eig per cluster of its repeated eigenvalues and
+a basis and one small eig per cluster of its repeated eigenvalues (the QR
+of the cluster's eigenvectors, an SVD when they are nearly parallel) and
 O(s^3) scoring and factoring, so a pair of size n costs O(n^3) per step: a
 generic triangular pair, with one joint eigenvector per step, takes n - 1.
 Deflation stops as soon as the pair left over commutes: when x has
@@ -308,11 +309,14 @@ def _eigen_candidates(x: np.ndarray, y: np.ndarray, tol: float,
     eigendecomposition of x: ``eig``, its (values, vectors), or a fresh one.
 
     The eigenvalues of x are clustered by single linkage at tol.  A single
-    eigenvalue offers its eigenvector.  A cluster of several takes the
-    near-nullspace of x - mean*I (singular values <= tol, at least the
-    smallest) from one SVD and offers the eigenvectors of the compression
-    of y onto it.  Returns the candidates, the cluster each comes from and
-    the cluster labels of x's eigenvalues.
+    eigenvalue offers its eigenvector.  A cluster of several offers the
+    eigenvectors of the compression of y onto a basis: the factor Q of the
+    QR of its eigenvectors when every |R_jj| >= _INDEPENDENCE_FLOOR and
+    every ||(x - mean*I) q_j|| <= tol, else (nearly parallel vectors, as of
+    a Jordan block, or a chain wider than tol) the near-nullspace of
+    x - mean*I from one SVD (singular values <= tol, at least the
+    smallest).  Returns the candidates, the cluster each comes from and the
+    cluster labels of x's eigenvalues.
     """
     vals, vecs = np.linalg.eig(x) if eig is None else eig
     labels = _cluster_labels(vals, tol)
@@ -320,13 +324,16 @@ def _eigen_candidates(x: np.ndarray, y: np.ndarray, tol: float,
     single = sizes[labels] == 1
     cands, owner = [vecs[:, single]], [labels[single]]
     for c in np.nonzero(sizes > 1)[0]:
-        lam = vals[labels == c].mean()
-        _, sing, vh = np.linalg.svd(x - lam * np.eye(x.shape[0]))
-        null_dim = max(int(np.sum(sing <= tol)), 1)
-        basis = vh[-null_dim:, :].conj().T
+        members = labels == c
+        shifted = x - vals[members].mean() * np.eye(x.shape[0])
+        basis, r = np.linalg.qr(vecs[:, members])
+        if (np.abs(np.diag(r)).min() < _INDEPENDENCE_FLOOR
+                or np.linalg.norm(shifted @ basis, axis=0).max() > tol):
+            _, sing, vh = np.linalg.svd(shifted)
+            basis = vh[-max(int(np.sum(sing <= tol)), 1):, :].conj().T
         _, wvecs = np.linalg.eig(basis.conj().T @ y @ basis)
         cands.append(basis @ wvecs)
-        owner.append(np.full(null_dim, c))
+        owner.append(np.full(basis.shape[1], c))
     v = np.hstack(cands)
     return v / np.linalg.norm(v, axis=0), np.concatenate(owner), labels
 
@@ -424,16 +431,16 @@ def _deflation_triangularize(a: np.ndarray, b: np.ndarray,
     repeatedly splitting off common eigenvectors; triangularity is verified
     by the caller.  A step at size s works at tol = NULL_TOL * scale * s
     (scale the larger max-abs entry, at least 1).  When the pair left over
-    commutes within commute_tol * _commute_scale, the bound that routes a
-    whole pair in simultaneous_triangularize, _commuting_basis finishes it
-    if it can.  Otherwise the step splits off every joint eigenvector it
-    finds (_take_joint), r of them, at once: one Householder QR of
-    [vectors | I] gives a unitary q whose first r columns span them in
-    nested order, and of those columns the step keeps the longest prefix in
-    which q^H a q and q^H b q have no strictly lower entry above
-    residual_tol, the caller's final bound, and at least one.  With one
-    vector the step is the one-vector deflation.  The unitary factor is
-    updated in its trailing s columns only.
+    after a step commutes within commute_tol * _commute_scale, the bound
+    by which simultaneous_triangularize has sent the whole pair here,
+    _commuting_basis finishes it if it can.  Otherwise the step splits off
+    every joint eigenvector it finds (_take_joint), r of them, at once: one
+    Householder QR of [vectors | I] gives a unitary q whose first r columns
+    span them in nested order, and of those columns the step keeps the
+    longest prefix in which q^H a q and q^H b q have no strictly lower
+    entry above residual_tol, the caller's final bound, and at least one.
+    With one vector the step is the one-vector deflation.  The unitary
+    factor is updated in its trailing s columns only.
 
     The candidates come from one eigendecomposition of x = a + theta*b
     (_eigen_candidates(x, b, tol)), which the finish of the same step
@@ -443,12 +450,12 @@ def _deflation_triangularize(a: np.ndarray, b: np.ndarray,
     takes them instead of a fresh eigendecomposition.  With two_sided the
     candidates are those of _joint_eigenvectors, from eigendecompositions
     of a and of b, and the finish makes its own.  A step costs one
-    eigendecomposition (two when two_sided), one SVD and one small eig per
-    cluster of repeated eigenvalues, a QR and O(s^3) scoring, so a pair of
-    size n costs O(n^3) per step: the weighted star K_{1,k} (n = 2k + 2)
-    takes one step and the finish, one eigendecomposition of size n in
-    all, and a generic triangular pair, which has one joint eigenvector per
-    step, n - 1 steps.
+    eigendecomposition (two when two_sided), a basis and one small eig per
+    cluster of repeated eigenvalues (_eigen_candidates), a QR and O(s^3)
+    scoring, so a pair of size n costs O(n^3) per step: the weighted star
+    K_{1,k} (n = 2k + 2) takes one step and the finish, one
+    eigendecomposition of size n and no SVD in all, and a generic
+    triangular pair, which has one joint eigenvector per step, n - 1 steps.
     """
     n = a.shape[0]
     theta = _THETA_CANDIDATES[0]
@@ -463,8 +470,8 @@ def _deflation_triangularize(a: np.ndarray, b: np.ndarray,
         tol = NULL_TOL * scale * size
         x = a_cur + theta * b_cur
         eig = None
-        if (np.abs(a_cur @ b_cur - b_cur @ a_cur).max()
-                <= commute_tol * _commute_scale(a_cur, b_cur)):
+        if k and (np.abs(a_cur @ b_cur - b_cur @ a_cur).max()
+                  <= commute_tol * _commute_scale(a_cur, b_cur)):
             if carried is not None:
                 vals, vecs, tail = carried
                 finish = (vals, tail.conj().T @ vecs)

@@ -370,14 +370,14 @@ def _vertex_logdet(graph: Graph, weights, halves: bool, ts: np.ndarray,
 
 
 def _certificate(graph: Graph, coin: CoinMap, values: np.ndarray,
-                 pair: tuple[np.ndarray, np.ndarray] | None = None
-                 ) -> ComparisonRecord:
+                 pair: tuple[np.ndarray, np.ndarray] | None = None,
+                 operand: tuple | None = None) -> ComparisonRecord:
     """Characteristic-polynomial certificate of values against psi(U).
 
     The eigenvalues of psi(U), with multiplicity, are the multiset whose
     sum of log(1 - t*lambda) equals log det(I - t*psi(U)) at every t; that
     log-determinant is taken from the vertex side (_vertex_logdet of the
-    coin's operand, on the route's vertex pair, or one built here when
+    coin's operand and the route's vertex pair, each built here when
     None): two n x n slogdets per point when the coin's values share an
     axis (one for a real coin), one 2n x 2n one otherwise, so psi(U) is
     never built and the check is O(n^3).
@@ -412,9 +412,10 @@ def _certificate(graph: Graph, coin: CoinMap, values: np.ndarray,
     if dim == 0:
         return ComparisonRecord(against="certificate", max_dist=0.0,
                                 verdict=True)
+    weights, halves = _operand(coin) if operand is None else operand
     ts = _sample_points(graph, coin)
     diffs = (np.log(1.0 - np.multiply.outer(ts, values)).sum(axis=1)
-             - _vertex_logdet(graph, *_operand(coin), ts, pair))
+             - _vertex_logdet(graph, weights, halves, ts, pair))
     phase = (diffs.imag + np.pi) % (2.0 * np.pi) - np.pi
     scale = max(1.0, float(np.abs(values).max()))
     residual = float(np.max(np.hypot(diffs.real, phase) / np.abs(ts))) / scale
@@ -424,12 +425,12 @@ def _certificate(graph: Graph, coin: CoinMap, values: np.ndarray,
 
 def _finish_quadratic_route(graph: Graph, method: str, mu: np.ndarray,
                             xi: np.ndarray, coin: CoinMap,
-                            pair: tuple[np.ndarray, np.ndarray] | None = None
-                            ) -> SpectrumReport:
+                            pair: tuple[np.ndarray, np.ndarray] | None = None,
+                            operand: tuple | None = None) -> SpectrumReport:
     """Report of the roots of lambda^2 - mu*lambda + xi - 1 over aligned
     (mu, xi) pairs, padded or trimmed to 4m values and certified against
-    psi(U) (see _certificate, which reads the route's vertex pair, or
-    builds it when None)."""
+    psi(U) (see _certificate, which reads the route's vertex pair and the
+    coin's operand, or builds each when None)."""
     disc = np.sqrt(mu * mu - 4.0 * (xi - 1.0))
     lam = np.column_stack(((mu + disc) / 2.0, (mu - disc) / 2.0)).ravel()
     excess = graph.m - graph.n
@@ -439,7 +440,7 @@ def _finish_quadratic_route(graph: Graph, method: str, mu: np.ndarray,
         lam = _trim_tree_values(lam)
     vals = pair_conjugates(np.sort_complex(lam))
     report = SpectrumReport(method=method, psi_spectrum=vals)
-    report.cross_check = _certificate(graph, coin, vals, pair)
+    report.cross_check = _certificate(graph, coin, vals, pair, operand)
     return report
 
 
@@ -454,7 +455,8 @@ def spectrum_theorem_general(graph: Graph, coin: CoinMap,
     their conjugates, are the 2n pairs.  Raises when the pair cannot be
     triangularized together; the caller should then use the direct route.
     """
-    pair = _vertex_pair(graph, _operand(coin)[0])
+    operand = _operand(coin)
+    pair = _vertex_pair(graph, operand[0])
     try:
         _, mus, xis = simultaneous_triangularize(*pair,
                                                  commute_tol=commute_tol)
@@ -463,7 +465,8 @@ def spectrum_theorem_general(graph: Graph, coin: CoinMap,
             f"{exc}; use the direct route for this coin",
             residual=exc.residual) from exc
     mus, xis = psi_spectrum(mus, graph.n), psi_spectrum(xis, graph.n)
-    return _finish_quadratic_route(graph, "theorem8", mus, xis, coin, pair)
+    return _finish_quadratic_route(graph, "theorem8", mus, xis, coin, pair,
+                                   operand)
 
 
 def _alpha_route(graph: Graph, alpha_plus: complex, method: str,

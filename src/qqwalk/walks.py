@@ -329,7 +329,9 @@ def quat_cond_check(graph: Graph, coin: CoinMap,
 
     Returns (True, alpha) with the common sum when it is, else (False, None).
     """
-    s, p = (_vertex_arrays(graph, q)[1] for q in (coin.s, coin.p))
+    s, p = np.zeros((2, graph.n), dtype=complex)
+    np.add.at(s, graph.origin, coin.s)
+    np.add.at(p, graph.origin, coin.p)
     if np.all(_within(s - s[0], p - p[0], tol)):
         return True, Quaternion.from_complex_pair(complex(s[0]), complex(p[0]))
     return False, None

@@ -513,6 +513,22 @@ class TestSimultaneousTriangularization:
                                match=r"\|tr\(C\^2\)\|/\|\|C\|\|_F\^2 = "):
                 simultaneous_triangularize(a, b)
 
+    @pytest.mark.parametrize("n, t1_kind", [(24, "generic"),
+                                            (24, "repeated"),
+                                            (40, "nilpotent")])
+    def test_robustness_record(self, n, t1_kind):
+        # Seeds 0-4 at the largest size at which every pair of the kind
+        # still triangularizes: generic pairs lose 3 of 5 at n = 40 and
+        # "repeated" ones all 5, to ill-conditioned eigenvectors.
+        for seed in range(5):
+            a, b, t1, t2 = _noncommuting_triangular_pair(n, seed, t1_kind)
+            p, da, db = simultaneous_triangularize(a, b)
+            scale = max(np.abs(a).max(), np.abs(b).max(), 1.0)
+            for x in (a, b):
+                assert (np.abs(np.tril(p.conj().T @ x @ p, -1)).max()
+                        <= 1e-8 * scale)
+            _assert_planted_diagonals(da, db, t1, t2, 1e-6)
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 12), st.integers(0, 2**32 - 1),
            st.sampled_from(["nilpotent", "repeated"]))
@@ -589,6 +605,29 @@ def _weighted_star(leaves):
     g = star_graph(leaves)
     return g, CoinMap.from_arc_values(
         g, {2 * i: Quaternion(*rng.uniform(-1, 1, 4)) for i in range(leaves)})
+
+
+def _ex5_star():
+    """K_{1,3} with the weights of the ex5.w fixture."""
+    from pathlib import Path
+
+    from qqwalk.graph import load_graph
+    from qqwalk.walks import parse_coin_file
+    fixtures = Path(linalg.__file__).parent / "fixtures"
+    g = load_graph(fixtures / "k13.g")
+    return g, parse_coin_file((fixtures / "ex5.w").read_text(), g)
+
+
+def _counting_svd(monkeypatch):
+    """Record the shape of every np.linalg.svd call."""
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording(m, *args, **kwargs):
+        shapes.append(m.shape)
+        return svd(m, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return shapes
 
 
 def _planted_commuting_tail(seed, lead, ta, tb):
@@ -726,14 +765,20 @@ class TestBlockDeflation:
     def test_repeated_eigenvalue_goes_to_the_two_sided_step(self,
                                                             monkeypatch):
         # The trailing pair commutes, but a + theta*b has a Jordan block
-        # there: no basis of its eigenvectors, so the two-sided step runs.
+        # there: no basis of its eigenvectors, so the finish fails and a
+        # step splits the trailing pair instead.
         ta = np.array([[1, 1, 0], [0, 1, 0], [0, 0, 2]], dtype=complex)
         a, b, t1, t2 = _planted_commuting_tail(1, 1, ta, 2 * ta + ta @ ta)
         steps = _recording_steps(monkeypatch)
         finishes = _recording_finisher(monkeypatch)
+        svds = _counting_svd(monkeypatch)
         p, da, db = simultaneous_triangularize(a, b)
         assert finishes[0] == (3, False)
         assert (3, 2) in steps
+        # The Jordan block's eigenvectors from eig are parallel to rounding,
+        # so at both steps that meet it, at sizes 4 and 3, its cluster's
+        # basis comes from the SVD of x - lambda*I.
+        assert svds == [(4, 4), (3, 3)]
         for x in (a, b):
             assert np.abs(np.tril(p.conj().T @ x @ p, -1)).max() <= 1e-8
         _assert_planted_diagonals(da, db, t1, t2, 1e-8)
@@ -829,3 +874,33 @@ class TestBlockDeflation:
         assert sizes == [50, 2]
         for x in (a, b):
             assert np.abs(np.tril(p.conj().T @ x @ p, -1)).max() <= 1e-8
+
+    @pytest.mark.parametrize("star", ["ex5.w", 24, 32])
+    def test_star_clusters_take_no_svd(self, monkeypatch, star):
+        # Each cluster of the star's x holds as many eigenvectors from the
+        # eig, orthogonal to rounding, as it has eigenvalues: their QR
+        # factor is its basis, and no SVD is made.
+        from qqwalk.spectra import spectrum_theorem_general
+
+        def refused(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called")
+
+        g, coin = _ex5_star() if star == "ex5.w" else _weighted_star(star)
+        monkeypatch.setattr(np.linalg, "svd", refused)
+        assert spectrum_theorem_general(g, coin).cross_check.verdict
+
+    def test_cluster_wider_than_tol_takes_the_svd(self, monkeypatch):
+        # Single linkage chains the eigenvalues 0, 0.9, 1.8 and 2.7 (times
+        # tol) into one cluster, whose outer eigenvectors leave residuals of
+        # 1.35 * tol against the mean: the basis is the SVD's near-nullspace
+        # of x - mean*I, the two middle eigenvectors.
+        tol = 1e-8
+        x = np.diag(np.r_[tol * np.array([0.0, 0.9, 1.8, 2.7]), 1.0, 2.0])
+        y = np.random.default_rng(3).standard_normal((6, 6))
+        svds = _counting_svd(monkeypatch)
+        cands, owner, labels = linalg._eigen_candidates(
+            x.astype(complex), y.astype(complex), tol)
+        assert svds == [(6, 6)]
+        assert list(labels) == [0, 0, 0, 0, 1, 2]
+        assert np.sum(owner == 0) == 2
+        assert np.abs(cands[[0, 3, 4, 5]][:, owner == 0]).max() <= 1e-12

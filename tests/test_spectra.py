@@ -459,6 +459,24 @@ class TestQuadraticRoute:
         assert compare_spectra(report.psi_spectrum,
                                np.concatenate([base, base]), tol=1e-7).verdict
 
+    @pytest.mark.parametrize("alpha", [False, True])
+    def test_theorem8_turns_the_coin_once(self, monkeypatch, alpha):
+        # The route's pair and its certificate read one operand: the coin
+        # itself for the star's weights, off one axis, and turned values
+        # for an alpha coin.
+        g, w = weighted_star()
+        if alpha:
+            w = CoinMap.from_alpha(g, Quaternion(1, 2, -1, 0.5))
+        calls = []
+        turned = CoinMap.turned
+
+        def counting(coin):
+            calls.append(1)
+            return turned(coin)
+        monkeypatch.setattr(CoinMap, "turned", counting)
+        assert spectrum_theorem_general(g, w).cross_check.verdict
+        assert calls == [1]
+
     def test_large_weighted_star_matches_direct(self):
         # K_{1,32}: random quaternions on the leaf -> center arcs, zero on
         # the center -> leaf arcs, so psi(W^T) and psi(D_w) do not commute.
