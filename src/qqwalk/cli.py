@@ -45,6 +45,7 @@ from .spectra import (
 from .walks import (
     CoinFormatError,
     CoinMap,
+    _within,
     build_U,
     parse_coin_file,
     quat_cond_check,
@@ -161,14 +162,15 @@ def _cmd_spectrum(args) -> int:
     if args.method == "direct":
         report = spectrum_direct(graph, coin)
     elif args.method == "theorem8":
-        report = spectrum_theorem_general(graph, coin,
-                                          commute_tol=args.tol)
+        report = spectrum_theorem_general(graph, coin)
     elif args.method == "theorem10":
         ok, alpha = quat_cond_check(graph, coin, tol=args.tol)
-        if not ok:
+        even = CoinMap.from_alpha(graph, alpha) if ok else None
+        if not ok or not np.all(
+                _within(coin.s - even.s, coin.p - even.p, args.tol)):
             raise InputError(
-                "the alpha-coin route needs a vertex-independent "
-                "outgoing coin sum; this coin does not have one")
+                "the alpha-coin route needs q(e) = alpha/deg(o(e)) on every "
+                "arc: a vertex-independent outgoing coin sum, split evenly")
         report = spectrum_alpha_coin(graph, alpha)
     else:  # pragma: no cover - argparse restricts choices
         raise InputError(f"unknown method {args.method!r}")

@@ -14,29 +14,28 @@ only where it is called: schur on the commuting path and
 linear_sum_assignment for those clusters, so importing the package loads
 numpy alone.
 
-Simultaneous triangularization takes the Schur basis of a + theta*b for a
-commuting pair.  A non-commuting pair is first tested for a nilpotent
-commutator C = ab - ba (tr(C^2) = 0), which every jointly triangular pair
-has, and is then deflated: each step splits off every joint eigenvector it
-finds at once, as a block of columns of one QR factor that q^H a q and
-q^H b q must keep triangular.  A joint eigenvector is an eigenvector of
-x = a + theta*b, so a step at size s costs one eigendecomposition of x,
-a basis and one small eig per cluster of its repeated eigenvalues (the QR
-of the cluster's eigenvectors, an SVD when they are nearly parallel) and
-O(s^3) scoring and factoring, so a pair of size n costs O(n^3) per step: a
-generic triangular pair, with one joint eigenvector per step, takes n - 1.
-Deflation stops as soon as the pair left over commutes: when x has
-distinct eigenvalues there, the QR of its eigenvectors triangularizes
-both.  When the step before split off whole clusters of x, the rest of its
-eigenvectors are the remainder's and the finish makes no eigendecomposition
-of its own.  A weighted star takes one step and that finish: one
-eigendecomposition of the whole pair.  A deflation that fails the final
-triangularity check is rerun with two-sided candidates, from
-eigendecompositions of a and of b, whose better-separated eigenvalues can
-give accurate vectors where those of x are ill-conditioned.
+Simultaneous triangularization tries one chain of bases, each only when
+the one before fails the final triangularity check: the Schur basis of
+x = a + theta*b when the pair commutes, then a deflation of joint
+eigenvectors from x's eigendecompositions, then the same deflation with
+two-sided candidates, from eigendecompositions of a and of b, whose
+better-separated eigenvalues can give accurate vectors where those of x
+are ill-conditioned.  A pair that does not commute is first tested for a
+nilpotent commutator C = ab - ba (tr(C^2) = 0), which every jointly
+triangular pair has.  Each deflation step splits off every joint
+eigenvector it finds at once, as a block of columns of one QR factor that
+q^H a q and q^H b q must keep triangular, and deflation stops as soon as
+the pair left over commutes and the QR of x's eigenvectors triangularizes
+it: a weighted star takes one step and that finish, one eigendecomposition
+of the whole pair (_deflation_triangularize has the costs).  The bounds
+are the module constants COMMUTE_TOL (which pairs commute), RESIDUAL_TOL
+(the final check and the nilpotency test) and NULL_TOL (a step's
+clustering and null spaces).
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -48,14 +47,21 @@ __all__ = [
     "simultaneous_triangularize",
 ]
 
-# Generic mixing constants for A + theta*B in simultaneous triangularization;
+# Generic mixing constant for A + theta*B in simultaneous triangularization;
 # chosen irrational-looking to avoid accidental eigenvalue collisions.
-_THETA_CANDIDATES = (0.6180339887, 0.3141592653589793)
+_THETA = 0.6180339887
 # Clustering distance of pair_conjugates, relative to max(1, max|value|).
 PAIR_TOL = 1e-9
 # A deflation step at size s groups eigenvalues and takes null spaces at
 # NULL_TOL * s * (the pair's largest entry, at least 1).
 NULL_TOL = 1e-8
+# A pair commutes when no entry of ab - ba exceeds COMMUTE_TOL *
+# max(1, max|a|) * max(1, max|b|): its rounding grows with both factors.
+COMMUTE_TOL = 1e-9
+# No strictly lower entry of a triangularization passes the final check
+# above RESIDUAL_TOL * max(1, largest |entry| of a and b); the nilpotency
+# test of a commutator reads it unscaled.
+RESIDUAL_TOL = 1e-8
 # A joint eigenvector joins a deflation step's block only when its component
 # orthogonal to the vectors already taken has at least this norm: the
 # direction of a smaller component is set by rounding, not by the pair.
@@ -388,28 +394,24 @@ def _joint_eigenvectors(a: np.ndarray, b: np.ndarray,
     return v[:, _take_joint(a, b, v, tol)]
 
 
-def _commuting_basis(a: np.ndarray, b: np.ndarray, tol: float,
-                     residual_tol: float,
-                     eig: tuple[np.ndarray, np.ndarray] | None = None
-                     ) -> np.ndarray | None:
+def _commuting_basis(a: np.ndarray, b: np.ndarray, tol: float, bound: float,
+                     eig: tuple[np.ndarray, np.ndarray]) -> np.ndarray | None:
     """A unitary q with q^H a q and q^H b q upper triangular, for a
     commuting pair, or None.
 
-    When x = a + theta*b has no two eigenvalues in one cluster at tol, a and
-    b are polynomials in x, so the factor q of the QR of x's eigenvectors V
-    = q R, with q^H x q = R Lambda R^-1, triangularizes both.  ``eig`` is
-    x's (values, vectors) when the caller has them; otherwise x is
-    eigendecomposed here.  A pair that commutes only within a bound, or an
-    ill-conditioned V, can spoil that, so q is returned only when the
-    strictly lower parts of both are within residual_tol.
+    When x = a + theta*b, whose (values, vectors) are ``eig``, has no two
+    eigenvalues in one cluster at tol, a and b are polynomials in x, so the
+    factor q of the QR of x's eigenvectors V = q R, with
+    q^H x q = R Lambda R^-1, triangularizes both.  A pair that commutes only
+    within a bound, or an ill-conditioned V, can spoil that, so q is
+    returned only when the strictly lower parts of both are within bound.
     """
-    vals, vecs = (np.linalg.eig(a + _THETA_CANDIDATES[0] * b) if eig is None
-                  else eig)
+    vals, vecs = eig
     if _cluster_labels(vals, tol).max() + 1 < vals.size:
         return None
     q, _ = np.linalg.qr(vecs)
     for m in (a, b):
-        if _strict_lower_max(q.conj().T @ m @ q) > residual_tol:
+        if _strict_lower_max(q.conj().T @ m @ q) > bound:
             return None
     return q
 
@@ -421,8 +423,7 @@ def _commute_scale(a: np.ndarray, b: np.ndarray) -> float:
             * max(1.0, float(np.abs(b).max(initial=0.0))))
 
 
-def _deflation_triangularize(a: np.ndarray, b: np.ndarray,
-                             residual_tol: float, commute_tol: float,
+def _deflation_triangularize(a: np.ndarray, b: np.ndarray, bound: float,
                              two_sided: bool = False) -> np.ndarray:
     """Unitary joint triangularization by block deflation of joint
     eigenvectors.
@@ -431,16 +432,17 @@ def _deflation_triangularize(a: np.ndarray, b: np.ndarray,
     repeatedly splitting off common eigenvectors; triangularity is verified
     by the caller.  A step at size s works at tol = NULL_TOL * scale * s
     (scale the larger max-abs entry, at least 1).  When the pair left over
-    after a step commutes within commute_tol * _commute_scale, the bound
-    by which simultaneous_triangularize has sent the whole pair here,
-    _commuting_basis finishes it if it can.  Otherwise the step splits off
-    every joint eigenvector it finds (_take_joint), r of them, at once: one
-    Householder QR of [vectors | I] gives a unitary q whose first r columns
-    span them in nested order, and of those columns the step keeps the
-    longest prefix in which q^H a q and q^H b q have no strictly lower
-    entry above residual_tol, the caller's final bound, and at least one.
-    With one vector the step is the one-vector deflation.  The unitary
-    factor is updated in its trailing s columns only.
+    after a step commutes within COMMUTE_TOL * _commute_scale,
+    _commuting_basis finishes it if it can.  The first step takes no such
+    test: simultaneous_triangularize sends a pair here only when it does
+    not commute or its Schur basis has failed.  Otherwise the step splits
+    off every joint eigenvector it finds (_take_joint), r of them, at once:
+    one Householder QR of [vectors | I] gives a unitary q whose first r
+    columns span them in nested order, and of those columns the step keeps
+    the longest prefix in which q^H a q and q^H b q have no strictly lower
+    entry above bound, the caller's final bound, and at least one.  With
+    one vector the step is the one-vector deflation.  The unitary factor is
+    updated in its trailing s columns only.
 
     The candidates come from one eigendecomposition of x = a + theta*b
     (_eigen_candidates(x, b, tol)), which the finish of the same step
@@ -449,16 +451,15 @@ def _deflation_triangularize(a: np.ndarray, b: np.ndarray,
     columns of q, are those of the remainder's x, so the next step's finish
     takes them instead of a fresh eigendecomposition.  With two_sided the
     candidates are those of _joint_eigenvectors, from eigendecompositions
-    of a and of b, and the finish makes its own.  A step costs one
-    eigendecomposition (two when two_sided), a basis and one small eig per
-    cluster of repeated eigenvalues (_eigen_candidates), a QR and O(s^3)
-    scoring, so a pair of size n costs O(n^3) per step: the weighted star
-    K_{1,k} (n = 2k + 2) takes one step and the finish, one
-    eigendecomposition of size n and no SVD in all, and a generic
-    triangular pair, which has one joint eigenvector per step, n - 1 steps.
+    of a and of b.  A step costs one eigendecomposition (two when
+    two_sided), a basis and one small eig per cluster of repeated
+    eigenvalues (_eigen_candidates), a QR and O(s^3) scoring, so a pair of
+    size n costs O(n^3) per step: the weighted star K_{1,k} (n = 2k + 2)
+    takes one step and the finish, one eigendecomposition of size n and no
+    SVD in all, and a generic triangular pair, which has one joint
+    eigenvector per step, n - 1 steps.
     """
     n = a.shape[0]
-    theta = _THETA_CANDIDATES[0]
     p_total = np.eye(n, dtype=complex)
     a_cur, b_cur = a.copy(), b.copy()
     carried = None
@@ -468,18 +469,16 @@ def _deflation_triangularize(a: np.ndarray, b: np.ndarray,
         scale = max(float(np.abs(a_cur).max()), float(np.abs(b_cur).max()),
                     1.0)
         tol = NULL_TOL * scale * size
-        x = a_cur + theta * b_cur
+        x = a_cur + _THETA * b_cur
         eig = None
         if k and (np.abs(a_cur @ b_cur - b_cur @ a_cur).max()
-                  <= commute_tol * _commute_scale(a_cur, b_cur)):
+                  <= COMMUTE_TOL * _commute_scale(a_cur, b_cur)):
             if carried is not None:
                 vals, vecs, tail = carried
                 finish = (vals, tail.conj().T @ vecs)
-            elif two_sided:
-                finish = None
             else:
                 finish = eig = np.linalg.eig(x)
-            q = _commuting_basis(a_cur, b_cur, tol, residual_tol, finish)
+            q = _commuting_basis(a_cur, b_cur, tol, bound, finish)
             if q is not None:
                 p_total[:, k:] = p_total[:, k:] @ q
                 break
@@ -493,13 +492,11 @@ def _deflation_triangularize(a: np.ndarray, b: np.ndarray,
             v = cands[:, taken]
         r = v.shape[1]
         q, _ = np.linalg.qr(np.column_stack([v, np.eye(size, dtype=complex)]))
-        phase = np.sum(q[:, :r].conj() * v, axis=0)
-        q[:, :r] *= phase / np.abs(phase)
         ta = q.conj().T @ a_cur @ q
         tb = q.conj().T @ b_cur @ q
         lower = np.maximum(np.abs(np.tril(ta, -1)[:, :r]).max(axis=0),
                            np.abs(np.tril(tb, -1)[:, :r]).max(axis=0))
-        bad = np.nonzero(lower > residual_tol)[0]
+        bad = np.nonzero(lower > bound)[0]
         if bad.size:
             r = max(int(bad[0]), 1)
         if not two_sided:
@@ -517,33 +514,24 @@ def _deflation_triangularize(a: np.ndarray, b: np.ndarray,
     return p_total
 
 
-def simultaneous_triangularize(
-    a: np.ndarray,
-    b: np.ndarray,
-    commute_tol: float = 1e-9,
-    residual_tol: float = 1e-8,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def simultaneous_triangularize(a: np.ndarray, b: np.ndarray
+                               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Joint upper-triangularization of two matrices.
 
-    Commuting inputs use the unitary Schur basis P of a + theta*b for a
-    generic real theta (retrying a second theta on failure).  Inputs that
-    do not commute must have a nilpotent commutator C = ab - ba: they are
-    rejected before any deflation when |tr(C^2)| exceeds
-    residual_tol * ||C||_F^2 plus the rounding bound of forming C.  The
-    rest are handled by common-eigenvector deflation
-    (_deflation_triangularize) on the eigenvectors of a + theta*b; only
-    when that fails the final triangularity check is the deflation rerun
-    with candidates from a and from b.  Returns (P, diag_a, diag_b) with
-    aligned diagonals; raises NotSimultaneouslyTriangularizableError when
-    the commutator test or the final triangularity check of every basis
-    tried fails.
-
-    residual_tol bounds the largest strictly lower entry relative to the
-    pair's scale, max(1, largest |entry| of a and b), as the certificate's
-    residual is relative to the spectrum's: rounding grows with the
-    entries.  commute_tol bounds the largest entry of the commutator
-    relative to max(1, max|a|) * max(1, max|b|), as the rounding of ab - ba
-    grows with both factors.
+    One chain of bases is tried, each only when the one before fails the
+    final check.  A pair that commutes within COMMUTE_TOL first takes the
+    unitary Schur basis of a + theta*b for a generic real theta.  A pair
+    that does not must have a nilpotent commutator C = ab - ba: it is
+    rejected when |tr(C^2)| exceeds RESIDUAL_TOL * ||C||_F^2 plus the
+    rounding bound of forming C.  Every pair left goes to common-eigenvector
+    deflation (_deflation_triangularize) on the eigenvectors of
+    a + theta*b, and then to that deflation rerun with candidates from a
+    and from b.  The final check bounds the largest strictly lower entry by
+    RESIDUAL_TOL relative to max(1, largest |entry| of a and b), as the
+    certificate's residual is relative to the spectrum's.  Returns (P,
+    diag_a, diag_b) with aligned diagonals; raises
+    NotSimultaneouslyTriangularizableError when the commutator test or the
+    final check of every basis tried fails.
     """
     a = _require_square(a)
     b = _require_square(b)
@@ -551,43 +539,38 @@ def simultaneous_triangularize(
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     scale = max(1.0, float(np.abs(a).max(initial=0.0)),
                 float(np.abs(b).max(initial=0.0)))
+    bases = (_deflation_triangularize(a, b, RESIDUAL_TOL * scale,
+                                      two_sided=two) for two in (False, True))
     comm = a @ b - b @ a
     comm_norm = float(np.abs(comm).max()) if comm.size else 0.0
-    if comm_norm <= commute_tol * _commute_scale(a, b):
+    if comm_norm <= COMMUTE_TOL * _commute_scale(a, b):
         import scipy.linalg
 
-        # A generator: the second Schur basis is computed only when the
-        # first fails the triangularity check.
-        candidates = (scipy.linalg.schur(a + theta * b, output="complex")[1]
-                      for theta in _THETA_CANDIDATES)
+        bases = itertools.chain(
+            [scipy.linalg.schur(a + _THETA * b, output="complex")[1]], bases)
     else:
         # A jointly triangular pair has a strictly triangular, so nilpotent,
-        # commutator: tr(C^2) = 0 up to residual_tol * ||C||_F^2 and the
+        # commutator: tr(C^2) = 0 up to RESIDUAL_TOL * ||C||_F^2 and the
         # rounding of forming C, at most 4*n*eps*||a||_F*||b||_F*||C||_F.
         comm_fro = float(np.linalg.norm(comm))
         rounding = (4 * a.shape[0] * np.finfo(float).eps
                     * float(np.linalg.norm(a)) * float(np.linalg.norm(b)))
         ratio = abs(complex(np.sum(comm * comm.T))) / comm_fro ** 2
-        if ratio > residual_tol + rounding / comm_fro:
+        if ratio > RESIDUAL_TOL + rounding / comm_fro:
             raise NotSimultaneouslyTriangularizableError(
                 "not simultaneously triangularizable: the commutator C is "
                 f"not nilpotent, |tr(C^2)|/||C||_F^2 = {ratio:.3e}")
-        # The two-sided deflation reruns only when the first result fails
-        # the triangularity check.
-        candidates = (_deflation_triangularize(a, b, residual_tol * scale,
-                                               commute_tol, two_sided=two)
-                      for two in (False, True))
     last_residual = np.inf
-    for p in candidates:
+    for p in bases:
         ta = p.conj().T @ a @ p
         tb = p.conj().T @ b @ p
         residual = max(_strict_lower_max(ta), _strict_lower_max(tb)) / scale
-        if residual <= residual_tol:
+        if residual <= RESIDUAL_TOL:
             return p, np.diag(ta).copy(), np.diag(tb).copy()
         last_residual = min(last_residual, residual)
     raise NotSimultaneouslyTriangularizableError(
         "not simultaneously triangularizable by this method: relative "
         f"triangularity residual {last_residual:.3e} exceeds "
-        f"{residual_tol:.1e}",
+        f"{RESIDUAL_TOL:.1e}",
         residual=last_residual,
     )

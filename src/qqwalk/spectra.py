@@ -365,8 +365,12 @@ def _vertex_logdet(graph: Graph, weights, halves: bool, ts: np.ndarray,
     """
     y, d = _vertex_pair(graph, weights) if pair is None else pair
     copies = 2 if halves or isinstance(weights, CoinMap) else 1
-    return (copies * (graph.m - graph.n) * np.log(1.0 - ts * ts)
-            + _logdet(ts, y, d, halves))
+    e = copies * (graph.m - graph.n)
+    # Parts apart, exponent 0 left out: t = +-1 reads log 0 = -inf, not NaN.
+    with np.errstate(divide="ignore"):
+        log = np.log(1.0 - ts * ts)
+    fixed = e * log.real + 1j * e * log.imag if e else 0.0
+    return fixed + _logdet(ts, y, d, halves)
 
 
 def _certificate(graph: Graph, coin: CoinMap, values: np.ndarray,
@@ -444,8 +448,7 @@ def _finish_quadratic_route(graph: Graph, method: str, mu: np.ndarray,
     return report
 
 
-def spectrum_theorem_general(graph: Graph, coin: CoinMap,
-                             commute_tol: float = 1e-9) -> SpectrumReport:
+def spectrum_theorem_general(graph: Graph, coin: CoinMap) -> SpectrumReport:
     """Quadratic-formula route via joint triangularization.
 
     The aligned diagonals of the jointly triangularized psi(W^T) and
@@ -458,8 +461,7 @@ def spectrum_theorem_general(graph: Graph, coin: CoinMap,
     operand = _operand(coin)
     pair = _vertex_pair(graph, operand[0])
     try:
-        _, mus, xis = simultaneous_triangularize(*pair,
-                                                 commute_tol=commute_tol)
+        _, mus, xis = simultaneous_triangularize(*pair)
     except NotSimultaneouslyTriangularizableError as exc:
         raise NotSimultaneouslyTriangularizableError(
             f"{exc}; use the direct route for this coin",

@@ -197,18 +197,19 @@ def _compare(graph: Graph, weights, halves: bool, t_samples: list[complex],
 def ihara_hashimoto(graph: Graph, t: complex) -> complex:
     """det(I_{2m} - t*(B - J0)) at the sample point t."""
     ones, ts = np.ones(graph.num_arcs), np.array([t], dtype=complex)
-    return complex(np.exp(_arc_logdet(graph, ones, False, ts)[0]))
+    with np.errstate(over="ignore"):
+        return complex(np.exp(_arc_logdet(graph, ones, False, ts)[0]))
 
 
 def ihara_bass(graph: Graph, t: complex) -> complex:
-    """(1 - t^2)^(r-1) * det(I_n - t*A + t^2*(D - I_n))."""
+    """(1 - t^2)^(m-n) * det(I_n - t*A + t^2*(D - I_n)), the vertex side of
+    the identity core (spectra._vertex_logdet) at unit weights."""
     if graph.is_tree and abs(1.0 - t * t) < POLE_GUARD:
         raise ZeroDivisionError(
             f"pole at t = {t}: tree case has exponent -1 in (1 - t^2)")
-    logdet = _logdet(np.array([t], dtype=complex), graph.adjacency_matrix(),
-                     graph.degree_matrix())[0]
-    return complex((1.0 - t * t) ** (graph.betti_number - 1)) * complex(
-        np.exp(logdet))
+    ones, ts = np.ones(graph.num_arcs), np.array([t], dtype=complex)
+    with np.errstate(over="ignore"):
+        return complex(np.exp(_vertex_logdet(graph, ones, False, ts)[0]))
 
 
 def ihara_identity(graph: Graph, t_samples: list[complex],

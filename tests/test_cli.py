@@ -78,6 +78,31 @@ class TestSpectrum:
         assert code == 2
         assert "vertex-independent" in err
 
+    def test_alpha_route_rejects_an_uneven_split(self, capsys, tmp_path):
+        # Every vertex's outgoing sum is the same alpha, but split over its
+        # arcs in shares 1 : 2 : ... : d, not alpha/d each: the route would
+        # certify the spectrum of the even split, not of this coin.
+        from qqwalk.walks import parse_coin_file, quat_cond_check
+        g = random_connected_graph(np.random.default_rng(5), 8, 0.4)
+        assert g.m == 17
+        graph = tmp_path / "g.g"
+        graph.write_text(f"{g.n} {g.m}\n"
+                         + "".join(f"{u} {v}\n" for u, v in g.edges))
+        share = np.zeros(g.num_arcs)
+        for v in range(g.n):
+            arcs = np.nonzero(g.origin == v)[0]
+            share[arcs] = np.arange(1, arcs.size + 1) / arcs.size / (
+                (arcs.size + 1) / 2)
+        coin = tmp_path / "uneven.w"
+        coin.write_text("".join(
+            f"a {e} {0.7 * c:.17g}{0.2 * c:+.17g}i{-0.3 * c:+.17g}j"
+            f"{0.1 * c:+.17g}k\n" for e, c in enumerate(share)))
+        assert quat_cond_check(g, parse_coin_file(coin.read_text(), g))[0]
+        code, out, err = run(capsys, "spectrum", "--graph", str(graph),
+                             "--coin", str(coin), "--method", "theorem10")
+        assert code == 2 and out == ""
+        assert "alpha/deg(o(e)) on every arc" in err
+
     def test_coin_options_are_exclusive(self, capsys, k3_path):
         code, _, err = run(capsys, "spectrum", "--graph", k3_path,
                            "--grover", "--alpha", "2")

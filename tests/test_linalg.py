@@ -438,6 +438,41 @@ class TestSimultaneousTriangularization:
         simultaneous_triangularize(m @ m, 2 * m - np.eye(6))
         assert calls == [(6, 6)]
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_failed_schur_goes_on_to_the_deflation(self, monkeypatch, k):
+        # a = Q diag(theta*(1..k), 0) Q^H and b = Q diag(0, 1..k) Q^H
+        # commute, but every eigenvalue of a + theta*b is double, so its
+        # Schur basis mixes each pair and fails the final check.  The pair
+        # goes on to the x-deflation, whose clusters of x split by b.
+        import scipy.linalg
+        schurs, runs = [], []
+        schur = scipy.linalg.schur
+        deflate = linalg._deflation_triangularize
+
+        def counting(*args, **kwargs):
+            schurs.append(args[0].shape)
+            return schur(*args, **kwargs)
+
+        def recording(*args, **kwargs):
+            runs.append(kwargs["two_sided"])
+            return deflate(*args, **kwargs)
+        monkeypatch.setattr(scipy.linalg, "schur", counting)
+        monkeypatch.setattr(linalg, "_deflation_triangularize", recording)
+        rng = np.random.default_rng(k)
+        q, _ = np.linalg.qr(rng.standard_normal((2 * k, 2 * k))
+                            + 1j * rng.standard_normal((2 * k, 2 * k)))
+        steps = np.arange(1.0, k + 1)
+        t1 = np.diag(np.r_[linalg._THETA * steps, np.zeros(k)])
+        t2 = np.diag(np.r_[np.zeros(k), steps])
+        a, b = q @ t1 @ q.conj().T, q @ t2 @ q.conj().T
+        p, da, db = simultaneous_triangularize(a, b)
+        assert schurs == [(2 * k, 2 * k)] and runs == [False]
+        scale = max(np.abs(a).max(), np.abs(b).max(), 1.0)
+        for x in (a, b):
+            assert (np.abs(np.tril(p.conj().T @ x @ p, -1)).max()
+                    <= 1e-12 * scale)
+        _assert_planted_diagonals(da, db, t1, t2, 1e-12 * scale)
+
     def test_generic_noncommuting_rejected(self):
         rng = np.random.default_rng(67)
         a = rng.uniform(-1, 1, (4, 4))
@@ -587,8 +622,8 @@ def _recording_finisher(monkeypatch):
     finishes = []
     finish = linalg._commuting_basis
 
-    def recording(a, b, tol, residual_tol, eig=None):
-        q = finish(a, b, tol, residual_tol, eig)
+    def recording(a, b, tol, bound, eig):
+        q = finish(a, b, tol, bound, eig)
         finishes.append((a.shape[0], q is not None))
         return q
     monkeypatch.setattr(linalg, "_commuting_basis", recording)
@@ -711,7 +746,7 @@ class TestBlockDeflation:
         # q^H a q holds c below the diagonal, above the final bound 1e-8:
         # the step keeps e1 alone and the next one splits off e2.
         c = 1.5e-8
-        theta = linalg._THETA_CANDIDATES[0]
+        theta = linalg._THETA
         a = np.array([[0, 0.5, 0], [0, 0.5, c], [0, 0, 0]], dtype=complex)
         b = np.array([[0, 0.3, 0.75], [0, 0.25, -c / theta], [0, 0, 0.75]],
                      dtype=complex)
@@ -762,8 +797,8 @@ class TestBlockDeflation:
             assert (np.abs(np.tril(p.conj().T @ x @ p, -1)).max()
                     <= 1e-8 * max(np.abs(a).max(), np.abs(b).max()))
 
-    def test_repeated_eigenvalue_goes_to_the_two_sided_step(self,
-                                                            monkeypatch):
+    def test_jordan_tail_fails_the_finish_and_takes_the_svd_basis(
+            self, monkeypatch):
         # The trailing pair commutes, but a + theta*b has a Jordan block
         # there: no basis of its eigenvectors, so the finish fails and a
         # step splits the trailing pair instead.
@@ -791,7 +826,7 @@ class TestBlockDeflation:
         # diagonal, above the caller's 1e-6: the finish fails, and so does
         # the step on the same eigenvectors.  The rerun's two-sided step,
         # with a's own eigenvectors, meets it.
-        theta = linalg._THETA_CANDIDATES[0]
+        theta = linalg._THETA
         ta = np.diag([1e-3, 0.0]).astype(complex)
         tb = np.array([[-(1e-3 - 1e-7) / theta, 3e-7], [3e-7, 0.0]],
                       dtype=complex)
@@ -799,7 +834,8 @@ class TestBlockDeflation:
         a, b, t1, t2 = _planted_commuting_tail(2, 1, ta, tb)
         steps = _recording_steps(monkeypatch)
         finishes = _recording_finisher(monkeypatch)
-        p, da, db = simultaneous_triangularize(a, b, residual_tol=1e-6)
+        monkeypatch.setattr(linalg, "RESIDUAL_TOL", 1e-6)
+        p, da, db = simultaneous_triangularize(a, b)
         assert finishes == [(2, False), (2, False)]
         assert steps == [(3, 1), (2, 1), (3, 1), (2, 1)]
         for x in (a, b):

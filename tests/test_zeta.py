@@ -163,6 +163,13 @@ class TestClassicalIdentity:
         with pytest.raises(ZeroDivisionError):
             ihara_bass(path_graph(3), 1.0)
 
+    @pytest.mark.parametrize("t", [1.0, -1.0])
+    def test_bass_form_at_the_poles_of_non_trees(self, t):
+        # With m = n the factor (1 - t^2)^0 is 1 at t = +-1, not 0 * log 0.
+        for g in (cycle_graph(3), cycle_graph(4), complete_graph(4)):
+            assert ihara_bass(g, t) == pytest.approx(ihara_hashimoto(g, t),
+                                                     abs=1e-12)
+
     def test_random_graphs(self):
         rng = np.random.default_rng(71)
         for _ in range(10):
@@ -696,6 +703,19 @@ class TestExtremeScales:
             report = quaternionic_identity(
                 g, CoinMap.from_alpha(g, Quaternion(0.3, 0.2, 0.1, 0.1)), ts)
         assert g.m == 3894 and report.verdict, report.max_rel_err
+
+    def test_bass_form_beyond_the_double_range(self):
+        # m = 4107: at t = 0.8i the true log-modulus, about 2576, is past the
+        # double range, where the linear (1 - t^2)^(r-1) raised
+        # OverflowError.  Both forms now read exp of the identity core's
+        # logs: they agree in range and read inf beyond it.
+        g = random_connected_graph(np.random.default_rng(0), 200, 0.2)
+        assert g.m == 4107
+        for t in (0.3, -0.7):
+            assert ihara_bass(g, t) == pytest.approx(ihara_hashimoto(g, t),
+                                                     rel=1e-10)
+        assert abs(ihara_bass(g, 0.8j)) == np.inf
+        assert abs(ihara_hashimoto(g, 0.8j)) == np.inf
 
 
 class TestRelErr:
