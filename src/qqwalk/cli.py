@@ -48,7 +48,6 @@ from .walks import (
     _within,
     build_U,
     parse_coin_file,
-    quat_cond_check,
     unitarity_condition,
 )
 from .zeta import (
@@ -164,10 +163,12 @@ def _cmd_spectrum(args) -> int:
     elif args.method == "theorem8":
         report = spectrum_theorem_general(graph, coin)
     elif args.method == "theorem10":
-        ok, alpha = quat_cond_check(graph, coin, tol=args.tol)
-        even = CoinMap.from_alpha(graph, alpha) if ok else None
-        if not ok or not np.all(
-                _within(coin.s - even.s, coin.p - even.p, args.tol)):
+        first = graph.origin == 0
+        alpha = Quaternion.from_complex_pair(complex(coin.s[first].sum()),
+                                             complex(coin.p[first].sum()))
+        even = CoinMap.from_alpha(graph, alpha)
+        if not np.all(_within(coin.s - even.s, coin.p - even.p,
+                              args.tol * max(1.0, alpha.norm()))):
             raise InputError(
                 "the alpha-coin route needs q(e) = alpha/deg(o(e)) on every "
                 "arc: a vertex-independent outgoing coin sum, split evenly")

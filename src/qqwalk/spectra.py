@@ -15,7 +15,9 @@
   finisher takes the two roots of lambda^2 - mu*lambda + xi - 1 per pair,
   pads with +-1 for non-trees and trims {1, 1, -1, -1} for trees:
   - theorem8: the diagonals of psi(W^T) and psi(D_w), jointly
-    triangularized;
+    triangularized one strong component of the coin's support at a time,
+    one-vertex components (every vertex of a leaf -> center star) in
+    closed form;
   - theorem10, coins q(e) = alpha/d: the complex pair alpha_+- similar to
     alpha gives walks W_+- = alpha_+- * T with T = D^-1 A, so the pairs are
     (alpha_+- * lambda_T, alpha_+-) over the real spectrum lambda_T of T,
@@ -192,8 +194,7 @@ def _compression(graph: Graph, weights) -> np.ndarray:
     products, in O(n^3).
     """
     n, bipartite = graph.n, int(graph.is_bipartite)
-    adjacency = graph.adjacency_matrix()
-    degree = adjacency.sum(axis=1)
+    adjacency, degree = graph.adjacency_matrix(), graph.degrees
     lifts, signs = [], []
     for sign, ground in ((-1.0, 1), (1.0, bipartite)):
         laplacian = np.diag(degree) + sign * adjacency
@@ -310,7 +311,7 @@ def _sample_points(graph: Graph, coin: CoinMap) -> np.ndarray:
     (d - 1)*(|s| + |p|) + |s - 1| + |p|, read off the arc arrays in O(m).
     """
     s, p = np.abs(coin.s), np.abs(coin.p)
-    degree = np.bincount(graph.origin, minlength=graph.n)[graph.origin]
+    degree = graph.degrees[graph.origin]
     rows = (degree - 1) * (s + p) + np.abs(coin.s - 1.0) + p
     scale = max(float(rows.max(initial=0.0)), 1.0)
     return np.multiply.outer(np.array(CERT_RADII) / scale,
@@ -448,6 +449,37 @@ def _finish_quadratic_route(graph: Graph, method: str, mu: np.ndarray,
     return report
 
 
+def _component_pairs(graph: Graph, weights, pair: tuple) -> tuple:
+    """The aligned diagonals (mu, xi) of the vertex pair, one strong
+    component of the weights' support {e : q(e) != 0} at a time.
+
+    Y holds q(e) at (t(e), o(e)), so ordered by Graph.strong_components the
+    pair is block upper triangular and its pairs are its diagonal blocks'.
+    A one-vertex block has Y_vv = 0 (no loops), so its pairs are (0, D'_vv),
+    or (0, Re s +- i*sqrt((Im s)^2 + |p|^2)) for D_vv = s + j*p in the psi
+    layout, where vertex v holds indices v and v + n.  Every other block is
+    triangularized on its own.
+    """
+    support = ((weights.s != 0) | (weights.p != 0)
+               if isinstance(weights, CoinMap) else weights != 0)
+    labels = graph.strong_components(support)
+    sizes = np.bincount(labels)
+    (y, d), n = pair, graph.n
+    lone = np.flatnonzero(sizes[labels] == 1)
+    xi = d[lone, lone].astype(complex)
+    if y.shape[0] > n:
+        arm = np.hypot(xi.imag, np.abs(d[lone + n, lone]))
+        xi = np.concatenate((xi.real + 1j * arm, xi.real - 1j * arm))
+    parts = [(np.zeros(xi.size, dtype=complex), xi)]
+    for block in np.flatnonzero(sizes > 1):
+        idx = np.flatnonzero(labels == block)
+        if y.shape[0] > n:
+            idx = np.concatenate((idx, idx + n))
+        idx = np.ix_(idx, idx)
+        parts.append(simultaneous_triangularize(y[idx], d[idx])[1:])
+    return tuple(np.concatenate(diagonals) for diagonals in zip(*parts))
+
+
 def spectrum_theorem_general(graph: Graph, coin: CoinMap) -> SpectrumReport:
     """Quadratic-formula route via joint triangularization.
 
@@ -455,13 +487,15 @@ def spectrum_theorem_general(graph: Graph, coin: CoinMap) -> SpectrumReport:
     psi(D_w) are the (mu, xi) pairs.  When the coin's values share an
     axis, the pair triangularized is the n x n (Y', D') of its turned
     values (_vertex_pair of _operand) and its n aligned diagonals, with
-    their conjugates, are the 2n pairs.  Raises when the pair cannot be
-    triangularized together; the caller should then use the direct route.
+    their conjugates, are the 2n pairs.  The pair is split over the strong
+    components of the coin's support (_component_pairs), so a star's leaf
+    -> center coin takes a closed form.  Raises when a block cannot be
+    triangularized; the caller should then use the direct route.
     """
     operand = _operand(coin)
     pair = _vertex_pair(graph, operand[0])
     try:
-        _, mus, xis = simultaneous_triangularize(*pair)
+        mus, xis = _component_pairs(graph, operand[0], pair)
     except NotSimultaneouslyTriangularizableError as exc:
         raise NotSimultaneouslyTriangularizableError(
             f"{exc}; use the direct route for this coin",
@@ -483,7 +517,7 @@ def _alpha_route(graph: Graph, alpha_plus: complex, method: str,
     if graph.m == 0:
         zeros = np.zeros(2 * graph.n, dtype=complex)
         return _finish_quadratic_route(graph, method, zeros, zeros, coin)
-    d_half = 1.0 / np.sqrt(graph.degree_matrix().diagonal())
+    d_half = 1.0 / np.sqrt(graph.degrees)
     t_vals = np.linalg.eigvalsh(
         d_half[:, None] * graph.adjacency_matrix() * d_half[None, :])
     if np.abs(t_vals).max() > 1.0 + MODULUS_TOL:

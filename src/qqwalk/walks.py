@@ -113,9 +113,8 @@ class CoinMap:
     @classmethod
     def from_alpha(cls, graph: Graph, alpha: Quaternion) -> "CoinMap":
         """q(e) = alpha / d_{o(e)} (real divisor, so side of division is moot)."""
-        degree = np.bincount(graph.origin, minlength=graph.n)
         x = np.array([alpha.x0, alpha.x1, alpha.x2, alpha.x3])[:, None]
-        return cls._from_coordinates(graph, x / degree[graph.origin])
+        return cls._from_coordinates(graph, x / graph.degrees[graph.origin])
 
     @classmethod
     def grover(cls, graph: Graph) -> "CoinMap":
@@ -205,7 +204,7 @@ def _arc_pairs(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
     row and column indices.  Column f holds the arcs leaving t(f), taken
     from the arcs grouped by origin."""
     by_origin = np.argsort(graph.origin, kind="stable")
-    degree = np.bincount(graph.origin, minlength=graph.n)
+    degree = graph.degrees
     count = degree[graph.terminal]
     cols = np.repeat(np.arange(graph.num_arcs), count)
     # Pair k of column f sits k places past the start of t(f)'s group.
@@ -268,7 +267,7 @@ def unitarity_condition(graph: Graph, coin: CoinMap,
     constant across arcs sharing an origin.
     """
     s, p = coin.s, coin.p
-    degree = np.bincount(graph.origin, minlength=graph.n)[graph.origin]
+    degree = graph.degrees[graph.origin]
     residual = (s.real * s.real + s.imag * s.imag + p.real * p.real
                 + p.imag * p.imag - 2.0 * s.real / degree)
     if np.any(np.abs(residual) > tol):
@@ -325,13 +324,15 @@ def build_W_Dw(graph: Graph, weights: CoinMap) -> tuple[QuatMatrix, QuatMatrix]:
 
 def quat_cond_check(graph: Graph, coin: CoinMap,
                     tol: float = 1e-9) -> tuple[bool, Quaternion | None]:
-    """Check that the outgoing coin sum is vertex-independent.
+    """Check that the outgoing coin sum is vertex-independent, within tol
+    times max(1, the largest |outgoing sum|).
 
     Returns (True, alpha) with the common sum when it is, else (False, None).
     """
     s, p = np.zeros((2, graph.n), dtype=complex)
     np.add.at(s, graph.origin, coin.s)
     np.add.at(p, graph.origin, coin.p)
+    tol *= max(1.0, float(np.sqrt(np.abs(s) ** 2 + np.abs(p) ** 2).max()))
     if np.all(_within(s - s[0], p - p[0], tol)):
         return True, Quaternion.from_complex_pair(complex(s[0]), complex(p[0]))
     return False, None

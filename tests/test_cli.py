@@ -103,6 +103,50 @@ class TestSpectrum:
         assert code == 2 and out == ""
         assert "alpha/deg(o(e)) on every arc" in err
 
+    @staticmethod
+    def rnd40(tmp_path):
+        g = random_connected_graph(np.random.default_rng(3), 40, 0.1)
+        graph = tmp_path / "rnd40.g"
+        graph.write_text(f"{g.n} {g.m}\n"
+                         + "".join(f"{u} {v}\n" for u, v in g.edges))
+        return g, str(graph)
+
+    def test_alpha_coin_check_is_relative(self, capsys, tmp_path):
+        # Out-sums of size 2e8 round far above the absolute 1e-9.
+        _, graph = self.rnd40(tmp_path)
+        code, out, err = run(capsys, "spectrum", "--graph", graph,
+                             "--alpha=1e8+1e8i+1e8j+1e8k",
+                             "--method", "theorem10")
+        assert code == 0, err
+        assert json.loads(out)["cross_check"]["verdict"] is True
+
+    def test_alpha_coin_check_refuses_a_small_uneven_split_at_scale(
+            self, capsys, tmp_path):
+        # The even split of alpha = 1e8(1+i+j+k), with 1e-6*|alpha| moved
+        # between two arcs of one vertex: every out-sum stays alpha, and the
+        # split is uneven by far more than tol * |alpha| = 0.2.
+        g, graph = self.rnd40(tmp_path)
+        share = 1.0 / g.degrees[g.origin]
+        first, second = np.nonzero(g.origin == g.origin[0])[0][:2]
+        share[first] += 1e-6
+        share[second] -= 1e-6
+        coin = tmp_path / "split.w"
+
+        def route():
+            coin.write_text("".join(f"a {e} {1e8 * c:.17g}{1e8 * c:+.17g}i"
+                                    f"{1e8 * c:+.17g}j{1e8 * c:+.17g}k\n"
+                                    for e, c in enumerate(share)))
+            return run(capsys, "spectrum", "--graph", graph, "--coin",
+                       str(coin), "--method", "theorem10")
+
+        code, out, err = route()
+        assert code == 2 and out == ""
+        assert "alpha/deg(o(e)) on every arc" in err
+        # Split evenly, the same coin passes.
+        share[[first, second]] = 1.0 / g.degrees[g.origin[0]]
+        code, _, err = route()
+        assert code == 0, err
+
     def test_coin_options_are_exclusive(self, capsys, k3_path):
         code, _, err = run(capsys, "spectrum", "--graph", k3_path,
                            "--grover", "--alpha", "2")

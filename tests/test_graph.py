@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qqwalk.graph import (
     Graph,
@@ -98,6 +100,50 @@ class TestDegreesAndBetti:
     def test_out_of_range_degree(self):
         with pytest.raises(ValueError):
             complete_graph(3).degree(5)
+
+    def test_degrees_are_a_read_only_array(self):
+        g = random_connected_graph(np.random.default_rng(4), 12, 0.3)
+        assert np.array_equal(g.degrees, np.bincount(g.origin, minlength=g.n))
+        assert [g.degree(u) for u in range(g.n)] == g.degrees.tolist()
+        with pytest.raises(ValueError):
+            g.degrees[0] = 7
+
+
+def reachable(g, arcs):
+    """Boolean reachability of the digraph of the marked arcs, by repeated
+    squaring of its adjacency (with the diagonal)."""
+    r = np.eye(g.n, dtype=bool)
+    r[g.origin[arcs], g.terminal[arcs]] = True
+    for _ in range(max(g.n, 2).bit_length()):
+        r = (r.astype(int) @ r.astype(int)) > 0
+    return r
+
+
+class TestStrongComponents:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 9), st.sampled_from([0.0, 0.3, 0.7]),
+           st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    def test_matches_reachability(self, n, extra, density, seed):
+        rng = np.random.default_rng(seed)
+        g = random_connected_graph(rng, n, extra)
+        arcs = rng.random(g.num_arcs) < density
+        label = g.strong_components(arcs)
+        r = reachable(g, arcs)
+        assert np.array_equal(label[:, None] == label[None, :], r & r.T)
+        # Every marked arc points to a component no later than its own.
+        assert np.all(label[g.terminal[arcs]] <= label[g.origin[arcs]])
+        assert sorted(set(label.tolist())) == list(range(label.max() + 1))
+
+    def test_every_arc_is_one_component(self):
+        g = petersen_graph()
+        assert not g.strong_components(np.ones(g.num_arcs, dtype=bool)).any()
+
+    def test_long_one_way_path_needs_no_recursion(self):
+        # Arcs i -> i + 1 only: n components, the last vertex closed first.
+        n = 20000
+        g = path_graph(n)
+        label = g.strong_components(g.origin < g.terminal)
+        assert np.array_equal(label, np.arange(n)[::-1])
 
 
 class TestBipartite:

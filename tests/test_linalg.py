@@ -642,6 +642,23 @@ def _weighted_star(leaves):
         g, {2 * i: Quaternion(*rng.uniform(-1, 1, 4)) for i in range(leaves)})
 
 
+def _star_pair(g, coin):
+    """The vertex pair that theorem8 builds for the coin: a star's is the
+    whole pair the deflation meets when it is triangularized unsplit."""
+    from qqwalk.spectra import _operand, _vertex_pair
+    return _vertex_pair(g, _operand(coin)[0])
+
+
+def _pair_spectrum(g, coin, mus, xis):
+    """The walk spectrum read off the aligned diagonals of the coin's
+    triangularized vertex pair, as theorem8 reads it."""
+    from qqwalk.qmatrix import psi_spectrum
+    from qqwalk.spectra import _finish_quadratic_route
+    return _finish_quadratic_route(
+        g, "theorem8", psi_spectrum(mus, g.n), psi_spectrum(xis, g.n),
+        coin).psi_spectrum
+
+
 def _ex5_star():
     """K_{1,3} with the weights of the ex5.w fixture."""
     from pathlib import Path
@@ -695,26 +712,20 @@ class TestBlockDeflation:
     @pytest.mark.parametrize("leaves", [24, 32])
     def test_weighted_stars_split_off_in_few_steps(self, monkeypatch,
                                                    leaves):
-        from qqwalk.graph import star_graph
-        from qqwalk.quaternion import Quaternion
-        from qqwalk.spectra import spectrum_theorem_general
-        from qqwalk.walks import CoinMap, build_U, build_W_Dw
-        rng = np.random.default_rng(leaves)
-        g = star_graph(leaves)
-        coin = CoinMap.from_arc_values(
-            g, {2 * i: Quaternion(*rng.uniform(-1, 1, 4))
-                for i in range(leaves)})
+        # theorem8 splits a star into one-vertex blocks; its whole pair is
+        # triangularized here as one.
+        from qqwalk.walks import build_U
+        g, coin = _weighted_star(leaves)
+        a, b = _star_pair(g, coin)
         steps = _recording_steps(monkeypatch)
-        report = spectrum_theorem_general(g, coin)
+        _, mus, xis = simultaneous_triangularize(a, b)
         assert 1 <= len(steps) <= 3, steps
         assert compare_spectra(
-            report.psi_spectrum,
+            _pair_spectrum(g, coin, mus, xis),
             np.linalg.eigvals(build_U(g, coin).psi()),
             tol=0.0).max_dist <= 1e-9
         # The first step's vectors are joint eigenvectors within the step's
         # tolerance, each at least half outside the span of those before.
-        w, dw = build_W_Dw(g, coin)
-        a, b = w.transpose().psi(), dw.psi()
         v = linalg._joint_eigenvectors(a, b, _step_tol(a, b))
         assert v.shape[1] > 1
         assert _eigen_residuals(a, b, v).max() <= _step_tol(a, b)
@@ -766,17 +777,17 @@ class TestBlockDeflation:
                                                    leaves):
         # The star's first step splits off its joint eigenvectors and leaves
         # a commuting pair, which one eigendecomposition finishes.
-        from qqwalk.spectra import spectrum_theorem_general
         from qqwalk.walks import build_U
         g, coin = _weighted_star(leaves)
+        pair = _star_pair(g, coin)
         steps = _recording_steps(monkeypatch)
         finishes = _recording_finisher(monkeypatch)
-        report = spectrum_theorem_general(g, coin)
+        _, mus, xis = simultaneous_triangularize(*pair)
         size = 2 * leaves + 2
         assert len(steps) == 1 and steps[0][0] == size
         assert finishes == [(size - steps[0][1], True)]
         assert compare_spectra(
-            report.psi_spectrum,
+            _pair_spectrum(g, coin, mus, xis),
             np.linalg.eigvals(build_U(g, coin).psi()),
             tol=0.0).max_dist <= 1e-9
 
@@ -916,14 +927,18 @@ class TestBlockDeflation:
         # Each cluster of the star's x holds as many eigenvectors from the
         # eig, orthogonal to rounding, as it has eigenvalues: their QR
         # factor is its basis, and no SVD is made.
-        from qqwalk.spectra import spectrum_theorem_general
+        from qqwalk.spectra import _certificate
 
         def refused(*args, **kwargs):
             raise AssertionError("np.linalg.svd called")
 
         g, coin = _ex5_star() if star == "ex5.w" else _weighted_star(star)
+        pair = _star_pair(g, coin)
+        steps = _recording_steps(monkeypatch)
         monkeypatch.setattr(np.linalg, "svd", refused)
-        assert spectrum_theorem_general(g, coin).cross_check.verdict
+        _, mus, xis = simultaneous_triangularize(*pair)
+        assert steps
+        assert _certificate(g, coin, _pair_spectrum(g, coin, mus, xis)).verdict
 
     def test_cluster_wider_than_tol_takes_the_svd(self, monkeypatch):
         # Single linkage chains the eigenvalues 0, 0.9, 1.8 and 2.7 (times

@@ -2,6 +2,7 @@
 
 import pickle
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from qqwalk.graph import (
     Graph,
     complete_graph,
     cycle_graph,
+    load_graph,
     path_graph,
     petersen_graph,
     random_connected_graph,
@@ -36,7 +38,7 @@ from qqwalk.spectra import (
     spectrum_grover,
     spectrum_theorem_general,
 )
-from qqwalk.walks import CoinMap, build_U
+from qqwalk.walks import CoinMap, build_U, parse_coin_file
 
 S2 = np.sqrt(2.0)
 
@@ -314,12 +316,25 @@ def planted_star(k=4):
 
 
 def leaf_star(k, rng, kind):
-    """K_{1,k} with axis_coin values on the leaf -> center arcs and zero on
+    """K_{1,k} with any_coin values on the leaf -> center arcs and zero on
     the others ("off-axis" moves the first of them off the axis)."""
     g = star_graph(k)
-    values = axis_coin(g, rng, kind)
+    values = any_coin(g, rng, kind)
     return g, CoinMap.from_arc_values(
         g, {e: values[e] for e in range(0, g.num_arcs, 2)})
+
+
+def unit_sum_coin(g, rng, kind):
+    """axis_coin values shifted at each vertex so that their out-sum is 1:
+    D_w = I commutes with W^T, and the support is every arc, so one strong
+    component."""
+    coin = axis_coin(g, rng, kind)
+    degree = g.degrees[g.origin]
+    for part, target in ((coin.s, 1.0), (coin.p, 0.0)):
+        sums = np.zeros(g.n, dtype=complex)
+        np.add.at(sums, g.origin, part)
+        part -= (sums[g.origin] - target) / degree
+    return coin
 
 
 class TestVertexBlocks:
@@ -415,15 +430,23 @@ class TestVertexBlocks:
     @pytest.mark.parametrize("kind, half", [("axis", True),
                                             ("off-axis", False)])
     def test_theorem8_sizes(self, monkeypatch, kind, half):
-        g, coin = leaf_star(12, np.random.default_rng(12), kind)
-        size = g.n if half else 2 * g.n
-        seen = self.recording(monkeypatch)
-        report = spectrum_theorem_general(g, coin)
-        assert seen == {"slogdet": {(size, size)},
-                        "triangularize": [((size, size), (size, size))],
-                        "builds": 1}
-        assert report.cross_check.verdict
-        assert matches_direct(report, g, coin)
+        # A star's leaf -> center support has one-vertex components only,
+        # which take the closed form; a support with one strong component
+        # is triangularized whole, once.
+        rng = np.random.default_rng(12)
+        star = leaf_star(12, rng, kind)
+        spread = random_connected_graph(rng, 9, 0.3)
+        for (g, coin), calls in ((star, 0),
+                                 ((spread, unit_sum_coin(spread, rng, kind)),
+                                  1)):
+            size = g.n if half else 2 * g.n
+            seen = self.recording(monkeypatch)
+            report = spectrum_theorem_general(g, coin)
+            assert seen == {"slogdet": {(size, size)},
+                            "triangularize": [((size, size),) * 2] * calls,
+                            "builds": 1}
+            assert report.cross_check.verdict
+            assert matches_direct(report, g, coin)
 
     @pytest.mark.parametrize("route", ["alpha", "grover"])
     def test_alpha_routes_certify_on_n_by_n(self, monkeypatch, route):
@@ -444,6 +467,139 @@ class TestVertexBlocks:
                            match="not nilpotent.*use the direct route"):
             spectrum_theorem_general(g, coin)
         assert seen["triangularize"] == [((g.n, g.n), (g.n, g.n))]
+
+
+def joined_graph(rng, sizes, bridges):
+    """Two random connected parts, on the first sizes[0] vertices and on the
+    rest, joined by up to `bridges` random edges between them."""
+    a, b = sizes
+    left, right = (random_connected_graph(rng, k, 0.3) for k in sizes)
+    joins = {(int(rng.integers(a)), a + int(rng.integers(b)))
+             for _ in range(bridges)}
+    return Graph(a + b, left.edges + [(u + a, v + a) for u, v in right.edges]
+                 + sorted(joins))
+
+
+def random_value(rng, kind, axis):
+    """A random quaternion, or one of the form a + b*axis ("axis")."""
+    if kind == "axis":
+        return Quaternion(rng.uniform(-1, 1), *(rng.uniform(-1, 1) * axis))
+    return Quaternion(*rng.uniform(-1, 1, 4))
+
+
+def two_part_coin(g, rng, first, kind):
+    """alpha_A/d on every arc leaving the first `first` vertices (A) and
+    alpha_B/d_B on the arcs inside the rest (B), with d_B the degree inside
+    B and zero on the arcs from B to A: the support's strong components are
+    A and B, joined one way, and each block commutes (D_w = alpha*I)."""
+    axis = rng.normal(size=3)
+    axis /= np.linalg.norm(axis)
+    alphas = [random_value(rng, kind, axis) for _ in range(2)]
+    leaves_b = g.origin >= first
+    keep = ~leaves_b | (g.terminal >= first)
+    count = np.bincount(g.origin[keep], minlength=g.n)
+    return CoinMap(g, [alphas[int(leaves_b[e])] * (1.0 / count[g.origin[e]])
+                       if keep[e] else Quaternion.ZERO
+                       for e in range(g.num_arcs)])
+
+
+def masked_coin(g, rng, family, kind):
+    """Values of the kind on the arcs the family keeps and zero on the rest:
+    none ("zero"), those going up a random vertex order ("acyclic") or each
+    with probability 1/2 ("random")."""
+    axis = rng.normal(size=3)
+    axis /= np.linalg.norm(axis)
+    rank = rng.permutation(g.n)
+    keep = {"zero": np.zeros(g.num_arcs, dtype=bool),
+            "acyclic": rank[g.origin] < rank[g.terminal],
+            "random": rng.random(g.num_arcs) < 0.5}[family]
+    return CoinMap(g, [random_value(rng, kind, axis) if keep[e]
+                       else Quaternion.ZERO for e in range(g.num_arcs)])
+
+
+class TestComponentRoute:
+    """theorem8 splits the vertex pair over the strong components of the
+    coin's support: one-vertex blocks in closed form, every other block
+    triangularized on its own."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(["zero", "acyclic", "bridge", "random"]),
+           st.sampled_from(["quaternion", "axis"]), st.booleans(),
+           st.integers(2, 7), st.integers(0, 2**32 - 1))
+    def test_agrees_with_direct(self, family, kind, tree, n, seed):
+        rng = np.random.default_rng(seed)
+        if family == "bridge":
+            first = int(rng.integers(1, n))
+            g = joined_graph(rng, (first, n + 1 - first), 1 if tree else 3)
+            coin = two_part_coin(g, rng, first, kind)
+        else:
+            g = random_connected_graph(rng, n, 0.0 if tree else 0.4)
+            coin = masked_coin(g, rng, family, kind)
+        direct = spectrum_direct(g, coin)
+        try:
+            report = spectrum_theorem_general(g, coin)
+        except NotSimultaneouslyTriangularizableError as exc:
+            # Only a block of two or more vertices can be refused.
+            assert family == "random", exc
+            assert "use the direct route" in str(exc)
+            return
+        if _certificate(g, coin, direct.psi_spectrum).verdict:
+            assert report.cross_check.verdict, report.cross_check
+            assert compare_spectra(report, direct, tol=1e-9).verdict
+
+    @pytest.mark.parametrize("kind, half", [("axis", True),
+                                            ("quaternion", False)])
+    def test_two_parts_triangularize_one_at_a_time(self, monkeypatch, kind,
+                                                   half):
+        rng = np.random.default_rng(7)
+        g = joined_graph(rng, (6, 9), 3)
+        coin = two_part_coin(g, rng, 6, kind)
+        copies = 1 if half else 2
+        seen = TestVertexBlocks.recording(monkeypatch)
+        report = spectrum_theorem_general(g, coin)
+        # B is terminal, so its block comes first.
+        assert seen["triangularize"] == [((copies * k,) * 2,) * 2
+                                         for k in (9, 6)]
+        assert report.cross_check.verdict
+        assert compare_spectra(report, spectrum_direct(g, coin),
+                               tol=1e-9).verdict
+
+    def test_block_without_nilpotent_commutator_is_refused(self):
+        # Random quaternions on the arcs inside B and an alpha/d coin on A:
+        # B's block has a commutator that is not nilpotent.
+        rng = np.random.default_rng(3)
+        g = joined_graph(rng, (5, 8), 2)
+        coin = two_part_coin(g, rng, 5, "quaternion")
+        inside = (g.origin >= 5) & (g.terminal >= 5)
+        coin.s[inside], coin.p[inside] = (
+            rng.uniform(-1, 1, (2, inside.sum()))
+            + 1j * rng.uniform(-1, 1, (2, inside.sum())))
+        with pytest.raises(NotSimultaneouslyTriangularizableError,
+                           match="not nilpotent.*use the direct route"):
+            spectrum_theorem_general(g, coin)
+
+    @pytest.mark.parametrize("star", ["ex5.w", 8, 12, 24])
+    def test_stars_take_no_eigensolve(self, monkeypatch, star):
+        import scipy.linalg
+
+        def refused(*args, **kwargs):
+            raise AssertionError("eigensolve called")
+
+        if star == "ex5.w":
+            fixtures = Path(spectra.__file__).parent / "fixtures"
+            g = load_graph(fixtures / "k13.g")
+            coin = parse_coin_file((fixtures / "ex5.w").read_text(), g)
+        else:
+            g, coin = leaf_star(star, np.random.default_rng(star),
+                                "quaternion")
+        for owner, name in ((np.linalg, "eig"), (np.linalg, "svd"),
+                            (scipy.linalg, "schur"),
+                            (spectra, "simultaneous_triangularize")):
+            monkeypatch.setattr(owner, name, refused)
+        report = spectrum_theorem_general(g, coin)
+        assert report.cross_check.verdict, report.cross_check
+        monkeypatch.undo()
+        assert matches_direct(report, g, coin)
 
 
 class TestQuadraticRoute:

@@ -324,6 +324,16 @@ class TestColumnSumCondition:
         ok, recovered = quat_cond_check(g, CoinMap.from_alpha(g, alpha))
         assert ok and recovered.isclose(alpha, atol=1e-12)
 
+    def test_sums_compare_relative_to_their_size(self):
+        # Rounding in alpha/d summed d times grows with |alpha|.
+        g = random_connected_graph(np.random.default_rng(40), 40, 0.2)
+        alpha = Quaternion(1e8, 1e8, 1e8, 1e8) * (1 / 3)
+        ok, recovered = quat_cond_check(g, CoinMap.from_alpha(g, alpha))
+        assert ok and recovered.isclose(alpha, atol=1e-12 * alpha.norm())
+        coin = CoinMap.from_alpha(g, alpha)
+        coin.s[g.origin == 0] *= 1 + 1e-6
+        assert not quat_cond_check(g, coin)[0]
+
     def test_weighted_star_fails(self):
         g = star_graph(3)
         ok, alpha = quat_cond_check(g, example_star_weights(g))
