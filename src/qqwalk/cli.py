@@ -312,7 +312,8 @@ def _cmd_selftest(args) -> int:
 # -- argument parsing -------------------------------------------------
 
 def _add_common(parser: argparse.ArgumentParser, coin: bool = True,
-                tol: bool = True, samples: bool = False) -> None:
+                tol: str | None = "tolerance >= 0",
+                samples: bool = False) -> None:
     parser.add_argument("--graph", required=True, help="edge-list graph file")
     if coin:
         parser.add_argument("--coin", help="coin/weight file")
@@ -322,7 +323,7 @@ def _add_common(parser: argparse.ArgumentParser, coin: bool = True,
                             help="use the Grover coin 2/d")
     if tol:
         parser.add_argument("--tol", type=float, default=None,
-                            help="tolerance >= 0 (default 1e-9; QQWALK_TOL)")
+                            help=f"{tol} (default 1e-9; QQWALK_TOL)")
     if samples:
         parser.add_argument("--samples", type=int, default=8,
                             help="number (>= 1) of identity sample points")
@@ -339,13 +340,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("spectrum", help="complexified walk spectrum")
-    _add_common(p)
+    _add_common(p, tol="tolerance >= 0, read by the theorem10 check only")
     p.add_argument("--method", choices=("direct", "theorem8", "theorem10"),
                    default="direct")
     p.set_defaults(handler=_cmd_spectrum)
 
     p = sub.add_parser("grover", help="alpha = 2 formula route (Grover walk)")
-    _add_common(p, coin=False, tol=False)
+    _add_common(p, coin=False, tol=None)
     p.set_defaults(handler=_cmd_grover)
 
     p = sub.add_parser("unitarity", help="unitarity condition check")

@@ -21,16 +21,17 @@ eigenvectors from x's eigendecompositions, then the same deflation with
 two-sided candidates, from eigendecompositions of a and of b, whose
 better-separated eigenvalues can give accurate vectors where those of x
 are ill-conditioned.  A pair that does not commute is first tested for a
-nilpotent commutator C = ab - ba (tr(C^2) = 0), which every jointly
-triangular pair has.  Each deflation step splits off every joint
-eigenvector it finds at once, as a block of columns of one QR factor that
-q^H a q and q^H b q must keep triangular, and deflation stops as soon as
-the pair left over commutes and the QR of x's eigenvectors triangularizes
-it: a weighted star takes one step and that finish, one eigendecomposition
-of the whole pair (_deflation_triangularize has the costs).  The bounds
-are the module constants COMMUTE_TOL (which pairs commute), RESIDUAL_TOL
-(the final check and the nilpotency test) and NULL_TOL (a step's
-clustering and null spaces).
+nilpotent commutator C = ab - ba (tr(C^k) = 0 for k = 2, 3, 4), which
+every jointly triangular pair has.  Each deflation step splits off every
+joint eigenvector it finds at once, as a block of columns of one QR factor
+that q^H a q and q^H b q must keep triangular, and deflation stops as soon
+as the pair left over commutes and the QR of x's eigenvectors
+triangularizes it: a weighted star takes one step and that finish, one
+eigendecomposition of the whole pair (_deflation_triangularize has the
+costs).  A commuting pair whose b is diagonal needs no basis: _class_pairs
+takes one eigensolve per class of b's values.  The bounds are the module
+constants COMMUTE_TOL (which pairs commute), RESIDUAL_TOL (the final
+check and the nilpotency test) and NULL_TOL (clustering, null spaces).
 """
 
 from __future__ import annotations
@@ -514,6 +515,28 @@ def _deflation_triangularize(a: np.ndarray, b: np.ndarray, bound: float,
     return p_total
 
 
+def _class_pairs(a: np.ndarray, b: np.ndarray) -> tuple | None:
+    """The aligned diagonals of a joint triangularization of a and
+    b = diag(d), one class of d's values at a time, or None.
+
+    (ab - ba)_ij = a_ij (d_j - d_i), so the pair commutes (COMMUTE_TOL)
+    exactly when a is block diagonal over the classes of d, clustered at
+    RESIDUAL_TOL times the pair's scale; a's entries between classes, which
+    a Schur basis per class would leave below the diagonal, must be within
+    that bound too.  A class gives eigenvalues(a_class) and its d.
+    """
+    d = np.diag(b)
+    scale = max(1.0, float(np.abs(a).max()), float(np.abs(d).max()))
+    labels = _cluster_labels(d, RESIDUAL_TOL * scale)
+    if (np.abs(a * (d - d[:, None])).max() > COMMUTE_TOL * _commute_scale(a, d)
+            or np.abs(a[labels != labels[:, None]]).max(initial=0.0)
+            > RESIDUAL_TOL * scale):
+        return None
+    classes = [np.flatnonzero(labels == c) for c in range(labels.max() + 1)]
+    return (np.concatenate([eigenvalues(a[np.ix_(c, c)]) for c in classes]),
+            np.concatenate([d[c] for c in classes]).astype(complex))
+
+
 def simultaneous_triangularize(a: np.ndarray, b: np.ndarray
                                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Joint upper-triangularization of two matrices.
@@ -522,14 +545,14 @@ def simultaneous_triangularize(a: np.ndarray, b: np.ndarray
     final check.  A pair that commutes within COMMUTE_TOL first takes the
     unitary Schur basis of a + theta*b for a generic real theta.  A pair
     that does not must have a nilpotent commutator C = ab - ba: it is
-    rejected when |tr(C^2)| exceeds RESIDUAL_TOL * ||C||_F^2 plus the
-    rounding bound of forming C.  Every pair left goes to common-eigenvector
-    deflation (_deflation_triangularize) on the eigenvectors of
-    a + theta*b, and then to that deflation rerun with candidates from a
-    and from b.  The final check bounds the largest strictly lower entry by
-    RESIDUAL_TOL relative to max(1, largest |entry| of a and b), as the
-    certificate's residual is relative to the spectrum's.  Returns (P,
-    diag_a, diag_b) with aligned diagonals; raises
+    rejected when |tr(C^k)|, k = 2, 3 or 4, exceeds RESIDUAL_TOL *
+    ||C||_F^k plus the rounding bound of forming C.  Every pair left goes
+    to common-eigenvector deflation (_deflation_triangularize) on the
+    eigenvectors of a + theta*b, and then to that deflation rerun with
+    candidates from a and from b.  The final check bounds the largest
+    strictly lower entry by RESIDUAL_TOL relative to max(1, largest |entry|
+    of a and b), as the certificate's residual is relative to the
+    spectrum's.  Returns (P, diag_a, diag_b) with aligned diagonals; raises
     NotSimultaneouslyTriangularizableError when the commutator test or the
     final check of every basis tried fails.
     """
@@ -550,16 +573,19 @@ def simultaneous_triangularize(a: np.ndarray, b: np.ndarray
             [scipy.linalg.schur(a + _THETA * b, output="complex")[1]], bases)
     else:
         # A jointly triangular pair has a strictly triangular, so nilpotent,
-        # commutator: tr(C^2) = 0 up to RESIDUAL_TOL * ||C||_F^2 and the
-        # rounding of forming C, at most 4*n*eps*||a||_F*||b||_F*||C||_F.
+        # commutator: tr(C^k) = 0, k = 2, 3, 4 (tr(C^2) alone is 0 for a walk
+        # block with no arc both ways), up to RESIDUAL_TOL * ||C||_F^k and
+        # the rounding of forming C, at most 4*n*eps*||a||_F*||b||_F*||C||_F.
         comm_fro = float(np.linalg.norm(comm))
         rounding = (4 * a.shape[0] * np.finfo(float).eps
                     * float(np.linalg.norm(a)) * float(np.linalg.norm(b)))
-        ratio = abs(complex(np.sum(comm * comm.T))) / comm_fro ** 2
-        if ratio > RESIDUAL_TOL + rounding / comm_fro:
-            raise NotSimultaneouslyTriangularizableError(
-                "not simultaneously triangularizable: the commutator C is "
-                f"not nilpotent, |tr(C^2)|/||C||_F^2 = {ratio:.3e}")
+        c2 = comm @ comm
+        for k, x, y in ((2, comm, comm), (3, c2, comm), (4, c2, c2)):
+            ratio = abs(complex(np.sum(x * y.T))) / comm_fro ** k
+            if ratio > RESIDUAL_TOL + rounding / comm_fro:
+                raise NotSimultaneouslyTriangularizableError(
+                    "not simultaneously triangularizable: the commutator C is "
+                    f"not nilpotent, |tr(C^{k})|/||C||_F^{k} = {ratio:.3e}")
     last_residual = np.inf
     for p in bases:
         ta = p.conj().T @ a @ p

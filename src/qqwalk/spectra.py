@@ -12,12 +12,14 @@
   complex coin), whose eigenvalues and their conjugates are then the
   spectrum, and psi(C), of size 2(2n - 1 - b), otherwise;
 * formula routes: each is a source of aligned pairs (mu, xi), and one
-  finisher takes the two roots of lambda^2 - mu*lambda + xi - 1 per pair,
+  finisher takes the two roots of lambda^2 - mu*lambda + xi - 1 per pair
+  (one double root where the discriminant is within DOUBLE_ROOT_TOL of 0),
   pads with +-1 for non-trees and trims {1, 1, -1, -1} for trees:
   - theorem8: the diagonals of psi(W^T) and psi(D_w), jointly
     triangularized one strong component of the coin's support at a time,
     one-vertex components (every vertex of a leaf -> center star) in
-    closed form;
+    closed form, and a commuting block of turned values (every alpha/d and
+    Grover coin) by one eigensolve per class of D's values;
   - theorem10, coins q(e) = alpha/d: the complex pair alpha_+- similar to
     alpha gives walks W_+- = alpha_+- * T with T = D^-1 A, so the pairs are
     (alpha_+- * lambda_T, alpha_+-) over the real spectrum lambda_T of T,
@@ -54,6 +56,7 @@ import numpy as np
 from .graph import Graph
 from .linalg import (
     NotSimultaneouslyTriangularizableError,
+    _class_pairs,
     _matching,
     eigenvalues,
     pair_conjugates,
@@ -74,6 +77,9 @@ __all__ = [
 ]
 
 TREE_TRIM_TOL = 1e-6
+# A discriminant mu^2 - 4(xi - 1) within DOUBLE_ROOT_TOL * (|mu|^2 +
+# 4|xi - 1|) of 0, its rounding, gives one double root mu/2, not two.
+DOUBLE_ROOT_TOL = 8 * np.finfo(float).eps
 # Largest certificate residual of a formula route, in eigenvalue units
 # relative to max(1, max|lambda|).
 CROSS_TOL = 1e-7
@@ -333,7 +339,8 @@ def _logdet(ts: np.ndarray, y: np.ndarray, d: np.ndarray | None = None,
     """log det(X(t)) at each t for X(t) = I - t*y + t^2*(d - I), or
     I - t*y when d is None, by numpy's slogdet over batches of points
     holding at most LOGDET_BATCH entries, so memory stays bounded at any
-    size.  The imaginary part is a phase, not reduced mod 2*pi.
+    size.  The imaginary part is a phase, not reduced mod 2*pi.  Only the
+    nonzero entries of t^2*(d - I) are added (diagonal, psi off-diagonals).
 
     With halves, y and d are blocks X' of a psi image unitarily similar to
     diag(X', conj(X')), whose log-determinant is log det(X'(t)) +
@@ -342,15 +349,17 @@ def _logdet(ts: np.ndarray, y: np.ndarray, d: np.ndarray | None = None,
     if halves and (np.iscomplexobj(y) or np.iscomplexobj(d)):
         return _logdet(ts, y, d) + np.conj(_logdet(ts.conj(), y, d))
     diag = np.arange(y.shape[0])
-    square = None if d is None else d - np.eye(diag.size)
+    if d is not None:
+        square = d - np.eye(diag.size)
+        rows, cols = np.nonzero(square)
     step = max(LOGDET_BATCH // max(y.size, 1), 1)
     out = np.zeros(ts.size, dtype=complex)
     for lo in range(0, ts.size, step):
         t = ts[lo:lo + step, None, None]
         m = -t * y
         m[:, diag, diag] += 1.0
-        if square is not None:
-            m += t * t * square
+        if d is not None:
+            m[:, rows, cols] += (t * t)[:, :, 0] * square[rows, cols]
         sign, logabs = np.linalg.slogdet(m)
         out[lo:lo + step] = logabs + 1j * np.angle(sign)
     return 2.0 * out if halves else out
@@ -436,7 +445,9 @@ def _finish_quadratic_route(graph: Graph, method: str, mu: np.ndarray,
     (mu, xi) pairs, padded or trimmed to 4m values and certified against
     psi(U) (see _certificate, which reads the route's vertex pair and the
     coin's operand, or builds each when None)."""
-    disc = np.sqrt(mu * mu - 4.0 * (xi - 1.0))
+    disc = mu * mu - 4.0 * (xi - 1.0)
+    disc = np.sqrt(np.where(np.abs(disc) <= DOUBLE_ROOT_TOL * (
+        np.abs(mu) ** 2 + 4.0 * np.abs(xi - 1.0)), 0.0, disc))
     lam = np.column_stack(((mu + disc) / 2.0, (mu - disc) / 2.0)).ravel()
     excess = graph.m - graph.n
     if excess >= 0:
@@ -457,8 +468,9 @@ def _component_pairs(graph: Graph, weights, pair: tuple) -> tuple:
     pair is block upper triangular and its pairs are its diagonal blocks'.
     A one-vertex block has Y_vv = 0 (no loops), so its pairs are (0, D'_vv),
     or (0, Re s +- i*sqrt((Im s)^2 + |p|^2)) for D_vv = s + j*p in the psi
-    layout, where vertex v holds indices v and v + n.  Every other block is
-    triangularized on its own.
+    layout, where vertex v holds indices v and v + n.  A commuting block of
+    the n x n turned pair splits by D's values (linalg._class_pairs); every
+    other block is triangularized on its own.
     """
     support = ((weights.s != 0) | (weights.p != 0)
                if isinstance(weights, CoinMap) else weights != 0)
@@ -476,7 +488,8 @@ def _component_pairs(graph: Graph, weights, pair: tuple) -> tuple:
         if y.shape[0] > n:
             idx = np.concatenate((idx, idx + n))
         idx = np.ix_(idx, idx)
-        parts.append(simultaneous_triangularize(y[idx], d[idx])[1:])
+        split = None if y.shape[0] > n else _class_pairs(y[idx], d[idx])
+        parts.append(split or simultaneous_triangularize(y[idx], d[idx])[1:])
     return tuple(np.concatenate(diagonals) for diagonals in zip(*parts))
 
 

@@ -147,6 +147,14 @@ class TestSpectrum:
         code, _, err = route()
         assert code == 0, err
 
+    @pytest.mark.parametrize("method", ["direct", "theorem8"])
+    def test_tol_is_read_only_by_the_theorem10_check(self, capsys, k3_path,
+                                                     method):
+        outs = {run(capsys, "spectrum", "--graph", k3_path, "--grover",
+                    "--method", method, "--tol", tol)[1]
+                for tol in ("1e-30", "0.5")}
+        assert len(outs) == 1 and outs != {""}
+
     def test_coin_options_are_exclusive(self, capsys, k3_path):
         code, _, err = run(capsys, "spectrum", "--graph", k3_path,
                            "--grover", "--alpha", "2")
@@ -425,7 +433,9 @@ def write_random_graph_and_coin(tmp_path):
 class TestImportCost:
     # Every command below runs on numpy alone: scipy is imported only for
     # the clusters that multiset matching and conjugate pairing cannot pair
-    # by sorting and for the commuting Schur path, and importing it costs
+    # by sorting and for the Schur path of commuting blocks in the psi
+    # layout (theorem8 splits a commuting n x n turned block by D's values,
+    # one eigensolve per class, with no Schur basis), and importing it costs
     # more than all the rest of a short CLI process.  The zeta identities
     # take no sparse factorization at any size: the random graph has
     # m >= 128 edges.
@@ -450,6 +460,10 @@ for arg in sys.argv[1:]:
             ["spectrum", "--graph", k3, "--grover"],
             ["spectrum", "--graph", k13, "--coin", ex5],
             ["spectrum", "--graph", k13, "--coin", ex5, "--method", "theorem8"],
+            ["spectrum", "--graph", k3, "--alpha=1+i+j+k", "--method",
+             "theorem8"],
+            ["spectrum", "--graph", k3, "--coin", grover_w, "--method",
+             "theorem8"],
             ["grover", "--graph", k13],
             ["unitarity", "--graph", k3, "--alpha=2"],
             ["zeta-ihara", "--graph", k3],

@@ -503,10 +503,12 @@ class TestSimultaneousTriangularization:
     def test_commute_bound_scales_with_both_matrices(self, monkeypatch):
         # The theorem8 pair of a 1e8 alpha coin commutes up to the rounding
         # of its out-sums, about 1e-16 * max|a| * max|b|: the bound follows
-        # that product, so the pair takes the Schur path, not deflation.
+        # that product, so the pair takes the Schur path, not deflation,
+        # and theorem8's split by the values of its diagonal b, which reads
+        # the same bound, takes it too.
         from qqwalk.graph import random_connected_graph
         from qqwalk.quaternion import Quaternion
-        from qqwalk.spectra import spectrum_theorem_general
+        from qqwalk.spectra import _operand, _vertex_pair
         from qqwalk.walks import CoinMap
 
         def entered(*args, **kwargs):
@@ -514,8 +516,10 @@ class TestSimultaneousTriangularization:
 
         g = random_connected_graph(np.random.default_rng(0), 60, 0.15)
         coin = CoinMap.from_alpha(g, Quaternion(1e8, 1e8, 1e8, 1e8))
+        a, b = _vertex_pair(g, _operand(coin)[0])
         monkeypatch.setattr(linalg, "_deflation_triangularize", entered)
-        assert spectrum_theorem_general(g, coin).cross_check.verdict
+        simultaneous_triangularize(a, b)
+        assert linalg._class_pairs(a, b) is not None
 
     def test_noncommuting_pair_at_scale_still_deflates(self, monkeypatch):
         a, b, _, _ = _noncommuting_triangular_pair(8, 3, "nilpotent")
@@ -534,6 +538,24 @@ class TestSimultaneousTriangularization:
                            match="not nilpotent"):
             simultaneous_triangularize(
                 *(1e8 * rng.uniform(-1, 1, (6, 6)) for _ in range(2)))
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_directed_cycle_rejected_before_deflation(self, monkeypatch, k):
+        # a is a weighted directed k-cycle, as the pair of a walk block
+        # whose support runs one way round a cycle, and b is diagonal with
+        # distinct values: C = ab - ba is a weighted k-cycle too, so
+        # tr(C^j) = 0 for j < k, but C^k is a nonzero multiple of I.
+        def entered(*args, **kwargs):
+            raise AssertionError("deflation entered on a directed cycle")
+
+        monkeypatch.setattr(linalg, "_deflation_triangularize", entered)
+        a = np.roll(np.diag(np.arange(1.0, k + 1)), 1, axis=0)
+        b = np.diag(2.0 ** np.arange(k))
+        c = a @ b - b @ a
+        assert np.trace(c @ c) == 0.0
+        with pytest.raises(NotSimultaneouslyTriangularizableError,
+                           match=rf"not nilpotent, \|tr\(C\^{k}\)"):
+            simultaneous_triangularize(a, b)
 
     def test_generic_pair_rejected_before_deflation(self, monkeypatch):
         def entered(*args, **kwargs):
@@ -706,6 +728,39 @@ def _assert_planted_diagonals(da, db, t1, t2, tol):
             + np.abs(db[:, None] - np.diag(t2)[None, :]))
     rows, cols = linear_sum_assignment(cost)
     assert cost[rows, cols].max() <= tol
+
+
+class TestClassPairs:
+    """A commuting pair (a, diag(d)) splits by the values of d, one
+    eigensolve per class."""
+
+    def test_classes_of_d_solve_apart(self, monkeypatch):
+        a = np.zeros((5, 5), dtype=complex)
+        a[:2, :2] = [[0, 1], [2, 0]]
+        a[2:, 2:] = np.random.default_rng(4).normal(size=(3, 3))
+        b = np.diag([3.0, 3.0, 1j, 1j, 1j])
+        sizes = []
+        monkeypatch.setattr(linalg, "eigenvalues",
+                            lambda m: sizes.append(m.shape) or eigenvalues(m))
+        mu, xi = linalg._class_pairs(a, b)
+        assert sizes == [(3, 3), (2, 2)]
+        assert np.array_equal(xi, [1j, 1j, 1j, 3, 3])
+        assert compare_spectra(mu, np.linalg.eigvals(a), tol=1e-12).verdict
+
+    def test_pair_that_does_not_commute_is_left_alone(self):
+        # An entry of a between two classes of d: ab != ba.
+        a = np.array([[0.0, 1.0], [1.0, 0.0]])
+        assert linalg._class_pairs(a, np.diag([1.0, 2.0])) is None
+        assert linalg._class_pairs(a, np.diag([1.0, 1.0])) is not None
+
+    def test_close_classes_fail_the_final_check(self):
+        # d's two values are 1e-7 apart, beyond the 1e-8 clustering, and the
+        # coupling 1e-3 between them commutes within 1e-9: the per-class
+        # basis would leave 1e-3 below the diagonal, so no split.
+        a = np.array([[0.0, 1e-3], [1e-3, 0.0]])
+        b = np.diag([1.0, 1.0 + 1e-7])
+        assert np.abs(a @ b - b @ a).max() <= linalg.COMMUTE_TOL
+        assert linalg._class_pairs(a, b) is None
 
 
 class TestBlockDeflation:

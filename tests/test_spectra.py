@@ -404,9 +404,11 @@ class TestVertexBlocks:
 
     @staticmethod
     def recording(monkeypatch):
-        """Records, while the test runs, the matrix shapes passed to slogdet
-        and to simultaneous_triangularize, and each vertex pair built."""
-        seen = {"slogdet": set(), "triangularize": [], "builds": 0}
+        """Records, while the test runs, the matrix shapes passed to slogdet,
+        to simultaneous_triangularize and to eigenvalues within linalg, and
+        each vertex pair built."""
+        seen = {"slogdet": set(), "triangularize": [], "eigenvalues": [],
+                "builds": 0}
         slogdet = np.linalg.slogdet
 
         def recording_slogdet(m):
@@ -417,6 +419,12 @@ class TestVertexBlocks:
             seen["triangularize"].append((a.shape, b.shape))
             return linalg.simultaneous_triangularize(a, b, **kwargs)
 
+        eigenvalues = linalg.eigenvalues
+
+        def recording_eigenvalues(m):
+            seen["eigenvalues"].append(m.shape)
+            return eigenvalues(m)
+
         def counting_build(*args):
             seen["builds"] += 1
             return _vertex_pair(*args)
@@ -424,6 +432,7 @@ class TestVertexBlocks:
         monkeypatch.setattr(np.linalg, "slogdet", recording_slogdet)
         monkeypatch.setattr(spectra, "simultaneous_triangularize",
                             recording_triangularize)
+        monkeypatch.setattr(linalg, "eigenvalues", recording_eigenvalues)
         monkeypatch.setattr(spectra, "_vertex_pair", counting_build)
         return seen
 
@@ -431,8 +440,10 @@ class TestVertexBlocks:
                                             ("off-axis", False)])
     def test_theorem8_sizes(self, monkeypatch, kind, half):
         # A star's leaf -> center support has one-vertex components only,
-        # which take the closed form; a support with one strong component
-        # is triangularized whole, once.
+        # which take the closed form.  A support with one strong component
+        # and D_w = I is one block: on the n x n turned pair, D's values
+        # are one class, solved by one eigensolve; in the psi layout it is
+        # triangularized whole, once.
         rng = np.random.default_rng(12)
         star = leaf_star(12, rng, kind)
         spread = random_connected_graph(rng, 9, 0.3)
@@ -442,8 +453,11 @@ class TestVertexBlocks:
             size = g.n if half else 2 * g.n
             seen = self.recording(monkeypatch)
             report = spectrum_theorem_general(g, coin)
+            shapes = [(size, size)] * calls
+            pairs = [(shape, shape) for shape in shapes]
             assert seen == {"slogdet": {(size, size)},
-                            "triangularize": [((size, size),) * 2] * calls,
+                            "triangularize": [] if half else pairs,
+                            "eigenvalues": shapes if half else [],
                             "builds": 1}
             assert report.cross_check.verdict
             assert matches_direct(report, g, coin)
@@ -455,7 +469,7 @@ class TestVertexBlocks:
         report = (spectrum_grover(g) if route == "grover" else
                   spectrum_alpha_coin(g, Quaternion(1, 1, 1, 1)))
         assert seen == {"slogdet": {(g.n, g.n)}, "triangularize": [],
-                        "builds": 1}
+                        "eigenvalues": [], "builds": 1}
         assert report.cross_check.verdict
 
     def test_axis_sharing_pair_without_nilpotent_commutator_is_refused(
@@ -557,9 +571,14 @@ class TestComponentRoute:
         copies = 1 if half else 2
         seen = TestVertexBlocks.recording(monkeypatch)
         report = spectrum_theorem_general(g, coin)
-        # B is terminal, so its block comes first.
-        assert seen["triangularize"] == [((copies * k,) * 2,) * 2
-                                         for k in (9, 6)]
+        # B is terminal, so its block comes first.  Each block commutes
+        # (D_w = alpha*I on it): on the n x n turned pair its D values are
+        # one class, solved by one eigensolve, and in the psi layout it is
+        # triangularized.
+        shapes = [(copies * k,) * 2 for k in (9, 6)]
+        pairs = [(shape, shape) for shape in shapes]
+        assert seen["triangularize"] == ([] if half else pairs)
+        assert seen["eigenvalues"] == (shapes if half else [])
         assert report.cross_check.verdict
         assert compare_spectra(report, spectrum_direct(g, coin),
                                tol=1e-9).verdict
@@ -596,6 +615,86 @@ class TestComponentRoute:
                             (scipy.linalg, "schur"),
                             (spectra, "simultaneous_triangularize")):
             monkeypatch.setattr(owner, name, refused)
+        report = spectrum_theorem_general(g, coin)
+        assert report.cross_check.verdict, report.cross_check
+        monkeypatch.undo()
+        assert matches_direct(report, g, coin)
+
+
+def commuting_coin(g, rng, kind):
+    """A coin whose vertex pair commutes: alpha/d, a complex coin with unit
+    out-sums (D_w = I), or the Grover coin."""
+    return {"alpha": lambda: CoinMap.from_alpha(
+                g, Quaternion(*rng.uniform(-1, 1, 4))),
+            "complex": lambda: unit_sum_coin(g, rng, "complex"),
+            "grover": lambda: CoinMap.grover(g)}[kind]()
+
+
+class TestClassSplit:
+    """A commuting block of the n x n turned pair splits by D's values, one
+    eigensolve per class, with no Schur basis."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(["alpha", "complex", "grover", "two-part"]),
+           st.sampled_from([1.0, 1e4, 1e8]), st.booleans(), st.integers(2, 8),
+           st.integers(0, 2**32 - 1))
+    def test_split_agrees_with_triangularization(self, kind, scale, tree, n,
+                                                 seed):
+        rng = np.random.default_rng(seed)
+        if kind == "two-part":
+            first = int(rng.integers(1, n))
+            g = joined_graph(rng, (first, n + 1 - first), 1 if tree else 3)
+            coin = two_part_coin(g, rng, first, "axis")
+        else:
+            g = random_connected_graph(rng, n, 0.0 if tree else 0.4)
+            coin = commuting_coin(g, rng, kind)
+        coin.s *= scale
+        coin.p *= scale
+        weights = _operand(coin)[0]
+        pair = _vertex_pair(g, weights)
+        with pytest.MonkeyPatch.context() as mp:
+            # The split alone, then the whole triangularization alone.
+            mp.setattr(spectra, "simultaneous_triangularize", None)
+            split = spectrum_theorem_general(g, coin)
+            mu, xi = spectra._component_pairs(g, weights, pair)
+            mp.setattr(spectra, "simultaneous_triangularize",
+                       linalg.simultaneous_triangularize)
+            mp.setattr(spectra, "_class_pairs", lambda y, d: None)
+            whole = spectrum_theorem_general(g, coin)
+            mu_whole, xi_whole = spectra._component_pairs(g, weights, pair)
+        # The pairs agree, aligned (a generic combination of mu and xi).
+        # The roots are compared through their multiplicities only: those
+        # of a double root split by about sqrt(eps) when xi carries
+        # rounding, as the triangularized xi do.
+        mix = 0.6 + 0.3j
+        for a, b in ((mu, mu_whole), (xi, xi_whole),
+                     (mu + mix * xi, mu_whole + mix * xi_whole)):
+            assert compare_spectra(a, b, tol=2e-9 * scale).verdict
+        assert split.cross_check.verdict, split.cross_check
+        assert ([m for _, m in class_reps(split.psi_spectrum)]
+                == [m for _, m in class_reps(whole.psi_spectrum)])
+
+    @pytest.mark.parametrize("case", ["k3_grover.w", "k13_grover.w",
+                                      "alpha", "two-part"])
+    def test_commuting_blocks_take_no_schur(self, monkeypatch, case):
+        import scipy.linalg
+
+        def refused(*args, **kwargs):
+            raise AssertionError("Schur basis taken")
+
+        fixtures = Path(spectra.__file__).parent / "fixtures"
+        rng = np.random.default_rng(5)
+        if case == "alpha":
+            g = random_connected_graph(rng, 90, 0.03)
+            coin = commuting_coin(g, rng, "alpha")
+        elif case == "two-part":
+            g = joined_graph(rng, (6, 9), 3)
+            coin = two_part_coin(g, rng, 6, "axis")
+        else:
+            g = load_graph(fixtures / ("k13.g" if "k13" in case else "k3.g"))
+            coin = parse_coin_file((fixtures / case).read_text(), g)
+        monkeypatch.setattr(scipy.linalg, "schur", refused)
+        monkeypatch.setattr(spectra, "simultaneous_triangularize", refused)
         report = spectrum_theorem_general(g, coin)
         assert report.cross_check.verdict, report.cross_check
         monkeypatch.undo()
