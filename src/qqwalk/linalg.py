@@ -14,29 +14,22 @@ only where it is called: schur on the commuting path and
 linear_sum_assignment for those clusters, so importing the package loads
 numpy alone.
 
-Simultaneous triangularization tries one chain of bases, each only when
-the one before fails the final triangularity check: the Schur basis of
-x = a + theta*b when the pair commutes, then a deflation of joint
-eigenvectors from x's eigendecompositions, then the same deflation with
-two-sided candidates, from eigendecompositions of a and of b, whose
-better-separated eigenvalues can give accurate vectors where those of x
-are ill-conditioned.  A pair that does not commute is first tested for a
-nilpotent commutator C = ab - ba (tr(C^k) = 0 for k = 2, 3, 4), which
-every jointly triangular pair has.  Each deflation step splits off every
-joint eigenvector it finds at once, as a block of columns of one QR factor
-that q^H a q and q^H b q must keep triangular, and deflation stops as soon
-as the pair left over commutes and the QR of x's eigenvectors
-triangularizes it: a weighted star takes one step and that finish, one
-eigendecomposition of the whole pair (_deflation_triangularize has the
-costs).  A commuting pair whose b is diagonal needs no basis: _class_pairs
-takes one eigensolve per class of b's values.  The bounds are the module
-constants COMMUTE_TOL (which pairs commute), RESIDUAL_TOL (the final
-check and the nilpotency test) and NULL_TOL (clustering, null spaces).
+Simultaneous triangularization tries at most two bases, the second only
+when the first fails the final triangularity check: the Schur basis of
+x = a + theta*b when the pair commutes, then one deflation of joint
+eigenvectors whose candidates come from eigendecompositions of a and of b.
+A pair that does not commute is first tested for a nilpotent commutator
+C = ab - ba (tr(C^k) = 0 for k = 2, 3, 4), which every jointly triangular
+pair has.  Each deflation step splits off every joint eigenvector it finds
+at once, as a block of columns of one QR factor that q^H a q and q^H b q
+must keep triangular (_deflation_triangularize has the costs).  A
+commuting pair whose b is diagonal needs no basis: _class_pairs takes one
+eigensolve per class of b's values.  The bounds are the module constants
+COMMUTE_TOL (which pairs commute), RESIDUAL_TOL (the final check and the
+nilpotency test) and NULL_TOL (clustering, null spaces).
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -309,11 +302,10 @@ def _cluster_labels(values: np.ndarray, tol: float) -> np.ndarray:
     return rank[label][inverse.ravel()]
 
 
-def _eigen_candidates(x: np.ndarray, y: np.ndarray, tol: float,
-                      eig: tuple[np.ndarray, np.ndarray] | None = None
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _eigen_candidates(x: np.ndarray, y: np.ndarray,
+                      tol: float) -> np.ndarray:
     """Unit columns that may be joint eigenvectors of x and y, from one
-    eigendecomposition of x: ``eig``, its (values, vectors), or a fresh one.
+    eigendecomposition of x.
 
     The eigenvalues of x are clustered by single linkage at tol.  A single
     eigenvalue offers its eigenvector.  A cluster of several offers the
@@ -322,14 +314,12 @@ def _eigen_candidates(x: np.ndarray, y: np.ndarray, tol: float,
     every ||(x - mean*I) q_j|| <= tol, else (nearly parallel vectors, as of
     a Jordan block, or a chain wider than tol) the near-nullspace of
     x - mean*I from one SVD (singular values <= tol, at least the
-    smallest).  Returns the candidates, the cluster each comes from and the
-    cluster labels of x's eigenvalues.
+    smallest).
     """
-    vals, vecs = np.linalg.eig(x) if eig is None else eig
+    vals, vecs = np.linalg.eig(x)
     labels = _cluster_labels(vals, tol)
     sizes = np.bincount(labels)
-    single = sizes[labels] == 1
-    cands, owner = [vecs[:, single]], [labels[single]]
+    cands = [vecs[:, sizes[labels] == 1]]
     for c in np.nonzero(sizes > 1)[0]:
         members = labels == c
         shifted = x - vals[members].mean() * np.eye(x.shape[0])
@@ -340,15 +330,19 @@ def _eigen_candidates(x: np.ndarray, y: np.ndarray, tol: float,
             basis = vh[-max(int(np.sum(sing <= tol)), 1):, :].conj().T
         _, wvecs = np.linalg.eig(basis.conj().T @ y @ basis)
         cands.append(basis @ wvecs)
-        owner.append(np.full(basis.shape[1], c))
     v = np.hstack(cands)
-    return v / np.linalg.norm(v, axis=0), np.concatenate(owner), labels
+    return v / np.linalg.norm(v, axis=0)
 
 
-def _take_joint(a: np.ndarray, b: np.ndarray, v: np.ndarray,
-                tol: float) -> np.ndarray:
-    """The indices of linearly independent joint eigenvectors of a and b
-    among the unit columns of v, best first.
+def _joint_eigenvectors(a: np.ndarray, b: np.ndarray,
+                        tol: float) -> np.ndarray:
+    """Linearly independent joint eigenvectors of a and b, best first: the
+    unit columns a deflation step splits off.
+
+    A joint eigenvector is an eigenvector of each matrix, so both supply
+    candidates (_eigen_candidates of (a, b) and of (b, a), clustering at
+    tol): the well-separated eigenvalues of one matrix give accurate
+    vectors where the other's are defective and split by rounding.
 
     Every candidate is scored by its worst eigen-residual
     ||M v - (v^H M v) v|| for the two matrices.  Those within tol, or the
@@ -356,6 +350,7 @@ def _take_joint(a: np.ndarray, b: np.ndarray, v: np.ndarray,
     its component orthogonal to those already taken has norm at least
     _INDEPENDENCE_FLOOR.
     """
+    v = np.hstack([_eigen_candidates(a, b, tol), _eigen_candidates(b, a, tol)])
     res = np.zeros(v.shape[1])
     for mat in (a, b):
         mv = mat @ v
@@ -373,48 +368,7 @@ def _take_joint(a: np.ndarray, b: np.ndarray, v: np.ndarray,
             basis = np.column_stack([basis, w / norm])
             if basis.shape[1] == a.shape[0]:
                 break
-    return np.array(taken, dtype=np.intp)
-
-
-def _joint_eigenvectors(a: np.ndarray, b: np.ndarray,
-                        tol: float) -> np.ndarray:
-    """Linearly independent joint eigenvectors of a and b, best first, from
-    two-sided candidates: the step of the rerun deflation.
-
-    A joint eigenvector is an eigenvector of each matrix, so both supply
-    candidates (_eigen_candidates of (a, b) and of (b, a), clustering at
-    tol): the well-separated eigenvalues of one matrix give accurate
-    vectors where the other's are defective and split by rounding, and
-    where those of a + theta*b, whose candidates the first deflation
-    takes, are ill-conditioned.  That costs two eigendecompositions where
-    the first deflation's step makes one.  _take_joint picks among the
-    candidates; returns the taken unit columns in order.
-    """
-    v = np.hstack([_eigen_candidates(a, b, tol)[0],
-                   _eigen_candidates(b, a, tol)[0]])
-    return v[:, _take_joint(a, b, v, tol)]
-
-
-def _commuting_basis(a: np.ndarray, b: np.ndarray, tol: float, bound: float,
-                     eig: tuple[np.ndarray, np.ndarray]) -> np.ndarray | None:
-    """A unitary q with q^H a q and q^H b q upper triangular, for a
-    commuting pair, or None.
-
-    When x = a + theta*b, whose (values, vectors) are ``eig``, has no two
-    eigenvalues in one cluster at tol, a and b are polynomials in x, so the
-    factor q of the QR of x's eigenvectors V = q R, with
-    q^H x q = R Lambda R^-1, triangularizes both.  A pair that commutes only
-    within a bound, or an ill-conditioned V, can spoil that, so q is
-    returned only when the strictly lower parts of both are within bound.
-    """
-    vals, vecs = eig
-    if _cluster_labels(vals, tol).max() + 1 < vals.size:
-        return None
-    q, _ = np.linalg.qr(vecs)
-    for m in (a, b):
-        if _strict_lower_max(q.conj().T @ m @ q) > bound:
-            return None
-    return q
+    return v[:, taken]
 
 
 def _commute_scale(a: np.ndarray, b: np.ndarray) -> float:
@@ -424,73 +378,35 @@ def _commute_scale(a: np.ndarray, b: np.ndarray) -> float:
             * max(1.0, float(np.abs(b).max(initial=0.0))))
 
 
-def _deflation_triangularize(a: np.ndarray, b: np.ndarray, bound: float,
-                             two_sided: bool = False) -> np.ndarray:
+def _deflation_triangularize(a: np.ndarray, b: np.ndarray,
+                             bound: float) -> np.ndarray:
     """Unitary joint triangularization by block deflation of joint
     eigenvectors.
 
     Works whenever the pair admits a joint triangularization reachable by
     repeatedly splitting off common eigenvectors; triangularity is verified
     by the caller.  A step at size s works at tol = NULL_TOL * scale * s
-    (scale the larger max-abs entry, at least 1).  When the pair left over
-    after a step commutes within COMMUTE_TOL * _commute_scale,
-    _commuting_basis finishes it if it can.  The first step takes no such
-    test: simultaneous_triangularize sends a pair here only when it does
-    not commute or its Schur basis has failed.  Otherwise the step splits
-    off every joint eigenvector it finds (_take_joint), r of them, at once:
-    one Householder QR of [vectors | I] gives a unitary q whose first r
-    columns span them in nested order, and of those columns the step keeps
-    the longest prefix in which q^H a q and q^H b q have no strictly lower
-    entry above bound, the caller's final bound, and at least one.  With
-    one vector the step is the one-vector deflation.  The unitary factor is
-    updated in its trailing s columns only.
-
-    The candidates come from one eigendecomposition of x = a + theta*b
-    (_eigen_candidates(x, b, tol)), which the finish of the same step
-    shares.  When the r vectors kept use up whole clusters of x's
-    eigenvalues, the eigenvectors of the values left, in the trailing
-    columns of q, are those of the remainder's x, so the next step's finish
-    takes them instead of a fresh eigendecomposition.  With two_sided the
-    candidates are those of _joint_eigenvectors, from eigendecompositions
-    of a and of b.  A step costs one eigendecomposition (two when
-    two_sided), a basis and one small eig per cluster of repeated
-    eigenvalues (_eigen_candidates), a QR and O(s^3) scoring, so a pair of
-    size n costs O(n^3) per step: the weighted star K_{1,k} (n = 2k + 2)
-    takes one step and the finish, one eigendecomposition of size n and no
-    SVD in all, and a generic triangular pair, which has one joint
-    eigenvector per step, n - 1 steps.
+    (scale the larger max-abs entry, at least 1) and splits off every joint
+    eigenvector it finds (_joint_eigenvectors), r of them, at once: one
+    Householder QR of [vectors | I] gives a unitary q whose first r columns
+    span them in nested order, and of those columns the step keeps the
+    longest prefix in which q^H a q and q^H b q have no strictly lower
+    entry above bound, the caller's final bound, and at least one.  The
+    unitary factor is updated in its trailing s columns only.  A step costs
+    two eigendecompositions, a basis and one small eig per cluster of
+    repeated eigenvalues, a QR and O(s^3) scoring, so a pair of size n
+    costs O(n^3) per step: a generic triangular pair, which has one joint
+    eigenvector per step, takes n - 1 steps.
     """
     n = a.shape[0]
     p_total = np.eye(n, dtype=complex)
     a_cur, b_cur = a.copy(), b.copy()
-    carried = None
     k = 0
     while n - k > 1:
         size = n - k
         scale = max(float(np.abs(a_cur).max()), float(np.abs(b_cur).max()),
                     1.0)
-        tol = NULL_TOL * scale * size
-        x = a_cur + _THETA * b_cur
-        eig = None
-        if k and (np.abs(a_cur @ b_cur - b_cur @ a_cur).max()
-                  <= COMMUTE_TOL * _commute_scale(a_cur, b_cur)):
-            if carried is not None:
-                vals, vecs, tail = carried
-                finish = (vals, tail.conj().T @ vecs)
-            else:
-                finish = eig = np.linalg.eig(x)
-            q = _commuting_basis(a_cur, b_cur, tol, bound, finish)
-            if q is not None:
-                p_total[:, k:] = p_total[:, k:] @ q
-                break
-        if two_sided:
-            v = _joint_eigenvectors(a_cur, b_cur, tol)
-        else:
-            if eig is None:
-                eig = np.linalg.eig(x)
-            cands, owner, labels = _eigen_candidates(x, b_cur, tol, eig)
-            taken = _take_joint(a_cur, b_cur, cands, tol)
-            v = cands[:, taken]
+        v = _joint_eigenvectors(a_cur, b_cur, NULL_TOL * scale * size)
         r = v.shape[1]
         q, _ = np.linalg.qr(np.column_stack([v, np.eye(size, dtype=complex)]))
         ta = q.conj().T @ a_cur @ q
@@ -500,15 +416,6 @@ def _deflation_triangularize(a: np.ndarray, b: np.ndarray, bound: float,
         bad = np.nonzero(lower > bound)[0]
         if bad.size:
             r = max(int(bad[0]), 1)
-        if not two_sided:
-            # When whole clusters of x split off, the rest of x's
-            # eigenvectors, in the trailing columns of q, are the
-            # remainder's: kept for its finish.
-            used = np.bincount(owner[taken[:r]], minlength=labels.max() + 1)
-            carried = None
-            if np.all((used == 0) | (used == np.bincount(labels))):
-                left = used[labels] == 0
-                carried = (eig[0][left], eig[1][:, left], q[:, r:])
         a_cur, b_cur = ta[r:, r:], tb[r:, r:]
         p_total[:, k:] = p_total[:, k:] @ q
         k += r
@@ -541,14 +448,13 @@ def simultaneous_triangularize(a: np.ndarray, b: np.ndarray
                                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Joint upper-triangularization of two matrices.
 
-    One chain of bases is tried, each only when the one before fails the
+    At most two bases are tried, the second only when the first fails the
     final check.  A pair that commutes within COMMUTE_TOL first takes the
     unitary Schur basis of a + theta*b for a generic real theta.  A pair
     that does not must have a nilpotent commutator C = ab - ba: it is
     rejected when |tr(C^k)|, k = 2, 3 or 4, exceeds RESIDUAL_TOL *
     ||C||_F^k plus the rounding bound of forming C.  Every pair left goes
-    to common-eigenvector deflation (_deflation_triangularize) on the
-    eigenvectors of a + theta*b, and then to that deflation rerun with
+    to common-eigenvector deflation (_deflation_triangularize), with
     candidates from a and from b.  The final check bounds the largest
     strictly lower entry by RESIDUAL_TOL relative to max(1, largest |entry|
     of a and b), as the certificate's residual is relative to the
@@ -562,15 +468,14 @@ def simultaneous_triangularize(a: np.ndarray, b: np.ndarray
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     scale = max(1.0, float(np.abs(a).max(initial=0.0)),
                 float(np.abs(b).max(initial=0.0)))
-    bases = (_deflation_triangularize(a, b, RESIDUAL_TOL * scale,
-                                      two_sided=two) for two in (False, True))
+    bases = [lambda: _deflation_triangularize(a, b, RESIDUAL_TOL * scale)]
     comm = a @ b - b @ a
     comm_norm = float(np.abs(comm).max()) if comm.size else 0.0
     if comm_norm <= COMMUTE_TOL * _commute_scale(a, b):
         import scipy.linalg
 
-        bases = itertools.chain(
-            [scipy.linalg.schur(a + _THETA * b, output="complex")[1]], bases)
+        bases.insert(0, lambda: scipy.linalg.schur(a + _THETA * b,
+                                                   output="complex")[1])
     else:
         # A jointly triangular pair has a strictly triangular, so nilpotent,
         # commutator: tr(C^k) = 0, k = 2, 3, 4 (tr(C^2) alone is 0 for a walk
@@ -587,7 +492,8 @@ def simultaneous_triangularize(a: np.ndarray, b: np.ndarray
                     "not simultaneously triangularizable: the commutator C is "
                     f"not nilpotent, |tr(C^{k})|/||C||_F^{k} = {ratio:.3e}")
     last_residual = np.inf
-    for p in bases:
+    for basis in bases:
+        p = basis()
         ta = p.conj().T @ a @ p
         tb = p.conj().T @ b @ p
         residual = max(_strict_lower_max(ta), _strict_lower_max(tb)) / scale

@@ -98,19 +98,19 @@ class IdentityReport:
     skipped: list[complex] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
+        d = {
             "samples": [
-                {
-                    "t": {"re": s.t.real, "im": s.t.imag},
-                    "lhs": {"re": s.lhs.real, "im": s.lhs.imag},
-                    "rhs": {"re": s.rhs.real, "im": s.rhs.imag},
-                    "rel_err": s.rel_err,
-                }
+                {"t": {"re": s.t.real, "im": s.t.imag},
+                 "lhs": {"re": s.lhs.real, "im": s.lhs.imag},
+                 "rhs": {"re": s.rhs.real, "im": s.rhs.imag},
+                 "rel_err": s.rel_err}
                 for s in self.samples
             ],
-            "max_rel_err": self.max_rel_err,
-            "verdict": self.verdict,
+            "max_rel_err": self.max_rel_err, "verdict": self.verdict,
         }
+        if self.skipped:
+            d["skipped"] = [{"re": t.real, "im": t.imag} for t in self.skipped]
+        return d
 
 
 def _rel_err(log_lhs: complex, log_rhs: complex) -> float:

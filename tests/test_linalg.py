@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
@@ -443,21 +443,16 @@ class TestSimultaneousTriangularization:
         # a = Q diag(theta*(1..k), 0) Q^H and b = Q diag(0, 1..k) Q^H
         # commute, but every eigenvalue of a + theta*b is double, so its
         # Schur basis mixes each pair and fails the final check.  The pair
-        # goes on to the x-deflation, whose clusters of x split by b.
+        # goes on to the one deflation, whose clusters of a split by b.
         import scipy.linalg
-        schurs, runs = [], []
+        schurs = []
         schur = scipy.linalg.schur
-        deflate = linalg._deflation_triangularize
 
         def counting(*args, **kwargs):
             schurs.append(args[0].shape)
             return schur(*args, **kwargs)
-
-        def recording(*args, **kwargs):
-            runs.append(kwargs["two_sided"])
-            return deflate(*args, **kwargs)
         monkeypatch.setattr(scipy.linalg, "schur", counting)
-        monkeypatch.setattr(linalg, "_deflation_triangularize", recording)
+        runs = _counting_deflations(monkeypatch)
         rng = np.random.default_rng(k)
         q, _ = np.linalg.qr(rng.standard_normal((2 * k, 2 * k))
                             + 1j * rng.standard_normal((2 * k, 2 * k)))
@@ -466,7 +461,7 @@ class TestSimultaneousTriangularization:
         t2 = np.diag(np.r_[np.zeros(k), steps])
         a, b = q @ t1 @ q.conj().T, q @ t2 @ q.conj().T
         p, da, db = simultaneous_triangularize(a, b)
-        assert schurs == [(2 * k, 2 * k)] and runs == [False]
+        assert schurs == [(2 * k, 2 * k)] and len(runs) == 1
         scale = max(np.abs(a).max(), np.abs(b).max(), 1.0)
         for x in (a, b):
             assert (np.abs(np.tril(p.conj().T @ x @ p, -1)).max()
@@ -575,8 +570,9 @@ class TestSimultaneousTriangularization:
                                             (40, "nilpotent")])
     def test_robustness_record(self, n, t1_kind):
         # Seeds 0-4 at the largest size at which every pair of the kind
-        # still triangularizes: generic pairs lose 3 of 5 at n = 40 and
-        # "repeated" ones all 5, to ill-conditioned eigenvectors.
+        # still triangularizes: generic pairs lose 4 of 5 at n = 40,
+        # "repeated" ones 3 of 5 at n = 32 and all 5 at n = 40, to
+        # ill-conditioned eigenvectors.
         for seed in range(5):
             a, b, t1, t2 = _noncommuting_triangular_pair(n, seed, t1_kind)
             p, da, db = simultaneous_triangularize(a, b)
@@ -609,6 +605,70 @@ class TestSimultaneousTriangularization:
         assert np.abs(db - np.diag(t2)[order]).max() <= 1e-6
         assert np.abs(da - np.diag(t1)[order]).max() <= 1e-6
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 8), st.integers(0, 2**32 - 1))
+    def test_deflation_alone_agrees_with_schur(self, n, seed):
+        # Commuting pairs (p(M), q(M)) with M = P J P^-1, J in Jordan blocks
+        # of sizes 1-3, one eigenvalue sometimes shared by two blocks.  The
+        # Schur path and the deflation alone (schur patched to return its
+        # basis reversed, which fails the final check) give the same aligned
+        # pairs.  A defective eigenvalue splits by about eps^(1/k), evenly
+        # about its value, in either path, so the pairs are grouped at the
+        # exact (p(lambda), q(lambda)): the groups must have the same sizes
+        # and means within 1e-8 * scale, their members within 1e-4 * scale.
+        import scipy.linalg
+
+        rng = np.random.default_rng(seed)
+        sizes = []
+        while sum(sizes) < n:
+            sizes.append(int(min(rng.integers(1, 4), n - sum(sizes))))
+        lam = rng.standard_normal(len(sizes)) + 1j * rng.standard_normal(
+            len(sizes))
+        if len(sizes) > 1 and rng.random() < 0.5:
+            lam[1] = lam[0]
+        # M = lambda*I is triangular in every basis, the reversed one too.
+        assume(max(sizes) > 1 or np.unique(lam).size > 1)
+        m = scipy.linalg.block_diag(*[x * np.eye(k) + np.eye(k, k=1)
+                                      for x, k in zip(lam, sizes)])
+        p = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        m = p @ m @ np.linalg.inv(p)
+        c = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+        a, b = (c[i, 0] * np.eye(n) + c[i, 1] * m + c[i, 2] * m @ m
+                for i in (0, 1))
+        scale = max(np.abs(a).max(), np.abs(b).max(), 1.0)
+        values, where = np.unique(lam, return_inverse=True)
+        counts = np.bincount(where, weights=sizes).astype(int)
+        exact = c[:, :1] + c[:, 1:2] * values + c[:, 2:] * values ** 2
+        gaps = np.abs(exact[:, :, None] - exact[:, None, :]).sum(axis=0)
+        assume(gaps[~np.eye(values.size, dtype=bool)].min(initial=np.inf)
+               > 1e-2 * scale)
+
+        def group_means(da, db):
+            dist = (np.abs(da[:, None] - exact[0]) + np.abs(db[:, None]
+                                                           - exact[1]))
+            group = np.argmin(dist, axis=1)
+            assert dist[np.arange(n), group].max() <= 1e-4 * scale
+            assert np.array_equal(np.bincount(group, minlength=values.size),
+                                  counts)
+            means = np.zeros((2, values.size), dtype=complex)
+            np.add.at(means, (0, group), da)
+            np.add.at(means, (1, group), db)
+            return means / counts
+
+        _, da, db = simultaneous_triangularize(a, b)
+        schur = scipy.linalg.schur
+
+        def reversed_schur(*args, **kwargs):
+            t, z = schur(*args, **kwargs)
+            return t, z[:, ::-1]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scipy.linalg, "schur", reversed_schur)
+            runs = _counting_deflations(mp)
+            _, da2, db2 = simultaneous_triangularize(a, b)
+        assert len(runs) == 1
+        assert (np.abs(group_means(da, db) - group_means(da2, db2)).max()
+                <= 1e-8 * scale)
+
 
 def _eigen_residuals(a, b, v):
     """Worst eigen-residual ||M v - (v^H M v) v|| over M in (a, b), per
@@ -629,27 +689,26 @@ def _step_tol(a, b):
 def _recording_steps(monkeypatch):
     """Record (size, vectors found) of every deflation step."""
     steps = []
-    take = linalg._take_joint
+    joint = linalg._joint_eigenvectors
 
-    def recording(a, b, v, tol):
-        taken = take(a, b, v, tol)
-        steps.append((a.shape[0], taken.size))
-        return taken
-    monkeypatch.setattr(linalg, "_take_joint", recording)
+    def recording(a, b, tol):
+        v = joint(a, b, tol)
+        steps.append((a.shape[0], v.shape[1]))
+        return v
+    monkeypatch.setattr(linalg, "_joint_eigenvectors", recording)
     return steps
 
 
-def _recording_finisher(monkeypatch):
-    """Record (size, basis returned) of every commuting-remainder finish."""
-    finishes = []
-    finish = linalg._commuting_basis
+def _counting_deflations(monkeypatch):
+    """Record the basis of every deflation run."""
+    runs = []
+    deflate = linalg._deflation_triangularize
 
-    def recording(a, b, tol, bound, eig):
-        q = finish(a, b, tol, bound, eig)
-        finishes.append((a.shape[0], q is not None))
-        return q
-    monkeypatch.setattr(linalg, "_commuting_basis", recording)
-    return finishes
+    def recording(*args, **kwargs):
+        runs.append(deflate(*args, **kwargs))
+        return runs[-1]
+    monkeypatch.setattr(linalg, "_deflation_triangularize", recording)
+    return runs
 
 
 def _weighted_star(leaves):
@@ -793,8 +852,8 @@ class TestBlockDeflation:
         # up to rounding, and only one of them may be split off.
         a, b, _, _ = _noncommuting_triangular_pair(5, 7, "generic")
         tol = _step_tol(a, b)
-        cands = np.hstack([linalg._eigen_candidates(a, b, tol)[0],
-                           linalg._eigen_candidates(b, a, tol)[0]])
+        cands = np.hstack([linalg._eigen_candidates(a, b, tol),
+                           linalg._eigen_candidates(b, a, tol)])
         passing = cands[:, _eigen_residuals(a, b, cands) <= tol]
         assert passing.shape[1] == 2
         assert abs(np.vdot(passing[:, 0], passing[:, 1])) > 1 - 1e-12
@@ -805,19 +864,18 @@ class TestBlockDeflation:
     def test_prefix_check_trims_a_near_eigenvector(self, monkeypatch):
         # Upper triangular pair with one joint eigenvector e1; at size 3 the
         # step tolerance is 3e-8.  u = (e1 + e3)/sqrt(2) is an exact
-        # eigenvector of x = a + theta*b: a maps e3 to c*e2 and b maps it to
-        # 0.75*e1 - (c/theta)*e2 + 0.75*e3, with c = 1.5e-8, so the two
-        # residuals, c/sqrt(2) and c/(theta*sqrt(2)), are within 3e-8 and u
-        # passes with e1.  Orthogonal to e1 it leaves e3, whose column of
-        # q^H a q holds c below the diagonal, above the final bound 1e-8:
-        # the step keeps e1 alone and the next one splits off e2.
-        c = 1.5e-8
-        theta = linalg._THETA
+        # eigenvector of b, and a maps e3 to c*e2 with c = 3e-8, so u's
+        # residual for a, c/sqrt(2), is within 3e-8: the step takes two
+        # vectors, e1 and a near-eigenvector about u (a's cluster at 0 offers
+        # the best one).  Orthogonal to e1 it leaves about e3, whose column
+        # of q^H a q holds about c/2 below the diagonal, above the final
+        # bound 1e-8: the step keeps e1 alone and the next one splits off e2.
+        c = 3e-8
         a = np.array([[0, 0.5, 0], [0, 0.5, c], [0, 0, 0]], dtype=complex)
-        b = np.array([[0, 0.3, 0.75], [0, 0.25, -c / theta], [0, 0, 0.75]],
+        b = np.array([[0, 0.3, 0.75], [0, 0.25, 0], [0, 0, 0.75]],
                      dtype=complex)
         u = np.array([1, 0, 1]) / np.sqrt(2)
-        cands = linalg._eigen_candidates(a + theta * b, b, _step_tol(a, b))[0]
+        cands = linalg._eigen_candidates(b, a, _step_tol(a, b))
         assert max(abs(np.vdot(u, cands[:, j])) for j in range(3)) > 1 - 1e-12
         assert 1e-8 < _eigen_residuals(a, b, u[:, None])[0] <= 3e-8
         steps = _recording_steps(monkeypatch)
@@ -831,134 +889,29 @@ class TestBlockDeflation:
     def test_weighted_star_finishes_after_one_step(self, monkeypatch,
                                                    leaves):
         # The star's first step splits off its joint eigenvectors and leaves
-        # a commuting pair, which one eigendecomposition finishes.
+        # a commuting pair (its a is 0), which the next step splits off
+        # whole.
         from qqwalk.walks import build_U
         g, coin = _weighted_star(leaves)
-        pair = _star_pair(g, coin)
+        a, b = _star_pair(g, coin)
         steps = _recording_steps(monkeypatch)
-        finishes = _recording_finisher(monkeypatch)
-        _, mus, xis = simultaneous_triangularize(*pair)
+        p, mus, xis = simultaneous_triangularize(a, b)
         size = 2 * leaves + 2
-        assert len(steps) == 1 and steps[0][0] == size
-        assert finishes == [(size - steps[0][1], True)]
+        assert len(steps) == 2 and steps[0][0] == size
+        assert steps[1] == (size - steps[0][1], size - steps[0][1])
+        for x in (a, b):
+            assert np.abs(np.tril(p.conj().T @ x @ p, -1)).max() <= 1e-8
         assert compare_spectra(
             _pair_spectrum(g, coin, mus, xis),
             np.linalg.eigvals(build_U(g, coin).psi()),
             tol=0.0).max_dist <= 1e-9
 
-    @pytest.mark.parametrize("leaves", [24, 32])
-    def test_commuting_bound_is_relative_to_the_scale(self, monkeypatch,
-                                                      leaves):
-        # Scaled by 1e4, the star's remainder commutes to about 1e-7, within
-        # 1e-9 of its scale but not of 1: it is still finished at once.
-        from qqwalk.walks import build_W_Dw
-        w, dw = build_W_Dw(*_weighted_star(leaves))
-        a, b = 1e4 * w.transpose().psi(), 1e4 * dw.psi()
-        steps = _recording_steps(monkeypatch)
-        finishes = _recording_finisher(monkeypatch)
-        p, _, _ = simultaneous_triangularize(a, b)
-        assert len(steps) == 1
-        assert finishes == [(2 * leaves + 2 - steps[0][1], True)]
-        for x in (a, b):
-            assert (np.abs(np.tril(p.conj().T @ x @ p, -1)).max()
-                    <= 1e-8 * max(np.abs(a).max(), np.abs(b).max()))
-
-    def test_jordan_tail_fails_the_finish_and_takes_the_svd_basis(
-            self, monkeypatch):
-        # The trailing pair commutes, but a + theta*b has a Jordan block
-        # there: no basis of its eigenvectors, so the finish fails and a
-        # step splits the trailing pair instead.
-        ta = np.array([[1, 1, 0], [0, 1, 0], [0, 0, 2]], dtype=complex)
-        a, b, t1, t2 = _planted_commuting_tail(1, 1, ta, 2 * ta + ta @ ta)
-        steps = _recording_steps(monkeypatch)
-        finishes = _recording_finisher(monkeypatch)
-        svds = _counting_svd(monkeypatch)
-        p, da, db = simultaneous_triangularize(a, b)
-        assert finishes[0] == (3, False)
-        assert (3, 2) in steps
-        # The Jordan block's eigenvectors from eig are parallel to rounding,
-        # so at both steps that meet it, at sizes 4 and 3, its cluster's
-        # basis comes from the SVD of x - lambda*I.
-        assert svds == [(4, 4), (3, 3)]
-        for x in (a, b):
-            assert np.abs(np.tril(p.conj().T @ x @ p, -1)).max() <= 1e-8
-        _assert_planted_diagonals(da, db, t1, t2, 1e-8)
-
-    def test_failed_check_goes_to_the_two_sided_step(self, monkeypatch):
-        # The trailing pair commutes within the 1e-9 bound (3e-10) but not
-        # exactly: b couples a's eigenvectors by 3e-7, and a + theta*b has
-        # eigenvalues only 4e-7 apart, so its eigenbasis is ill-conditioned
-        # and turned far from a's.  In it q^H a q keeps about 5e-4 below the
-        # diagonal, above the caller's 1e-6: the finish fails, and so does
-        # the step on the same eigenvectors.  The rerun's two-sided step,
-        # with a's own eigenvectors, meets it.
-        theta = linalg._THETA
-        ta = np.diag([1e-3, 0.0]).astype(complex)
-        tb = np.array([[-(1e-3 - 1e-7) / theta, 3e-7], [3e-7, 0.0]],
-                      dtype=complex)
-        assert np.abs(ta @ tb - tb @ ta).max() <= 1e-9
-        a, b, t1, t2 = _planted_commuting_tail(2, 1, ta, tb)
-        steps = _recording_steps(monkeypatch)
-        finishes = _recording_finisher(monkeypatch)
-        monkeypatch.setattr(linalg, "RESIDUAL_TOL", 1e-6)
-        p, da, db = simultaneous_triangularize(a, b)
-        assert finishes == [(2, False), (2, False)]
-        assert steps == [(3, 1), (2, 1), (3, 1), (2, 1)]
-        for x in (a, b):
-            assert np.abs(np.tril(p.conj().T @ x @ p, -1)).max() <= 1e-6
-        _assert_planted_diagonals(da, db, t1, t2, 1e-9)
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 3), st.integers(2, 8), st.integers(0, 2**32 - 1))
-    def test_planted_diagonals_with_a_commuting_tail(self, lead, tail, seed):
-        # The tail (A, c0 + c1 A + c2 A^2) commutes; the leading rows and the
-        # coupling do not.  The two-sided steps split off the leading rows
-        # and one eigendecomposition finishes the tail.
-        rng = np.random.default_rng(seed)
-        ta = np.triu(rng.standard_normal((tail, tail))
-                     + 1j * rng.standard_normal((tail, tail)))
-        c = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        tb = c[0] * np.eye(tail) + c[1] * ta + c[2] * ta @ ta
-        a, b, t1, t2 = _planted_commuting_tail(seed, lead, ta, tb)
-        assert np.abs(a @ b - b @ a).max() > 1e-9
-        with pytest.MonkeyPatch.context() as mp:
-            finishes = _recording_finisher(mp)
-            p, da, db = simultaneous_triangularize(a, b)
-        assert finishes == [(tail, True)]
-        scale = max(np.abs(a).max(), np.abs(b).max(), 1.0)
-        for x in (a, b):
-            assert (np.abs(np.tril(p.conj().T @ x @ p, -1)).max()
-                    <= 1e-8 * scale)
-        _assert_planted_diagonals(da, db, t1, t2, 1e-6 * scale)
-
-    def test_failed_x_deflation_reruns_two_sided(self, monkeypatch):
-        # The eigenvectors of a + theta*b alone lose this pair (a has the
-        # repeated eigenvalues 0 and 1 in Jordan blocks): the first
-        # deflation fails the final check, and the two-sided rerun
-        # recovers the planted diagonals.
-        a, b, t1, t2 = _noncommuting_triangular_pair(24, 0, "repeated")
-        runs = []
-        deflate = linalg._deflation_triangularize
-
-        def recording(*args, **kwargs):
-            p = deflate(*args, **kwargs)
-            lower = max(np.abs(np.tril(p.conj().T @ m @ p, -1)).max()
-                        for m in (a, b))
-            runs.append((kwargs["two_sided"], lower))
-            return p
-        monkeypatch.setattr(linalg, "_deflation_triangularize", recording)
-        p, da, db = simultaneous_triangularize(a, b)
-        scale = max(np.abs(a).max(), np.abs(b).max(), 1.0)
-        assert [two for two, _ in runs] == [False, True]
-        assert runs[0][1] > 1e-8 * scale >= runs[1][1]
-        _assert_planted_diagonals(da, db, t1, t2, 1e-6)
-
     def test_weighted_star_takes_one_full_eigendecomposition(self,
                                                             monkeypatch):
-        # The first step's candidates come from one eigendecomposition of
-        # a + theta*b, and its two vectors use up whole clusters of it, so
-        # the finish reuses it: one 50 x 50 eig, and the small eig of b
-        # compressed onto the one cluster.
+        # Each step takes one full eigendecomposition of each matrix, and
+        # one small eig per cluster of repeated eigenvalues: at the first
+        # step a's 48 eigenvalues at 0 and b's pair, at the second the whole
+        # of a, which is 0 there.
         from qqwalk.walks import build_W_Dw
         w, dw = build_W_Dw(*_weighted_star(24))
         a, b = w.transpose().psi(), dw.psi()
@@ -970,27 +923,110 @@ class TestBlockDeflation:
             return eig(m)
         monkeypatch.setattr(np.linalg, "eig", recording)
         steps = _recording_steps(monkeypatch)
-        finishes = _recording_finisher(monkeypatch)
         p, _, _ = simultaneous_triangularize(a, b)
-        assert steps == [(50, 2)] and finishes == [(48, True)]
-        assert sizes == [50, 2]
+        assert steps == [(50, 2), (48, 48)]
+        assert sizes == [50, 48, 50, 2, 48, 48, 48]
         for x in (a, b):
             assert np.abs(np.tril(p.conj().T @ x @ p, -1)).max() <= 1e-8
 
-    @pytest.mark.parametrize("star", ["ex5.w", 24, 32])
-    def test_star_clusters_take_no_svd(self, monkeypatch, star):
-        # Each cluster of the star's x holds as many eigenvectors from the
-        # eig, orthogonal to rounding, as it has eigenvalues: their QR
-        # factor is its basis, and no SVD is made.
-        from qqwalk.spectra import _certificate
+    @pytest.mark.parametrize("leaves", [24, 32])
+    def test_scaled_star_takes_the_same_steps(self, monkeypatch, leaves):
+        # Scaled by 1e4, the star splits off as it does unscaled: the step
+        # tolerance and the prefix bound grow with the scale.
+        from qqwalk.walks import build_W_Dw
+        w, dw = build_W_Dw(*_weighted_star(leaves))
+        steps = _recording_steps(monkeypatch)
+        simultaneous_triangularize(w.transpose().psi(), dw.psi())
+        unscaled = list(steps)
+        steps.clear()
+        a, b = 1e4 * w.transpose().psi(), 1e4 * dw.psi()
+        p, _, _ = simultaneous_triangularize(a, b)
+        assert steps == unscaled and len(steps) == 2
+        for x in (a, b):
+            assert (np.abs(np.tril(p.conj().T @ x @ p, -1)).max()
+                    <= 1e-8 * max(np.abs(a).max(), np.abs(b).max()))
 
-        def refused(*args, **kwargs):
-            raise AssertionError("np.linalg.svd called")
+    def test_jordan_tail_takes_the_svd_basis(self, monkeypatch):
+        # The trailing pair commutes, but a and b = 2a + a^2 have a Jordan
+        # block there: the eigenvectors from eig are parallel to rounding,
+        # so at both steps that meet it, at sizes 4 and 3, the cluster's
+        # basis comes from the SVD of m - lambda*I.
+        ta = np.array([[1, 1, 0], [0, 1, 0], [0, 0, 2]], dtype=complex)
+        a, b, t1, t2 = _planted_commuting_tail(1, 1, ta, 2 * ta + ta @ ta)
+        steps = _recording_steps(monkeypatch)
+        svds = _counting_svd(monkeypatch)
+        p, da, db = simultaneous_triangularize(a, b)
+        assert (3, 2) in steps
+        assert (4, 4) in svds and (3, 3) in svds
+        for x in (a, b):
+            assert np.abs(np.tril(p.conj().T @ x @ p, -1)).max() <= 1e-8
+        _assert_planted_diagonals(da, db, t1, t2, 1e-8)
+
+    def test_steps_meet_a_pair_whose_x_is_ill_conditioned(self, monkeypatch):
+        # The trailing pair commutes within the 1e-9 bound (3e-10) but not
+        # exactly: b couples a's eigenvectors by 3e-7, and a + theta*b has
+        # eigenvalues only 4e-7 apart, so its eigenbasis is ill-conditioned
+        # and turned far from a's; in it q^H a q keeps about 5e-4 below the
+        # diagonal, above the caller's 1e-6.  The steps take a's own
+        # eigenvectors, one joint eigenvector at a time.
+        theta = linalg._THETA
+        ta = np.diag([1e-3, 0.0]).astype(complex)
+        tb = np.array([[-(1e-3 - 1e-7) / theta, 3e-7], [3e-7, 0.0]],
+                      dtype=complex)
+        assert np.abs(ta @ tb - tb @ ta).max() <= 1e-9
+        a, b, t1, t2 = _planted_commuting_tail(2, 1, ta, tb)
+        steps = _recording_steps(monkeypatch)
+        monkeypatch.setattr(linalg, "RESIDUAL_TOL", 1e-6)
+        p, da, db = simultaneous_triangularize(a, b)
+        assert steps == [(3, 1), (2, 1)]
+        for x in (a, b):
+            assert np.abs(np.tril(p.conj().T @ x @ p, -1)).max() <= 1e-6
+        _assert_planted_diagonals(da, db, t1, t2, 1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.integers(2, 8), st.integers(0, 2**32 - 1))
+    def test_planted_diagonals_with_a_commuting_tail(self, lead, tail, seed):
+        # The tail (A, c0 + c1 A + c2 A^2) commutes; the leading rows and the
+        # coupling do not.  The steps split off the leading rows and then
+        # the tail.
+        rng = np.random.default_rng(seed)
+        ta = np.triu(rng.standard_normal((tail, tail))
+                     + 1j * rng.standard_normal((tail, tail)))
+        c = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        tb = c[0] * np.eye(tail) + c[1] * ta + c[2] * ta @ ta
+        a, b, t1, t2 = _planted_commuting_tail(seed, lead, ta, tb)
+        assert np.abs(a @ b - b @ a).max() > 1e-9
+        p, da, db = simultaneous_triangularize(a, b)
+        scale = max(np.abs(a).max(), np.abs(b).max(), 1.0)
+        for x in (a, b):
+            assert (np.abs(np.tril(p.conj().T @ x @ p, -1)).max()
+                    <= 1e-8 * scale)
+        _assert_planted_diagonals(da, db, t1, t2, 1e-6 * scale)
+
+    def test_repeated_pair_takes_one_deflation(self, monkeypatch):
+        # a has the repeated eigenvalues 0 and 1 in Jordan blocks; the one
+        # deflation, on candidates from a and from b, recovers the planted
+        # diagonals.
+        a, b, t1, t2 = _noncommuting_triangular_pair(24, 0, "repeated")
+        runs = _counting_deflations(monkeypatch)
+        p, da, db = simultaneous_triangularize(a, b)
+        scale = max(np.abs(a).max(), np.abs(b).max(), 1.0)
+        assert len(runs) == 1
+        for x in (a, b):
+            assert (np.abs(np.tril(p.conj().T @ x @ p, -1)).max()
+                    <= 1e-8 * scale)
+        _assert_planted_diagonals(da, db, t1, t2, 1e-6)
+
+    @pytest.mark.parametrize("star", ["ex5.w", 24, 32])
+    def test_star_pairs_deflate_to_a_certified_spectrum(self, monkeypatch,
+                                                        star):
+        # The whole pair of a star, triangularized unsplit, deflates to
+        # aligned diagonals whose walk spectrum the certificate accepts.
+        from qqwalk.spectra import _certificate
 
         g, coin = _ex5_star() if star == "ex5.w" else _weighted_star(star)
         pair = _star_pair(g, coin)
         steps = _recording_steps(monkeypatch)
-        monkeypatch.setattr(np.linalg, "svd", refused)
         _, mus, xis = simultaneous_triangularize(*pair)
         assert steps
         assert _certificate(g, coin, _pair_spectrum(g, coin, mus, xis)).verdict
@@ -999,14 +1035,16 @@ class TestBlockDeflation:
         # Single linkage chains the eigenvalues 0, 0.9, 1.8 and 2.7 (times
         # tol) into one cluster, whose outer eigenvectors leave residuals of
         # 1.35 * tol against the mean: the basis is the SVD's near-nullspace
-        # of x - mean*I, the two middle eigenvectors.
+        # of x - mean*I, the two middle eigenvectors.  The two single
+        # eigenvalues offer their eigenvectors first.
         tol = 1e-8
         x = np.diag(np.r_[tol * np.array([0.0, 0.9, 1.8, 2.7]), 1.0, 2.0])
         y = np.random.default_rng(3).standard_normal((6, 6))
+        assert list(linalg._cluster_labels(np.diag(x), tol)) == [
+            0, 0, 0, 0, 1, 2]
         svds = _counting_svd(monkeypatch)
-        cands, owner, labels = linalg._eigen_candidates(
-            x.astype(complex), y.astype(complex), tol)
+        cands = linalg._eigen_candidates(x.astype(complex), y.astype(complex),
+                                         tol)
         assert svds == [(6, 6)]
-        assert list(labels) == [0, 0, 0, 0, 1, 2]
-        assert np.sum(owner == 0) == 2
-        assert np.abs(cands[[0, 3, 4, 5]][:, owner == 0]).max() <= 1e-12
+        assert cands.shape == (6, 4)
+        assert np.abs(cands[[0, 3, 4, 5]][:, 2:]).max() <= 1e-12

@@ -597,6 +597,35 @@ class TestComponentRoute:
                            match="not nilpotent.*use the direct route"):
             spectrum_theorem_general(g, coin)
 
+    def test_real_coin_on_a_triangle_needs_the_deflation(self, monkeypatch):
+        # A real coin whose support is all of K3, one strong component:
+        # Y = [[0, 4, 2], [4, 0, -2], [-3, -3, 0]] and D = diag(1, 1, 0) do
+        # not commute, so _class_pairs leaves the block alone, but they share
+        # the eigenvector (1, -1, 0) and are jointly triangularizable: the
+        # block is certified through simultaneous_triangularize.
+        g = complete_graph(3)
+        values = {0: 4, 1: 4, 2: -3, 3: 2, 4: -3, 5: -2}
+
+        def coin_of(vals):
+            return CoinMap.from_arc_values(
+                g, {e: Quaternion(v) for e, v in vals.items()})
+
+        coin = coin_of(values)
+        y, d = _vertex_pair(g, _operand(coin)[0])
+        assert np.array_equal(y, [[0, 4, 2], [4, 0, -2], [-3, -3, 0]])
+        assert np.array_equal(d, np.diag([1.0, 1.0, 0.0]))
+        assert linalg._class_pairs(y, d) is None
+        seen = TestVertexBlocks.recording(monkeypatch)
+        report = spectrum_theorem_general(g, coin)
+        assert seen["triangularize"] == [((3, 3), (3, 3))]
+        assert report.cross_check.verdict
+        assert report.cross_check.max_dist <= 1e-13
+        assert matches_direct(report, g, coin)
+        # Arc 3 moved to 2.001: the commutator is no longer nilpotent.
+        with pytest.raises(NotSimultaneouslyTriangularizableError,
+                           match="not nilpotent"):
+            spectrum_theorem_general(g, coin_of({**values, 3: 2.001}))
+
     @pytest.mark.parametrize("star", ["ex5.w", 8, 12, 24])
     def test_stars_take_no_eigensolve(self, monkeypatch, star):
         import scipy.linalg

@@ -159,6 +159,15 @@ class TestClassicalIdentity:
         assert report.verdict and len(report.samples) == 1
         assert sorted(report.skipped, key=lambda z: z.real) == [-1.0, 1.0]
 
+    def test_pole_sample_is_listed_in_the_json(self):
+        # A skipped sample is named in to_dict, not dropped without a word;
+        # a report that skips none has no such key.
+        d = ihara_identity(complete_graph(3), [0.3, 1.0]).to_dict()
+        assert [s["t"] for s in d["samples"]] == [{"re": 0.3, "im": 0.0}]
+        assert d["skipped"] == [{"re": 1.0, "im": 0.0}]
+        assert "skipped" not in ihara_identity(complete_graph(3),
+                                               [0.3]).to_dict()
+
     def test_tree_pole_raises_in_bass_form(self):
         with pytest.raises(ZeroDivisionError):
             ihara_bass(path_graph(3), 1.0)
