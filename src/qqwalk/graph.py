@@ -13,6 +13,7 @@ disconnected graphs are rejected.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 
 import numpy as np
@@ -165,6 +166,22 @@ class Graph:
 
     def degree_matrix(self) -> np.ndarray:
         return np.diag(self.degrees.astype(float))
+
+    @functools.cached_property
+    def z0_lifts(self) -> tuple[np.ndarray, np.ndarray]:
+        """The lifts E = [E- E+] and signs sigma of spectra._compression,
+        factored on first use and held read-only: E_sigma = R_sigma^-1 /
+        sqrt(2), R_sigma the Cholesky factor of the grounded D + sigma*A."""
+        parts = []
+        for sign, ground in ((-1.0, 1), (1.0, int(self.is_bipartite))):
+            laplacian = np.diag(self.degrees) + sign * self.adjacency_matrix()
+            lift = np.zeros((self.n, self.n - ground))
+            lift[ground:] = np.linalg.inv(np.linalg.cholesky(
+                laplacian[ground:, ground:]).T) / np.sqrt(2.0)
+            parts.append((lift, np.full(self.n - ground, sign)))
+        lift, sigma = (np.concatenate(p, axis=-1) for p in zip(*parts))
+        lift.flags.writeable = sigma.flags.writeable = False
+        return lift, sigma
 
 
 def parse_graph(text: str) -> Graph:

@@ -314,7 +314,8 @@ def _eigen_candidates(x: np.ndarray, y: np.ndarray,
     every ||(x - mean*I) q_j|| <= tol, else (nearly parallel vectors, as of
     a Jordan block, or a chain wider than tol) the near-nullspace of
     x - mean*I from one SVD (singular values <= tol, at least the
-    smallest).
+    smallest).  A basis of the whole space (x is mean*I within tol) is
+    offered itself: y's eigenvectors come from _eigen_candidates(y, x).
     """
     vals, vecs = np.linalg.eig(x)
     labels = _cluster_labels(vals, tol)
@@ -328,8 +329,9 @@ def _eigen_candidates(x: np.ndarray, y: np.ndarray,
                 or np.linalg.norm(shifted @ basis, axis=0).max() > tol):
             _, sing, vh = np.linalg.svd(shifted)
             basis = vh[-max(int(np.sum(sing <= tol)), 1):, :].conj().T
-        _, wvecs = np.linalg.eig(basis.conj().T @ y @ basis)
-        cands.append(basis @ wvecs)
+        if basis.shape[1] < x.shape[0]:
+            basis = basis @ np.linalg.eig(basis.conj().T @ y @ basis)[1]
+        cands.append(basis)
     v = np.hstack(cands)
     return v / np.linalg.norm(v, axis=0)
 
@@ -394,9 +396,10 @@ def _deflation_triangularize(a: np.ndarray, b: np.ndarray,
     entry above bound, the caller's final bound, and at least one.  The
     unitary factor is updated in its trailing s columns only.  A step costs
     two eigendecompositions, a basis and one small eig per cluster of
-    repeated eigenvalues, a QR and O(s^3) scoring, so a pair of size n
-    costs O(n^3) per step: a generic triangular pair, which has one joint
-    eigenvector per step, takes n - 1 steps.
+    repeated eigenvalues short of the whole space, a QR and O(s^3)
+    scoring, so a pair of size n costs O(n^3) per step: a generic
+    triangular pair, which has one joint eigenvector per step, takes n - 1
+    steps.
     """
     n = a.shape[0]
     p_total = np.eye(n, dtype=complex)

@@ -149,16 +149,20 @@ class QuatMatrix:
 
     # -- complexification ---------------------------------------------
 
-    def psi(self) -> np.ndarray:
+    def psi(self, out: np.ndarray | None = None) -> np.ndarray:
         """Complexification: the 2 rows x 2 cols block matrix
-        [[S, -conj(P)], [P, conj(S)]].
+        [[S, -conj(P)], [P, conj(S)]], written block by block into a new
+        array or into the last two axes of out (a stack of copies).
 
         The first block of indices is the "+" copy of the index set, the
         second the "-" copy; this ordering is part of the reporting
         contract for complexified spectra.
         """
-        return np.block([[self.s, -np.conj(self.p)],
-                         [self.p, np.conj(self.s)]])
+        r, c = self.shape
+        out = np.empty((2 * r, 2 * c), complex) if out is None else out
+        out[..., :r, :c], out[..., r:, :c] = self.s, self.p
+        out[..., :r, c:], out[..., r:, c:] = -np.conj(self.p), np.conj(self.s)
+        return out
 
     def __repr__(self) -> str:
         return f"QuatMatrix({self.rows}x{self.cols})"

@@ -1,16 +1,17 @@
 """Spectrum of the quaternionic walk by four routes, with cross-validation.
 
-* direct: eigensolve of U compressed off the part of its spectrum the
-  graph fixes: U = -J0 on Z0, the common kernel of L^T and O^T (O = J0 L),
-  which gives +1 betti_number times and -1 m - n + b times (b = 1 for a
-  bipartite graph); the rest is the spectrum of C = Q1^T U Q1 over an
-  orthonormal basis Q1 of the complement, of size 2n - 1 - b, built from
-  n x n arrays in O(n^3) (_compression, which the zeta identities' arc
-  sides read too).  C is built from the coin's turned values
-  (walks.CoinMap.turned): real for a real coin, complex when the values
-  share one imaginary axis (the Grover coin, every alpha/d coin, every
-  complex coin), whose eigenvalues and their conjugates are then the
-  spectrum, and psi(C), of size 2(2n - 1 - b), otherwise;
+* direct: eigensolve of U compressed off the part of its spectrum the graph
+  fixes: U = -J0 on Z0, the common kernel of L^T and O^T (O = J0 L), which
+  gives +1 betti_number times and -1 m - n + b times (b = 1 for a bipartite
+  graph); the rest is the spectrum of C = Q1^T U Q1 over an orthonormal
+  basis Q1 of the complement, of size 2n - 1 - b, built from n x n arrays
+  in O(n^3) (_compression, which the zeta identities' arc sides read too,
+  from the lifts the graph holds).  C is built from the coin's turned
+  values (walks.CoinMap.turned): real for a real coin, complex when the
+  values share one imaginary axis (the Grover coin, every alpha/d coin,
+  every complex coin), whose eigenvalues and their conjugates are then the
+  spectrum, and psi(C), of size 2(2n - 1 - b), otherwise, from C's parts,
+  which the quaternionic arc side writes into I - t*psi(C) directly;
 * formula routes: each is a source of aligned pairs (mu, xi), and one
   finisher takes the two roots of lambda^2 - mu*lambda + xi - 1 per pair
   (one double root where the discriminant is within DOUBLE_ROOT_TOL of 0),
@@ -176,40 +177,30 @@ def _times_real(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _compression(graph: Graph, weights) -> np.ndarray:
+def _compression(graph: Graph, weights):
     """C = Q1^T U Q1, U the walk of the arc weights, compressed onto Z0^perp.
 
     weights is an array of one real or complex value per arc, which gives
-    C, or a CoinMap, whose quaternion values give psi(C).  Q1 = [Q1- Q1+]
-    spans Z0^perp = range(L - O) + range(L + O): with sigma = -1 on the odd
-    part and +1 on the even one, N_sigma = (L + sigma*O) without vertex
-    0's column where it is a dependency (always for sigma = -1; for
-    sigma = +1 when the graph is bipartite), and R_sigma the Cholesky
-    factor of N_sigma^T N_sigma / 2 = (D + sigma*A) grounded alike (the
-    Laplacian and the signless Laplacian), Q1_sigma = N_sigma R_sigma^-1 /
-    sqrt(2), so J0 Q1 = Q1 diag(sigma) and r = 2n - 1 - b.  The two
-    Laplacians are exact small-integer matrices, so Q1 is orthonormal up to
-    the rounding of one Cholesky factorization: C's spectrum matches that
-    of a Householder-QR basis within 7e-14 on a 200-vertex path and odd
-    cycle.  As U = K L^T - J0, K = diag(q) O and L^T = O^T J0,
-    C = (F_q^T F_1 - I) diag(sigma) with the n x r forms
-    F_q = O^T diag(q) Q1 = W_q E + D_q E diag(sigma): W_q holds q on each
-    arc (u, v), D_q the sums of q leaving each vertex and E the lifts
-    R_sigma^-1 / sqrt(2) with a zero row at a grounded vertex.  So every
-    array is n x n or n x r, built by index sums over the arcs and n-deep
-    products, in O(n^3).
+    C, or a CoinMap, which gives the QuatMatrix (C_s, C_p) of C's
+    symplectic parts.  Q1 = [Q1- Q1+] spans Z0^perp = range(L - O) +
+    range(L + O): with sigma = -1 on the odd part and +1 on the even one,
+    N_sigma = (L + sigma*O) without vertex 0's column where it is a
+    dependency (always for sigma = -1; for sigma = +1 when the graph is
+    bipartite), and R_sigma the Cholesky factor of N_sigma^T N_sigma / 2 =
+    (D + sigma*A) grounded alike (the Laplacian and the signless
+    Laplacian), Q1_sigma = N_sigma R_sigma^-1 / sqrt(2), so
+    J0 Q1 = Q1 diag(sigma) and r = 2n - 1 - b.  The Laplacians are exact
+    small-integer matrices, so Q1 is orthonormal up to the rounding of one
+    Cholesky factorization: C's spectrum matches that of a Householder-QR
+    basis within 7e-14 on a 200-vertex path and odd cycle.  As
+    U = K L^T - J0, K = diag(q) O and L^T = O^T J0, C = (F_q^T F_1 - I)
+    diag(sigma) with the n x r forms F_q = O^T diag(q) Q1 = W_q E +
+    D_q E diag(sigma): W_q holds q on each arc (u, v), D_q the sums of q
+    leaving each vertex and E the lifts R_sigma^-1 / sqrt(2) with a zero
+    row at a grounded vertex, which the graph holds (Graph.z0_lifts).  So
+    every array is n x n or n x r, built in O(n^3).
     """
-    n, bipartite = graph.n, int(graph.is_bipartite)
-    adjacency, degree = graph.adjacency_matrix(), graph.degrees
-    lifts, signs = [], []
-    for sign, ground in ((-1.0, 1), (1.0, bipartite)):
-        laplacian = np.diag(degree) + sign * adjacency
-        lift = np.zeros((n, n - ground))
-        lift[ground:] = np.linalg.inv(np.linalg.cholesky(
-            laplacian[ground:, ground:]).T) / np.sqrt(2.0)
-        lifts.append(lift)
-        signs.append(np.full(n - ground, sign))
-    lift, sigma = np.hstack(lifts), np.concatenate(signs)
+    lift, sigma = graph.z0_lifts
 
     def form(q: np.ndarray) -> np.ndarray:
         w, out_sums = _vertex_arrays(graph, q)
@@ -225,8 +216,7 @@ def _compression(graph: Graph, weights) -> np.ndarray:
 
     if not isinstance(weights, CoinMap):
         return compressed(weights, 1.0)
-    return QuatMatrix(compressed(weights.s, 1.0),
-                      compressed(weights.p, 0.0)).psi()
+    return QuatMatrix(compressed(weights.s, 1.0), compressed(weights.p, 0.0))
 
 
 def _operand(coin: CoinMap) -> tuple:
@@ -260,7 +250,7 @@ def spectrum_direct(graph: Graph, coin: CoinMap) -> SpectrumReport:
     block = _compression(graph, weights)
     copies = 1 if halves else 2
     even = graph.m - graph.n + int(graph.is_bipartite)
-    vals = np.concatenate((eigenvalues(block),
+    vals = np.concatenate((eigenvalues(block if halves else block.psi()),
                            np.ones(copies * graph.betti_number),
                            -np.ones(copies * even)))
     vals = pair_conjugates(psi_spectrum(vals, graph.num_arcs))
@@ -334,13 +324,14 @@ def _vertex_pair(graph: Graph, weights) -> tuple[np.ndarray, np.ndarray]:
     return w.T, np.diag(sums)
 
 
-def _logdet(ts: np.ndarray, y: np.ndarray, d: np.ndarray | None = None,
+def _logdet(ts: np.ndarray, y, d: np.ndarray | None = None,
             halves: bool = False) -> np.ndarray:
     """log det(X(t)) at each t for X(t) = I - t*y + t^2*(d - I), or
     I - t*y when d is None, by numpy's slogdet over batches of points
     holding at most LOGDET_BATCH entries, so memory stays bounded at any
     size.  The imaginary part is a phase, not reduced mod 2*pi.  Only the
     nonzero entries of t^2*(d - I) are added (diagonal, psi off-diagonals).
+    A QuatMatrix y stands for psi(y), written into each batch's buffer.
 
     With halves, y and d are blocks X' of a psi image unitarily similar to
     diag(X', conj(X')), whose log-determinant is log det(X'(t)) +
@@ -348,15 +339,17 @@ def _logdet(ts: np.ndarray, y: np.ndarray, d: np.ndarray | None = None,
     """
     if halves and (np.iscomplexobj(y) or np.iscomplexobj(d)):
         return _logdet(ts, y, d) + np.conj(_logdet(ts.conj(), y, d))
-    diag = np.arange(y.shape[0])
+    quat = isinstance(y, QuatMatrix)
+    diag = np.arange(2 * y.rows if quat else y.shape[0])
     if d is not None:
         square = d - np.eye(diag.size)
         rows, cols = np.nonzero(square)
-    step = max(LOGDET_BATCH // max(y.size, 1), 1)
+    step = max(LOGDET_BATCH // max(diag.size ** 2, 1), 1)
     out = np.zeros(ts.size, dtype=complex)
     for lo in range(0, ts.size, step):
         t = ts[lo:lo + step, None, None]
-        m = -t * y
+        m = np.empty((t.size, diag.size, diag.size), dtype=complex)
+        np.multiply(-t, y.psi(m) if quat else y, out=m)
         m[:, diag, diag] += 1.0
         if d is not None:
             m[:, rows, cols] += (t * t)[:, :, 0] * square[rows, cols]

@@ -28,20 +28,21 @@ basis [Q0 Q1] with U = -J0 on Z0, so
 
     det(I - t*U) = (1 - t)^beta * (1 + t)^(m - n + b) * det(I_r - t*C)
 
-with beta the Betti number, b = 1 for a bipartite graph and
-C = Q1^T U Q1 of size r = 2n - 1 - b (spectra._compression), built from
-n x n arrays.  Every identity is one comparison (_compare) of one operand
-read alike by both sides: unit weights (B - J0 is U's transpose at q = 1)
-and complex weights as they stand; quaternion weights as the coin, psi(C)
-with both exponents doubled; weights on one axis as their turned values
-(walks.CoinMap.turned), with det(I - t*C) * conj(det(I - conj(t)*C)), one
-determinant squared when C is real.  The vertex side is the certificate's,
-spectra._vertex_logdet, and both sides take spectra's halving, batched
-slogdet.  So no identity builds or factors the 2m x 2m or 4m x 4m X: that
-the split equals the factorization of I - t*X is checked by the tests, not
-at run time.  K and L enter only the resolvent check, as their arc entries
-(e, o(e), w(e)) and (e, t(e), 1), from which psi(L^T K) and psi(L^T J0 K)
-are summed over the arcs directly.
+with beta the Betti number, b = 1 for a bipartite graph and C = Q1^T U Q1
+of size r = 2n - 1 - b (spectra._compression), built from n x n arrays and
+the lifts the graph holds (Graph.z0_lifts).  Every identity is one
+comparison (_compare) of one operand read alike by both sides: unit weights
+(B - J0 is U's transpose at q = 1) and complex weights as they stand;
+quaternion weights as the coin, psi(C) with both exponents doubled,
+I - t*psi(C) written from C's parts (C_s, C_p); weights on one axis as
+their turned values (walks.CoinMap.turned), with det(I - t*C) *
+conj(det(I - conj(t)*C)), one determinant squared when C is real.  The
+vertex side is the certificate's, spectra._vertex_logdet, and both sides
+take spectra's halving, batched slogdet.  So no identity builds or factors
+the 2m x 2m or 4m x 4m X: that the split equals the factorization of
+I - t*X is checked by the tests, not at run time.  K and L enter only the
+resolvent check, as their arc entries (e, o(e), w(e)) and (e, t(e), 1),
+from which psi(L^T K) and psi(L^T J0 K) are summed over the arcs.
 """
 
 from __future__ import annotations
@@ -145,10 +146,11 @@ def default_samples(count: int = 8, seed: int = 0,
 def _arc_logdet(graph: Graph, weights, halves: bool,
                 ts: np.ndarray) -> np.ndarray:
     """log det(I - t*X) at each t through the +-1 split: X = U for weights
-    given as one value per arc, X = psi(U) for a CoinMap (psi(C), the fixed
-    exponents doubled).  With halves, the per-arc weights are a one-axis
-    coin's turned values (walks.CoinMap.turned), and X = psi(U) is taken as
-    det(I - t*C) * conj(det(I - conj(t)*C)) (spectra._logdet)."""
+    given as one value per arc, X = psi(U) for a CoinMap (psi(C) from C's
+    parts, the fixed exponents doubled).  With halves, the per-arc weights
+    are a one-axis coin's turned values (walks.CoinMap.turned), and
+    X = psi(U) is taken as det(I - t*C) * conj(det(I - conj(t)*C))
+    (spectra._logdet)."""
     c = _compression(graph, weights)
     even = graph.m - graph.n + int(graph.is_bipartite)
     copies = 2 if halves or isinstance(weights, CoinMap) else 1
@@ -168,7 +170,8 @@ def _compare(graph: Graph, weights, halves: bool, t_samples: list[complex],
     vertex side (spectra._vertex_logdet) of the weights, read alike by
     both, at every sample off the poles; check(t), when given, runs first
     at each compared sample.  lhs and rhs are reported as exp of the logs,
-    rel_err comes from the logs (_rel_err)."""
+    rel_err comes from the logs (_rel_err).  A report that compared no
+    sample, every one on a pole, is false."""
     kept, skipped = [], []
     for t in t_samples:
         if abs(1.0 - t * t) < POLE_GUARD:
@@ -188,8 +191,8 @@ def _compare(graph: Graph, weights, halves: bool, t_samples: list[complex],
     # np.max propagates NaN, so a non-finite sample fails the verdict
     # wherever it falls among the samples.
     max_err = float(np.max([s.rel_err for s in samples], initial=0.0))
-    return IdentityReport(samples=samples, max_rel_err=max_err,
-                          verdict=max_err <= tol, skipped=skipped)
+    return IdentityReport(samples, max_err, bool(samples) and max_err <= tol,
+                          skipped)
 
 
 # -- classical (unweighted) identity ----------------------------------

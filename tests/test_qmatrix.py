@@ -95,6 +95,17 @@ class TestPsi:
         assert np.allclose(lhs, m.psi() + n.psi())
         assert np.allclose(m.scale(2.5).psi(), 2.5 * m.psi())
 
+    def test_equals_the_block_formula(self):
+        # psi writes its four blocks into one array, or into the last two
+        # axes of a stack of copies: exactly [[S, -conj P], [P, conj S]].
+        rng = np.random.default_rng(11)
+        for rows, cols in ((1, 1), (3, 3), (2, 5), (0, 0)):
+            m = random_qmatrix(rng, rows, cols)
+            want = np.block([[m.s, -np.conj(m.p)], [m.p, np.conj(m.s)]])
+            assert np.array_equal(m.psi(), want)
+            stack = m.psi(np.empty((3, 2 * rows, 2 * cols), dtype=complex))
+            assert all(np.array_equal(copy, want) for copy in stack)
+
     def test_injective_on_square(self):
         rng = np.random.default_rng(7)
         m = random_qmatrix(rng, 3)

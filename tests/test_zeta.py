@@ -1,6 +1,7 @@
 """Determinant identities: classical, complex-weighted, and quaternionic."""
 
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,11 +13,13 @@ from qqwalk.graph import (
     Graph,
     complete_graph,
     cycle_graph,
+    load_graph,
     path_graph,
     petersen_graph,
     random_connected_graph,
     star_graph,
 )
+from qqwalk.qmatrix import QuatMatrix
 from qqwalk.quaternion import Quaternion
 from qqwalk.walks import (
     CoinMap,
@@ -25,6 +28,7 @@ from qqwalk.walks import (
     build_Bw,
     build_K_L,
     build_U,
+    parse_coin_file,
 )
 from qqwalk.zeta import (
     default_samples,
@@ -168,6 +172,14 @@ class TestClassicalIdentity:
         assert "skipped" not in ihara_identity(complete_graph(3),
                                                [0.3]).to_dict()
 
+    def test_report_that_compared_no_sample_fails(self):
+        # Every sample on a pole: nothing was compared, so nothing holds.
+        report = ihara_identity(complete_graph(4), [1.0, -1.0])
+        assert report.samples == [] and report.skipped == [1.0, -1.0]
+        assert report.verdict is False
+        assert report.to_dict()["verdict"] is False
+        assert ihara_identity(complete_graph(4), []).verdict is False
+
     def test_tree_pole_raises_in_bass_form(self):
         with pytest.raises(ZeroDivisionError):
             ihara_bass(path_graph(3), 1.0)
@@ -302,7 +314,10 @@ class TestQuaternionicIdentity:
 
     def test_both_sides_are_polynomials_matching_coefficients(self):
         # Interpolate each side at 4m + 1 points on a circle and compare
-        # coefficient vectors; degree-complete check of the identity.
+        # coefficient vectors; degree-complete check of the identity.  The
+        # report lists its samples sorted, so the points are read from it.
+        # Both sides are det(I - t*psi(U)), whose coefficients are real, as
+        # psi(U)'s spectrum is closed under conjugation, with constant 1.
         rng = np.random.default_rng(89)
         g = cycle_graph(4)
         w = quaternion_weights(rng, g)
@@ -310,12 +325,17 @@ class TestQuaternionicIdentity:
         nodes = [0.6 * np.exp(2j * np.pi * k / (deg + 1))
                  for k in range(deg + 1)]
         report = quaternionic_identity(g, w, nodes, tol=1e-8)
-        vandermonde = np.vander(np.array(nodes), deg + 1, increasing=True)
+        vandermonde = np.vander(np.array([s.t for s in report.samples]),
+                                deg + 1, increasing=True)
         lhs_coeffs = np.linalg.solve(
             vandermonde, np.array([s.lhs for s in report.samples]))
         rhs_coeffs = np.linalg.solve(
             vandermonde, np.array([s.rhs for s in report.samples]))
         assert np.abs(lhs_coeffs - rhs_coeffs).max() <= 1e-6
+        for coeffs in (lhs_coeffs, rhs_coeffs):
+            assert abs(coeffs[0] - 1.0) <= 1e-8
+            assert (np.abs(coeffs.imag).max()
+                    <= 1e-8 * np.abs(coeffs).max())
 
     def test_pole_skipped(self):
         g = complete_graph(3)
@@ -628,6 +648,71 @@ class TestArcSideOracle:
         wrong = wrong if kind == "quaternionic" else wrong.s
         assert log_distance(zeta._arc_logdet(g, wrong, False, ts),
                             want).max() > 1e-4
+
+
+FIXTURES = Path(spectra.__file__).parent / "fixtures"
+
+
+def fixture_case(graph_file, coin_file):
+    g = load_graph(FIXTURES / graph_file)
+    return g, parse_coin_file((FIXTURES / coin_file).read_text(), g)
+
+
+def assert_in_place_arc_side_is_the_built_psi(monkeypatch, g, coin):
+    """The quaternionic arc side's log-determinants, with I - t*psi(C)
+    written from C's parts, equal those of the built psi(C) exactly, in
+    batches of one point or of several with a shorter last one."""
+    c = spectra._compression(g, coin)
+    assert isinstance(c, QuatMatrix)
+    ts = np.array(default_samples(8), dtype=complex)
+    for batch in (spectra.LOGDET_BATCH, 3 * (2 * c.rows) ** 2, 1):
+        monkeypatch.setattr(spectra, "LOGDET_BATCH", batch)
+        assert np.array_equal(spectra._logdet(ts, c),
+                              spectra._logdet(ts, c.psi()))
+
+
+class TestInPlaceArcSide:
+    """The quaternionic arc side writes I - t*psi(C) straight into each
+    batch's buffer from C's symplectic parts (C_s, C_p)."""
+
+    @pytest.mark.parametrize("files", [("k3.g", "k3_grover.w"),
+                                       ("k13.g", "k13_grover.w"),
+                                       ("k13.g", "ex5.w")],
+                             ids=lambda f: f[1])
+    def test_fixtures(self, monkeypatch, files):
+        assert_in_place_arc_side_is_the_built_psi(
+            monkeypatch, *fixture_case(*files))
+
+    @settings(max_examples=40, deadline=None)
+    @given(oracle_graphs())
+    def test_random_quaternion_coins(self, graph_and_rng):
+        rng, g = graph_and_rng
+        with pytest.MonkeyPatch.context() as mp:
+            assert_in_place_arc_side_is_the_built_psi(
+                mp, g, quaternion_weights(rng, g))
+
+    def test_graph_factors_its_lifts_once(self, monkeypatch):
+        # The Cholesky factors of the grounded Laplacian and signless
+        # Laplacian depend on the graph alone: the direct route, the three
+        # identities and the Hashimoto side on one graph take them once.
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def counting(m):
+            calls.append(m.shape)
+            return cholesky(m)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        rng = np.random.default_rng(2)
+        g = petersen_graph()
+        quat, cplx = quaternion_weights(rng, g), complex_weights(rng, g)
+        spectra.spectrum_direct(g, quat)
+        for report in all_identities(g, quat, cplx, SAMPLES).values():
+            assert report.verdict
+        ihara_hashimoto(g, 0.3)
+        assert calls == [(9, 9), (10, 10)]
+        ihara_identity(Graph(g.n, g.edges), SAMPLES)
+        assert calls == [(9, 9), (10, 10)] * 2
 
 
 def minus_i_weights(rng, g):
