@@ -32,10 +32,12 @@ of its 4m values against the walk: at eight sample points t on two rings,
 sum(log(1 - t*lambda)) over the values is compared with the paper's vertex
 side (2m - 2n)*log(1 - t^2) + log det(I - t*psi(W^T) + t^2*(psi(D_w) - I)),
 which equals log det(I - t*psi(U)) but is a 2n x 2n determinant, so no route
-builds or eigensolves psi(U) and the check costs O(n^3).  The direct route
-and compare_spectra remain the reference.  Similarity-class representatives of
-the right spectrum are the upper-half-plane members of the computed
-eigenvalues.
+builds or eigensolves psi(U); it factors over theorem8's split by the
+strong components of the coin's support (_strong_split), so the check costs
+the sum of the blocks' cubed sizes, O(n + m) for an acyclic support and
+O(n^3) for one component.  The direct route and compare_spectra remain the
+reference.  Similarity-class representatives of the right spectrum are the
+upper-half-plane members of the computed eigenvalues.
 
 Routes and identities read one operand per coin (_operand): its turned
 values (walks.CoinMap.turned) when they share one axis, the coin itself
@@ -358,36 +360,82 @@ def _logdet(ts: np.ndarray, y, d: np.ndarray | None = None,
     return 2.0 * out if halves else out
 
 
+def _strong_split(graph: Graph, weights, pair: tuple) -> tuple:
+    """(xi, blocks): the vertex pair split over the strong components of
+    the weights' support {e : q(e) != 0} (Graph.strong_components).  Y
+    holds q(e) at (t(e), o(e)), so when every support arc has label[t(e)]
+    <= label[o(e)], checked here in O(m), the pair ordered by label is block
+    upper triangular: its determinants and aligned diagonals are its
+    diagonal blocks'.  A one-vertex block has Y_vv = 0 (no loops) and pairs
+    (0, xi), xi = D'_vv, or Re s +- i*sqrt((Im s)^2 + |p|^2) for D_vv = s +
+    j*p in the psi layout (v and v + n); blocks index the others, or the
+    whole pair (a view) for one component or labels out of order."""
+    (y, d), n = pair, graph.n
+    quat = isinstance(weights, CoinMap)
+    support = (weights.s != 0) | (weights.p != 0) if quat else weights != 0
+    labels = graph.strong_components(support)
+    if np.any(labels[graph.terminal[support]] > labels[graph.origin[support]]):
+        labels = np.zeros(n, dtype=np.intp)
+    sizes = np.bincount(labels)
+    lone = np.flatnonzero(sizes[labels] == 1)
+    xi = d[lone, lone].astype(complex)
+    if quat:
+        arm = np.hypot(xi.imag, np.abs(d[lone + n, lone]))
+        xi = np.concatenate((xi.real + 1j * arm, xi.real - 1j * arm))
+    if sizes.size == 1 and not lone.size:
+        return xi, [np.s_[:, :]]
+    blocks = [np.flatnonzero(labels == b) for b in np.flatnonzero(sizes > 1)]
+    return xi, [np.ix_(*2 * [np.r_[idx, idx + n] if quat else idx])
+                for idx in blocks]
+
+
 def _vertex_logdet(graph: Graph, weights, halves: bool, ts: np.ndarray,
-                   pair: tuple | None = None) -> np.ndarray:
+                   pair: tuple | None = None,
+                   split: tuple | None = None) -> np.ndarray:
     """The vertex side of the determinant identity at each t,
-    e*log(1 - t^2) + log det(I - t*Y + t^2*(D - I)), with (Y, D) the vertex
-    pair of the weights (or pair) and e = m - n, doubled for a CoinMap and
-    for turned values with halves, which _logdet halves.  For a coin's
-    operand (_operand) this is log det(I - t*psi(U)).
+    e*log(1 - t^2) + log det(X(t)), X(t) = I - t*Y + t^2*(D - I), with
+    (Y, D) the vertex pair of the weights (or pair) and e = m - n, doubled
+    for a CoinMap and for turned values with halves, which _logdet halves.
+    For a coin's operand (_operand) this is log det(I - t*psi(U)).
+
+    log det(X(t)) sums over the blocks of split (_strong_split): log(1 +
+    t^2*(xi - 1)) over the one-vertex blocks' xi (with halves, plus its
+    conjugate at conj(t), as in _logdet) and _logdet of each other block.
     """
-    y, d = _vertex_pair(graph, weights) if pair is None else pair
+    y, d = pair = _vertex_pair(graph, weights) if pair is None else pair
+    xi, blocks = split or _strong_split(graph, weights, pair)
     copies = 2 if halves or isinstance(weights, CoinMap) else 1
     e = copies * (graph.m - graph.n)
     # Parts apart, exponent 0 left out: t = +-1 reads log 0 = -inf, not NaN.
     with np.errstate(divide="ignore"):
         log = np.log(1.0 - ts * ts)
-    fixed = e * log.real + 1j * e * log.imag if e else 0.0
-    return fixed + _logdet(ts, y, d, halves)
+    out = e * log.real + 1j * e * log.imag if e else 0.0
+
+    def lone(t: np.ndarray) -> np.ndarray:
+        return np.log(1.0 + (t * t)[:, None] * (xi - 1.0)).sum(axis=1)
+
+    if xi.size:
+        out = out + lone(ts) + (np.conj(lone(ts.conj())) if halves else 0.0)
+    for block in blocks:
+        out = out + _logdet(ts, y[block], d[block], halves)
+    return out
 
 
 def _certificate(graph: Graph, coin: CoinMap, values: np.ndarray,
                  pair: tuple[np.ndarray, np.ndarray] | None = None,
-                 operand: tuple | None = None) -> ComparisonRecord:
+                 operand: tuple | None = None,
+                 split: tuple | None = None) -> ComparisonRecord:
     """Characteristic-polynomial certificate of values against psi(U).
 
     The eigenvalues of psi(U), with multiplicity, are the multiset whose
     sum of log(1 - t*lambda) equals log det(I - t*psi(U)) at every t; that
     log-determinant is taken from the vertex side (_vertex_logdet of the
-    coin's operand and the route's vertex pair, each built here when
-    None): two n x n slogdets per point when the coin's values share an
-    axis (one for a real coin), one 2n x 2n one otherwise, so psi(U) is
-    never built and the check is O(n^3).
+    coin's operand, the route's vertex pair and its strong-component split,
+    each built here when None), so psi(U) is never built.  Per point, the
+    one-vertex blocks take a closed form, and every other block two
+    slogdets of its size when the coin's values share an axis (one for a
+    real coin), one of its psi layout otherwise.  Labels out of order give
+    the whole pair (_strong_split), so no wrong label passes a certificate.
     With s = max(||psi(U)||_inf, 1), the sample points are
     t = rho*e^(i*theta)/s for rho in CERT_RADII and theta in CERT_ANGLES.
     As |t*lambda| <= rho, I - t*psi(U) is nonsingular and well conditioned,
@@ -422,7 +470,7 @@ def _certificate(graph: Graph, coin: CoinMap, values: np.ndarray,
     weights, halves = _operand(coin) if operand is None else operand
     ts = _sample_points(graph, coin)
     diffs = (np.log(1.0 - np.multiply.outer(ts, values)).sum(axis=1)
-             - _vertex_logdet(graph, weights, halves, ts, pair))
+             - _vertex_logdet(graph, weights, halves, ts, pair, split))
     phase = (diffs.imag + np.pi) % (2.0 * np.pi) - np.pi
     scale = max(1.0, float(np.abs(values).max()))
     residual = float(np.max(np.hypot(diffs.real, phase) / np.abs(ts))) / scale
@@ -433,7 +481,8 @@ def _certificate(graph: Graph, coin: CoinMap, values: np.ndarray,
 def _finish_quadratic_route(graph: Graph, method: str, mu: np.ndarray,
                             xi: np.ndarray, coin: CoinMap,
                             pair: tuple[np.ndarray, np.ndarray] | None = None,
-                            operand: tuple | None = None) -> SpectrumReport:
+                            operand: tuple | None = None,
+                            split: tuple | None = None) -> SpectrumReport:
     """Report of the roots of lambda^2 - mu*lambda + xi - 1 over aligned
     (mu, xi) pairs, padded or trimmed to 4m values and certified against
     psi(U) (see _certificate, which reads the route's vertex pair and the
@@ -449,40 +498,25 @@ def _finish_quadratic_route(graph: Graph, method: str, mu: np.ndarray,
         lam = _trim_tree_values(lam)
     vals = pair_conjugates(np.sort_complex(lam))
     report = SpectrumReport(method=method, psi_spectrum=vals)
-    report.cross_check = _certificate(graph, coin, vals, pair, operand)
+    report.cross_check = _certificate(graph, coin, vals, pair, operand,
+                                      split)
     return report
 
 
-def _component_pairs(graph: Graph, weights, pair: tuple) -> tuple:
-    """The aligned diagonals (mu, xi) of the vertex pair, one strong
-    component of the weights' support {e : q(e) != 0} at a time.
-
-    Y holds q(e) at (t(e), o(e)), so ordered by Graph.strong_components the
-    pair is block upper triangular and its pairs are its diagonal blocks'.
-    A one-vertex block has Y_vv = 0 (no loops), so its pairs are (0, D'_vv),
-    or (0, Re s +- i*sqrt((Im s)^2 + |p|^2)) for D_vv = s + j*p in the psi
-    layout, where vertex v holds indices v and v + n.  A commuting block of
-    the n x n turned pair splits by D's values (linalg._class_pairs); every
-    other block is triangularized on its own.
+def _component_pairs(graph: Graph, pair: tuple, split: tuple) -> tuple:
+    """The aligned diagonals (mu, xi) of the vertex pair, one block of its
+    strong-component split (_strong_split) at a time: (0, xi) for the
+    one-vertex blocks; a commuting block of the n x n turned pair splits by
+    D's values (linalg._class_pairs), and every other block is
+    triangularized on its own.
     """
-    support = ((weights.s != 0) | (weights.p != 0)
-               if isinstance(weights, CoinMap) else weights != 0)
-    labels = graph.strong_components(support)
-    sizes = np.bincount(labels)
-    (y, d), n = pair, graph.n
-    lone = np.flatnonzero(sizes[labels] == 1)
-    xi = d[lone, lone].astype(complex)
-    if y.shape[0] > n:
-        arm = np.hypot(xi.imag, np.abs(d[lone + n, lone]))
-        xi = np.concatenate((xi.real + 1j * arm, xi.real - 1j * arm))
+    (y, d), (xi, blocks) = pair, split
     parts = [(np.zeros(xi.size, dtype=complex), xi)]
-    for block in np.flatnonzero(sizes > 1):
-        idx = np.flatnonzero(labels == block)
-        if y.shape[0] > n:
-            idx = np.concatenate((idx, idx + n))
-        idx = np.ix_(idx, idx)
-        split = None if y.shape[0] > n else _class_pairs(y[idx], d[idx])
-        parts.append(split or simultaneous_triangularize(y[idx], d[idx])[1:])
+    for block in blocks:
+        classes = (None if y.shape[0] > graph.n
+                   else _class_pairs(y[block], d[block]))
+        parts.append(classes
+                     or simultaneous_triangularize(y[block], d[block])[1:])
     return tuple(np.concatenate(diagonals) for diagonals in zip(*parts))
 
 
@@ -500,15 +534,16 @@ def spectrum_theorem_general(graph: Graph, coin: CoinMap) -> SpectrumReport:
     """
     operand = _operand(coin)
     pair = _vertex_pair(graph, operand[0])
+    split = _strong_split(graph, operand[0], pair)
     try:
-        mus, xis = _component_pairs(graph, operand[0], pair)
+        mus, xis = _component_pairs(graph, pair, split)
     except NotSimultaneouslyTriangularizableError as exc:
         raise NotSimultaneouslyTriangularizableError(
             f"{exc}; use the direct route for this coin",
             residual=exc.residual) from exc
     mus, xis = psi_spectrum(mus, graph.n), psi_spectrum(xis, graph.n)
     return _finish_quadratic_route(graph, "theorem8", mus, xis, coin, pair,
-                                   operand)
+                                   operand, split)
 
 
 def _alpha_route(graph: Graph, alpha_plus: complex, method: str,

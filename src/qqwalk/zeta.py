@@ -37,8 +37,9 @@ quaternion weights as the coin, psi(C) with both exponents doubled,
 I - t*psi(C) written from C's parts (C_s, C_p); weights on one axis as
 their turned values (walks.CoinMap.turned), with det(I - t*C) *
 conj(det(I - conj(t)*C)), one determinant squared when C is real.  The
-vertex side is the certificate's, spectra._vertex_logdet, and both sides
-take spectra's halving, batched slogdet.  So no identity builds or factors
+vertex side is the certificate's, spectra._vertex_logdet, factored over the
+strong components of the weights' support, and both sides take spectra's
+halving, batched slogdet.  So no identity builds or factors
 the 2m x 2m or 4m x 4m X: that the split equals the factorization of
 I - t*X is checked by the tests, not at run time.  K and L enter only the
 resolvent check, as their arc entries (e, o(e), w(e)) and (e, t(e), 1),
@@ -165,13 +166,14 @@ def _arc_logdet(graph: Graph, weights, halves: bool,
 
 
 def _compare(graph: Graph, weights, halves: bool, t_samples: list[complex],
-             tol: float, check=None) -> IdentityReport:
+             tol: float, check=None, pair=None) -> IdentityReport:
     """The identity core: compare the arc side (_arc_logdet) with the
-    vertex side (spectra._vertex_logdet) of the weights, read alike by
-    both, at every sample off the poles; check(t), when given, runs first
-    at each compared sample.  lhs and rhs are reported as exp of the logs,
-    rel_err comes from the logs (_rel_err).  A report that compared no
-    sample, every one on a pole, is false."""
+    vertex side (spectra._vertex_logdet, of pair when given) of the
+    weights, read alike by both, at every sample off the poles; check(t),
+    when given, runs first at each compared sample.  lhs and rhs are
+    reported as exp of the logs, rel_err comes from the logs (_rel_err).
+    A report that compared no sample, every one on a pole, is false, and
+    its max_rel_err is NaN: nothing was measured."""
     kept, skipped = [], []
     for t in t_samples:
         if abs(1.0 - t * t) < POLE_GUARD:
@@ -183,16 +185,16 @@ def _compare(graph: Graph, weights, halves: bool, t_samples: list[complex],
     kept.sort(key=lambda t: (t.real, t.imag))
     ts = np.array(kept, dtype=complex)
     lhs = _arc_logdet(graph, weights, halves, ts)
-    rhs = _vertex_logdet(graph, weights, halves, ts)
+    rhs = _vertex_logdet(graph, weights, halves, ts, pair)
     with np.errstate(over="ignore"):
         samples = [SamplePoint(t, complex(np.exp(a)), complex(np.exp(b)),
                                _rel_err(complex(a), complex(b)))
                    for t, a, b in zip(kept, lhs, rhs)]
     # np.max propagates NaN, so a non-finite sample fails the verdict
     # wherever it falls among the samples.
-    max_err = float(np.max([s.rel_err for s in samples], initial=0.0))
-    return IdentityReport(samples, max_err, bool(samples) and max_err <= tol,
-                          skipped)
+    max_err = (float(np.max([s.rel_err for s in samples])) if samples
+               else float("nan"))
+    return IdentityReport(samples, max_err, max_err <= tol, skipped)
 
 
 # -- classical (unweighted) identity ----------------------------------
@@ -274,7 +276,7 @@ def quaternionic_identity(graph: Graph, weights: CoinMap,
     diag(S', conj(S')) with S' the walk of the turned values, and each side
     is taken on the n x n matrices of S' at t and at conj(t).
     """
-    psi_wt, psi_dw = _vertex_pair(graph, weights)
+    psi_wt, psi_dw = pair = _vertex_pair(graph, weights)
     k, l = _K_L_entries(graph, weights)
     gaps = [_psi_product(graph.n, l, k) - psi_wt,
             _psi_product(graph.n, l, (k[0] ^ 1, *k[1:])) - psi_dw]
@@ -290,4 +292,6 @@ def quaternionic_identity(graph: Graph, weights: CoinMap,
                 f"entrywise residual {residual:.3e} at entry scale "
                 f"{scale:.3e}")
 
-    return _compare(graph, *_operand(weights), t_samples, tol, check)
+    operand, halves = _operand(weights)
+    return _compare(graph, operand, halves, t_samples, tol, check,
+                    None if halves else pair)

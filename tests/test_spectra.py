@@ -440,10 +440,11 @@ class TestVertexBlocks:
                                             ("off-axis", False)])
     def test_theorem8_sizes(self, monkeypatch, kind, half):
         # A star's leaf -> center support has one-vertex components only,
-        # which take the closed form.  A support with one strong component
-        # and D_w = I is one block: on the n x n turned pair, D's values
-        # are one class, solved by one eigensolve; in the psi layout it is
-        # triangularized whole, once.
+        # which take the closed form, in the route and in its certificate
+        # (no slogdet).  A support with one strong component and D_w = I is
+        # one block: on the n x n turned pair, D's values are one class,
+        # solved by one eigensolve; in the psi layout it is triangularized
+        # whole, once, and certified by slogdets of the whole pair.
         rng = np.random.default_rng(12)
         star = leaf_star(12, rng, kind)
         spread = random_connected_graph(rng, 9, 0.3)
@@ -455,7 +456,7 @@ class TestVertexBlocks:
             report = spectrum_theorem_general(g, coin)
             shapes = [(size, size)] * calls
             pairs = [(shape, shape) for shape in shapes]
-            assert seen == {"slogdet": {(size, size)},
+            assert seen == {"slogdet": {(size, size)} if calls else set(),
                             "triangularize": [] if half else pairs,
                             "eigenvalues": shapes if half else [],
                             "builds": 1}
@@ -628,10 +629,12 @@ class TestComponentRoute:
 
     @pytest.mark.parametrize("star", ["ex5.w", 8, 12, 24])
     def test_stars_take_no_eigensolve(self, monkeypatch, star):
+        # Nor a slogdet: the certificate's vertex side takes the same
+        # one-vertex blocks in closed form.
         import scipy.linalg
 
         def refused(*args, **kwargs):
-            raise AssertionError("eigensolve called")
+            raise AssertionError("eigensolve or slogdet called")
 
         if star == "ex5.w":
             fixtures = Path(spectra.__file__).parent / "fixtures"
@@ -641,7 +644,7 @@ class TestComponentRoute:
             g, coin = leaf_star(star, np.random.default_rng(star),
                                 "quaternion")
         for owner, name in ((np.linalg, "eig"), (np.linalg, "svd"),
-                            (scipy.linalg, "schur"),
+                            (np.linalg, "slogdet"), (scipy.linalg, "schur"),
                             (spectra, "simultaneous_triangularize")):
             monkeypatch.setattr(owner, name, refused)
         report = spectrum_theorem_general(g, coin)
@@ -681,16 +684,17 @@ class TestClassSplit:
         coin.p *= scale
         weights = _operand(coin)[0]
         pair = _vertex_pair(g, weights)
+        blocks = spectra._strong_split(g, weights, pair)
         with pytest.MonkeyPatch.context() as mp:
             # The split alone, then the whole triangularization alone.
             mp.setattr(spectra, "simultaneous_triangularize", None)
             split = spectrum_theorem_general(g, coin)
-            mu, xi = spectra._component_pairs(g, weights, pair)
+            mu, xi = spectra._component_pairs(g, pair, blocks)
             mp.setattr(spectra, "simultaneous_triangularize",
                        linalg.simultaneous_triangularize)
             mp.setattr(spectra, "_class_pairs", lambda y, d: None)
             whole = spectrum_theorem_general(g, coin)
-            mu_whole, xi_whole = spectra._component_pairs(g, weights, pair)
+            mu_whole, xi_whole = spectra._component_pairs(g, pair, blocks)
         # The pairs agree, aligned (a generic combination of mu and xi).
         # The roots are compared through their multiplicities only: those
         # of a double root split by about sqrt(eps) when xi carries
@@ -1016,6 +1020,34 @@ class TestCompareSpectra:
             assert b"class_reps" not in pickle.dumps(report)
 
 
+# The whole vertex pair as one block: the split that takes one slogdet.
+WHOLE = (np.zeros(0, dtype=complex), [np.s_[:, :]])
+
+
+def blocked_coin(rng, family, n, kind):
+    """A graph and a coin of the kind ("quaternion" or "axis") whose support
+    splits into several strong components: a random mask on a tree, K_{1,n}
+    with values on its leaf -> center arcs, the arcs up a random vertex
+    order, two alpha/d parts joined one way, a random mask, or none."""
+    if family == "two-part":
+        first = int(rng.integers(1, n))
+        g = joined_graph(rng, (first, n + 1 - first), 2)
+        return g, two_part_coin(g, rng, first, kind)
+    if family == "star":
+        return leaf_star(n, rng, kind)
+    g = random_connected_graph(rng, n, 0.0 if family == "tree" else 0.4)
+    return g, masked_coin(g, rng, "random" if family == "tree" else family,
+                          kind)
+
+
+def star_and_acyclic():
+    """K_{1,24} and an acyclic-support quaternion coin on 40 vertices."""
+    rng = np.random.default_rng(30)
+    g = random_connected_graph(rng, 40, 0.1)
+    return [leaf_star(24, rng, "quaternion"),
+            (g, masked_coin(g, rng, "acyclic", "quaternion"))]
+
+
 class TestCertificate:
     @staticmethod
     def petersen_alpha():
@@ -1038,6 +1070,20 @@ class TestCertificate:
         # One value moved by delta reads between 2/3*delta and 2*delta on
         # the inner ring and between delta/1.9 and 10*delta on the outer one.
         assert 6 * CROSS_TOL <= rec.max_dist <= 101 * CROSS_TOL
+
+    @pytest.mark.parametrize("case", ["star", "acyclic"])
+    def test_one_vertex_blocks_reject_one_moved_eigenvalue(self, case):
+        # Both vertex sides are all one-vertex blocks, in closed form.
+        g, coin = star_and_acyclic()[case == "acyclic"]
+        vals = spectrum_theorem_general(g, coin).psi_spectrum.copy()
+        assert _certificate(g, coin, vals).verdict
+        vals[7] += 10 * CROSS_TOL
+        rec = _certificate(g, coin, vals)
+        assert not rec.verdict and rec.cardinality_match
+        # As above, in eigenvalue units: max_dist is relative to the
+        # spectrum's scale.
+        scale = max(1.0, np.abs(vals).max())
+        assert 6 * CROSS_TOL <= rec.max_dist * scale <= 101 * CROSS_TOL
 
     def test_rejects_a_replaced_plus_minus_one_pair(self):
         g, coin, vals = self.petersen_alpha()
@@ -1136,3 +1182,64 @@ class TestCertificate:
                 report.method, report.cross_check)
             assert compare_spectra(report, direct, tol=CROSS_TOL).verdict, (
                 report.method)
+
+
+class TestFactoredVertexSide:
+    """The certificate's vertex side is the sum of log-determinants over the
+    diagonal blocks of the support's strong components, one-vertex blocks
+    in closed form."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["tree", "star", "acyclic", "two-part", "random",
+                            "zero"]),
+           st.sampled_from(["real", "complex", "axis", "quaternion"]),
+           st.booleans(), st.integers(2, 8), st.integers(0, 2**32 - 1))
+    def test_factored_log_det_is_the_whole_one(self, family, kind, halves,
+                                               n, seed):
+        rng = np.random.default_rng(seed)
+        g, coin = blocked_coin(rng, family, n, "quaternion"
+                               if kind == "quaternion" else "axis")
+        if kind == "quaternion":
+            weights, halves = coin, False
+        elif kind == "axis":
+            weights = coin.turned() if halves else coin
+        else:
+            weights = coin.s.real if kind == "real" else coin.s
+        xi, _ = spectra._strong_split(g, weights, _vertex_pair(g, weights))
+        assert xi.size or family in ("tree", "two-part", "random")
+        ts = _sample_points(g, coin)
+        whole = _vertex_logdet(g, weights, halves, ts, split=WHOLE)
+        factored = _vertex_logdet(g, weights, halves, ts)
+        assert (log_det_distance(factored, whole)
+                <= 1e-12 * max(1.0, np.abs(whole).max()))
+
+    @pytest.mark.parametrize("case", ["star", "grover"])
+    def test_labels_out_of_order_take_the_whole_pair(self, monkeypatch,
+                                                     case):
+        # Leaf -> center arcs need label[center] <= label[leaf]; the Grover
+        # coin's support is every arc, one component, and one-vertex blocks
+        # would factor its X(t) wrongly.  Labels that break the order give
+        # the whole pair instead, to the bit.
+        if case == "star":
+            g, coin = leaf_star(6, np.random.default_rng(6), "quaternion")
+            labels = np.r_[np.zeros(6, dtype=np.intp), 1]
+        else:
+            g = complete_graph(4)
+            coin, labels = CoinMap.grover(g), np.arange(4)
+        weights, halves = _operand(coin)
+        ts = _sample_points(g, coin)
+        vals = spectrum_direct(g, coin).psi_spectrum
+        if case == "grover":
+            lone = (np.diag(_vertex_pair(g, weights)[1]).astype(complex), [])
+            assert log_det_distance(
+                _vertex_logdet(g, weights, halves, ts, split=lone),
+                _vertex_logdet(g, weights, halves, ts, split=WHOLE)) > 1e-3
+        monkeypatch.setattr(Graph, "strong_components",
+                            lambda self, arcs: labels)
+        assert np.array_equal(
+            _vertex_logdet(g, weights, halves, ts),
+            _vertex_logdet(g, weights, halves, ts, split=WHOLE))
+        rec = _certificate(g, coin, vals)
+        assert rec.verdict
+        assert rec.max_dist == _certificate(g, coin, vals,
+                                            split=WHOLE).max_dist

@@ -1,5 +1,6 @@
 """Determinant identities: classical, complex-weighted, and quaternionic."""
 
+import json
 import tracemalloc
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qqwalk import spectra, zeta
+from qqwalk import cli, spectra, zeta
 from qqwalk.graph import (
     Graph,
     complete_graph,
@@ -179,6 +180,12 @@ class TestClassicalIdentity:
         assert report.verdict is False
         assert report.to_dict()["verdict"] is False
         assert ihara_identity(complete_graph(4), []).verdict is False
+        # Nor is any error measured: NaN, which the CLI's strict JSON
+        # prints as null, not a perfect 0.0.
+        assert np.isnan(report.max_rel_err)
+        payload = json.loads(json.dumps(cli._finite(report.to_dict()),
+                                        allow_nan=False))
+        assert payload["max_rel_err"] is None and payload["samples"] == []
 
     def test_tree_pole_raises_in_bass_form(self):
         with pytest.raises(ZeroDivisionError):
@@ -287,6 +294,28 @@ class TestWeightedIdentity:
 
 
 class TestQuaternionicIdentity:
+    @pytest.mark.parametrize("axis", [False, True])
+    def test_vertex_pair_is_built_once(self, monkeypatch, axis):
+        # The resolvent check's pair is the vertex side's when the operand
+        # is the coin itself; turned values take their own n x n pair.
+        rng = np.random.default_rng(4)
+        g = random_connected_graph(rng, 6, 0.4)
+        w = (CoinMap.from_alpha(g, Quaternion(0.3, 0.2, -0.1, 0.4)) if axis
+             else quaternion_weights(rng, g))
+        want = quaternionic_identity(g, w, SAMPLES)
+        builds = []
+
+        def counting(graph, weights):
+            builds.append(isinstance(weights, CoinMap))
+            return vertex_pair(graph, weights)
+
+        vertex_pair = spectra._vertex_pair
+        monkeypatch.setattr(spectra, "_vertex_pair", counting)
+        monkeypatch.setattr(zeta, "_vertex_pair", counting)
+        got = quaternionic_identity(g, w, SAMPLES)
+        assert builds == ([True, False] if axis else [True])
+        assert got.samples == want.samples
+
     def test_weighted_star(self):
         g = star_graph(3)
         w = CoinMap.from_arc_values(g, {0: Quaternion(1, 1),
