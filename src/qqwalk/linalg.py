@@ -1,32 +1,24 @@
 """Complex linear algebra: eigensolves, determinants and simultaneous
 triangularization of matrix pairs.
 
-Matrices are plain complex numpy arrays.  The eigensolver and Schur
-decomposition are delegated to LAPACK (through numpy, and scipy's schur on
-the commuting triangularization path); this module adds the contracts the
-rest of the package relies on: conjugate-pair cleanup for spectra of
-complexified quaternionic matrices, multiset comparison of eigenvalue
-lists, single-linkage clustering of eigenvalues, and the simultaneous
-triangularization used by the spectral formulas.  Pairing and comparison
-pair values by sorting within clusters and fall back to a minimal-cost
-assignment only for the clusters sorting cannot pair.  scipy is imported
-only where it is called: schur on the commuting path and
-linear_sum_assignment for those clusters, so importing the package loads
+Matrices are plain complex numpy arrays, and LAPACK (through numpy, and
+scipy's schur on the commuting triangularization path) does the
+eigensolves.  This module adds conjugate-pair cleanup for spectra of
+complexified quaternionic matrices (none for an exactly paired one),
+multiset comparison and single-linkage clustering of eigenvalues, and the
+simultaneous triangularization of the spectral formulas.  Pairing and
+comparison sort within clusters and fall back to a minimal-cost assignment
+(scipy's linear_sum_assignment) only for the clusters sorting cannot pair.
+scipy is imported only where it is called, so importing the package loads
 numpy alone.
 
-Simultaneous triangularization tries at most two bases, the second only
-when the first fails the final triangularity check: the Schur basis of
-x = a + theta*b when the pair commutes, then one deflation of joint
-eigenvectors whose candidates come from eigendecompositions of a and of b.
-A pair that does not commute is first tested for a nilpotent commutator
-C = ab - ba (tr(C^k) = 0 for k = 2, 3, 4), which every jointly triangular
-pair has.  Each deflation step splits off every joint eigenvector it finds
-at once, as a block of columns of one QR factor that q^H a q and q^H b q
-must keep triangular (_deflation_triangularize has the costs).  A
+Simultaneous triangularization tries the Schur basis of a commuting pair,
+then one deflation of joint eigenvectors (simultaneous_triangularize).  A
 commuting pair whose b is diagonal needs no basis: _class_pairs takes one
-eigensolve per class of b's values.  The bounds are the module constants
-COMMUTE_TOL (which pairs commute), RESIDUAL_TOL (the final check and the
-nilpotency test) and NULL_TOL (clustering, null spaces).
+eigensolve per class of b's values, symmetric for a class block similar to
+a real symmetric matrix times c (an alpha/d coin's).  The bounds are the
+module constants COMMUTE_TOL (which pairs commute), RESIDUAL_TOL (the final
+check and the nilpotency test) and NULL_TOL (clustering, null spaces).
 """
 
 from __future__ import annotations
@@ -56,10 +48,16 @@ COMMUTE_TOL = 1e-9
 # above RESIDUAL_TOL * max(1, largest |entry| of a and b); the nilpotency
 # test of a commutator reads it unscaled.
 RESIDUAL_TOL = 1e-8
+# How far outside [-1, 1] a random walk's eigenvalue may fall before clipping.
+MODULUS_TOL = 1e-8
 # A joint eigenvector joins a deflation step's block only when its component
 # orthogonal to the vectors already taken has at least this norm: the
 # direction of a smaller component is set by rounding, not by the pair.
 _INDEPENDENCE_FLOOR = 0.5
+
+
+class SpectrumConsistencyError(RuntimeError):
+    """Internal cross-check failed (e.g. missing +-1 in the tree trim)."""
 
 
 class NotSimultaneouslyTriangularizableError(RuntimeError):
@@ -117,12 +115,27 @@ def pair_conjugates(values: np.ndarray) -> np.ndarray:
     split by about eps^(1/k) around lambda and independently around
     conj(lambda): the union of the ambiguous clusters is matched against
     its conjugates at minimal cost instead.
+
+    A finite spectrum closed under conjugation to the bit, as every
+    psi_spectrum is, comes back sorted with -0.0 imaginary parts made +0.0,
+    as the averaging leaves it, unless a -0.0 real part needs the averaging.
     """
     vals = np.asarray(values, dtype=complex).ravel()
     if vals.size % 2 != 0:
         raise ValueError("conjugate pairing needs an even number of values")
     if vals.size == 0:
         return vals.copy()
+    ordered = np.sort_complex(vals)
+    if (np.array_equal(ordered, np.sort_complex(np.conj(ordered)))
+            and np.isfinite(ordered).all()
+            and not np.signbit(ordered.real[ordered.real == 0]).any()):
+        ordered.imag += 0.0
+        return ordered
+    return _pair_by_clusters(vals)
+
+
+def _pair_by_clusters(vals: np.ndarray) -> np.ndarray:
+    """pair_conjugates by clusters, for a non-empty even-sized spectrum."""
     tol = PAIR_TOL * max(1.0, float(np.abs(vals).max()))
     labels = _cluster_labels(vals.real + 1j * np.abs(vals.imag), tol)
     partner = np.arange(vals.size)
@@ -425,6 +438,27 @@ def _deflation_triangularize(a: np.ndarray, b: np.ndarray,
     return p_total
 
 
+def _class_eigenvalues(a: np.ndarray) -> np.ndarray:
+    """eigenvalues(a) of one class block, by one eigvalsh when a = c*P*K^-1
+    up to rounding (every a_ij*k_j within 8*eps*|c| of the first, c), P
+    a's nonzero pattern, symmetric, and K = diag(k) its column counts, as
+    for an alpha/d or Grover coin.  a is then similar to c*K^-1/2 P K^-1/2,
+    and P*K^-1 has unit column sums, so a/c has a real spectrum in [-1, 1]
+    (to MODULUS_TOL, then clipped).  Any other a takes eigenvalues(a)."""
+    pattern = a != 0
+    k = pattern.sum(axis=0)
+    c = (a * k)[pattern]
+    if (k.min() > 0 and np.array_equal(pattern, pattern.T) and np.abs(
+            c - c[0]).max() <= 8 * np.finfo(float).eps * abs(c[0])):
+        half = 1.0 / np.sqrt(k)
+        vals = np.linalg.eigvalsh(half[:, None] * pattern * half)
+        if np.abs(vals).max() > 1.0 + MODULUS_TOL:
+            raise SpectrumConsistencyError(f"random-walk eigenvalue of "
+                                           f"modulus {np.abs(vals).max()}")
+        return c[0] * np.clip(vals, -1.0, 1.0)
+    return eigenvalues(a)
+
+
 def _class_pairs(a: np.ndarray, b: np.ndarray) -> tuple | None:
     """The aligned diagonals of a joint triangularization of a and
     b = diag(d), one class of d's values at a time, or None.
@@ -433,7 +467,7 @@ def _class_pairs(a: np.ndarray, b: np.ndarray) -> tuple | None:
     exactly when a is block diagonal over the classes of d, clustered at
     RESIDUAL_TOL times the pair's scale; a's entries between classes, which
     a Schur basis per class would leave below the diagonal, must be within
-    that bound too.  A class gives eigenvalues(a_class) and its d.
+    that bound too.  A class gives _class_eigenvalues(a_class) and its d.
     """
     d = np.diag(b)
     scale = max(1.0, float(np.abs(a).max()), float(np.abs(d).max()))
@@ -443,7 +477,8 @@ def _class_pairs(a: np.ndarray, b: np.ndarray) -> tuple | None:
             > RESIDUAL_TOL * scale):
         return None
     classes = [np.flatnonzero(labels == c) for c in range(labels.max() + 1)]
-    return (np.concatenate([eigenvalues(a[np.ix_(c, c)]) for c in classes]),
+    return (np.concatenate([_class_eigenvalues(a[np.ix_(c, c)])
+                            for c in classes]),
             np.concatenate([d[c] for c in classes]).astype(complex))
 
 

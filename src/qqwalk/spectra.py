@@ -21,11 +21,11 @@
     one-vertex components (every vertex of a leaf -> center star) in
     closed form, and a commuting block of turned values (every alpha/d and
     Grover coin) by one eigensolve per class of D's values;
-  - theorem10, coins q(e) = alpha/d: the complex pair alpha_+- similar to
-    alpha gives walks W_+- = alpha_+- * T with T = D^-1 A, so the pairs are
-    (alpha_+- * lambda_T, alpha_+-) over the real spectrum lambda_T of T,
-    taken from one symmetric eigensolve;
-  - grover: the theorem10 pairs at alpha = 2.
+  - theorem10, coins q(e) = alpha/d, and grover, alpha = 2, are theorem8
+    on their coins: the one class block alpha_+ * T^T (T = D^-1 A) is
+    similar to alpha_+ times a symmetric matrix, so one eigvalsh
+    (linalg._class_eigenvalues) gives the pairs (alpha_+- * lambda_T,
+    alpha_+-), alpha_+- the complex pair similar to alpha.
 
 Every formula route report carries a characteristic-polynomial certificate
 of its 4m values against the walk: at eight sample points t on two rings,
@@ -52,13 +52,14 @@ determinant counted twice when X' is real.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .graph import Graph
 from .linalg import (
     NotSimultaneouslyTriangularizableError,
+    SpectrumConsistencyError,
     _class_pairs,
     _matching,
     eigenvalues,
@@ -66,7 +67,7 @@ from .linalg import (
     simultaneous_triangularize,
 )
 from .qmatrix import QuatMatrix, class_reps, dedupe_class_reps, psi_spectrum
-from .quaternion import Quaternion, canonical_class_rep
+from .quaternion import Quaternion
 from .walks import CoinMap, _vertex_arrays, build_W_Dw
 
 __all__ = [
@@ -94,12 +95,6 @@ CERT_RADII = (0.5, 0.9)
 # Most matrix entries one batched slogdet (_logdet) holds at once: 4 MB of
 # complex values per temporary.
 LOGDET_BATCH = 1 << 18
-# How far outside [-1, 1] a computed eigenvalue of T may fall before clipping.
-MODULUS_TOL = 1e-8
-
-
-class SpectrumConsistencyError(RuntimeError):
-    """Internal cross-check failed (e.g. missing +-1 in the tree trim)."""
 
 
 @dataclass
@@ -431,18 +426,17 @@ def _certificate(graph: Graph, coin: CoinMap, values: np.ndarray,
     sum of log(1 - t*lambda) equals log det(I - t*psi(U)) at every t; that
     log-determinant is taken from the vertex side (_vertex_logdet of the
     coin's operand, the route's vertex pair and its strong-component split,
-    each built here when None), so psi(U) is never built.  Per point, the
+    each built here when None), so psi(U) is never built.  The values
+    exactly +-1, such as the padding, add count*log(1 -+ t).  Per point, the
     one-vertex blocks take a closed form, and every other block two
     slogdets of its size when the coin's values share an axis (one for a
     real coin), one of its psi layout otherwise.  Labels out of order give
     the whole pair (_strong_split), so no wrong label passes a certificate.
-    With s = max(||psi(U)||_inf, 1), the sample points are
-    t = rho*e^(i*theta)/s for rho in CERT_RADII and theta in CERT_ANGLES.
-    As |t*lambda| <= rho, I - t*psi(U) is nonsingular and well conditioned,
-    and each factor 1 - t*lambda has modulus between 1 - rho and 1 + rho,
-    so one value moved by delta moves the sum by between |t|*delta/(1 + rho)
-    and |t|*delta/(1 - rho): in eigenvalue units, 2/3 to 2 times delta on
-    the inner ring and 1/1.9 to 10 times delta on the outer one.
+    At the sample points |t*lambda| <= rho, so I - t*psi(U) is well
+    conditioned and each factor 1 - t*lambda has modulus between 1 - rho
+    and 1 + rho: one value moved by delta moves the sum by between
+    |t|*delta/(1 + rho) and |t|*delta/(1 - rho), in eigenvalue units 2/3
+    to 2 times delta on the inner ring and 1/1.9 to 10 on the outer one.
 
     Both sides are -sum_k t^k * p_k / k with p_k the k-th power sum of the
     eigenvalues, so the check sees low-order moments best: an error that
@@ -469,7 +463,10 @@ def _certificate(graph: Graph, coin: CoinMap, values: np.ndarray,
                                 verdict=True)
     weights, halves = _operand(coin) if operand is None else operand
     ts = _sample_points(graph, coin)
-    diffs = (np.log(1.0 - np.multiply.outer(ts, values)).sum(axis=1)
+    ones, minus = (np.count_nonzero(values == x) for x in (1.0, -1.0))
+    rest = values[(values != 1.0) & (values != -1.0)]
+    diffs = (np.log(1.0 - np.multiply.outer(ts, rest)).sum(axis=1)
+             + ones * np.log(1.0 - ts) + minus * np.log(1.0 + ts)
              - _vertex_logdet(graph, weights, halves, ts, pair, split))
     phase = (diffs.imag + np.pi) % (2.0 * np.pi) - np.pi
     scale = max(1.0, float(np.abs(values).max()))
@@ -546,53 +543,21 @@ def spectrum_theorem_general(graph: Graph, coin: CoinMap) -> SpectrumReport:
                                    operand, split)
 
 
-def _alpha_route(graph: Graph, alpha_plus: complex, method: str,
-                 coin: CoinMap) -> SpectrumReport:
-    """Formula route with (mu, xi) = (alpha_+- * lambda_T, alpha_+-).
-
-    T = D^-1 A is similar to the symmetric D^-1/2 A D^-1/2, so one eigvalsh
-    gives its real spectrum lambda_T; W_+- = alpha_+- * T then have the
-    spectra alpha_+- * lambda_T.  Without arcs, W = D_w = 0 and each of
-    the 2n pairs is (0, 0).
-    """
-    if graph.m == 0:
-        zeros = np.zeros(2 * graph.n, dtype=complex)
-        return _finish_quadratic_route(graph, method, zeros, zeros, coin)
-    d_half = 1.0 / np.sqrt(graph.degrees)
-    t_vals = np.linalg.eigvalsh(
-        d_half[:, None] * graph.adjacency_matrix() * d_half[None, :])
-    if np.abs(t_vals).max() > 1.0 + MODULUS_TOL:
-        raise SpectrumConsistencyError(
-            f"random-walk eigenvalue {t_vals[np.abs(t_vals).argmax()]} "
-            "outside [-1, 1]")
-    t_vals = np.clip(t_vals, -1.0, 1.0)
-    alphas = np.array([alpha_plus, np.conj(alpha_plus)])
-    mu = (alphas[:, None] * t_vals[None, :]).ravel()
-    xi = np.repeat(alphas, t_vals.size)
-    return _finish_quadratic_route(graph, method, mu, xi, coin)
-
-
 def spectrum_alpha_coin(graph: Graph, alpha: Quaternion) -> SpectrumReport:
-    """Quadratic-formula route for coins q(e) = alpha/d_{o(e)}.
-
-    alpha is conjugated into the complex pair alpha_+ = a0 + |Im|*i and
-    alpha_- = conj(alpha_+); the two ordinary complex walks they induce are
-    W_+- = alpha_+- * T with T = D^-1 A, so each eigenvalue lambda_T of T
-    gives the pairs (mu, xi) = (alpha_+- * lambda_T, alpha_+-).
-    """
-    return _alpha_route(graph, canonical_class_rep(alpha), "theorem10",
-                        CoinMap.from_alpha(graph, alpha))
+    """theorem8 on the coin q(e) = alpha/d_{o(e)}, reported as "theorem10":
+    its turned pair (alpha_+ * A D^-1, alpha_+ * I), alpha_+ = a0 + |Im|*i,
+    is one class solved by one eigvalsh (linalg._class_eigenvalues)."""
+    return replace(spectrum_theorem_general(
+        graph, CoinMap.from_alpha(graph, alpha)), method="theorem10")
 
 
 def spectrum_grover(graph: Graph) -> SpectrumReport:
-    """Formula route for the Grover walk: the alpha-coin route at alpha = 2.
-
-    Each eigenvalue lambda_T of T yields lambda_T +- i*sqrt(1 - lambda_T^2),
-    twice.  For trees this overcounts at lambda_T = +-1; the excess is
-    trimmed, and the report's certificate carries a note saying so (no
-    silent collapse).
-    """
-    report = _alpha_route(graph, 2.0 + 0.0j, "grover", CoinMap.grover(graph))
+    """theorem8 on the Grover coin (alpha/d at alpha = 2) as "grover": each
+    eigenvalue lambda_T of T = D^-1 A yields lambda_T +- i*sqrt(1 -
+    lambda_T^2), twice.  A tree's excess at lambda_T = +-1 is trimmed, and
+    the certificate carries a note saying so (no silent collapse)."""
+    report = replace(spectrum_theorem_general(graph, CoinMap.grover(graph)),
+                     method="grover")
     if graph.is_tree:
         report.cross_check.note = (
             "tree case: mapping yields 2n values for 2m walk "

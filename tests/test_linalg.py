@@ -216,6 +216,54 @@ class TestSortBasedPairing:
             pair_conjugates(np.array([np.nan, 1.0, 1j, -1j]))
 
 
+def _exactly_paired(rng):
+    """A shuffled spectrum closed under conjugation to the bit: clusters of
+    values 1e-12 apart, exact duplicates, near-real, imaginary and real
+    values, zero, +-1 padding, and -0.0 imaginary parts from conjugating
+    real values."""
+    centers = rng.uniform(-2, 2, 3) + 1j * rng.uniform(0.05, 2, 3)
+    cluster = (np.repeat(centers, 3) + 1e-12 * (rng.standard_normal(9)
+               + 1j * rng.standard_normal(9)))
+    upper = np.concatenate([cluster, cluster[:2],
+                            rng.uniform(-2, 2, 2)
+                            + 1j * rng.uniform(-1e-14, 1e-14, 2),
+                            [1j, 0.5j]])
+    real = np.concatenate([rng.uniform(-2, 2, 3), [0.0, 1.0, -1.0]])
+    half = np.concatenate([upper, real]).astype(complex)
+    vals = np.concatenate([half, np.conj(half)])
+    return rng.permutation(vals)
+
+
+class TestExactlyPairedSpectra:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_fast_path_is_the_cluster_pairing_to_the_bit(self, seed):
+        vals = _exactly_paired(np.random.default_rng(seed))
+        assert np.signbit(vals.imag[vals.imag == 0]).any()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "_cluster_labels", _refuse)
+            fast = pair_conjugates(vals)
+        slow = linalg._pair_by_clusters(vals)
+        assert fast.tobytes() == slow.tobytes()
+        assert not np.signbit(fast.imag[fast.imag == 0]).any()
+
+    @pytest.mark.parametrize("vals", [
+        [1 + 1j, 1 - 1j + 1e-16j, 0.5, 0.5],
+        [complex(-0.0, 1.0), complex(-0.0, -1.0), -0.0, 0.0]])
+    def test_other_spectra_take_the_clusters(self, vals):
+        # Paired only up to rounding, or with a -0.0 real part: the
+        # clusters' result, which keeps a -0.0 real part only below the
+        # real axis.
+        vals = np.array(vals)
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "_cluster_labels", lambda *args: calls.append(
+                args) or _cluster_labels(*args))
+            got = pair_conjugates(vals)
+        assert len(calls) == 1
+        assert got.tobytes() == linalg._pair_by_clusters(vals).tobytes()
+
+
 class TestMultisetComparison:
     def test_identical(self):
         a = np.array([1, 2, 3 + 1j])

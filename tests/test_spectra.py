@@ -405,15 +405,20 @@ class TestVertexBlocks:
     @staticmethod
     def recording(monkeypatch):
         """Records, while the test runs, the matrix shapes passed to slogdet,
-        to simultaneous_triangularize and to eigenvalues within linalg, and
-        each vertex pair built."""
+        to simultaneous_triangularize, to eigenvalues within linalg and to
+        eigvalsh (the symmetric solve of an alpha/d class block), and each
+        vertex pair built."""
         seen = {"slogdet": set(), "triangularize": [], "eigenvalues": [],
-                "builds": 0}
-        slogdet = np.linalg.slogdet
+                "symmetric": [], "builds": 0}
+        slogdet, eigvalsh = np.linalg.slogdet, np.linalg.eigvalsh
 
         def recording_slogdet(m):
             seen["slogdet"].add(m.shape[-2:])
             return slogdet(m)
+
+        def recording_eigvalsh(m):
+            seen["symmetric"].append(m.shape)
+            return eigvalsh(m)
 
         def recording_triangularize(a, b, **kwargs):
             seen["triangularize"].append((a.shape, b.shape))
@@ -430,6 +435,7 @@ class TestVertexBlocks:
             return _vertex_pair(*args)
 
         monkeypatch.setattr(np.linalg, "slogdet", recording_slogdet)
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
         monkeypatch.setattr(spectra, "simultaneous_triangularize",
                             recording_triangularize)
         monkeypatch.setattr(linalg, "eigenvalues", recording_eigenvalues)
@@ -459,7 +465,7 @@ class TestVertexBlocks:
             assert seen == {"slogdet": {(size, size)} if calls else set(),
                             "triangularize": [] if half else pairs,
                             "eigenvalues": shapes if half else [],
-                            "builds": 1}
+                            "symmetric": [], "builds": 1}
             assert report.cross_check.verdict
             assert matches_direct(report, g, coin)
 
@@ -470,7 +476,8 @@ class TestVertexBlocks:
         report = (spectrum_grover(g) if route == "grover" else
                   spectrum_alpha_coin(g, Quaternion(1, 1, 1, 1)))
         assert seen == {"slogdet": {(g.n, g.n)}, "triangularize": [],
-                        "eigenvalues": [], "builds": 1}
+                        "eigenvalues": [], "symmetric": [(g.n, g.n)],
+                        "builds": 1}
         assert report.cross_check.verdict
 
     def test_axis_sharing_pair_without_nilpotent_commutator_is_refused(
@@ -575,11 +582,15 @@ class TestComponentRoute:
         # B is terminal, so its block comes first.  Each block commutes
         # (D_w = alpha*I on it): on the n x n turned pair its D values are
         # one class, solved by one eigensolve, and in the psi layout it is
-        # triangularized.
+        # triangularized.  B's block is alpha_B/d_B on the arcs inside B,
+        # alpha_B times a symmetric matrix up to a diagonal similarity, so
+        # its eigensolve is symmetric; A's arcs into B leave A's block
+        # without that form, and it takes the general one.
         shapes = [(copies * k,) * 2 for k in (9, 6)]
         pairs = [(shape, shape) for shape in shapes]
         assert seen["triangularize"] == ([] if half else pairs)
-        assert seen["eigenvalues"] == (shapes if half else [])
+        assert seen["symmetric"] == ([(9, 9)] if half else [])
+        assert seen["eigenvalues"] == ([(6, 6)] if half else [])
         assert report.cross_check.verdict
         assert compare_spectra(report, spectrum_direct(g, coin),
                                tol=1e-9).verdict
@@ -732,6 +743,66 @@ class TestClassSplit:
         assert report.cross_check.verdict, report.cross_check
         monkeypatch.undo()
         assert matches_direct(report, g, coin)
+
+
+def refused(*args, **kwargs):
+    raise AssertionError("refused call")
+
+
+class TestSymmetricClassBlock:
+    """An alpha/d class block is c times the symmetric K^-1/2 P K^-1/2 up
+    to a diagonal similarity (P its pattern, K its column counts): one
+    eigvalsh solves it, and a block moved off that form falls back to the
+    general eigensolve."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(["tree", "bipartite", "grid", "random"]),
+           st.sampled_from([1, 2, 4]), st.booleans(), st.integers(2, 9),
+           st.integers(0, 2**32 - 1))
+    def test_symmetric_solve_is_the_general_one(self, family, parts,
+                                                per_vertex, n, seed):
+        # Real, complex and quaternion alpha; per vertex, q(e) =
+        # alpha*g(o(e)) with d*g = kappa at every vertex, so c is
+        # kappa*alpha_+.
+        rng = np.random.default_rng(seed)
+        g = family_graph(family, n, rng)
+        alpha = Quaternion(*rng.uniform(-1, 1, parts))
+        kappa = rng.uniform(0.5, 3.0) * rng.choice([-1.0, 1.0])
+        coin = (CoinMap.from_vertex_values(
+                    g, {v: alpha * (kappa / g.degrees[v]) for v in range(g.n)})
+                if per_vertex else CoinMap.from_alpha(g, alpha))
+        scale = max(1.0, alpha.norm() * (abs(kappa) if per_vertex else 1.0))
+        y = _vertex_pair(g, _operand(coin)[0])[0]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "eigenvalues", refused)
+            mu = linalg._class_eigenvalues(y)
+            report = spectrum_theorem_general(g, coin)
+        assert report.cross_check.verdict, report.cross_check
+        assert compare_spectra(mu, linalg.eigenvalues(y),
+                               tol=1e-13 * scale).verdict
+        # One arc moved by 1e-12 relative: the general eigensolve, to the
+        # bit, and the route still certifies.
+        arc = int(rng.integers(g.num_arcs))
+        coin.s[arc] *= 1.0 + 1e-12
+        coin.p[arc] *= 1.0 + 1e-12
+        moved = _vertex_pair(g, _operand(coin)[0])[0]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "eigvalsh", refused)
+            assert np.array_equal(linalg._class_eigenvalues(moved),
+                                  linalg.eigenvalues(moved))
+            report = spectrum_theorem_general(g, coin)
+        assert report.cross_check.verdict, report.cross_check
+        assert matches_direct(report, g, coin)
+
+    def test_pattern_without_reversed_arcs_falls_back(self):
+        # Equal column counts and one value c, but an arc without its
+        # reverse: not similar to a symmetric matrix (its eigenvalues are
+        # the cube roots of unity).
+        cycle = np.roll(np.eye(3), 1, axis=0) * (2 + 1j)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "eigvalsh", refused)
+            assert np.array_equal(linalg._class_eigenvalues(cycle),
+                                  linalg.eigenvalues(cycle))
 
 
 class TestQuadraticRoute:
