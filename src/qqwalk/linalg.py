@@ -1,24 +1,22 @@
 """Complex linear algebra: eigensolves, determinants and simultaneous
 triangularization of matrix pairs.
 
-Matrices are plain complex numpy arrays, and LAPACK (through numpy, and
-scipy's schur on the commuting triangularization path) does the
-eigensolves.  This module adds conjugate-pair cleanup for spectra of
+Matrices are plain complex numpy arrays, and LAPACK (through numpy) does
+the eigensolves.  This module adds conjugate-pair cleanup for spectra of
 complexified quaternionic matrices (none for an exactly paired one),
 multiset comparison and single-linkage clustering of eigenvalues, and the
 simultaneous triangularization of the spectral formulas.  Pairing and
 comparison sort within clusters and fall back to a minimal-cost assignment
-(scipy's linear_sum_assignment) only for the clusters sorting cannot pair.
-scipy is imported only where it is called, so importing the package loads
-numpy alone.
+(scipy's linear_sum_assignment, imported there alone, so importing the
+package loads numpy alone) only for the clusters sorting cannot pair.
 
-Simultaneous triangularization tries the Schur basis of a commuting pair,
-then one deflation of joint eigenvectors (simultaneous_triangularize).  A
-commuting pair whose b is diagonal needs no basis: _class_pairs takes one
-eigensolve per class of b's values, symmetric for a class block similar to
-a real symmetric matrix times c (an alpha/d coin's).  The bounds are the
-module constants COMMUTE_TOL (which pairs commute), RESIDUAL_TOL (the final
-check and the nilpotency test) and NULL_TOL (clustering, null spaces).
+Simultaneous triangularization is one deflation of joint eigenvectors
+(simultaneous_triangularize).  A commuting pair whose b is diagonal needs
+no basis: _class_pairs takes one eigensolve per class of b's values,
+symmetric for a class block similar to a real symmetric matrix times c (an
+alpha/d coin's).  The bounds are the module constants COMMUTE_TOL (which
+pairs commute), RESIDUAL_TOL (the final check and the nilpotency test) and
+NULL_TOL (clustering, null spaces).
 """
 
 from __future__ import annotations
@@ -33,9 +31,6 @@ __all__ = [
     "simultaneous_triangularize",
 ]
 
-# Generic mixing constant for A + theta*B in simultaneous triangularization;
-# chosen irrational-looking to avoid accidental eigenvalue collisions.
-_THETA = 0.6180339887
 # Clustering distance of pair_conjugates, relative to max(1, max|value|).
 PAIR_TOL = 1e-9
 # A deflation step at size s groups eigenvalues and takes null spaces at
@@ -466,8 +461,9 @@ def _class_pairs(a: np.ndarray, b: np.ndarray) -> tuple | None:
     (ab - ba)_ij = a_ij (d_j - d_i), so the pair commutes (COMMUTE_TOL)
     exactly when a is block diagonal over the classes of d, clustered at
     RESIDUAL_TOL times the pair's scale; a's entries between classes, which
-    a Schur basis per class would leave below the diagonal, must be within
-    that bound too.  A class gives _class_eigenvalues(a_class) and its d.
+    a triangular basis per class would leave below the diagonal, must be
+    within that bound too.  A class gives _class_eigenvalues(a_class) and
+    its d.
     """
     d = np.diag(b)
     scale = max(1.0, float(np.abs(a).max()), float(np.abs(d).max()))
@@ -486,19 +482,16 @@ def simultaneous_triangularize(a: np.ndarray, b: np.ndarray
                                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Joint upper-triangularization of two matrices.
 
-    At most two bases are tried, the second only when the first fails the
-    final check.  A pair that commutes within COMMUTE_TOL first takes the
-    unitary Schur basis of a + theta*b for a generic real theta.  A pair
-    that does not must have a nilpotent commutator C = ab - ba: it is
-    rejected when |tr(C^k)|, k = 2, 3 or 4, exceeds RESIDUAL_TOL *
-    ||C||_F^k plus the rounding bound of forming C.  Every pair left goes
-    to common-eigenvector deflation (_deflation_triangularize), with
-    candidates from a and from b.  The final check bounds the largest
-    strictly lower entry by RESIDUAL_TOL relative to max(1, largest |entry|
-    of a and b), as the certificate's residual is relative to the
-    spectrum's.  Returns (P, diag_a, diag_b) with aligned diagonals; raises
-    NotSimultaneouslyTriangularizableError when the commutator test or the
-    final check of every basis tried fails.
+    A pair that does not commute within COMMUTE_TOL must have a nilpotent
+    commutator C = ab - ba: it is rejected when |tr(C^k)|, k = 2, 3 or 4,
+    exceeds RESIDUAL_TOL * ||C||_F^k plus the rounding bound of forming C.
+    Every pair left takes one common-eigenvector deflation
+    (_deflation_triangularize), with candidates from a and from b.  The
+    final check bounds the largest strictly lower entry by RESIDUAL_TOL
+    relative to max(1, largest |entry| of a and b), as the certificate's
+    residual is relative to the spectrum's.  Returns (P, diag_a, diag_b)
+    with aligned diagonals; raises NotSimultaneouslyTriangularizableError
+    when the commutator test or the final check fails.
     """
     a = _require_square(a)
     b = _require_square(b)
@@ -506,15 +499,9 @@ def simultaneous_triangularize(a: np.ndarray, b: np.ndarray
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     scale = max(1.0, float(np.abs(a).max(initial=0.0)),
                 float(np.abs(b).max(initial=0.0)))
-    bases = [lambda: _deflation_triangularize(a, b, RESIDUAL_TOL * scale)]
     comm = a @ b - b @ a
     comm_norm = float(np.abs(comm).max()) if comm.size else 0.0
-    if comm_norm <= COMMUTE_TOL * _commute_scale(a, b):
-        import scipy.linalg
-
-        bases.insert(0, lambda: scipy.linalg.schur(a + _THETA * b,
-                                                   output="complex")[1])
-    else:
+    if comm_norm > COMMUTE_TOL * _commute_scale(a, b):
         # A jointly triangular pair has a strictly triangular, so nilpotent,
         # commutator: tr(C^k) = 0, k = 2, 3, 4 (tr(C^2) alone is 0 for a walk
         # block with no arc both ways), up to RESIDUAL_TOL * ||C||_F^k and
@@ -529,18 +516,14 @@ def simultaneous_triangularize(a: np.ndarray, b: np.ndarray
                 raise NotSimultaneouslyTriangularizableError(
                     "not simultaneously triangularizable: the commutator C is "
                     f"not nilpotent, |tr(C^{k})|/||C||_F^{k} = {ratio:.3e}")
-    last_residual = np.inf
-    for basis in bases:
-        p = basis()
-        ta = p.conj().T @ a @ p
-        tb = p.conj().T @ b @ p
-        residual = max(_strict_lower_max(ta), _strict_lower_max(tb)) / scale
-        if residual <= RESIDUAL_TOL:
-            return p, np.diag(ta).copy(), np.diag(tb).copy()
-        last_residual = min(last_residual, residual)
+    p = _deflation_triangularize(a, b, RESIDUAL_TOL * scale)
+    ta = p.conj().T @ a @ p
+    tb = p.conj().T @ b @ p
+    residual = max(_strict_lower_max(ta), _strict_lower_max(tb)) / scale
+    if residual <= RESIDUAL_TOL:
+        return p, np.diag(ta).copy(), np.diag(tb).copy()
     raise NotSimultaneouslyTriangularizableError(
         "not simultaneously triangularizable by this method: relative "
-        f"triangularity residual {last_residual:.3e} exceeds "
-        f"{RESIDUAL_TOL:.1e}",
-        residual=last_residual,
+        f"triangularity residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}",
+        residual=residual,
     )

@@ -77,7 +77,7 @@ def test_the_library_writes_nothing_to_stdout(capfd):
     ihara_identity(g, samples)
     weighted_zeta_identity(g, arc_weights(2), samples)
     quaternionic_identity(g, arc_weights(4), samples)
-    # The commuting (Schur) path and the deflation path.
+    # The deflation on a commuting pair and on a non-commuting one.
     m = rng.uniform(-1, 1, (6, 6))
     simultaneous_triangularize(m @ m, 2 * m - np.eye(6))
     star = star_graph(8)

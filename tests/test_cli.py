@@ -430,15 +430,34 @@ def write_random_graph_and_coin(tmp_path):
     return str(graph), str(coin)
 
 
+def write_unit_sum_coin(tmp_path):
+    """An 8-vertex random graph and a coin on it whose out-sum is exactly 1
+    at every vertex, with values on the i, j and k axes, as files: its
+    theorem8 vertex pair commutes (D_w = I) in the psi layout."""
+    g = random_connected_graph(np.random.default_rng(2), 8, 0.2)
+    values = {1: ["1"], 2: ["1+0.5i", "-0.5i"],
+              3: ["1+0.5j", "-0.5j+0.5k", "-0.5k"]}
+    lines = []
+    for v in range(g.n):
+        arcs = np.flatnonzero(g.origin == v)
+        weights = values[min(arcs.size, 3)]
+        lines += [f"a {arc} {w}\n" for arc, w in zip(arcs, weights)]
+    graph, coin = tmp_path / "unit.g", tmp_path / "unit.w"
+    graph.write_text(f"{g.n} {g.m}\n"
+                     + "".join(f"{u} {v}\n" for u, v in g.edges))
+    coin.write_text("".join(lines))
+    return str(graph), str(coin)
+
+
 class TestImportCost:
     # Every command below runs on numpy alone: scipy is imported only for
     # the clusters that multiset matching and conjugate pairing cannot pair
-    # by sorting and for the Schur path of commuting blocks in the psi
-    # layout (theorem8 splits a commuting n x n turned block by D's values,
-    # one eigensolve per class, with no Schur basis), and importing it costs
-    # more than all the rest of a short CLI process.  The zeta identities
-    # take no sparse factorization at any size: the random graph has
-    # m >= 128 edges.
+    # by sorting (theorem8 splits a commuting n x n turned block by D's
+    # values, one eigensolve per class, and triangularizes a commuting
+    # block in the psi layout by numpy's eigensolves), and importing it
+    # costs more than all the rest of a short CLI process.  The zeta
+    # identities take no sparse factorization at any size: the random graph
+    # has m >= 128 edges.
     SCRIPT = """
 import json
 import sys
@@ -456,6 +475,7 @@ for arg in sys.argv[1:]:
         k3, k13 = str(fixtures / "k3.g"), str(fixtures / "k13.g")
         grover_w, ex5 = str(fixtures / "k3_grover.w"), str(fixtures / "ex5.w")
         big, big_w = write_random_graph_and_coin(tmp_path)
+        unit, unit_w = write_unit_sum_coin(tmp_path)
         commands = [
             ["spectrum", "--graph", k3, "--grover"],
             ["spectrum", "--graph", k13, "--coin", ex5],
@@ -463,6 +483,8 @@ for arg in sys.argv[1:]:
             ["spectrum", "--graph", k3, "--alpha=1+i+j+k", "--method",
              "theorem8"],
             ["spectrum", "--graph", k3, "--coin", grover_w, "--method",
+             "theorem8"],
+            ["spectrum", "--graph", unit, "--coin", unit_w, "--method",
              "theorem8"],
             ["grover", "--graph", k13],
             ["unitarity", "--graph", k3, "--alpha=2"],

@@ -473,43 +473,22 @@ class TestSimultaneousTriangularization:
                                  2, 2, 0, 0])
         assert compare_spectra(xis, expected_xis, tol=1e-8).verdict
 
-    def test_commuting_pair_takes_one_schur(self, monkeypatch):
-        import scipy.linalg
-        calls = []
-        schur = scipy.linalg.schur
-
-        def counting(*args, **kwargs):
-            calls.append(args[0].shape)
-            return schur(*args, **kwargs)
-        monkeypatch.setattr(scipy.linalg, "schur", counting)
-        m = np.random.default_rng(62).uniform(-1, 1, (6, 6))
-        simultaneous_triangularize(m @ m, 2 * m - np.eye(6))
-        assert calls == [(6, 6)]
-
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_failed_schur_goes_on_to_the_deflation(self, monkeypatch, k):
         # a = Q diag(theta*(1..k), 0) Q^H and b = Q diag(0, 1..k) Q^H
-        # commute, but every eigenvalue of a + theta*b is double, so its
-        # Schur basis mixes each pair and fails the final check.  The pair
-        # goes on to the one deflation, whose clusters of a split by b.
-        import scipy.linalg
-        schurs = []
-        schur = scipy.linalg.schur
-
-        def counting(*args, **kwargs):
-            schurs.append(args[0].shape)
-            return schur(*args, **kwargs)
-        monkeypatch.setattr(scipy.linalg, "schur", counting)
+        # commute, but every eigenvalue of a + theta*b is double, so a
+        # Schur basis of that one combination would mix each pair.  One
+        # deflation triangularizes the pair: its clusters of a split by b.
         runs = _counting_deflations(monkeypatch)
         rng = np.random.default_rng(k)
         q, _ = np.linalg.qr(rng.standard_normal((2 * k, 2 * k))
                             + 1j * rng.standard_normal((2 * k, 2 * k)))
         steps = np.arange(1.0, k + 1)
-        t1 = np.diag(np.r_[linalg._THETA * steps, np.zeros(k)])
+        t1 = np.diag(np.r_[0.6180339887 * steps, np.zeros(k)])
         t2 = np.diag(np.r_[np.zeros(k), steps])
         a, b = q @ t1 @ q.conj().T, q @ t2 @ q.conj().T
         p, da, db = simultaneous_triangularize(a, b)
-        assert schurs == [(2 * k, 2 * k)] and len(runs) == 1
+        assert len(runs) == 1
         scale = max(np.abs(a).max(), np.abs(b).max(), 1.0)
         for x in (a, b):
             assert (np.abs(np.tril(p.conj().T @ x @ p, -1)).max()
@@ -543,25 +522,19 @@ class TestSimultaneousTriangularization:
                            match="not nilpotent"):
             simultaneous_triangularize(a, b)
 
-    def test_commute_bound_scales_with_both_matrices(self, monkeypatch):
+    def test_commute_bound_scales_with_both_matrices(self):
         # The theorem8 pair of a 1e8 alpha coin commutes up to the rounding
         # of its out-sums, about 1e-16 * max|a| * max|b|: the bound follows
-        # that product, so the pair takes the Schur path, not deflation,
-        # and theorem8's split by the values of its diagonal b, which reads
-        # the same bound, takes it too.
+        # that product, so theorem8's split by the values of its diagonal b,
+        # which reads the bound, takes the pair.
         from qqwalk.graph import random_connected_graph
         from qqwalk.quaternion import Quaternion
         from qqwalk.spectra import _operand, _vertex_pair
         from qqwalk.walks import CoinMap
 
-        def entered(*args, **kwargs):
-            raise AssertionError("deflation entered on a commuting pair")
-
         g = random_connected_graph(np.random.default_rng(0), 60, 0.15)
         coin = CoinMap.from_alpha(g, Quaternion(1e8, 1e8, 1e8, 1e8))
         a, b = _vertex_pair(g, _operand(coin)[0])
-        monkeypatch.setattr(linalg, "_deflation_triangularize", entered)
-        simultaneous_triangularize(a, b)
         assert linalg._class_pairs(a, b) is not None
 
     def test_noncommuting_pair_at_scale_still_deflates(self, monkeypatch):
@@ -655,15 +628,14 @@ class TestSimultaneousTriangularization:
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 8), st.integers(0, 2**32 - 1))
-    def test_deflation_alone_agrees_with_schur(self, n, seed):
+    def test_deflation_agrees_with_exact_pairs(self, n, seed):
         # Commuting pairs (p(M), q(M)) with M = P J P^-1, J in Jordan blocks
-        # of sizes 1-3, one eigenvalue sometimes shared by two blocks.  The
-        # Schur path and the deflation alone (schur patched to return its
-        # basis reversed, which fails the final check) give the same aligned
-        # pairs.  A defective eigenvalue splits by about eps^(1/k), evenly
-        # about its value, in either path, so the pairs are grouped at the
-        # exact (p(lambda), q(lambda)): the groups must have the same sizes
-        # and means within 1e-8 * scale, their members within 1e-4 * scale.
+        # of sizes 1-3, one eigenvalue sometimes shared by two blocks.  A
+        # defective eigenvalue splits by about eps^(1/k), evenly about its
+        # value, so the aligned pairs are grouped at the exact
+        # (p(lambda), q(lambda)): the groups must have the exact
+        # multiplicities and means within 1e-12 * scale, their members
+        # within 1e-4 * scale.
         import scipy.linalg
 
         rng = np.random.default_rng(seed)
@@ -674,7 +646,7 @@ class TestSimultaneousTriangularization:
             len(sizes))
         if len(sizes) > 1 and rng.random() < 0.5:
             lam[1] = lam[0]
-        # M = lambda*I is triangular in every basis, the reversed one too.
+        # M = lambda*I gives a pair of multiples of I, triangular as it is.
         assume(max(sizes) > 1 or np.unique(lam).size > 1)
         m = scipy.linalg.block_diag(*[x * np.eye(k) + np.eye(k, k=1)
                                       for x, k in zip(lam, sizes)])
@@ -691,31 +663,16 @@ class TestSimultaneousTriangularization:
         assume(gaps[~np.eye(values.size, dtype=bool)].min(initial=np.inf)
                > 1e-2 * scale)
 
-        def group_means(da, db):
-            dist = (np.abs(da[:, None] - exact[0]) + np.abs(db[:, None]
-                                                           - exact[1]))
-            group = np.argmin(dist, axis=1)
-            assert dist[np.arange(n), group].max() <= 1e-4 * scale
-            assert np.array_equal(np.bincount(group, minlength=values.size),
-                                  counts)
-            means = np.zeros((2, values.size), dtype=complex)
-            np.add.at(means, (0, group), da)
-            np.add.at(means, (1, group), db)
-            return means / counts
-
         _, da, db = simultaneous_triangularize(a, b)
-        schur = scipy.linalg.schur
-
-        def reversed_schur(*args, **kwargs):
-            t, z = schur(*args, **kwargs)
-            return t, z[:, ::-1]
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(scipy.linalg, "schur", reversed_schur)
-            runs = _counting_deflations(mp)
-            _, da2, db2 = simultaneous_triangularize(a, b)
-        assert len(runs) == 1
-        assert (np.abs(group_means(da, db) - group_means(da2, db2)).max()
-                <= 1e-8 * scale)
+        dist = np.abs(da[:, None] - exact[0]) + np.abs(db[:, None] - exact[1])
+        group = np.argmin(dist, axis=1)
+        assert dist[np.arange(n), group].max() <= 1e-4 * scale
+        assert np.array_equal(np.bincount(group, minlength=values.size),
+                              counts)
+        means = np.zeros((2, values.size), dtype=complex)
+        np.add.at(means, (0, group), da)
+        np.add.at(means, (1, group), db)
+        assert np.abs(means / counts - exact).max() <= 1e-12 * scale
 
 
 def _eigen_residuals(a, b, v):
@@ -1013,12 +970,12 @@ class TestBlockDeflation:
 
     def test_steps_meet_a_pair_whose_x_is_ill_conditioned(self, monkeypatch):
         # The trailing pair commutes within the 1e-9 bound (3e-10) but not
-        # exactly: b couples a's eigenvectors by 3e-7, and a + theta*b has
-        # eigenvalues only 4e-7 apart, so its eigenbasis is ill-conditioned
-        # and turned far from a's; in it q^H a q keeps about 5e-4 below the
-        # diagonal, above the caller's 1e-6.  The steps take a's own
-        # eigenvectors, one joint eigenvector at a time.
-        theta = linalg._THETA
+        # exactly: b couples a's eigenvectors by 3e-7, and x = a + theta*b
+        # has eigenvalues only 4e-7 apart, so the eigenbasis of x is
+        # ill-conditioned and turned far from a's; in it q^H a q would keep
+        # about 5e-4 below the diagonal, above the caller's 1e-6.  The steps
+        # take a's own eigenvectors, one joint eigenvector at a time.
+        theta = 0.6180339887
         ta = np.diag([1e-3, 0.0]).astype(complex)
         tb = np.array([[-(1e-3 - 1e-7) / theta, 3e-7], [3e-7, 0.0]],
                       dtype=complex)

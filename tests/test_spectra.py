@@ -578,6 +578,14 @@ class TestComponentRoute:
         coin = two_part_coin(g, rng, 6, kind)
         copies = 1 if half else 2
         seen = TestVertexBlocks.recording(monkeypatch)
+        steps = []
+        joint = linalg._joint_eigenvectors
+
+        def recording_steps(a, b, tol):
+            v = joint(a, b, tol)
+            steps.append((a.shape[0], v.shape[1]))
+            return v
+        monkeypatch.setattr(linalg, "_joint_eigenvectors", recording_steps)
         report = spectrum_theorem_general(g, coin)
         # B is terminal, so its block comes first.  Each block commutes
         # (D_w = alpha*I on it): on the n x n turned pair its D values are
@@ -585,10 +593,13 @@ class TestComponentRoute:
         # triangularized.  B's block is alpha_B/d_B on the arcs inside B,
         # alpha_B times a symmetric matrix up to a diagonal similarity, so
         # its eigensolve is symmetric; A's arcs into B leave A's block
-        # without that form, and it takes the general one.
+        # without that form, and it takes the general one.  Each psi-layout
+        # pair has a full basis of joint eigenvectors, and one deflation
+        # step splits it off: O(k^3), not k steps of O(k^3) each.
         shapes = [(copies * k,) * 2 for k in (9, 6)]
         pairs = [(shape, shape) for shape in shapes]
         assert seen["triangularize"] == ([] if half else pairs)
+        assert steps == ([] if half else [(18, 18), (12, 12)])
         assert seen["symmetric"] == ([(9, 9)] if half else [])
         assert seen["eigenvalues"] == ([(6, 6)] if half else [])
         assert report.cross_check.verdict
