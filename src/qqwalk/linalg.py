@@ -11,11 +11,11 @@ comparison sort within clusters and fall back to a minimal-cost assignment
 package loads numpy alone) only for the clusters sorting cannot pair.
 
 Simultaneous triangularization is one deflation of joint eigenvectors
-(simultaneous_triangularize).  A commuting pair whose b is diagonal needs
-no basis: _class_pairs takes one eigensolve per class of b's values,
-symmetric for a class block similar to a real symmetric matrix times c (an
-alpha/d coin's).  The bounds are the module constants COMMUTE_TOL (which
-pairs commute), RESIDUAL_TOL (the final check and the nilpotency test) and
+(simultaneous_triangularize).  A pair whose b is scalar needs no basis:
+_scalar_pairs takes one eigensolve of a, symmetric when a is similar to a
+real symmetric matrix times c (an alpha/d coin's).  The bounds are the
+module constants COMMUTE_TOL (which pairs commute, and which b is
+scalar), RESIDUAL_TOL (the final check and the nilpotency test) and
 NULL_TOL (clustering, null spaces).
 """
 
@@ -381,13 +381,6 @@ def _joint_eigenvectors(a: np.ndarray, b: np.ndarray,
     return v[:, taken]
 
 
-def _commute_scale(a: np.ndarray, b: np.ndarray) -> float:
-    """max(1, max|a|) * max(1, max|b|): the commutator's rounding grows
-    with the product of the two scales."""
-    return (max(1.0, float(np.abs(a).max(initial=0.0)))
-            * max(1.0, float(np.abs(b).max(initial=0.0))))
-
-
 def _deflation_triangularize(a: np.ndarray, b: np.ndarray,
                              bound: float) -> np.ndarray:
     """Unitary joint triangularization by block deflation of joint
@@ -434,7 +427,7 @@ def _deflation_triangularize(a: np.ndarray, b: np.ndarray,
 
 
 def _class_eigenvalues(a: np.ndarray) -> np.ndarray:
-    """eigenvalues(a) of one class block, by one eigvalsh when a = c*P*K^-1
+    """eigenvalues(a) for _scalar_pairs, by one eigvalsh when a = c*P*K^-1
     up to rounding (every a_ij*k_j within 8*eps*|c| of the first, c), P
     a's nonzero pattern, symmetric, and K = diag(k) its column counts, as
     for an alpha/d or Grover coin.  a is then similar to c*K^-1/2 P K^-1/2,
@@ -454,28 +447,17 @@ def _class_eigenvalues(a: np.ndarray) -> np.ndarray:
     return eigenvalues(a)
 
 
-def _class_pairs(a: np.ndarray, b: np.ndarray) -> tuple | None:
-    """The aligned diagonals of a joint triangularization of a and
-    b = diag(d), one class of d's values at a time, or None.
-
-    (ab - ba)_ij = a_ij (d_j - d_i), so the pair commutes (COMMUTE_TOL)
-    exactly when a is block diagonal over the classes of d, clustered at
-    RESIDUAL_TOL times the pair's scale; a's entries between classes, which
-    a triangular basis per class would leave below the diagonal, must be
-    within that bound too.  A class gives _class_eigenvalues(a_class) and
-    its d.
-    """
-    d = np.diag(b)
-    scale = max(1.0, float(np.abs(a).max()), float(np.abs(d).max()))
-    labels = _cluster_labels(d, RESIDUAL_TOL * scale)
-    if (np.abs(a * (d - d[:, None])).max() > COMMUTE_TOL * _commute_scale(a, d)
-            or np.abs(a[labels != labels[:, None]]).max(initial=0.0)
-            > RESIDUAL_TOL * scale):
+def _scalar_pairs(a: np.ndarray, b: np.ndarray) -> tuple | None:
+    """(_class_eigenvalues(a), diag(b)), the aligned diagonals of a joint
+    triangularization, when b is scalar, else None.  b - b_00*I has at
+    most two nonzeros per row and column (b diagonal, or the psi image of
+    a diagonal), so 4*max|b - b_00*I|*max(1, max|a|) bounds every entry of
+    ab - ba: b is scalar when that is within the commute bound (COMMUTE_TOL),
+    that is when 4*max|b - b_00*I| <= COMMUTE_TOL*max(1, max|b|)."""
+    shift = np.abs(b - b[0, 0] * np.eye(b.shape[0])).max()
+    if 4 * shift > COMMUTE_TOL * max(1.0, np.abs(b).max()):
         return None
-    classes = [np.flatnonzero(labels == c) for c in range(labels.max() + 1)]
-    return (np.concatenate([_class_eigenvalues(a[np.ix_(c, c)])
-                            for c in classes]),
-            np.concatenate([d[c] for c in classes]).astype(complex))
+    return _class_eigenvalues(a), np.diag(b).astype(complex)
 
 
 def simultaneous_triangularize(a: np.ndarray, b: np.ndarray
@@ -497,11 +479,12 @@ def simultaneous_triangularize(a: np.ndarray, b: np.ndarray
     b = _require_square(b)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    scale = max(1.0, float(np.abs(a).max(initial=0.0)),
-                float(np.abs(b).max(initial=0.0)))
+    scale_a, scale_b = (max(1.0, float(np.abs(m).max(initial=0.0)))
+                        for m in (a, b))
+    scale = max(scale_a, scale_b)
     comm = a @ b - b @ a
     comm_norm = float(np.abs(comm).max()) if comm.size else 0.0
-    if comm_norm > COMMUTE_TOL * _commute_scale(a, b):
+    if comm_norm > COMMUTE_TOL * scale_a * scale_b:
         # A jointly triangular pair has a strictly triangular, so nilpotent,
         # commutator: tr(C^k) = 0, k = 2, 3, 4 (tr(C^2) alone is 0 for a walk
         # block with no arc both ways), up to RESIDUAL_TOL * ||C||_F^k and

@@ -19,10 +19,11 @@
   - theorem8: the diagonals of psi(W^T) and psi(D_w), jointly
     triangularized one strong component of the coin's support at a time,
     one-vertex components (every vertex of a leaf -> center star) in
-    closed form, and a commuting block of turned values (every alpha/d and
-    Grover coin) by one eigensolve per class of D's values;
+    closed form, and a block whose D is scalar by one eigensolve: every
+    alpha/d and Grover coin, and any coin whose out-sums agree on the
+    block, real ones when its values share no axis;
   - theorem10, coins q(e) = alpha/d, and grover, alpha = 2, are theorem8
-    on their coins: the one class block alpha_+ * T^T (T = D^-1 A) is
+    on their coins: the one scalar block alpha_+ * T^T (T = D^-1 A) is
     similar to alpha_+ times a symmetric matrix, so one eigvalsh
     (linalg._class_eigenvalues) gives the pairs (alpha_+- * lambda_T,
     alpha_+-), alpha_+- the complex pair similar to alpha.
@@ -60,8 +61,8 @@ from .graph import Graph
 from .linalg import (
     NotSimultaneouslyTriangularizableError,
     SpectrumConsistencyError,
-    _class_pairs,
     _matching,
+    _scalar_pairs,
     eigenvalues,
     pair_conjugates,
     simultaneous_triangularize,
@@ -500,19 +501,18 @@ def _finish_quadratic_route(graph: Graph, method: str, mu: np.ndarray,
     return report
 
 
-def _component_pairs(graph: Graph, pair: tuple, split: tuple) -> tuple:
+def _component_pairs(pair: tuple, split: tuple) -> tuple:
     """The aligned diagonals (mu, xi) of the vertex pair, one block of its
     strong-component split (_strong_split) at a time: (0, xi) for the
-    one-vertex blocks; a commuting block of the n x n turned pair splits by
-    D's values (linalg._class_pairs), and every other block is
-    triangularized on its own.
+    one-vertex blocks; a block whose D is scalar takes one eigensolve of
+    its Y (linalg._scalar_pairs), in either layout, and every other block
+    is triangularized on its own.  A commuting block of the n x n turned
+    pair has a scalar D: y_ij*(d_j - d_i) = 0 on every arc of a component.
     """
     (y, d), (xi, blocks) = pair, split
     parts = [(np.zeros(xi.size, dtype=complex), xi)]
     for block in blocks:
-        classes = (None if y.shape[0] > graph.n
-                   else _class_pairs(y[block], d[block]))
-        parts.append(classes
+        parts.append(_scalar_pairs(y[block], d[block])
                      or simultaneous_triangularize(y[block], d[block])[1:])
     return tuple(np.concatenate(diagonals) for diagonals in zip(*parts))
 
@@ -533,7 +533,7 @@ def spectrum_theorem_general(graph: Graph, coin: CoinMap) -> SpectrumReport:
     pair = _vertex_pair(graph, operand[0])
     split = _strong_split(graph, operand[0], pair)
     try:
-        mus, xis = _component_pairs(graph, pair, split)
+        mus, xis = _component_pairs(pair, split)
     except NotSimultaneouslyTriangularizableError as exc:
         raise NotSimultaneouslyTriangularizableError(
             f"{exc}; use the direct route for this coin",
@@ -546,7 +546,7 @@ def spectrum_theorem_general(graph: Graph, coin: CoinMap) -> SpectrumReport:
 def spectrum_alpha_coin(graph: Graph, alpha: Quaternion) -> SpectrumReport:
     """theorem8 on the coin q(e) = alpha/d_{o(e)}, reported as "theorem10":
     its turned pair (alpha_+ * A D^-1, alpha_+ * I), alpha_+ = a0 + |Im|*i,
-    is one class solved by one eigvalsh (linalg._class_eigenvalues)."""
+    is one scalar block solved by one eigvalsh (linalg._class_eigenvalues)."""
     return replace(spectrum_theorem_general(
         graph, CoinMap.from_alpha(graph, alpha)), method="theorem10")
 

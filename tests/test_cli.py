@@ -452,12 +452,12 @@ def write_unit_sum_coin(tmp_path):
 class TestImportCost:
     # Every command below runs on numpy alone: scipy is imported only for
     # the clusters that multiset matching and conjugate pairing cannot pair
-    # by sorting (theorem8 splits a commuting n x n turned block by D's
-    # values, one eigensolve per class, and triangularizes a commuting
-    # block in the psi layout by numpy's eigensolves), and importing it
-    # costs more than all the rest of a short CLI process.  The zeta
-    # identities take no sparse factorization at any size: the random graph
-    # has m >= 128 edges.
+    # by sorting (theorem8 solves a block whose D is scalar, in either
+    # layout, by one numpy eigensolve, and triangularizes a commuting
+    # psi-layout block with a non-scalar D by numpy's eigensolves), and
+    # importing it costs more than all the rest of a short CLI process.
+    # The zeta identities take no sparse factorization at any size: the
+    # random graph has m >= 128 edges.
     SCRIPT = """
 import json
 import sys
@@ -503,3 +503,26 @@ for arg in sys.argv[1:]:
             [sys.executable, "-c", self.SCRIPT, *map(json.dumps, commands)],
             capture_output=True, text=True, env=env, cwd=tmp_path)
         assert proc.returncode == 0, proc.stdout + proc.stderr[-2000:]
+
+    def test_unit_sum_coin_takes_one_eigensolve(self, tmp_path, monkeypatch):
+        # The unit-sum coin's psi-layout pair is one strong component with
+        # D = I: one 2n x 2n eigensolve of its Y and no triangularization.
+        from qqwalk import linalg, spectra
+        from qqwalk.graph import load_graph
+        from qqwalk.walks import parse_coin_file
+
+        unit, unit_w = write_unit_sum_coin(tmp_path)
+        g = load_graph(unit)
+        coin = parse_coin_file(Path(unit_w).read_text(), g)
+        shapes = []
+        eigenvalues = linalg.eigenvalues
+        monkeypatch.setattr(linalg, "eigenvalues",
+                            lambda m: shapes.append(m.shape) or eigenvalues(m))
+        monkeypatch.setattr(spectra, "simultaneous_triangularize", None)
+        report = spectra.spectrum_theorem_general(g, coin)
+        assert shapes == [(2 * g.n, 2 * g.n)]
+        assert report.cross_check.verdict, report.cross_check
+        monkeypatch.undo()
+        direct = spectra.spectrum_direct(g, coin)
+        assert spectra.compare_spectra(report, direct,
+                                       tol=spectra.CROSS_TOL).verdict

@@ -522,10 +522,24 @@ class TestSimultaneousTriangularization:
                            match="not nilpotent"):
             simultaneous_triangularize(a, b)
 
+    def test_classes_of_d_align(self):
+        # a is block diagonal over the two classes of d, so the pair
+        # commutes: the aligned diagonals are each class's eigenvalues of a
+        # beside its value of d.
+        a = np.zeros((5, 5), dtype=complex)
+        a[:2, :2] = [[0, 1], [2, 0]]
+        a[2:, 2:] = np.random.default_rng(4).normal(size=(3, 3))
+        d = np.array([3.0, 3.0, 1j, 1j, 1j])
+        _, mu, xi = simultaneous_triangularize(a, np.diag(d))
+        per_class = np.concatenate((np.linalg.eigvals(a[:2, :2]),
+                                    np.linalg.eigvals(a[2:, 2:])))
+        _assert_planted_diagonals(mu, xi, np.diag(per_class), np.diag(d),
+                                  1e-12)
+
     def test_commute_bound_scales_with_both_matrices(self):
         # The theorem8 pair of a 1e8 alpha coin commutes up to the rounding
         # of its out-sums, about 1e-16 * max|a| * max|b|: the bound follows
-        # that product, so theorem8's split by the values of its diagonal b,
+        # that product, so theorem8's test that the diagonal b is scalar,
         # which reads the bound, takes the pair.
         from qqwalk.graph import random_connected_graph
         from qqwalk.quaternion import Quaternion
@@ -535,7 +549,7 @@ class TestSimultaneousTriangularization:
         g = random_connected_graph(np.random.default_rng(0), 60, 0.15)
         coin = CoinMap.from_alpha(g, Quaternion(1e8, 1e8, 1e8, 1e8))
         a, b = _vertex_pair(g, _operand(coin)[0])
-        assert linalg._class_pairs(a, b) is not None
+        assert linalg._scalar_pairs(a, b) is not None
 
     def test_noncommuting_pair_at_scale_still_deflates(self, monkeypatch):
         a, b, _, _ = _noncommuting_triangular_pair(8, 3, "nilpotent")
@@ -795,36 +809,25 @@ def _assert_planted_diagonals(da, db, t1, t2, tol):
 
 
 class TestClassPairs:
-    """A commuting pair (a, diag(d)) splits by the values of d, one
-    eigensolve per class."""
-
-    def test_classes_of_d_solve_apart(self, monkeypatch):
-        a = np.zeros((5, 5), dtype=complex)
-        a[:2, :2] = [[0, 1], [2, 0]]
-        a[2:, 2:] = np.random.default_rng(4).normal(size=(3, 3))
-        b = np.diag([3.0, 3.0, 1j, 1j, 1j])
-        sizes = []
-        monkeypatch.setattr(linalg, "eigenvalues",
-                            lambda m: sizes.append(m.shape) or eigenvalues(m))
-        mu, xi = linalg._class_pairs(a, b)
-        assert sizes == [(3, 3), (2, 2)]
-        assert np.array_equal(xi, [1j, 1j, 1j, 3, 3])
-        assert compare_spectra(mu, np.linalg.eigvals(a), tol=1e-12).verdict
+    """A pair (a, b) whose b is scalar within the commute bound takes one
+    eigensolve of a (linalg._scalar_pairs); any other b leaves it to the
+    triangularization."""
 
     def test_pair_that_does_not_commute_is_left_alone(self):
-        # An entry of a between two classes of d: ab != ba.
+        # An entry of a between two values of d: ab != ba.
         a = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert linalg._class_pairs(a, np.diag([1.0, 2.0])) is None
-        assert linalg._class_pairs(a, np.diag([1.0, 1.0])) is not None
+        assert linalg._scalar_pairs(a, np.diag([1.0, 2.0])) is None
+        assert linalg._scalar_pairs(a, np.diag([1.0, 1.0])) is not None
 
     def test_close_classes_fail_the_final_check(self):
-        # d's two values are 1e-7 apart, beyond the 1e-8 clustering, and the
-        # coupling 1e-3 between them commutes within 1e-9: the per-class
-        # basis would leave 1e-3 below the diagonal, so no split.
+        # d's two values are 1e-7 apart and the coupling 1e-3 between them
+        # commutes within 1e-9, but a's eigenvectors mix the two values, so
+        # a's eigenvalues beside d's entries would be off by 5e-8, beyond
+        # rounding: b is not scalar.
         a = np.array([[0.0, 1e-3], [1e-3, 0.0]])
         b = np.diag([1.0, 1.0 + 1e-7])
         assert np.abs(a @ b - b @ a).max() <= linalg.COMMUTE_TOL
-        assert linalg._class_pairs(a, b) is None
+        assert linalg._scalar_pairs(a, b) is None
 
 
 class TestBlockDeflation:

@@ -406,7 +406,7 @@ class TestVertexBlocks:
     def recording(monkeypatch):
         """Records, while the test runs, the matrix shapes passed to slogdet,
         to simultaneous_triangularize, to eigenvalues within linalg and to
-        eigvalsh (the symmetric solve of an alpha/d class block), and each
+        eigvalsh (the symmetric solve of an alpha/d scalar block), and each
         vertex pair built."""
         seen = {"slogdet": set(), "triangularize": [], "eigenvalues": [],
                 "symmetric": [], "builds": 0}
@@ -448,9 +448,9 @@ class TestVertexBlocks:
         # A star's leaf -> center support has one-vertex components only,
         # which take the closed form, in the route and in its certificate
         # (no slogdet).  A support with one strong component and D_w = I is
-        # one block: on the n x n turned pair, D's values are one class,
-        # solved by one eigensolve; in the psi layout it is triangularized
-        # whole, once, and certified by slogdets of the whole pair.
+        # one block whose D is scalar in either layout: one eigensolve of
+        # its Y, n x n for the turned pair and 2n x 2n in the psi layout,
+        # no triangularization, and slogdets of the whole pair.
         rng = np.random.default_rng(12)
         star = leaf_star(12, rng, kind)
         spread = random_connected_graph(rng, 9, 0.3)
@@ -460,11 +460,9 @@ class TestVertexBlocks:
             size = g.n if half else 2 * g.n
             seen = self.recording(monkeypatch)
             report = spectrum_theorem_general(g, coin)
-            shapes = [(size, size)] * calls
-            pairs = [(shape, shape) for shape in shapes]
             assert seen == {"slogdet": {(size, size)} if calls else set(),
-                            "triangularize": [] if half else pairs,
-                            "eigenvalues": shapes if half else [],
+                            "triangularize": [],
+                            "eigenvalues": [(size, size)] * calls,
                             "symmetric": [], "builds": 1}
             assert report.cross_check.verdict
             assert matches_direct(report, g, coin)
@@ -588,14 +586,15 @@ class TestComponentRoute:
         monkeypatch.setattr(linalg, "_joint_eigenvectors", recording_steps)
         report = spectrum_theorem_general(g, coin)
         # B is terminal, so its block comes first.  Each block commutes
-        # (D_w = alpha*I on it): on the n x n turned pair its D values are
-        # one class, solved by one eigensolve, and in the psi layout it is
-        # triangularized.  B's block is alpha_B/d_B on the arcs inside B,
-        # alpha_B times a symmetric matrix up to a diagonal similarity, so
-        # its eigensolve is symmetric; A's arcs into B leave A's block
-        # without that form, and it takes the general one.  Each psi-layout
-        # pair has a full basis of joint eigenvectors, and one deflation
-        # step splits it off: O(k^3), not k steps of O(k^3) each.
+        # (D_w = alpha*I on it): on the n x n turned pair its D is scalar,
+        # solved by one eigensolve, and in the psi layout psi(alpha*I) of a
+        # non-real alpha is not, so the block is triangularized.  B's block
+        # is alpha_B/d_B on the arcs inside B, alpha_B times a symmetric
+        # matrix up to a diagonal similarity, so its eigensolve is
+        # symmetric; A's arcs into B leave A's block without that form, and
+        # it takes the general one.  Each psi-layout pair has a full basis
+        # of joint eigenvectors, and one deflation step splits it off:
+        # O(k^3), not k steps of O(k^3) each.
         shapes = [(copies * k,) * 2 for k in (9, 6)]
         pairs = [(shape, shape) for shape in shapes]
         assert seen["triangularize"] == ([] if half else pairs)
@@ -623,9 +622,10 @@ class TestComponentRoute:
     def test_real_coin_on_a_triangle_needs_the_deflation(self, monkeypatch):
         # A real coin whose support is all of K3, one strong component:
         # Y = [[0, 4, 2], [4, 0, -2], [-3, -3, 0]] and D = diag(1, 1, 0) do
-        # not commute, so _class_pairs leaves the block alone, but they share
-        # the eigenvector (1, -1, 0) and are jointly triangularizable: the
-        # block is certified through simultaneous_triangularize.
+        # not commute and D is not scalar, so _scalar_pairs leaves the block
+        # alone, but they share the eigenvector (1, -1, 0) and are jointly
+        # triangularizable: the block is certified through
+        # simultaneous_triangularize.
         g = complete_graph(3)
         values = {0: 4, 1: 4, 2: -3, 3: 2, 4: -3, 5: -2}
 
@@ -637,7 +637,7 @@ class TestComponentRoute:
         y, d = _vertex_pair(g, _operand(coin)[0])
         assert np.array_equal(y, [[0, 4, 2], [4, 0, -2], [-3, -3, 0]])
         assert np.array_equal(d, np.diag([1.0, 1.0, 0.0]))
-        assert linalg._class_pairs(y, d) is None
+        assert linalg._scalar_pairs(y, d) is None
         seen = TestVertexBlocks.recording(monkeypatch)
         report = spectrum_theorem_general(g, coin)
         assert seen["triangularize"] == [((3, 3), (3, 3))]
@@ -685,8 +685,8 @@ def commuting_coin(g, rng, kind):
 
 
 class TestClassSplit:
-    """A commuting block of the n x n turned pair splits by D's values, one
-    eigensolve per class, with no Schur basis."""
+    """A block whose D is scalar takes one eigensolve of its Y, with no
+    basis (linalg._scalar_pairs)."""
 
     @settings(max_examples=80, deadline=None)
     @given(st.sampled_from(["alpha", "complex", "grover", "two-part"]),
@@ -711,12 +711,12 @@ class TestClassSplit:
             # The split alone, then the whole triangularization alone.
             mp.setattr(spectra, "simultaneous_triangularize", None)
             split = spectrum_theorem_general(g, coin)
-            mu, xi = spectra._component_pairs(g, pair, blocks)
+            mu, xi = spectra._component_pairs(pair, blocks)
             mp.setattr(spectra, "simultaneous_triangularize",
                        linalg.simultaneous_triangularize)
-            mp.setattr(spectra, "_class_pairs", lambda y, d: None)
+            mp.setattr(spectra, "_scalar_pairs", lambda y, d: None)
             whole = spectrum_theorem_general(g, coin)
-            mu_whole, xi_whole = spectra._component_pairs(g, pair, blocks)
+            mu_whole, xi_whole = spectra._component_pairs(pair, blocks)
         # The pairs agree, aligned (a generic combination of mu and xi).
         # The roots are compared through their multiplicities only: those
         # of a double root split by about sqrt(eps) when xi carries
@@ -728,6 +728,40 @@ class TestClassSplit:
         assert split.cross_check.verdict, split.cross_check
         assert ([m for _, m in class_reps(split.psi_spectrum)]
                 == [m for _, m in class_reps(whole.psi_spectrum)])
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(["any", "unit-sum", "masked", "two-part"]),
+           st.sampled_from(["grover", "alpha", "complex", "real", "axis"]),
+           st.sampled_from([1.0, 1e4, 1e8]), st.booleans(), st.integers(2, 8),
+           st.integers(0, 2**32 - 1))
+    def test_a_block_commutes_when_its_d_is_scalar(self, family, kind, scale,
+                                                   tree, n, seed):
+        # On a strong component of the support, (YD - DY)_ij =
+        # y_ij*(d_j - d_i) vanishes on every arc only when d is constant, so
+        # the test that D is scalar accepts exactly the commuting blocks.
+        # (A leaf -> center star has no block of two or more vertices.)
+        rng = np.random.default_rng(seed)
+        if family == "two-part":
+            first = int(rng.integers(1, n))
+            g = joined_graph(rng, (first, n + 1 - first), 1 if tree else 3)
+            coin = two_part_coin(g, rng, first, "axis")
+        else:
+            g = random_connected_graph(rng, n, 0.0 if tree else 0.4)
+            coin = {"any": lambda: any_coin(g, rng, kind),
+                    "unit-sum": lambda: unit_sum_coin(g, rng, kind),
+                    "masked": lambda: masked_coin(g, rng, "random", "axis")
+                    }[family]()
+        coin.s *= scale
+        coin.p *= scale
+        weights, halves = _operand(coin)
+        assert halves
+        y, d = pair = _vertex_pair(g, weights)
+        for block in spectra._strong_split(g, weights, pair)[1]:
+            yb, db = y[block], d[block]
+            bound = linalg.COMMUTE_TOL * max(1.0, np.abs(yb).max()) * max(
+                1.0, np.abs(db).max())
+            commutes = np.abs(yb @ db - db @ yb).max() <= bound
+            assert commutes == (linalg._scalar_pairs(yb, db) is not None)
 
     @pytest.mark.parametrize("case", ["k3_grover.w", "k13_grover.w",
                                       "alpha", "two-part"])
@@ -761,7 +795,7 @@ def refused(*args, **kwargs):
 
 
 class TestSymmetricClassBlock:
-    """An alpha/d class block is c times the symmetric K^-1/2 P K^-1/2 up
+    """An alpha/d scalar block is c times the symmetric K^-1/2 P K^-1/2 up
     to a diagonal similarity (P its pattern, K its column counts): one
     eigvalsh solves it, and a block moved off that form falls back to the
     general eigensolve."""
