@@ -12,10 +12,10 @@
   every complex coin), whose eigenvalues and their conjugates are then the
   spectrum, and psi(C), of size 2(2n - 1 - b), otherwise, from C's parts,
   which the quaternionic arc side writes into I - t*psi(C) directly;
-* formula routes: each is a source of aligned pairs (mu, xi), and one
-  finisher takes the two roots of lambda^2 - mu*lambda + xi - 1 per pair
+* formula routes: each is a source of aligned pairs (mu, xi), whose
+  values (_quadratic_values) are the roots of lambda^2 - mu*lambda + xi - 1
   (one double root where the discriminant is within DOUBLE_ROOT_TOL of 0),
-  pads with +-1 for non-trees and trims {1, 1, -1, -1} for trees:
+  padded with +-1 for non-trees and trimmed of {1, 1, -1, -1} for trees:
   - theorem8: the diagonals of psi(W^T) and psi(D_w), jointly
     triangularized one strong component of the coin's support at a time,
     one-vertex components (every vertex of a leaf -> center star) in
@@ -33,12 +33,12 @@ of its 4m values against the walk: at eight sample points t on two rings,
 sum(log(1 - t*lambda)) over the values is compared with the paper's vertex
 side (2m - 2n)*log(1 - t^2) + log det(I - t*psi(W^T) + t^2*(psi(D_w) - I)),
 which equals log det(I - t*psi(U)) but is a 2n x 2n determinant, so no route
-builds or eigensolves psi(U); it factors over theorem8's split by the
-strong components of the coin's support (_strong_split), so the check costs
-the sum of the blocks' cubed sizes, O(n + m) for an acyclic support and
-O(n^3) for one component.  The direct route and compare_spectra remain the
-reference.  Similarity-class representatives of the right spectrum are the
-upper-half-plane members of the computed eigenvalues.
+builds or eigensolves psi(U); it factors over the blocks theorem8 solves
+(_strong_split, by the strong components of the coin's support), so the
+check costs the sum of the blocks' cubed sizes, O(n + m) for an acyclic
+support and O(n^3) for one component.  The direct route and compare_spectra
+remain the reference.  Similarity-class representatives of the right
+spectrum are the upper-half-plane members of the computed eigenvalues.
 
 Routes and identities read one operand per coin (_operand): its turned
 values (walks.CoinMap.turned) when they share one axis, the coin itself
@@ -356,17 +356,18 @@ def _logdet(ts: np.ndarray, y, d: np.ndarray | None = None,
     return 2.0 * out if halves else out
 
 
-def _strong_split(graph: Graph, weights, pair: tuple) -> tuple:
-    """(xi, blocks): the vertex pair split over the strong components of
-    the weights' support {e : q(e) != 0} (Graph.strong_components).  Y
-    holds q(e) at (t(e), o(e)), so when every support arc has label[t(e)]
-    <= label[o(e)], checked here in O(m), the pair ordered by label is block
-    upper triangular: its determinants and aligned diagonals are its
-    diagonal blocks'.  A one-vertex block has Y_vv = 0 (no loops) and pairs
-    (0, xi), xi = D'_vv, or Re s +- i*sqrt((Im s)^2 + |p|^2) for D_vv = s +
-    j*p in the psi layout (v and v + n); blocks index the others, or the
-    whole pair (a view) for one component or labels out of order."""
-    (y, d), n = pair, graph.n
+def _strong_split(graph: Graph, weights) -> tuple:
+    """(xi, blocks): the vertex pair of the weights (_vertex_pair) split
+    over the strong components of their support {e : q(e) != 0}
+    (Graph.strong_components).  Y holds q(e) at (t(e), o(e)), so when every
+    support arc has label[t(e)] <= label[o(e)], checked here in O(m), the
+    pair ordered by label is block upper triangular: its determinants and
+    aligned diagonals are its diagonal blocks'.  A one-vertex block has
+    Y_vv = 0 (no loops) and pairs (0, xi), xi = D'_vv, or
+    Re s +- i*sqrt((Im s)^2 + |p|^2) for D_vv = s + j*p in the psi layout
+    (v and v + n); blocks holds each other block as its own (Y_b, D_b)
+    arrays, or the whole pair for one component or labels out of order."""
+    (y, d), n = _vertex_pair(graph, weights), graph.n
     quat = isinstance(weights, CoinMap)
     support = (weights.s != 0) | (weights.p != 0) if quat else weights != 0
     labels = graph.strong_components(support)
@@ -379,27 +380,26 @@ def _strong_split(graph: Graph, weights, pair: tuple) -> tuple:
         arm = np.hypot(xi.imag, np.abs(d[lone + n, lone]))
         xi = np.concatenate((xi.real + 1j * arm, xi.real - 1j * arm))
     if sizes.size == 1 and not lone.size:
-        return xi, [np.s_[:, :]]
-    blocks = [np.flatnonzero(labels == b) for b in np.flatnonzero(sizes > 1)]
-    return xi, [np.ix_(*2 * [np.r_[idx, idx + n] if quat else idx])
-                for idx in blocks]
+        return xi, [(y, d)]
+    parts = [np.flatnonzero(labels == b) for b in np.flatnonzero(sizes > 1)]
+    cuts = (np.ix_(*2 * [np.r_[i, i + n] if quat else i]) for i in parts)
+    return xi, [(y[cut], d[cut]) for cut in cuts]
 
 
 def _vertex_logdet(graph: Graph, weights, halves: bool, ts: np.ndarray,
-                   pair: tuple | None = None,
                    split: tuple | None = None) -> np.ndarray:
     """The vertex side of the determinant identity at each t,
     e*log(1 - t^2) + log det(X(t)), X(t) = I - t*Y + t^2*(D - I), with
-    (Y, D) the vertex pair of the weights (or pair) and e = m - n, doubled
-    for a CoinMap and for turned values with halves, which _logdet halves.
+    (Y, D) the vertex pair of the weights and e = m - n, doubled for a
+    CoinMap and for turned values with halves, which _logdet halves.
     For a coin's operand (_operand) this is log det(I - t*psi(U)).
 
-    log det(X(t)) sums over the blocks of split (_strong_split): log(1 +
-    t^2*(xi - 1)) over the one-vertex blocks' xi (with halves, plus its
-    conjugate at conj(t), as in _logdet) and _logdet of each other block.
+    log det(X(t)) sums over the blocks of split (_strong_split of the
+    weights when None): log(1 + t^2*(xi - 1)) over the one-vertex blocks'
+    xi (with halves, plus its conjugate at conj(t), as in _logdet) and
+    _logdet of each other block (Y_b, D_b).
     """
-    y, d = pair = _vertex_pair(graph, weights) if pair is None else pair
-    xi, blocks = split or _strong_split(graph, weights, pair)
+    xi, blocks = split or _strong_split(graph, weights)
     copies = 2 if halves or isinstance(weights, CoinMap) else 1
     e = copies * (graph.m - graph.n)
     # Parts apart, exponent 0 left out: t = +-1 reads log 0 = -inf, not NaN.
@@ -412,13 +412,12 @@ def _vertex_logdet(graph: Graph, weights, halves: bool, ts: np.ndarray,
 
     if xi.size:
         out = out + lone(ts) + (np.conj(lone(ts.conj())) if halves else 0.0)
-    for block in blocks:
-        out = out + _logdet(ts, y[block], d[block], halves)
+    for y, d in blocks:
+        out = out + _logdet(ts, y, d, halves)
     return out
 
 
 def _certificate(graph: Graph, coin: CoinMap, values: np.ndarray,
-                 pair: tuple[np.ndarray, np.ndarray] | None = None,
                  operand: tuple | None = None,
                  split: tuple | None = None) -> ComparisonRecord:
     """Characteristic-polynomial certificate of values against psi(U).
@@ -426,7 +425,7 @@ def _certificate(graph: Graph, coin: CoinMap, values: np.ndarray,
     The eigenvalues of psi(U), with multiplicity, are the multiset whose
     sum of log(1 - t*lambda) equals log det(I - t*psi(U)) at every t; that
     log-determinant is taken from the vertex side (_vertex_logdet of the
-    coin's operand, the route's vertex pair and its strong-component split,
+    coin's operand and its strong-component split, the route's when given,
     each built here when None), so psi(U) is never built.  The values
     exactly +-1, such as the padding, add count*log(1 -+ t).  Per point, the
     one-vertex blocks take a closed form, and every other block two
@@ -468,7 +467,7 @@ def _certificate(graph: Graph, coin: CoinMap, values: np.ndarray,
     rest = values[(values != 1.0) & (values != -1.0)]
     diffs = (np.log(1.0 - np.multiply.outer(ts, rest)).sum(axis=1)
              + ones * np.log(1.0 - ts) + minus * np.log(1.0 + ts)
-             - _vertex_logdet(graph, weights, halves, ts, pair, split))
+             - _vertex_logdet(graph, weights, halves, ts, split))
     phase = (diffs.imag + np.pi) % (2.0 * np.pi) - np.pi
     scale = max(1.0, float(np.abs(values).max()))
     residual = float(np.max(np.hypot(diffs.real, phase) / np.abs(ts))) / scale
@@ -476,15 +475,11 @@ def _certificate(graph: Graph, coin: CoinMap, values: np.ndarray,
                             verdict=residual <= CROSS_TOL)
 
 
-def _finish_quadratic_route(graph: Graph, method: str, mu: np.ndarray,
-                            xi: np.ndarray, coin: CoinMap,
-                            pair: tuple[np.ndarray, np.ndarray] | None = None,
-                            operand: tuple | None = None,
-                            split: tuple | None = None) -> SpectrumReport:
-    """Report of the roots of lambda^2 - mu*lambda + xi - 1 over aligned
-    (mu, xi) pairs, padded or trimmed to 4m values and certified against
-    psi(U) (see _certificate, which reads the route's vertex pair and the
-    coin's operand, or builds each when None)."""
+def _quadratic_values(graph: Graph, mu: np.ndarray,
+                      xi: np.ndarray) -> np.ndarray:
+    """The roots of lambda^2 - mu*lambda + xi - 1 over aligned (mu, xi)
+    pairs, padded with 2(m - n) each of +-1 or trimmed for a tree
+    (_trim_tree_values) to the 4m values, conjugates adjacent."""
     disc = mu * mu - 4.0 * (xi - 1.0)
     disc = np.sqrt(np.where(np.abs(disc) <= DOUBLE_ROOT_TOL * (
         np.abs(mu) ** 2 + 4.0 * np.abs(xi - 1.0)), 0.0, disc))
@@ -494,26 +489,22 @@ def _finish_quadratic_route(graph: Graph, method: str, mu: np.ndarray,
         lam = np.concatenate((lam, np.ones(2 * excess), -np.ones(2 * excess)))
     else:
         lam = _trim_tree_values(lam)
-    vals = pair_conjugates(np.sort_complex(lam))
-    report = SpectrumReport(method=method, psi_spectrum=vals)
-    report.cross_check = _certificate(graph, coin, vals, pair, operand,
-                                      split)
-    return report
+    return pair_conjugates(np.sort_complex(lam))
 
 
-def _component_pairs(pair: tuple, split: tuple) -> tuple:
-    """The aligned diagonals (mu, xi) of the vertex pair, one block of its
+def _component_pairs(split: tuple) -> tuple:
+    """The aligned diagonals (mu, xi) of a vertex pair, one block of its
     strong-component split (_strong_split) at a time: (0, xi) for the
     one-vertex blocks; a block whose D is scalar takes one eigensolve of
     its Y (linalg._scalar_pairs), in either layout, and every other block
     is triangularized on its own.  A commuting block of the n x n turned
     pair has a scalar D: y_ij*(d_j - d_i) = 0 on every arc of a component.
     """
-    (y, d), (xi, blocks) = pair, split
+    xi, blocks = split
     parts = [(np.zeros(xi.size, dtype=complex), xi)]
-    for block in blocks:
-        parts.append(_scalar_pairs(y[block], d[block])
-                     or simultaneous_triangularize(y[block], d[block])[1:])
+    for y, d in blocks:
+        parts.append(_scalar_pairs(y, d)
+                     or simultaneous_triangularize(y, d)[1:])
     return tuple(np.concatenate(diagonals) for diagonals in zip(*parts))
 
 
@@ -525,22 +516,23 @@ def spectrum_theorem_general(graph: Graph, coin: CoinMap) -> SpectrumReport:
     axis, the pair triangularized is the n x n (Y', D') of its turned
     values (_vertex_pair of _operand) and its n aligned diagonals, with
     their conjugates, are the 2n pairs.  The pair is split over the strong
-    components of the coin's support (_component_pairs), so a star's leaf
-    -> center coin takes a closed form.  Raises when a block cannot be
-    triangularized; the caller should then use the direct route.
+    components of the coin's support (_strong_split, _component_pairs), so
+    a star's leaf -> center coin takes a closed form, and the certificate
+    reads the same blocks.  Raises when a block cannot be triangularized;
+    the caller should then use the direct route.
     """
     operand = _operand(coin)
-    pair = _vertex_pair(graph, operand[0])
-    split = _strong_split(graph, operand[0], pair)
+    split = _strong_split(graph, operand[0])
     try:
-        mus, xis = _component_pairs(pair, split)
+        mus, xis = _component_pairs(split)
     except NotSimultaneouslyTriangularizableError as exc:
         raise NotSimultaneouslyTriangularizableError(
             f"{exc}; use the direct route for this coin",
             residual=exc.residual) from exc
-    mus, xis = psi_spectrum(mus, graph.n), psi_spectrum(xis, graph.n)
-    return _finish_quadratic_route(graph, "theorem8", mus, xis, coin, pair,
-                                   operand, split)
+    vals = _quadratic_values(graph, psi_spectrum(mus, graph.n),
+                             psi_spectrum(xis, graph.n))
+    return SpectrumReport("theorem8", vals,
+                          _certificate(graph, coin, vals, operand, split))
 
 
 def spectrum_alpha_coin(graph: Graph, alpha: Quaternion) -> SpectrumReport:

@@ -151,8 +151,8 @@ def parse_coin_file(text: str, graph: Graph) -> CoinMap:
     """Parse a coin/weight file.
 
     Lines are ``v <vertex> <literal>`` (per-vertex) or ``a <arc-index>
-    <literal>`` (per-arc); ``#`` starts a comment.  Mixing the two kinds in
-    one file is an error.  Unspecified arcs default to 0.
+    <literal>`` (per-arc), one kind and each index at most once per file;
+    ``#`` starts a comment.  Unspecified arcs default to 0.
     """
     kind: str | None = None
     per: dict[int, Quaternion] = {}
@@ -178,6 +178,8 @@ def parse_coin_file(text: str, graph: Graph) -> CoinMap:
         limit = graph.n if kind == "v" else graph.num_arcs
         if not (0 <= idx < limit):
             raise CoinFormatError(f"index {idx} out of range", line=lineno)
+        if idx in per:
+            raise CoinFormatError(f"index {idx} given twice", line=lineno)
         try:
             per[idx] = parse_quaternion(fields[2])
         except QuaternionFormatError as exc:

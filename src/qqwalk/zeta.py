@@ -43,7 +43,8 @@ halving, batched slogdet.  So no identity builds or factors
 the 2m x 2m or 4m x 4m X: that the split equals the factorization of
 I - t*X is checked by the tests, not at run time.  K and L enter only the
 resolvent check, as their arc entries (e, o(e), w(e)) and (e, t(e), 1),
-from which psi(L^T K) and psi(L^T J0 K) are summed over the arcs.
+from which L^T K and L^T J0 K are summed over the arcs and compared, once,
+with W^T and D_w.
 """
 
 from __future__ import annotations
@@ -55,14 +56,8 @@ import numpy as np
 
 from .graph import Graph
 from .qmatrix import QuatMatrix
-from .spectra import (
-    _compression,
-    _logdet,
-    _operand,
-    _vertex_logdet,
-    _vertex_pair,
-)
-from .walks import CoinMap, _K_L_entries
+from .spectra import _compression, _logdet, _operand, _vertex_logdet
+from .walks import CoinMap, _K_L_entries, build_W_Dw
 
 __all__ = [
     "IdentityReport",
@@ -77,8 +72,8 @@ __all__ = [
 
 # Samples this close to t^2 = 1 hit the (1 - t^2) poles and are skipped.
 POLE_GUARD = 1e-6
-# The quaternionic identity's resolvent check holds entrywise within this
-# multiple of the largest expected entry (at least 1).
+# Each half of the quaternionic identity's resolvent check holds entrywise
+# within this multiple of its largest expected entry (at least 1).
 INTERMEDIATE_TOL = 1e-10
 
 
@@ -166,26 +161,20 @@ def _arc_logdet(graph: Graph, weights, halves: bool,
 
 
 def _compare(graph: Graph, weights, halves: bool, t_samples: list[complex],
-             tol: float, check=None, pair=None) -> IdentityReport:
+             tol: float) -> IdentityReport:
     """The identity core: compare the arc side (_arc_logdet) with the
-    vertex side (spectra._vertex_logdet, of pair when given) of the
-    weights, read alike by both, at every sample off the poles; check(t),
-    when given, runs first at each compared sample.  lhs and rhs are
-    reported as exp of the logs, rel_err comes from the logs (_rel_err).
-    A report that compared no sample, every one on a pole, is false, and
-    its max_rel_err is NaN: nothing was measured."""
+    vertex side (spectra._vertex_logdet) of the weights, read alike by
+    both, at every sample off the poles.  lhs and rhs are reported as exp
+    of the logs, rel_err comes from the logs (_rel_err).  A report that
+    compared no sample, every one on a pole, is false, and its max_rel_err
+    is NaN: nothing was measured."""
     kept, skipped = [], []
     for t in t_samples:
-        if abs(1.0 - t * t) < POLE_GUARD:
-            skipped.append(t)
-            continue
-        if check is not None:
-            check(t)
-        kept.append(t)
+        (skipped if abs(1.0 - t * t) < POLE_GUARD else kept).append(t)
     kept.sort(key=lambda t: (t.real, t.imag))
     ts = np.array(kept, dtype=complex)
     lhs = _arc_logdet(graph, weights, halves, ts)
-    rhs = _vertex_logdet(graph, weights, halves, ts, pair)
+    rhs = _vertex_logdet(graph, weights, halves, ts)
     with np.errstate(over="ignore"):
         samples = [SamplePoint(t, complex(np.exp(a)), complex(np.exp(b)),
                                _rel_err(complex(a), complex(b)))
@@ -244,10 +233,10 @@ def weighted_zeta_identity(graph: Graph, weights: CoinMap,
 
 # -- quaternionic identity --------------------------------------------
 
-def _psi_product(n: int, left: tuple, right: tuple) -> np.ndarray:
-    """psi(L^T R), 2n x 2n, for 2m x n quaternionic L and R with one entry
-    in each row, given as (rows, cols, s, p): each row's entry of L^T times
-    that of R, summed over the rows."""
+def _arc_product(n: int, left: tuple, right: tuple) -> QuatMatrix:
+    """L^T R, n x n, for 2m x n quaternionic L and R with one entry in each
+    row, given as (rows, cols, s, p): each row's entry of L^T times that of
+    R, summed over the rows."""
     at = np.empty_like(right[0])
     at[right[0]] = np.arange(right[0].size)
     rows, cols_l, sl, pl = left
@@ -256,7 +245,7 @@ def _psi_product(n: int, left: tuple, right: tuple) -> np.ndarray:
     s, p = np.zeros((2, n, n), dtype=complex)
     np.add.at(s, (cols_l, cols_r), sl * sr - np.conj(pl) * pr)
     np.add.at(p, (cols_l, cols_r), np.conj(sl) * pr + pl * sr)
-    return QuatMatrix(s, p).psi()
+    return QuatMatrix(s, p)
 
 
 def quaternionic_identity(graph: Graph, weights: CoinMap,
@@ -265,33 +254,25 @@ def quaternionic_identity(graph: Graph, weights: CoinMap,
     """Quaternionic determinant identity through the complexification map.
 
     At each admissible sample compares the arc side det(I - t*psi(U)) with
-    the 2n x 2n vertex side, and additionally verifies the proof-level
-    resolvent identity entrywise within INTERMEDIATE_TOL times the largest
-    expected entry (at least 1).  Since J0^2 = I, (I + t*J0)^-1 is
-    (I - t*J0) / (1 - t^2), and psi(J0) = blockdiag(J0, J0); the
-    differences psi(L^T K) - psi(W^T) and psi(L^T J0 K) - psi(D_w) are
-    summed over the arcs once, so a sample's residual is one combination
-    of them.  Both sides read the coin's operand (spectra._operand): when
-    its values share one axis, psi(U) is unitarily similar to
-    diag(S', conj(S')) with S' the walk of the turned values, and each side
-    is taken on the n x n matrices of S' at t and at conj(t).
+    the 2n x 2n vertex side.  First it verifies, once, the proof-level
+    resolvent identity psi(L^T (I + t*J0)^-1 K) = (psi(W^T) - t*psi(D_w))
+    / (1 - t^2): as (I + t*J0)^-1 = (I - t*J0) / (1 - t^2), it holds at
+    every t exactly when L^T K = W^T and L^T J0 K = D_w, each summed over
+    the arcs (_arc_product) and compared in its symplectic parts, psi's
+    entries, within INTERMEDIATE_TOL times max(1, largest entry).  Both
+    sides read the coin's operand (spectra._operand): when its values
+    share one axis, psi(U) is unitarily similar to diag(S', conj(S'))
+    with S' the walk of the turned values, and each side is taken on the
+    n x n matrices of S' at t and at conj(t).
     """
-    psi_wt, psi_dw = pair = _vertex_pair(graph, weights)
     k, l = _K_L_entries(graph, weights)
-    gaps = [_psi_product(graph.n, l, k) - psi_wt,
-            _psi_product(graph.n, l, (k[0] ^ 1, *k[1:])) - psi_dw]
-
-    def check(t: complex) -> None:
-        one_minus = abs(1.0 - t * t)
-        residual = float(np.abs(gaps[0] - t * gaps[1]).max(initial=0.0))
-        scale = float(np.abs(psi_wt - t * psi_dw).max(initial=0.0))
-        residual, scale = residual / one_minus, max(1.0, scale / one_minus)
+    w, dw = build_W_Dw(graph, weights)
+    for name, right, want in (("L^T K = W^T", k, w.transpose()),
+                              ("L^T J0 K = D_w", (k[0] ^ 1, *k[1:]), dw)):
+        residual = _arc_product(graph.n, l, right).max_abs_diff(want)
+        scale = max(1.0, float(np.abs([want.s, want.p]).max()))
         if not residual <= INTERMEDIATE_TOL * scale:
             raise ArithmeticError(
-                f"intermediate resolvent identity failed at t = {t}: "
-                f"entrywise residual {residual:.3e} at entry scale "
-                f"{scale:.3e}")
-
-    operand, halves = _operand(weights)
-    return _compare(graph, operand, halves, t_samples, tol, check,
-                    None if halves else pair)
+                f"resolvent identity failed: {name} off by {residual:.3e} "
+                f"at entry scale {scale:.3e}")
+    return _compare(graph, *_operand(weights), t_samples, tol)

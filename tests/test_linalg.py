@@ -749,14 +749,13 @@ def _star_pair(g, coin):
     return _vertex_pair(g, _operand(coin)[0])
 
 
-def _pair_spectrum(g, coin, mus, xis):
+def _pair_spectrum(g, mus, xis):
     """The walk spectrum read off the aligned diagonals of the coin's
     triangularized vertex pair, as theorem8 reads it."""
     from qqwalk.qmatrix import psi_spectrum
-    from qqwalk.spectra import _finish_quadratic_route
-    return _finish_quadratic_route(
-        g, "theorem8", psi_spectrum(mus, g.n), psi_spectrum(xis, g.n),
-        coin).psi_spectrum
+    from qqwalk.spectra import _quadratic_values
+    return _quadratic_values(g, psi_spectrum(mus, g.n),
+                             psi_spectrum(xis, g.n))
 
 
 def _ex5_star():
@@ -843,7 +842,7 @@ class TestBlockDeflation:
         _, mus, xis = simultaneous_triangularize(a, b)
         assert 1 <= len(steps) <= 3, steps
         assert compare_spectra(
-            _pair_spectrum(g, coin, mus, xis),
+            _pair_spectrum(g, mus, xis),
             np.linalg.eigvals(build_U(g, coin).psi()),
             tol=0.0).max_dist <= 1e-9
         # The first step's vectors are joint eigenvectors within the step's
@@ -910,7 +909,7 @@ class TestBlockDeflation:
         for x in (a, b):
             assert np.abs(np.tril(p.conj().T @ x @ p, -1)).max() <= 1e-8
         assert compare_spectra(
-            _pair_spectrum(g, coin, mus, xis),
+            _pair_spectrum(g, mus, xis),
             np.linalg.eigvals(build_U(g, coin).psi()),
             tol=0.0).max_dist <= 1e-9
 
@@ -1038,7 +1037,7 @@ class TestBlockDeflation:
         steps = _recording_steps(monkeypatch)
         _, mus, xis = simultaneous_triangularize(*pair)
         assert steps
-        assert _certificate(g, coin, _pair_spectrum(g, coin, mus, xis)).verdict
+        assert _certificate(g, coin, _pair_spectrum(g, mus, xis)).verdict
 
     def test_cluster_wider_than_tol_takes_the_svd(self, monkeypatch):
         # Single linkage chains the eigenvalues 0, 0.9, 1.8 and 2.7 (times

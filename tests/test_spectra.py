@@ -394,13 +394,13 @@ class TestVertexBlocks:
         # against Y': the determinant moves far beyond rounding, and the
         # certificate rejects the true spectrum.
         y, d = _vertex_pair(g, turned)
-        apart = (y, np.conj(d))
-        assert apart[0].shape == (g.n, g.n)
+        apart = (np.zeros(0, dtype=complex), [(y, np.conj(d))])
+        assert y.shape == (g.n, g.n)
         assert log_det_distance(_vertex_logdet(g, turned, True, ts, apart),
                                 exact) > 1e-4
         vals = spectrum_direct(g, coin).psi_spectrum
         assert _certificate(g, coin, vals).verdict
-        assert not _certificate(g, coin, vals, apart).verdict
+        assert not _certificate(g, coin, vals, split=apart).verdict
 
     @staticmethod
     def recording(monkeypatch):
@@ -704,19 +704,17 @@ class TestClassSplit:
             coin = commuting_coin(g, rng, kind)
         coin.s *= scale
         coin.p *= scale
-        weights = _operand(coin)[0]
-        pair = _vertex_pair(g, weights)
-        blocks = spectra._strong_split(g, weights, pair)
+        blocks = spectra._strong_split(g, _operand(coin)[0])
         with pytest.MonkeyPatch.context() as mp:
             # The split alone, then the whole triangularization alone.
             mp.setattr(spectra, "simultaneous_triangularize", None)
             split = spectrum_theorem_general(g, coin)
-            mu, xi = spectra._component_pairs(pair, blocks)
+            mu, xi = spectra._component_pairs(blocks)
             mp.setattr(spectra, "simultaneous_triangularize",
                        linalg.simultaneous_triangularize)
             mp.setattr(spectra, "_scalar_pairs", lambda y, d: None)
             whole = spectrum_theorem_general(g, coin)
-            mu_whole, xi_whole = spectra._component_pairs(pair, blocks)
+            mu_whole, xi_whole = spectra._component_pairs(blocks)
         # The pairs agree, aligned (a generic combination of mu and xi).
         # The roots are compared through their multiplicities only: those
         # of a double root split by about sqrt(eps) when xi carries
@@ -755,9 +753,7 @@ class TestClassSplit:
         coin.p *= scale
         weights, halves = _operand(coin)
         assert halves
-        y, d = pair = _vertex_pair(g, weights)
-        for block in spectra._strong_split(g, weights, pair)[1]:
-            yb, db = y[block], d[block]
+        for yb, db in spectra._strong_split(g, weights)[1]:
             bound = linalg.COMMUTE_TOL * max(1.0, np.abs(yb).max()) * max(
                 1.0, np.abs(db).max())
             commutes = np.abs(yb @ db - db @ yb).max() <= bound
@@ -1136,8 +1132,10 @@ class TestCompareSpectra:
             assert b"class_reps" not in pickle.dumps(report)
 
 
-# The whole vertex pair as one block: the split that takes one slogdet.
-WHOLE = (np.zeros(0, dtype=complex), [np.s_[:, :]])
+def whole_pair(g, weights):
+    """The whole vertex pair as one block: the split that takes one
+    slogdet."""
+    return np.zeros(0, dtype=complex), [_vertex_pair(g, weights)]
 
 
 def blocked_coin(rng, family, n, kind):
@@ -1321,10 +1319,10 @@ class TestFactoredVertexSide:
             weights = coin.turned() if halves else coin
         else:
             weights = coin.s.real if kind == "real" else coin.s
-        xi, _ = spectra._strong_split(g, weights, _vertex_pair(g, weights))
+        xi, _ = spectra._strong_split(g, weights)
         assert xi.size or family in ("tree", "two-part", "random")
         ts = _sample_points(g, coin)
-        whole = _vertex_logdet(g, weights, halves, ts, split=WHOLE)
+        whole = _vertex_logdet(g, weights, halves, ts, whole_pair(g, weights))
         factored = _vertex_logdet(g, weights, halves, ts)
         assert (log_det_distance(factored, whole)
                 <= 1e-12 * max(1.0, np.abs(whole).max()))
@@ -1345,17 +1343,18 @@ class TestFactoredVertexSide:
         weights, halves = _operand(coin)
         ts = _sample_points(g, coin)
         vals = spectrum_direct(g, coin).psi_spectrum
+        whole = whole_pair(g, weights)
         if case == "grover":
             lone = (np.diag(_vertex_pair(g, weights)[1]).astype(complex), [])
             assert log_det_distance(
                 _vertex_logdet(g, weights, halves, ts, split=lone),
-                _vertex_logdet(g, weights, halves, ts, split=WHOLE)) > 1e-3
+                _vertex_logdet(g, weights, halves, ts, split=whole)) > 1e-3
         monkeypatch.setattr(Graph, "strong_components",
                             lambda self, arcs: labels)
         assert np.array_equal(
             _vertex_logdet(g, weights, halves, ts),
-            _vertex_logdet(g, weights, halves, ts, split=WHOLE))
+            _vertex_logdet(g, weights, halves, ts, split=whole))
         rec = _certificate(g, coin, vals)
         assert rec.verdict
         assert rec.max_dist == _certificate(g, coin, vals,
-                                            split=WHOLE).max_dist
+                                            split=whole).max_dist

@@ -379,6 +379,14 @@ class TestCoinFiles:
         with pytest.raises(CoinFormatError, match="out of range"):
             parse_coin_file("a 99 1\n", g)
 
+    @pytest.mark.parametrize("text", ["a 0 1\n# again\na 0 2\n",
+                                      "v 1 1\nv 0 1\nv 1 2\n"],
+                             ids=["arc", "vertex"])
+    def test_repeated_index_rejected(self, text):
+        g = star_graph(3)
+        with pytest.raises(CoinFormatError, match="line 3.*given twice"):
+            parse_coin_file(text, g)
+
     def test_bad_literal(self):
         g = complete_graph(3)
         with pytest.raises(CoinFormatError, match="line 1"):

@@ -296,8 +296,8 @@ class TestWeightedIdentity:
 class TestQuaternionicIdentity:
     @pytest.mark.parametrize("axis", [False, True])
     def test_vertex_pair_is_built_once(self, monkeypatch, axis):
-        # The resolvent check's pair is the vertex side's when the operand
-        # is the coin itself; turned values take their own n x n pair.
+        # The resolvent check builds no psi pair: the vertex side builds
+        # the operand's, psi for the coin itself, n x n for turned values.
         rng = np.random.default_rng(4)
         g = random_connected_graph(rng, 6, 0.4)
         w = (CoinMap.from_alpha(g, Quaternion(0.3, 0.2, -0.1, 0.4)) if axis
@@ -311,9 +311,8 @@ class TestQuaternionicIdentity:
 
         vertex_pair = spectra._vertex_pair
         monkeypatch.setattr(spectra, "_vertex_pair", counting)
-        monkeypatch.setattr(zeta, "_vertex_pair", counting)
         got = quaternionic_identity(g, w, SAMPLES)
-        assert builds == ([True, False] if axis else [True])
+        assert builds == ([False] if axis else [True])
         assert got.samples == want.samples
 
     def test_weighted_star(self):
@@ -388,8 +387,9 @@ class TestQuaternionicIdentity:
 
     @pytest.mark.parametrize("jump", [False, True], ids=["K", "J0K"])
     def test_arc_sums_are_the_dense_product(self, jump):
-        # psi(L^T K) and psi(L^T J0 K) summed over the arcs equal the dense
-        # products of psi(L^T) with psi(K) and psi(J0 K) from walks.build_K_L.
+        # L^T K and L^T J0 K summed over the arcs have the psi images of the
+        # dense products of psi(L^T) with psi(K) and psi(J0 K) from
+        # walks.build_K_L.
         rng = np.random.default_rng(6)
         g = random_connected_graph(rng, 8, 0.4)
         w = quaternion_weights(rng, g)
@@ -399,20 +399,41 @@ class TestQuaternionicIdentity:
             k = (k[0] ^ 1, *k[1:])
             dense_k = build_B_and_J0(g)[1] @ dense_k
         want = dense_l.transpose().psi() @ dense_k.psi()
-        got = zeta._psi_product(g.n, l, k)
+        got = zeta._arc_product(g.n, l, k).psi()
         assert np.abs(got - want).max() <= 1e-14
 
     def test_resolvent_check_rejects_a_wrong_factor(self, monkeypatch):
-        # psi(L^T K) is summed over the arcs; L^T (1.5 K) = 1.5 W^T must
-        # still fail.
+        # L^T K is summed over the arcs; L^T (1.5 K) = 1.5 W^T must still
+        # fail, also when every sample sits on a pole: the check's two
+        # halves are t-free and run once, before any sample.
         def scaled_K_L(graph, weights):
             (rows, cols, s, p), l = _K_L_entries(graph, weights)
             return (rows, cols, 1.5 * s, 1.5 * p), l
 
         monkeypatch.setattr(zeta, "_K_L_entries", scaled_K_L)
         g = complete_graph(3)
-        with pytest.raises(ArithmeticError, match="resolvent"):
+        for samples in ([0.3], [1.0, -1.0]):
+            with pytest.raises(ArithmeticError,
+                               match=r"resolvent.*L\^T K = W\^T"):
+                quaternionic_identity(g, CoinMap.grover(g), samples)
+
+    def test_resolvent_check_names_the_half_that_fails(self, monkeypatch):
+        # One out-sum of D_w moved: L^T K = W^T still holds, and the check
+        # fails on the L^T J0 K = D_w half.
+        build_w_dw = zeta.build_W_Dw
+
+        def moved_sum(graph, weights):
+            w, dw = build_w_dw(graph, weights)
+            sums = dw.s.copy()
+            sums[1, 1] += 0.25
+            return w, QuatMatrix(sums, dw.p)
+
+        monkeypatch.setattr(zeta, "build_W_Dw", moved_sum)
+        g = complete_graph(4)
+        with pytest.raises(ArithmeticError, match="resolvent") as failed:
             quaternionic_identity(g, CoinMap.grover(g), [0.3])
+        assert "L^T J0 K = D_w" in str(failed.value)
+        assert "L^T K = W^T" not in str(failed.value)
 
     def test_no_arc_sized_dense_array(self, monkeypatch):
         # At m = 245 a dense 4m x 4m complex X is 15.4 MB.  At every slogdet
@@ -576,11 +597,11 @@ def one_side_changed(g, w, ts, arc):
                    arc_logdet(graph, operand, *args))
         reports.append(quaternionic_identity(g, w, ts))
     with pytest.MonkeyPatch.context() as mp:
-        vertex_logdet, vertex_pair = zeta._vertex_logdet, zeta._vertex_pair
+        vertex_logdet, build_w_dw = zeta._vertex_logdet, zeta.build_W_Dw
         mp.setattr(zeta, "_vertex_logdet", lambda graph, weights, *args:
                    vertex_logdet(graph, operand, *args))
-        mp.setattr(zeta, "_vertex_pair",
-                   lambda graph, coin: vertex_pair(graph, changed))
+        mp.setattr(zeta, "build_W_Dw",
+                   lambda graph, coin: build_w_dw(graph, changed))
         mp.setattr(zeta, "_K_L_entries",
                    lambda graph, coin: _K_L_entries(graph, changed))
         reports.append(quaternionic_identity(g, w, ts))
