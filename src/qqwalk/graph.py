@@ -6,21 +6,26 @@ the arc at index ``idx`` sits at ``idx ^ 1``.  Arcs exist only as the
 index arrays ``origin`` and ``terminal`` of o(e) and t(e).  Vertex order is
 index order, which fixes the row/column order of every derived matrix.
 
+Graph rejects loops, ends out of range, duplicate edges and disconnected
+graphs itself.  One iterative Tarjan search gives ``strong_components`` and,
+on every arc, connectivity (one component) and the 2-colouring (the parity
+of each vertex's depth in its search tree).
+
 On-disk format: first line ``n m``, then m lines ``u v`` with 0-based
-vertex indices; ``#`` starts a comment line.  Loops, duplicate edges and
-disconnected graphs are rejected.
+vertex indices; ``#`` starts a comment line.  ``parse_graph`` reads the
+lines and the edge count and reports an edge Graph rejects at its line.
 """
 
 from __future__ import annotations
 
 import functools
-from collections import deque
 
 import numpy as np
 
 __all__ = [
     "Graph",
     "GraphFormatError",
+    "LineFormatError",
     "complete_graph",
     "cycle_graph",
     "parse_graph",
@@ -31,14 +36,22 @@ __all__ = [
 ]
 
 
-class GraphFormatError(ValueError):
-    """Raised for malformed graph input; carries the offending line number."""
+class LineFormatError(ValueError):
+    """Malformed input; ``line`` is the 1-based line at fault, None when the
+    fault is not on one line."""
 
     def __init__(self, message: str, line: int | None = None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+class GraphFormatError(LineFormatError):
+    """Raised for malformed graph input; ``edge`` is the index of the edge
+    that Graph rejects, None when no one edge is at fault."""
+
+    edge: int | None = None
 
 
 class Graph:
@@ -48,15 +61,17 @@ class Graph:
         if n <= 0:
             raise GraphFormatError(f"vertex count must be positive, got {n}")
         seen = set()
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphFormatError(
-                    f"vertex index out of range in edge ({u}, {v})")
-            if u == v:
-                raise GraphFormatError(f"loop edge at vertex {u}")
+        for r, (u, v) in enumerate(edges):
             key = (min(u, v), max(u, v))
-            if key in seen:
-                raise GraphFormatError(f"duplicate edge ({u}, {v})")
+            fault = (f"loop edge at vertex {u}" if u == v
+                     else f"vertex index out of range in edge ({u}, {v})"
+                     if not (0 <= u < n and 0 <= v < n)
+                     else f"duplicate edge ({u}, {v})" if key in seen
+                     else None)
+            if fault:
+                error = GraphFormatError(fault)
+                error.edge = r
+                raise error
             seen.add(key)
         self.n = n
         self.edges = list(edges)
@@ -65,29 +80,11 @@ class Graph:
         self.terminal = ends[:, ::-1].ravel()
         self.degrees = np.bincount(self.origin, minlength=n)
         self.degrees.flags.writeable = False
-        colour = self._bfs_colours()
-        if np.any(colour < 0):
+        label, parity = self._tarjan(np.ones(self.num_arcs, dtype=bool))
+        if np.any(label):
             raise GraphFormatError("graph is not connected")
-        self._bipartite = bool(np.all(colour[self.origin]
-                                      != colour[self.terminal]))
-
-    def _bfs_colours(self) -> np.ndarray:
-        """Parity of each vertex's distance from vertex 0 in a breadth-first
-        search, -1 where the search does not reach."""
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        colour = [-1] * self.n
-        colour[0] = 0
-        queue = deque([0])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if colour[v] < 0:
-                    colour[v] = 1 - colour[u]
-                    queue.append(v)
-        return np.array(colour)
+        self._bipartite = bool(np.all(parity[self.origin]
+                                      != parity[self.terminal]))
 
     # -- basic quantities ---------------------------------------------
 
@@ -110,7 +107,8 @@ class Graph:
 
     @property
     def is_bipartite(self) -> bool:
-        """Whether the breadth-first 2-colouring is proper: no odd cycle."""
+        """Whether the 2-colouring by search-tree depth is proper: no odd
+        cycle."""
         return self._bipartite
 
     def degree(self, u: int) -> int:
@@ -123,14 +121,20 @@ class Graph:
         arcs o(e) -> t(e) where ``arcs`` is true, numbered so that each such
         arc has label[t(e)] <= label[o(e)]: the order in which Tarjan's
         search (SIAM J. Comput. 1, 1972) closes them.  Iterative, O(n + m)."""
-        n = self.n
         if np.all(arcs):  # both arcs of every edge of a connected graph
-            return np.zeros(n, dtype=np.intp)
+            return np.zeros(self.n, dtype=np.intp)
+        return self._tarjan(arcs)[0]
+
+    def _tarjan(self, arcs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The labels strong_components gives, and the parity of each
+        vertex's depth in its search tree."""
+        n = self.n
         by_origin = np.argsort(self.origin[arcs], kind="stable")
         heads = self.terminal[arcs][by_origin].tolist()
         start = np.searchsorted(self.origin[arcs][by_origin],
                                 np.arange(n + 1)).tolist()
         index, low, label, stack = [-1] * n, [0] * n, [-1] * n, []
+        parity = [0] * n
         nxt, seen, count = start[:-1], 0, 0
         for root in range(n):
             work = [root] if index[root] < 0 else []
@@ -138,6 +142,7 @@ class Graph:
                 v = work[-1]
                 if index[v] < 0:
                     index[v] = low[v] = seen
+                    parity[v] = len(work) & 1
                     seen += 1
                     stack.append(v)
                 if nxt[v] < start[v + 1]:
@@ -155,7 +160,7 @@ class Graph:
                     while label[v] < 0:
                         label[stack.pop()] = count
                     count += 1
-        return np.array(label, dtype=np.intp)
+        return np.array(label, dtype=np.intp), np.array(parity)
 
     # -- classical matrices -------------------------------------------
 
@@ -184,45 +189,39 @@ class Graph:
         return lift, sigma
 
 
-def parse_graph(text: str) -> Graph:
-    """Parse the edge-list format into a Graph."""
-    header: tuple[int, int] | None = None
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    n_expected = m_expected = 0
+def _content_lines(text: str):
+    """(line number, stripped line) for each line that is neither blank nor
+    a ``#`` comment."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if len(fields) != 2:
-            raise GraphFormatError(
-                f"expected two integers, got {line!r}", line=lineno)
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
+def parse_graph(text: str) -> Graph:
+    """Parse the edge-list format into a Graph.  Of several faults the first
+    malformed line is reported, else a wrong edge count, else the first edge
+    Graph rejects, at that edge's line."""
+    rows = []
+    for lineno, line in _content_lines(text):
         try:
-            a, b = int(fields[0]), int(fields[1])
+            u, v = map(int, line.split())
         except ValueError:
             raise GraphFormatError(
                 f"expected two integers, got {line!r}", line=lineno) from None
-        if header is None:
-            header = (a, b)
-            n_expected, m_expected = a, b
-            continue
-        if a == b:
-            raise GraphFormatError(f"loop edge at vertex {a}", line=lineno)
-        if not (0 <= a < n_expected and 0 <= b < n_expected):
-            raise GraphFormatError(
-                f"vertex index out of range in edge ({a}, {b})", line=lineno)
-        key = (min(a, b), max(a, b))
-        if key in seen:
-            raise GraphFormatError(f"duplicate edge ({a}, {b})", line=lineno)
-        seen.add(key)
-        edges.append((a, b))
-    if header is None:
+        rows.append((u, v, lineno))
+    if not rows:
         raise GraphFormatError("empty graph file")
-    if len(edges) != m_expected:
+    (n, m, _), edges = rows[0], rows[1:]
+    if len(edges) != m:
         raise GraphFormatError(
-            f"header declares {m_expected} edges but {len(edges)} were given")
-    return Graph(n_expected, edges)
+            f"header declares {m} edges but {len(edges)} were given")
+    try:
+        return Graph(n, [(u, v) for u, v, _ in edges])
+    except GraphFormatError as exc:
+        if exc.edge is None:
+            raise
+        raise GraphFormatError(str(exc), line=edges[exc.edge][2]) from None
 
 
 def load_graph(path) -> Graph:

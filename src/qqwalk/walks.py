@@ -7,6 +7,9 @@ B_w, K, L, W and D_w, and the two structural checks: the per-arc unitarity
 condition and the vertex-independent column-sum condition whose common
 value alpha characterizes the Grover-like regime.
 
+Every CoinMap constructor fills one array of quaternion coordinates, one
+column per arc (CoinMap._fill); parse_coin_file reads as parse_graph does.
+
 Every matrix is built by fancy indexing from the arc arrays of the graph
 (``origin``, ``terminal``, and the inverse ``idx ^ 1``) and the symplectic
 arrays ``s``, ``p`` of the coin, following U = B_w^T - J0 = K L^T - J0.
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, LineFormatError, _content_lines
 from .qmatrix import QuatMatrix
 from .quaternion import Quaternion, QuaternionFormatError, parse_quaternion
 
@@ -49,14 +52,8 @@ __all__ = [
 AXIS_TOL = 16.0
 
 
-class CoinFormatError(ValueError):
+class CoinFormatError(LineFormatError):
     """Raised for malformed coin/weight files."""
-
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
 
 
 class CoinMap:
@@ -66,55 +63,47 @@ class CoinMap:
     the walk coin is the special case where the weights feed the transition
     matrix U.  The coin is stored only as the complex arrays ``s`` and
     ``p`` of its symplectic parts, q(e) = s[e] + j*p[e], which the matrix
-    builders index.
+    builders index; every constructor derives both from one 4 x 2m array
+    of quaternion coordinates.
     """
 
     def __init__(self, graph: Graph, values: list[Quaternion]):
         if len(values) != graph.num_arcs:
             raise ValueError(
                 f"expected {graph.num_arcs} arc values, got {len(values)}")
-        self.graph = graph
-        self.s = np.array([q.simplex for q in values], dtype=complex)
-        self.p = np.array([q.perplex for q in values], dtype=complex)
+        self._fill(graph, _coordinates(dict(enumerate(values)),
+                                       graph.num_arcs, "arc"))
 
-    @classmethod
-    def _from_coordinates(cls, graph: Graph, x: np.ndarray) -> "CoinMap":
-        """The coin with coordinates x[:, e] = (x0, x1, x2, x3) on arc e:
-        s = x0 + x1*i and p = x2 - x3*i, as Quaternion.simplex and
-        perplex give them."""
-        coin = cls.__new__(cls)
-        coin.graph = graph
-        coin.s, coin.p = (np.empty(graph.num_arcs, dtype=complex)
+    def _fill(self, graph: Graph, x: np.ndarray) -> "CoinMap":
+        """This coin with coordinates x[:, e] = (x0, x1, x2, x3) on arc e:
+        s = x0 + x1*i and p = x2 - x3*i, as Quaternion.simplex and perplex
+        give them, signed zeros included."""
+        self.graph = graph
+        self.s, self.p = (np.empty(graph.num_arcs, dtype=complex)
                           for _ in range(2))
-        coin.s.real, coin.s.imag = x[0], x[1]
-        coin.p.real, coin.p.imag = x[2], -x[3]
-        return coin
+        self.s.real, self.s.imag = x[0], x[1]
+        self.p.real, self.p.imag = x[2], -x[3]
+        return self
 
     @classmethod
     def from_arc_values(cls, graph: Graph,
                         per_arc: dict[int, Quaternion]) -> "CoinMap":
         """Per-arc values by index into the arc order; unspecified arcs are 0."""
-        values = [Quaternion.ZERO] * graph.num_arcs
-        for idx, q in per_arc.items():
-            if not (0 <= idx < graph.num_arcs):
-                raise ValueError(f"arc index {idx} out of range")
-            values[idx] = q
-        return cls(graph, values)
+        return cls.__new__(cls)._fill(
+            graph, _coordinates(per_arc, graph.num_arcs, "arc"))
 
     @classmethod
     def from_vertex_values(cls, graph: Graph,
                            per_vertex: dict[int, Quaternion]) -> "CoinMap":
         """q(e) = value at o(e); unspecified vertices get 0."""
-        x = np.array([[q.x0, q.x1, q.x2, q.x3] for q in (
-            per_vertex.get(v, Quaternion.ZERO) for v in range(graph.n))],
-            dtype=float).reshape(graph.n, 4)
-        return cls._from_coordinates(graph, x.T[:, graph.origin])
+        x = _coordinates(per_vertex, graph.n, "vertex")
+        return cls.__new__(cls)._fill(graph, x[:, graph.origin])
 
     @classmethod
     def from_alpha(cls, graph: Graph, alpha: Quaternion) -> "CoinMap":
         """q(e) = alpha / d_{o(e)} (real divisor, so side of division is moot)."""
         x = np.array([alpha.x0, alpha.x1, alpha.x2, alpha.x3])[:, None]
-        return cls._from_coordinates(graph, x / graph.degrees[graph.origin])
+        return cls.__new__(cls)._fill(graph, x / graph.degrees[graph.origin])
 
     @classmethod
     def grover(cls, graph: Graph) -> "CoinMap":
@@ -147,6 +136,19 @@ class CoinMap:
         return self.s.real + 1j * along
 
 
+def _coordinates(per: dict[int, Quaternion], size: int,
+                 what: str) -> np.ndarray:
+    """The 4 x size array holding the coordinates of per[i] in column i and
+    zeros in every column per does not name."""
+    for idx in per:
+        if not (0 <= idx < size):
+            raise ValueError(f"{what} index {idx} out of range")
+    x = np.zeros((4, size))
+    x[:, list(per)] = np.array([[q.x0, q.x1, q.x2, q.x3]
+                                for q in per.values()]).reshape(-1, 4).T
+    return x
+
+
 def parse_coin_file(text: str, graph: Graph) -> CoinMap:
     """Parse a coin/weight file.
 
@@ -156,10 +158,7 @@ def parse_coin_file(text: str, graph: Graph) -> CoinMap:
     """
     kind: str | None = None
     per: dict[int, Quaternion] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _content_lines(text):
         fields = line.split()
         if len(fields) != 3 or fields[0] not in ("v", "a"):
             raise CoinFormatError(

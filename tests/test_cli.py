@@ -4,12 +4,13 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qqwalk import cli
+from qqwalk import cli, spectra
 from qqwalk.cli import main
 from qqwalk.graph import random_connected_graph
 
@@ -64,6 +65,19 @@ class TestSpectrum:
         payload = json.loads(out)
         assert payload["method"] == "theorem8"
         assert payload["cross_check"]["verdict"] is True
+
+    def test_false_certificate_exits_one_with_the_report(
+            self, capsys, monkeypatch, star_path, weights_path):
+        certificate = spectra._certificate
+        monkeypatch.setattr(spectra, "_certificate", lambda *args: replace(
+            certificate(*args), verdict=False))
+        code, out, _ = run(capsys, "spectrum", "--graph", star_path,
+                           "--coin", weights_path, "--method", "theorem8")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["method"] == "theorem8"
+        assert payload["cross_check"]["verdict"] is False
+        assert sum(e["mult"] for e in payload["psi_spectrum"]) == 12
 
     def test_alpha_route(self, capsys, k3_path):
         code, out, _ = run(capsys, "spectrum", "--graph", k3_path,
@@ -218,6 +232,14 @@ class TestUnitarity:
         assert payload["agree"] is True
 
 
+    def test_csv_output(self, capsys, k3_path):
+        code, out, _ = run(capsys, "unitarity", "--graph", k3_path,
+                           "--grover", "--output", "csv")
+        assert code == 0
+        assert out.splitlines() == ["agree,condition_holds,matrix_unitary",
+                                    "True,True,True"]
+
+
 class TestZeta:
     def test_ihara(self, capsys, k3_path):
         code, out, _ = run(capsys, "zeta-ihara", "--graph", k3_path)
@@ -290,6 +312,22 @@ class TestErrorsAndEnvironment:
         code, _, err = run(capsys, "zeta-ihara", "--graph", str(p))
         assert code == 2
         assert "loop" in err
+
+    def test_unreadable_coin_file(self, capsys, k3_path, tmp_path):
+        missing = tmp_path / "none.w"
+        code, out, err = run(capsys, "unitarity", "--graph", k3_path,
+                             "--coin", str(missing))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read coin file: ")
+        assert str(missing) in err
+
+    def test_malformed_coin_file(self, capsys, k3_path, tmp_path):
+        coin = tmp_path / "bad.w"
+        coin.write_text("# weights\nv 0 1\nv 9 1\n")
+        code, out, err = run(capsys, "unitarity", "--graph", k3_path,
+                             "--coin", str(coin))
+        assert (code, out) == (2, "")
+        assert err == "error: coin parse error: line 3: index 9 out of range\n"
 
     def test_bad_alpha_literal(self, capsys, k3_path):
         code, _, err = run(capsys, "spectrum", "--graph", k3_path,

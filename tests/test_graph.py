@@ -58,6 +58,42 @@ class TestParsing:
         with pytest.raises(GraphFormatError, match="declares"):
             parse_graph("3 3\n0 1\n1 2")
 
+    @pytest.mark.parametrize("text, message, line", [
+        ("3 2\n0 1\n1 x\n", "line 3: expected two integers, got '1 x'", 3),
+        ("3 2\n0 1\n# c\n1 2 0\n",
+         "line 4: expected two integers, got '1 2 0'", 4),
+        ("# nothing\n\n", "empty graph file", None),
+        ("0 0\n", "vertex count must be positive, got 0", None),
+        ("-2 0\n", "vertex count must be positive, got -2", None),
+    ], ids=["non-integer", "three-fields", "empty", "n-zero", "n-negative"])
+    def test_rejection_message_and_line(self, text, message, line):
+        with pytest.raises(GraphFormatError) as info:
+            parse_graph(text)
+        assert str(info.value) == message
+        assert info.value.line == line
+
+    def test_of_several_faults_the_earliest_kind_is_reported(self):
+        # A malformed line first, then the edge count, then the first edge
+        # Graph rejects, whatever their order in the file.
+        cases = [("3 3\n0 0\n1 x\n",
+                  "line 3: expected two integers, got '1 x'"),
+                 ("3 3\n0 0\n1 2\n",
+                  "header declares 3 edges but 2 were given"),
+                 ("3 3\n0 1\n0 0\n1 0\n", "line 3: loop edge at vertex 0")]
+        for text, message in cases:
+            with pytest.raises(GraphFormatError) as info:
+                parse_graph(text)
+            assert str(info.value) == message
+
+    def test_graph_names_the_edge_it_rejects(self):
+        with pytest.raises(GraphFormatError) as info:
+            Graph(3, [(0, 1), (1, 2), (2, 1)])
+        assert str(info.value) == "duplicate edge (2, 1)"
+        assert (info.value.edge, info.value.line) == (2, None)
+        with pytest.raises(GraphFormatError) as info:
+            Graph(4, [(0, 1), (2, 3)])
+        assert info.value.edge is None
+
 
 class TestArcs:
     def test_inverse_pairing(self):

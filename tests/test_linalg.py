@@ -474,7 +474,8 @@ class TestSimultaneousTriangularization:
         assert compare_spectra(xis, expected_xis, tol=1e-8).verdict
 
     @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_failed_schur_goes_on_to_the_deflation(self, monkeypatch, k):
+    def test_commuting_pair_of_double_eigenvalues_takes_one_deflation(
+            self, monkeypatch, k):
         # a = Q diag(theta*(1..k), 0) Q^H and b = Q diag(0, 1..k) Q^H
         # commute, but every eigenvalue of a + theta*b is double, so a
         # Schur basis of that one combination would mix each pair.  One
@@ -807,7 +808,7 @@ def _assert_planted_diagonals(da, db, t1, t2, tol):
     assert cost[rows, cols].max() <= tol
 
 
-class TestClassPairs:
+class TestScalarPairs:
     """A pair (a, b) whose b is scalar within the commute bound takes one
     eigensolve of a (linalg._scalar_pairs); any other b leaves it to the
     triangularization."""

@@ -392,6 +392,18 @@ class TestCoinFiles:
         with pytest.raises(CoinFormatError, match="line 1"):
             parse_coin_file("v 0 1+q\n", g)
 
+    @pytest.mark.parametrize("text, message, line", [
+        ("# kinds\nx 0 1\n", "line 2: expected 'v <vertex> <value>' or "
+         "'a <arc> <value>', got 'x 0 1'", 2),
+        ("a 0 1\na one 1\n", "line 2: bad index 'one'", 2),
+        ("# nothing\n\n", "empty coin file", None),
+    ], ids=["unknown-kind", "non-integer-index", "empty"])
+    def test_rejection_message_and_line(self, text, message, line):
+        with pytest.raises(CoinFormatError) as info:
+            parse_coin_file(text, complete_graph(3))
+        assert str(info.value) == message
+        assert info.value.line == line
+
     def test_alpha_coin_divides_by_origin_degree(self):
         g = star_graph(3)
         alpha = parse_quaternion("1+i+j")
@@ -400,15 +412,35 @@ class TestCoinFiles:
         assert coin[1].isclose(alpha / 3)  # center degree 3
 
 
+class TestCoinConstructors:
+    def test_wrong_number_of_values_rejected(self):
+        g = complete_graph(3)
+        with pytest.raises(ValueError, match="^expected 6 arc values, got 5$"):
+            CoinMap(g, [ONE] * 5)
+
+    @pytest.mark.parametrize("per, message", [
+        ({7: ONE, -1: ONE}, "vertex index 7 out of range"),
+        ({0: ONE, -1: ONE}, "vertex index -1 out of range"),
+    ])
+    def test_vertex_index_out_of_range_rejected(self, per, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            CoinMap.from_vertex_values(complete_graph(3), per)
+
+    def test_arc_index_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match="^arc index 6 out of range$"):
+            CoinMap.from_arc_values(complete_graph(3), {0: ONE, 6: ONE})
+
+
 class TestCoinArrays:
     """Coins built by array division and indexing hold the bits of the
     per-arc Quaternion construction."""
 
     @staticmethod
     def assert_bit_identical(coin, values):
-        ref = CoinMap(coin.graph, values)
-        assert coin.s.tobytes() == ref.s.tobytes()
-        assert coin.p.tobytes() == ref.p.tobytes()
+        s = np.array([q.simplex for q in values], dtype=complex)
+        p = np.array([q.perplex for q in values], dtype=complex)
+        assert coin.s.tobytes() == s.tobytes()
+        assert coin.p.tobytes() == p.tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 9), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1),
@@ -427,6 +459,14 @@ class TestCoinArrays:
         self.assert_bit_identical(
             CoinMap.from_vertex_values(g, per_vertex),
             [per_vertex.get(v, ZERO) for v in g.origin])
+        values = [Quaternion(*rng.uniform(-3, 3, 4))
+                  for _ in range(g.num_arcs)]
+        self.assert_bit_identical(CoinMap(g, values), values)
+        per_arc = {e: values[e] for e in range(g.num_arcs)
+                   if rng.random() < 0.5}
+        self.assert_bit_identical(
+            CoinMap.from_arc_values(g, per_arc),
+            [per_arc.get(e, ZERO) for e in range(g.num_arcs)])
 
     def test_signed_zeros_are_kept(self):
         g = star_graph(2)
@@ -434,6 +474,15 @@ class TestCoinArrays:
         degree = np.bincount(g.origin, minlength=g.n)
         self.assert_bit_identical(CoinMap.from_alpha(g, alpha),
                                   [alpha / d for d in degree[g.origin]])
+        other = Quaternion(0.0, -0.0, 0.0, -0.0)
+        values = [alpha, other, alpha, other]
+        self.assert_bit_identical(CoinMap(g, values), values)
+        self.assert_bit_identical(
+            CoinMap.from_arc_values(g, {1: other, 2: alpha}),
+            [ZERO, other, alpha, ZERO])
+        self.assert_bit_identical(
+            CoinMap.from_vertex_values(g, {0: alpha, 2: other}),
+            [{0: alpha, 2: other}.get(v, ZERO) for v in g.origin])
 
 
 class TestArcCoreProperties:
