@@ -474,7 +474,7 @@ class TestSimultaneousTriangularization:
         assert compare_spectra(xis, expected_xis, tol=1e-8).verdict
 
     @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_commuting_pair_of_double_eigenvalues_takes_one_deflation(
+    def test_failed_schur_goes_on_to_the_deflation(
             self, monkeypatch, k):
         # a = Q diag(theta*(1..k), 0) Q^H and b = Q diag(0, 1..k) Q^H
         # commute, but every eigenvalue of a + theta*b is double, so a
