@@ -10,16 +10,19 @@ Subcommands:
 * ``zeta-quat``    quaternionic identity through the complexification map
 * ``selftest``     bundled golden suite plus seeded random route agreement
 
-Exit codes: 0 success / verdict true, 1 verdict false or numerical failure,
-2 input error.  The environment variable QQWALK_TOL overrides the default
-tolerance of the subcommands that take ``--tol``.  JSON output is strict:
-a number that is not finite, such as an overflowed determinant, prints as
-null.
+Four handlers serve them: ``spectrum`` with ``grover``, the three zeta
+commands, ``unitarity`` and ``selftest``.  Exit codes: 0 success / verdict
+true, 1 verdict false or numerical failure, 2 input error.  The environment
+variable QQWALK_TOL overrides the default tolerance of the subcommands that
+take ``--tol``; ``unitarity``'s matrix check and the zeta comparisons raise
+a smaller one to a floor each.  JSON output is strict: a number that is not
+finite, such as an overflowed determinant, prints as null.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -30,7 +33,8 @@ from importlib import resources
 
 import numpy as np
 
-from .graph import Graph, GraphFormatError, load_graph, random_connected_graph
+from .graph import (Graph, LineFormatError, load_graph, parse_graph,
+                    random_connected_graph)
 from .linalg import NotSimultaneouslyTriangularizableError
 from .quaternion import Quaternion, QuaternionFormatError, parse_quaternion
 from .spectra import (
@@ -43,7 +47,6 @@ from .spectra import (
     spectrum_theorem_general,
 )
 from .walks import (
-    CoinFormatError,
     CoinMap,
     _within,
     build_U,
@@ -68,37 +71,36 @@ class InputError(Exception):
     pass
 
 
-def _default_tol() -> float:
-    env = os.environ.get("QQWALK_TOL")
-    if env is None:
-        return DEFAULT_TOL
-    try:
-        tol = float(env)
-    except ValueError:
-        raise InputError(f"QQWALK_TOL is not a number: {env!r}") from None
-    return _checked_tol(tol, "QQWALK_TOL")
-
-
-def _checked_tol(tol: float, source: str) -> float:
+def _tol(args) -> float:
+    """--tol, else QQWALK_TOL, else DEFAULT_TOL; finite and >= 0."""
+    source, tol = "--tol", args.tol
+    if tol is None:
+        source, env = "QQWALK_TOL", os.environ.get("QQWALK_TOL")
+        if env is None:
+            return DEFAULT_TOL
+        try:
+            tol = float(env)
+        except ValueError:
+            raise InputError(f"QQWALK_TOL is not a number: {env!r}") from None
     if not (math.isfinite(tol) and tol >= 0.0):
         raise InputError(f"{source} must be finite and >= 0, got {tol!r}")
     return tol
 
 
-def _load_graph(path: str) -> Graph:
+@contextlib.contextmanager
+def _reading(what: str):
+    """Turn a failure to read or parse the graph or coin file into an
+    InputError."""
     try:
-        return load_graph(path)
+        yield
     except OSError as exc:
-        raise InputError(f"cannot read graph file: {exc}") from exc
-    except GraphFormatError as exc:
-        raise InputError(f"graph parse error: {exc}") from exc
+        raise InputError(f"cannot read {what} file: {exc}") from exc
+    except LineFormatError as exc:
+        raise InputError(f"{what} parse error: {exc}") from exc
 
 
 def _load_coin(args, graph: Graph) -> CoinMap:
-    chosen = [bool(getattr(args, "coin", None)),
-              bool(getattr(args, "alpha", None)),
-              bool(getattr(args, "grover", False))]
-    if sum(chosen) != 1:
+    if sum(map(bool, (args.coin, args.alpha, args.grover))) != 1:
         raise InputError(
             "exactly one of --coin, --alpha, --grover must be given")
     if args.grover:
@@ -108,13 +110,8 @@ def _load_coin(args, graph: Graph) -> CoinMap:
             return CoinMap.from_alpha(graph, parse_quaternion(args.alpha))
         except QuaternionFormatError as exc:
             raise InputError(f"bad --alpha literal: {exc}") from exc
-    try:
-        with open(args.coin, "r", encoding="utf-8") as fh:
-            return parse_coin_file(fh.read(), graph)
-    except OSError as exc:
-        raise InputError(f"cannot read coin file: {exc}") from exc
-    except CoinFormatError as exc:
-        raise InputError(f"coin parse error: {exc}") from exc
+    with _reading("coin"), open(args.coin, "r", encoding="utf-8") as fh:
+        return parse_coin_file(fh.read(), graph)
 
 
 def _finite(value):
@@ -156,13 +153,14 @@ def _emit(payload: dict, args) -> None:
 # -- subcommand handlers ----------------------------------------------
 
 def _cmd_spectrum(args) -> int:
-    graph = _load_graph(args.graph)
-    coin = _load_coin(args, graph)
-    if args.method == "direct":
-        report = spectrum_direct(graph, coin)
-    elif args.method == "theorem8":
-        report = spectrum_theorem_general(graph, coin)
+    """``spectrum`` and ``grover``, whose parser sets method "grover"; the
+    exit code follows the report's cross-check."""
+    with _reading("graph"):
+        graph = load_graph(args.graph)
+    if args.method == "grover":
+        report = spectrum_grover(graph)
     elif args.method == "theorem10":
+        coin = _load_coin(args, graph)
         first = graph.origin == 0
         alpha = Quaternion.from_complex_pair(complex(coin.s[first].sum()),
                                              complex(coin.p[first].sum()))
@@ -173,17 +171,10 @@ def _cmd_spectrum(args) -> int:
                 "the alpha-coin route needs q(e) = alpha/deg(o(e)) on every "
                 "arc: a vertex-independent outgoing coin sum, split evenly")
         report = spectrum_alpha_coin(graph, alpha)
-    else:  # pragma: no cover - argparse restricts choices
-        raise InputError(f"unknown method {args.method!r}")
-    return _emit_spectrum(report, args)
-
-
-def _cmd_grover(args) -> int:
-    return _emit_spectrum(spectrum_grover(_load_graph(args.graph)), args)
-
-
-def _emit_spectrum(report, args) -> int:
-    """Print a spectrum report; the exit code follows its cross-check."""
+    else:
+        route = (spectrum_direct if args.method == "direct"
+                 else spectrum_theorem_general)
+        report = route(graph, _load_coin(args, graph))
     _emit(report.to_dict(), args)
     if report.cross_check is not None and not report.cross_check.verdict:
         return EXIT_VERDICT_FALSE
@@ -191,48 +182,37 @@ def _emit_spectrum(report, args) -> int:
 
 
 def _cmd_unitarity(args) -> int:
-    graph = _load_graph(args.graph)
+    with _reading("graph"):
+        graph = load_graph(args.graph)
     coin = _load_coin(args, graph)
     condition = unitarity_condition(graph, coin, tol=args.tol)
     actual = build_U(graph, coin).is_unitary(tol=max(args.tol, 1e-9))
-    payload = {"condition_holds": condition, "matrix_unitary": actual,
-               "agree": condition == actual}
-    _emit(payload, args)
+    _emit({"condition_holds": condition, "matrix_unitary": actual,
+           "agree": condition == actual}, args)
     return EXIT_OK if condition else EXIT_VERDICT_FALSE
 
 
-def _zeta_common(args, runner) -> int:
+def _cmd_zeta(args) -> int:
+    """The three zeta commands, at sample points drawn from --seed."""
     if args.samples < 1:
         raise InputError(f"--samples must be at least 1, got {args.samples}")
-    graph = _load_graph(args.graph)
+    with _reading("graph"):
+        graph = load_graph(args.graph)
     samples = default_samples(args.samples, seed=args.seed)
-    report = runner(graph, samples)
-    _emit(report.to_dict(), args)
-    return EXIT_OK if report.verdict else EXIT_VERDICT_FALSE
-
-
-def _cmd_zeta_ihara(args) -> int:
-    return _zeta_common(
-        args, lambda g, ts: ihara_identity(g, ts, tol=max(args.tol, 1e-10)))
-
-
-def _cmd_zeta_weighted(args) -> int:
-    def run(graph, samples):
+    tol = max(args.tol, 1e-10)
+    if args.subcommand == "zeta-ihara":
+        report = ihara_identity(graph, samples, tol=tol)
+    else:
         coin = _load_coin(args, graph)
-        if not coin.is_complex_valued():
+        if args.subcommand == "zeta-quat":
+            report = quaternionic_identity(graph, coin, samples, tol=tol)
+        elif coin.is_complex_valued():
+            report = weighted_zeta_identity(graph, coin, samples, tol=tol)
+        else:
             raise InputError(
                 "weights have j/k parts; use the zeta-quat subcommand")
-        return weighted_zeta_identity(graph, coin, samples,
-                                      tol=max(args.tol, 1e-10))
-    return _zeta_common(args, run)
-
-
-def _cmd_zeta_quat(args) -> int:
-    def run(graph, samples):
-        coin = _load_coin(args, graph)
-        return quaternionic_identity(graph, coin, samples,
-                                     tol=max(args.tol, 1e-10))
-    return _zeta_common(args, run)
+    _emit(report.to_dict(), args)
+    return EXIT_OK if report.verdict else EXIT_VERDICT_FALSE
 
 
 # -- selftest ---------------------------------------------------------
@@ -243,28 +223,19 @@ def _fixture_text(name: str) -> str:
 
 def _selftest_checks(seed: int):
     """Yield (name, passed) pairs for the golden + randomized suite."""
-    from .graph import parse_graph
-
     k3 = parse_graph(_fixture_text("k3.g"))
     k13 = parse_graph(_fixture_text("k13.g"))
     ex_coin = parse_coin_file(_fixture_text("ex5.w"), k13)
 
-    sqrt3 = np.sqrt(3.0)
-    k3_expected = np.array(
-        [1.0, 1.0, (-1 + sqrt3 * 1j) / 2, (-1 + sqrt3 * 1j) / 2,
-         (-1 - sqrt3 * 1j) / 2, (-1 - sqrt3 * 1j) / 2])
-    rep = spectrum_direct(k3, CoinMap.grover(k3))
-    check = compare_spectra(
-        rep.psi_spectrum, np.concatenate([k3_expected, np.conj(k3_expected)]),
-        tol=1e-9)
-    yield "triangle-grover-spectrum", check.verdict
-
-    k13_expected = np.array([1j, 1j, -1j, -1j, 1.0, -1.0])
-    rep = spectrum_direct(k13, CoinMap.grover(k13))
-    check = compare_spectra(
-        rep.psi_spectrum,
-        np.concatenate([k13_expected, np.conj(k13_expected)]), tol=1e-9)
-    yield "star-grover-spectrum", check.verdict
+    w = (-1 + np.sqrt(3.0) * 1j) / 2
+    for name, graph, values in (
+            ("triangle-grover-spectrum", k3,
+             [1.0, 1.0, w, w, np.conj(w), np.conj(w)]),
+            ("star-grover-spectrum", k13, [1j, 1j, -1j, -1j, 1.0, -1.0])):
+        rep = spectrum_direct(graph, CoinMap.grover(graph))
+        yield name, compare_spectra(
+            rep.psi_spectrum, np.concatenate([values, np.conj(values)]),
+            tol=1e-9).verdict
 
     s = 1.0 / np.sqrt(2.0)
     half = np.array([s - s * 1j, -s + s * 1j, s - s * 1j, -s + s * 1j,
@@ -284,13 +255,10 @@ def _selftest_checks(seed: int):
     rng = np.random.default_rng(seed)
     agree = True
     for _ in range(20):
-        n = int(rng.integers(4, 9))
-        g = random_connected_graph(rng, n)
-        coords = rng.uniform(-1.0, 1.0, 4)
-        alpha = Quaternion(*coords)
-        rep10 = spectrum_alpha_coin(g, alpha)
-        if not rep10.cross_check.verdict:
-            agree = False
+        g = random_connected_graph(rng, int(rng.integers(4, 9)))
+        alpha = Quaternion(*rng.uniform(-1.0, 1.0, 4))
+        agree = spectrum_alpha_coin(g, alpha).cross_check.verdict
+        if not agree:
             break
     yield "random-alpha-route-agreement", agree
 
@@ -298,8 +266,7 @@ def _selftest_checks(seed: int):
 def _cmd_selftest(args) -> int:
     failures = []
     for name, passed in _selftest_checks(args.seed):
-        line = f"{'PASS' if passed else 'FAIL'}  {name}"
-        sys.stdout.write(line + "\n")
+        sys.stdout.write(f"{'PASS' if passed else 'FAIL'}  {name}\n")
         if not passed:
             failures.append(name)
     if failures:
@@ -347,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grover", help="alpha = 2 formula route (Grover walk)")
     _add_common(p, coin=False, tol=None)
-    p.set_defaults(handler=_cmd_grover)
+    p.set_defaults(handler=_cmd_spectrum, method="grover")
 
     p = sub.add_parser("unitarity", help="unitarity condition check")
     _add_common(p)
@@ -355,15 +322,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("zeta-ihara", help="classical determinant identity")
     _add_common(p, coin=False, samples=True)
-    p.set_defaults(handler=_cmd_zeta_ihara)
+    p.set_defaults(handler=_cmd_zeta)
 
     p = sub.add_parser("zeta-weighted", help="complex-weighted identity")
     _add_common(p, samples=True)
-    p.set_defaults(handler=_cmd_zeta_weighted)
+    p.set_defaults(handler=_cmd_zeta)
 
     p = sub.add_parser("zeta-quat", help="quaternionic identity")
     _add_common(p, samples=True)
-    p.set_defaults(handler=_cmd_zeta_quat)
+    p.set_defaults(handler=_cmd_zeta)
 
     p = sub.add_parser("selftest", help="golden + randomized suite")
     p.add_argument("--seed", type=int, default=0)
@@ -377,8 +344,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if "tol" in vars(args):
-            args.tol = (_default_tol() if args.tol is None
-                        else _checked_tol(args.tol, "--tol"))
+            args.tol = _tol(args)
         if getattr(args, "seed", 0) < 0:
             raise InputError(f"--seed must be >= 0, got {args.seed}")
         return args.handler(args)
@@ -386,8 +352,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT_ERROR
     except (np.linalg.LinAlgError, NotSimultaneouslyTriangularizableError,
-            SpectrumConsistencyError, ArithmeticError,
-            ZeroDivisionError) as exc:
+            SpectrumConsistencyError, ArithmeticError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_VERDICT_FALSE
 

@@ -113,8 +113,10 @@ class CoinMap:
         return Quaternion.from_complex_pair(complex(self.s[arc_index]),
                                             complex(self.p[arc_index]))
 
-    def is_complex_valued(self, atol: float = 1e-12) -> bool:
-        return bool(np.all(_within(0.0, self.p, atol)))
+    def is_complex_valued(self) -> bool:
+        """No j or k part above 1e-12 of the largest |q(e)|."""
+        scale = np.max(np.hypot(np.abs(self.s), np.abs(self.p)), initial=0.0)
+        return bool(np.all(_within(0.0, self.p, 1e-12 * scale)))
 
     def turned(self) -> np.ndarray | None:
         """The values turned onto C by one unit quaternion: Re q + i*(v . u),

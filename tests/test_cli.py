@@ -10,14 +10,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qqwalk import cli, spectra
+from qqwalk import cli, spectra, zeta
 from qqwalk.cli import main
-from qqwalk.graph import random_connected_graph
+from qqwalk.graph import load_graph, petersen_graph, random_connected_graph
+from qqwalk.quaternion import Quaternion
+from qqwalk.walks import CoinMap, build_U, parse_coin_file
 
 K3 = "3 3\n0 1\n1 2\n2 0\n"
 STAR = "4 3\n3 0\n3 1\n3 2\n"
 WEIGHTS = "a 0 1+i\na 2 1-j\na 4 2\n"
 STAR_LEAF_FIRST = "4 3\n0 3\n1 3\n2 3\n"
+FIXTURES = Path(cli.__file__).parent / "fixtures"
 
 
 @pytest.fixture
@@ -231,6 +234,19 @@ class TestUnitarity:
         assert payload["condition_holds"] is False
         assert payload["agree"] is True
 
+    def test_zero_tol_checks_the_matrix_at_the_floor(self, capsys, tmp_path):
+        # The Grover walk on Petersen is unitary to rounding, not exactly:
+        # matrix_unitary reads true at --tol 0 only through the 1e-9 floor.
+        g = petersen_graph()
+        assert not build_U(g, CoinMap.grover(g)).is_unitary(tol=0.0)
+        graph = tmp_path / "petersen.g"
+        graph.write_text(f"{g.n} {g.m}\n"
+                         + "".join(f"{u} {v}\n" for u, v in g.edges))
+        code, out, _ = run(capsys, "unitarity", "--graph", str(graph),
+                           "--grover", "--tol", "0")
+        assert code == 0
+        assert json.loads(out) == {"condition_holds": True,
+                                   "matrix_unitary": True, "agree": True}
 
     def test_csv_output(self, capsys, k3_path):
         code, out, _ = run(capsys, "unitarity", "--graph", k3_path,
@@ -262,6 +278,32 @@ class TestZeta:
                            "--coin", weights_path)
         assert code == 2
         assert "zeta-quat" in err
+
+    def test_weighted_rejects_a_small_quaternionic_coin(self, capsys, k3_path,
+                                                        tmp_path):
+        # The j/k parts are judged against the coin's own size, so a coin
+        # of size 3e-13 is as quaternionic as one of size 1.
+        coin = tmp_path / "tiny.w"
+        coin.write_text("v 0 1e-13j\nv 1 2e-13k\nv 2 3e-13j\n")
+        code, out, err = run(capsys, "zeta-weighted", "--graph", k3_path,
+                             "--coin", str(coin))
+        assert code == 2 and out == ""
+        assert "use the zeta-quat subcommand" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("zeta-ihara",),
+        ("zeta-weighted", "--grover"),
+        ("zeta-quat", "--coin", str(FIXTURES / "ex5.w")),
+    ], ids=lambda argv: argv[0])
+    def test_zero_tol_compares_at_the_floor(self, capsys, argv):
+        # Both sides agree to rounding, not exactly: only the 1e-10 floor
+        # under --tol makes the verdict true.
+        graph = "k13.g" if argv[0] == "zeta-quat" else "k3.g"
+        code, out, _ = run(capsys, *argv, "--graph", str(FIXTURES / graph),
+                           "--tol", "0")
+        payload = json.loads(out)
+        assert code == 0 and payload["verdict"] is True
+        assert 0.0 < payload["max_rel_err"] <= 1e-10
 
     def test_quaternionic(self, capsys, star_path, weights_path):
         code, out, _ = run(capsys, "zeta-quat", "--graph", star_path,
@@ -298,6 +340,51 @@ class TestZeta:
         lines = out.strip().splitlines()
         assert lines[0].startswith("t_re,t_im,lhs_re")
         assert len(lines) == 4
+
+
+K3_FIXTURE = load_graph(FIXTURES / "k3.g")
+K13_FIXTURE = load_graph(FIXTURES / "k13.g")
+EX5_FIXTURE = parse_coin_file((FIXTURES / "ex5.w").read_text(), K13_FIXTURE)
+ZETA_OPTIONS = ("--samples", "3", "--seed", "7", "--tol", "1e-12")
+ZETA_SAMPLES = zeta.default_samples(3, 7)
+
+
+class TestEachCommandPrintsItsLibraryReport:
+    # Each spectrum method, grover and each zeta command prints exactly
+    # the report of the library call it dispatches to; a zeta command draws
+    # its samples by default_samples and compares at its tolerance floor.
+    @pytest.mark.parametrize("argv, report", [
+        (("spectrum", "--graph", "k3.g", "--grover"),
+         lambda: spectra.spectrum_direct(K3_FIXTURE,
+                                         CoinMap.grover(K3_FIXTURE))),
+        (("spectrum", "--graph", "k13.g", "--coin", "ex5.w", "--method",
+          "theorem8"),
+         lambda: spectra.spectrum_theorem_general(K13_FIXTURE, EX5_FIXTURE)),
+        (("spectrum", "--graph", "k3.g", "--alpha=1+i+j", "--method",
+          "theorem10"),
+         lambda: spectra.spectrum_alpha_coin(K3_FIXTURE,
+                                             Quaternion(1.0, 1.0, 1.0))),
+        (("grover", "--graph", "k13.g"),
+         lambda: spectra.spectrum_grover(K13_FIXTURE)),
+        (("zeta-ihara", "--graph", "k3.g", *ZETA_OPTIONS),
+         lambda: zeta.ihara_identity(K3_FIXTURE, ZETA_SAMPLES, tol=1e-10)),
+        (("zeta-weighted", "--graph", "k3.g", "--coin", "k3_grover.w",
+          *ZETA_OPTIONS),
+         lambda: zeta.weighted_zeta_identity(
+             K3_FIXTURE, CoinMap.grover(K3_FIXTURE), ZETA_SAMPLES, tol=1e-10)),
+        (("zeta-quat", "--graph", "k13.g", "--coin", "ex5.w", *ZETA_OPTIONS),
+         lambda: zeta.quaternionic_identity(K13_FIXTURE, EX5_FIXTURE,
+                                            ZETA_SAMPLES, tol=1e-10)),
+    ], ids=["spectrum-direct", "spectrum-theorem8", "spectrum-theorem10",
+            "grover", "zeta-ihara", "zeta-weighted", "zeta-quat"])
+    def test_stdout_is_the_library_report(self, capsys, monkeypatch, argv,
+                                          report):
+        monkeypatch.chdir(FIXTURES)
+        monkeypatch.delenv("QQWALK_TOL", raising=False)
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == json.dumps(cli._finite(report().to_dict()), indent=2,
+                                 sort_keys=True) + "\n"
 
 
 class TestErrorsAndEnvironment:

@@ -286,6 +286,25 @@ class TestWeightedIdentity:
         with pytest.raises(ValueError, match="j/k"):
             weighted_zeta_identity(g, w, SAMPLES)
 
+    def test_rejects_a_small_quaternionic_coin(self):
+        # The j/k parts are judged against the coin's own size.
+        g = complete_graph(3)
+        w = CoinMap.from_vertex_values(g, {0: Quaternion(0, 0, 1e-13),
+                                           1: Quaternion(0, 0, 0, 2e-13),
+                                           2: Quaternion(0, 0, 3e-13)})
+        with pytest.raises(ValueError, match="j/k"):
+            weighted_zeta_identity(g, w, SAMPLES)
+
+    def test_accepts_rounding_size_j_parts_at_scale(self):
+        # A complex coin at 1e8 whose j/k parts are of the size of its
+        # rounding errors is complex.
+        g = complete_graph(3)
+        w = CoinMap.from_vertex_values(g, {
+            v: Quaternion(1e8 * (v + 1), -2e8, 3e-8, -1e-8) for v in range(3)})
+        assert w.is_complex_valued()
+        report = weighted_zeta_identity(g, w, SAMPLES)
+        assert len(report.samples) + len(report.skipped) == len(SAMPLES)
+
     def test_pole_skipped(self):
         g = complete_graph(3)
         ones = CoinMap(g, [Quaternion.ONE] * g.num_arcs)
